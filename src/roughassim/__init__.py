@@ -3,9 +3,9 @@
 Library + CLI for minimizing performance indices of the form
 ``A(x, u) = int phi dt + int psi d eta`` where eta is a rough
 (Wiener-perturbed) integrated-observation path and the stochastic term
-is a Young integral.  Ships exact grid p-variation (compiled kernel with
-a pure-Python fallback), costate/adjoint gradients, a projected-gradient
-minimizer, Hamiltonian shooting, and a twin-experiment harness.
+is a Young integral.  Ships exact grid p-variation, costate/adjoint
+gradients, a projected-gradient minimizer, Hamiltonian shooting, and a
+twin-experiment harness.  Pure Python on top of numpy.
 """
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ from .grid import (
     require_same_grid,
     write_path_csv,
 )
-from .kernels import BACKEND
 from .optimizer import (
     AssimilationResult,
     ControlSetSpec,
@@ -79,7 +78,6 @@ from .shooting import ShootingConfig, integrate_hamiltonian, shoot, value_probe
 
 __all__ = [
     "__version__",
-    "BACKEND",
     "AssimilationResult",
     "BlowUpError",
     "ControlSetSpec",

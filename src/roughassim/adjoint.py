@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostSpec
+from .cost import CostSpec, eval_cost
 from .dynamics import ModelSpec, integrate_state
 from .errors import BlowUpError, InvalidParameterError
 from .grid import ObservationPath, SampledPath, require_same_grid
@@ -177,6 +177,19 @@ def duality_check(M: SampledPath, a: SampledPath, b: SampledPath, zeta0, lambdaT
     return abs(lhs - rhs)
 
 
+def _central_difference(model, cost, u, xi, eta, node, component, h) -> float:
+    """d(cost)/d u[node, component] by a central difference of forward + cost."""
+    grid = u.grid
+
+    def cost_at(delta):
+        vals = u.values.copy()
+        vals[node, component] += delta
+        up = SampledPath(grid, vals)
+        return eval_cost(cost, integrate_state(model, up, xi, grid), up, eta)
+
+    return (cost_at(h) - cost_at(-h)) / (2.0 * h)
+
+
 def gradient_fd_gap(
     model: ModelSpec,
     cost: CostSpec,
@@ -192,20 +205,10 @@ def gradient_fd_gap(
     Returns the adjoint prediction dt * G(t_k), the FD value, and their
     relative gap; the computable shadow of the first-order cost expansion.
     """
-    from .cost import eval_cost  # local to avoid cycle at import time
-
     grid = u.grid
     if not (0 < node < grid.n_steps):
         raise InvalidParameterError("perturb an interior node")
-
-    def cost_at(delta):
-        vals = u.values.copy()
-        vals[node, component] += delta
-        up = SampledPath(grid, vals)
-        xp = integrate_state(model, up, xi, grid)
-        return eval_cost(cost, xp, up, eta)
-
-    fd = (cost_at(h) - cost_at(-h)) / (2.0 * h)
+    fd = _central_difference(model, cost, u, xi, eta, node, component, h)
     x = integrate_state(model, u, xi, grid)
     lam = solve_costate(model, cost, x, u, eta)
     G = control_gradient(model, cost, x, u, lam)

@@ -12,19 +12,19 @@ import numpy as np
 
 from .adjoint import (
     OptimalTriple,
+    _central_difference,
     control_gradient,
     duality_check,
     max_principle_residual,
     pointwise_hamiltonian_minimizer,
     solve_costate,
 )
-from .cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
-from .dynamics import integrate_state, linear_model, lorenz63_model
+from .cost import QuadraticCostSpec, build_minimum_energy
+from .dynamics import integrate_state, linear_model
 from .errors import InvalidParameterError
+from .experiments import build_cost, load_config, simulate_truth
 from .grid import ObservationPath, SampledPath, TimeGrid
-from .optimizer import ControlSetSpec
 from .roughpath import (
-    build_observation,
     oscillation,
     p_variation,
     p_variation_bruteforce,
@@ -33,7 +33,7 @@ from .roughpath import (
     young_bound_check,
     young_integral,
 )
-from .shooting import ShootingConfig, shoot
+from .shooting import value_probe
 
 SUITES = ("roughpath", "adjoint", "duality", "gradient", "valueprobe")
 
@@ -156,20 +156,18 @@ def suite_roughpath(seed: int = 0) -> list:
 
 
 def _lorenz_setup(seed, n_steps=512, T=1.0, noise=0.1):
-    model = lorenz63_model()
-    grid = TimeGrid(T, n_steps)
-    h, h_jac = coordinate_observation([0, 1, 2], 3)
-    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(3), S=np.eye(3), obs_dim=3, control_dim=3)
-    cost = build_minimum_energy(quad)
-    xi = np.array([1.0, 1.0, 25.0])
-    u0 = SampledPath.zeros(grid, 3)
-    truth = integrate_state(model, u0, xi, grid)
-    times = grid.times
-    hv = np.array([h(times[i], truth.values[i]) for i in range(grid.n_nodes)])
-    zeta = np.zeros_like(hv)
-    zeta[1:] = np.cumsum(0.5 * grid.dt * (hv[:-1] + hv[1:]), axis=0)
-    eta = build_observation(SampledPath(grid, zeta), noise, seed)
-    return model, grid, cost, xi, truth, eta
+    """Fully observed Lorenz'63 twin with a minimum-energy cost, R = S = I."""
+    config = load_config(
+        {
+            "model": {"name": "lorenz63"},
+            "grid": {"T": T, "n_steps": n_steps},
+            "truth": {"initial_state": [1.0, 1.0, 25.0]},
+            "observation": {"h_indices": "full", "R": 1.0, "noise_scale": noise, "seed": seed},
+            "cost": {"kind": "minimum_energy", "S": 1.0},
+        }
+    )
+    truth, eta = simulate_truth(config)
+    return config.model, config.grid, build_cost(config), config.truth_initial_state, truth, eta
 
 
 def suite_adjoint(seed: int = 0) -> list:
@@ -263,25 +261,15 @@ def suite_gradient(seed: int = 0) -> list:
     model, grid, cost, xi, truth, eta = _lorenz_setup(seed, n_steps=4096, T=0.0625, noise=0.01)
     rng = wiener_rng(seed, 53)
     u = SampledPath(grid, rng.normal(size=(grid.n_nodes, 3)))
-    from .dynamics import integrate_state
-    from .cost import eval_cost
-
     x = integrate_state(model, u, xi, grid)
     lam = solve_costate(model, cost, x, u, eta)
     G = control_gradient(model, cost, x, u, lam)
-    h = 1e-5
     worst = 0.0
     nodes = rng.choice(np.arange(1, grid.n_steps), size=20, replace=False)
     for node in nodes:
-        fd = np.empty(3)
-        for comp in range(3):
-            def cost_at(delta):
-                vals = u.values.copy()
-                vals[node, comp] += delta
-                up = SampledPath(grid, vals)
-                return eval_cost(cost, integrate_state(model, up, xi, grid), up, eta)
-
-            fd[comp] = (cost_at(h) - cost_at(-h)) / (2.0 * h)
+        fd = np.array(
+            [_central_difference(model, cost, u, xi, eta, node, comp, 1e-5) for comp in range(3)]
+        )
         pred = grid.dt * G.values[node]
         rel = np.linalg.norm(fd - pred) / max(np.linalg.norm(fd), np.linalg.norm(pred), 1e-12)
         worst = max(worst, rel)
@@ -289,8 +277,6 @@ def suite_gradient(seed: int = 0) -> list:
 
 
 def suite_valueprobe(seed: int = 0) -> list:
-    from .shooting import value_probe
-
     lin = linear_model([[1.0]])
     grid = TimeGrid(1.0, 2048)
     q = QuadraticCostSpec(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidSpecError
+from .errors import BlowUpError, GridMismatchError, InvalidSpecError
 from .grid import SampledPath, TimeGrid, require_same_grid
 
 
@@ -49,6 +49,14 @@ class ModelSpec:
     def linearization(self, t, x, u):
         """M(t) = D2f + (D2g) u, the coefficient of the variational equation."""
         return self.D2f(t, x) + np.einsum("ijk,j->ik", self.D2g(t, x), u)
+
+    def rk4_step(self, t, x, u, dt):
+        """One classical RK4 step from (t, x) with the control frozen at u."""
+        k1 = self.drift(t, x, u)
+        k2 = self.drift(t + 0.5 * dt, x + 0.5 * dt * k1, u)
+        k3 = self.drift(t + 0.5 * dt, x + 0.5 * dt * k2, u)
+        k4 = self.drift(t + dt, x + dt * k3, u)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def lorenz63_drift(state, params: Lorenz63Params = Lorenz63Params()) -> np.ndarray:
@@ -150,7 +158,8 @@ def _check_finite(x, node):
 
 def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> SampledPath:
     """RK4 over each step with the control frozen at its left node value."""
-    require_same_grid(u, _grid_carrier(grid))
+    if not u.grid.matches(grid):
+        raise GridMismatchError(f"grids differ: {u.grid} vs {grid}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (model.state_dim,):
         raise InvalidSpecError(f"initial state must have shape ({model.state_dim},)")
@@ -162,12 +171,7 @@ def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> Sam
     x = xi
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps):
-            t, ui = times[i], uv[i]
-            k1 = model.drift(t, x, ui)
-            k2 = model.drift(t + 0.5 * dt, x + 0.5 * dt * k1, ui)
-            k3 = model.drift(t + 0.5 * dt, x + 0.5 * dt * k2, ui)
-            k4 = model.drift(t + dt, x + dt * k3, ui)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = model.rk4_step(times[i], x, uv[i], dt)
             _check_finite(x, i + 1)
             out[i + 1] = x
     return SampledPath(grid, out)
@@ -230,10 +234,3 @@ def energy_diagnostic(x: SampledPath, u: SampledPath) -> dict:
         "sup_ratio": x_sup / (1.0 + u_l2),
         "nonlin_ratio": xdot_l2 / (1.0 + u_l2**2),
     }
-
-
-class _grid_carrier:
-    """Adapter so require_same_grid can compare a path against a bare grid."""
-
-    def __init__(self, grid):
-        self.grid = grid

@@ -16,7 +16,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -30,10 +30,18 @@ from .cost import (
     build_minimum_energy,
     build_onsager_machlup,
     coordinate_observation,
+    eval_cost,
 )
-from .dynamics import Lorenz63Params, ModelSpec, linear_model, lorenz63_model, lorenz96_model
+from .dynamics import (
+    Lorenz63Params,
+    ModelSpec,
+    integrate_state,
+    linear_model,
+    lorenz63_model,
+    lorenz96_model,
+)
 from .errors import InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, TimeGrid, read_path_csv, write_path_csv
+from .grid import ObservationPath, SampledPath, TimeGrid, read_path_csv, write_path_csv
 from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize
 from .roughpath import build_observation, wiener_rng
 
@@ -208,8 +216,6 @@ def simulate_truth(config: ExperimentConfig):
     zeta is the cumulative trapezoid of h(t, x_truth(t)) (integrated
     observations); eta adds noise_scale times a Wiener sample.
     """
-    from .dynamics import integrate_state
-
     u_truth = _truth_control_path(config)
     truth = integrate_state(config.model, u_truth, config.truth_initial_state, config.grid)
     h, _ = coordinate_observation(config.h_indices, config.model.state_dim)
@@ -301,20 +307,15 @@ def cmd_assimilate(
     timings: bool = False,
 ) -> dict:
     """Run the assimilation and write estimate/control/costate CSVs + result.json."""
-    from .cost import eval_cost
-    from .dynamics import integrate_state
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     eta_path = read_path_csv(eta_file)
     g = eta_path.grid
-    if g.n_steps != config.grid.n_steps or not np.isclose(g.T, config.grid.T, rtol=1e-9):
+    if not config.grid.matches(g):
         raise InvalidSpecError(
             f"eta grid ({g.T}, {g.n_steps}) does not match config grid "
             f"({config.grid.T}, {config.grid.n_steps})"
         )
-    from .grid import ObservationPath
-
     eta = ObservationPath(path=eta_path, seed=config.seed, noise_scale=config.noise_scale)
     t0 = time.perf_counter()
     result = run_assimilation(config, eta, jobs=jobs)
@@ -336,10 +337,10 @@ def cmd_assimilate(
         "cost_kind": config.cost_kind,
     }
     # Both quadratic-family costs evaluated at the converged pair, when defined.
-    me_cfg = ExperimentConfig(**{**config.__dict__, "cost_kind": "minimum_energy"})
+    me_cfg = replace(config, cost_kind="minimum_energy")
     payload["cost_minimum_energy"] = eval_cost(build_cost(me_cfg), triple.x, triple.u, eta)
     try:
-        om_cfg = ExperimentConfig(**{**config.__dict__, "cost_kind": "onsager_machlup"})
+        om_cfg = replace(config, cost_kind="onsager_machlup")
         payload["cost_onsager_machlup"] = eval_cost(build_cost(om_cfg), triple.x, triple.u, eta)
     except (InvalidSpecError, UnsupportedCostError):
         payload["cost_onsager_machlup"] = None

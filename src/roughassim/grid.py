@@ -9,7 +9,7 @@ package consumes and produces paths without mutating them.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,12 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.T, self.n_nodes)
+
+    def matches(self, other: "TimeGrid") -> bool:
+        """Same number of steps and a horizon equal within ``SPACING_RTOL``."""
+        return self.n_steps == other.n_steps and bool(
+            np.isclose(other.T, self.T, rtol=SPACING_RTOL)
+        )
 
     def refine(self, factor: int = 2) -> "TimeGrid":
         """Grid over the same horizon with ``factor`` times as many steps."""
@@ -141,11 +147,10 @@ class ObservationPath:
 
 def require_same_grid(*paths):
     """Raise :class:`GridMismatchError` unless all paths share one grid."""
-    grids = [p.grid for p in paths]
-    g0 = grids[0]
-    for g in grids[1:]:
-        if g.n_steps != g0.n_steps or not np.isclose(g.T, g0.T, rtol=SPACING_RTOL):
-            raise GridMismatchError(f"grids differ: {g0} vs {g}")
+    g0 = paths[0].grid
+    for p in paths[1:]:
+        if not g0.matches(p.grid):
+            raise GridMismatchError(f"grids differ: {g0} vs {p.grid}")
     return g0
 
 

@@ -3,9 +3,8 @@
 The p-variation is the supremum over dissections of the sum of
 |increment|^p, raised to 1/p.  For sampled data the supremum is taken over
 dissections through grid nodes only, computed exactly by an O(N^2) dynamic
-program (compiled kernel when available).  Young integrals are evaluated as
-tagged Riemann sums; the left tag is the canonical evaluator used by every
-other module.
+program.  Young integrals are evaluated as tagged Riemann sums; the left
+tag is the canonical evaluator used by every other module.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .grid import ObservationPath, SampledPath, TimeGrid, require_same_grid
-from .kernels import pvar_max_sum
 
 #: Default node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
@@ -26,6 +24,21 @@ def _node_matrix(path: SampledPath) -> np.ndarray:
     """Node values flattened to shape (n_nodes, prod(dim))."""
     v = path.values
     return v.reshape(v.shape[0], -1)
+
+
+def _max_dissection_sum(values: np.ndarray, p: float) -> float:
+    """Max over grid dissections of sum |increment|^p (the 1/p root not taken).
+
+    best[j] is the largest sum over dissections of nodes 0..j ending at j.
+    """
+    n = values.shape[0]
+    if n < 2:
+        return 0.0
+    best = np.zeros(n)
+    for j in range(1, n):
+        dist = np.linalg.norm(values[:j] - values[j], axis=1)
+        best[j] = np.max(best[:j] + dist**p)
+    return float(best[n - 1])
 
 
 def p_variation(path: SampledPath, p: float, *, max_nodes: int = MAX_PVAR_NODES) -> float:
@@ -42,7 +55,7 @@ def p_variation(path: SampledPath, p: float, *, max_nodes: int = MAX_PVAR_NODES)
             f"path has {values.shape[0]} nodes, above the cap of {max_nodes}; "
             "pass max_nodes explicitly to override"
         )
-    return pvar_max_sum(np.ascontiguousarray(values), float(p)) ** (1.0 / p)
+    return _max_dissection_sum(values, float(p)) ** (1.0 / p)
 
 
 def p_variation_bruteforce(path: SampledPath, p: float) -> float:

@@ -48,9 +48,10 @@ def integrate_hamiltonian(
     """Forward integration of the coupled state/costate system.
 
     The control is eliminated pointwise via u = Proj_U(-S^{-1} g' lambda');
-    x advances by RK4 with the control frozen per step, lambda by a Heun
-    predictor/corrector on -D2m plus the left-tag Young increment.  For an
-    arbitrary lambda0 the terminal costate is generally nonzero.
+    x advances by the RK4 step of ``integrate_state`` with the control
+    frozen per step, lambda by a Heun predictor/corrector on -D2m plus the
+    left-tag Young increment.  For an arbitrary lambda0 the terminal
+    costate is generally nonzero.
     """
     if cost.quad is None:
         raise UnsupportedCostError("Hamiltonian integration needs a quadratic-family cost")
@@ -77,11 +78,7 @@ def integrate_hamiltonian(
             x0, l0 = xs[i], ls[i]
             u0 = upoint(t0, x0, l0)
             us[i] = u0
-            k1 = model.drift(t0, x0, u0)
-            k2 = model.drift(t0 + 0.5 * dt, x0 + 0.5 * dt * k1, u0)
-            k3 = model.drift(t0 + 0.5 * dt, x0 + 0.5 * dt * k2, u0)
-            k4 = model.drift(t1, x0 + dt * k3, u0)
-            x1 = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x1 = model.rk4_step(t0, x0, u0, dt)
             young = deta[i] @ cost.D2psi(t0, x0)
             r0 = d2m(t0, x0, l0, u0)
             pred = l0 - dt * r0 - young

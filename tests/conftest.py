@@ -1,35 +1,21 @@
-import sys
-from pathlib import Path
-
-import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
-from roughassim.dynamics import integrate_state, lorenz63_model
-from roughassim.grid import SampledPath, TimeGrid
-from roughassim.roughpath import build_observation
+from roughassim.experiments import build_cost, load_config, simulate_truth
 
 
-def make_lorenz_twin(seed=42, n_steps=512, T=1.0, noise=0.1, R=1.0, S=1.0,
-                     xi=(1.0, 1.0, 25.0)):
+def make_lorenz_twin(seed=42, n_steps=512, T=1.0, noise=0.1, S=1.0):
     """Lorenz'63 twin setup: model, grid, quadratic cost, truth, observation."""
-    model = lorenz63_model()
-    grid = TimeGrid(T, n_steps)
-    h, h_jac = coordinate_observation([0, 1, 2], 3)
-    quad = QuadraticCostSpec(
-        h=h, h_jac=h_jac, R=R * np.eye(3), S=S * np.eye(3), obs_dim=3, control_dim=3
+    config = load_config(
+        {
+            "model": {"name": "lorenz63"},
+            "grid": {"T": T, "n_steps": n_steps},
+            "truth": {"initial_state": [1.0, 1.0, 25.0]},
+            "observation": {"h_indices": "full", "R": 1.0, "noise_scale": noise, "seed": seed},
+            "cost": {"kind": "minimum_energy", "S": S},
+        }
     )
-    cost = build_minimum_energy(quad)
-    xi = np.asarray(xi, dtype=float)
-    truth = integrate_state(model, SampledPath.zeros(grid, 3), xi, grid)
-    times = grid.times
-    hv = np.array([h(times[i], truth.values[i]) for i in range(grid.n_nodes)])
-    zeta = np.zeros_like(hv)
-    zeta[1:] = np.cumsum(0.5 * grid.dt * (hv[:-1] + hv[1:]), axis=0)
-    eta = build_observation(SampledPath(grid, zeta), noise, seed)
-    return model, grid, cost, xi, truth, eta
+    truth, eta = simulate_truth(config)
+    return config.model, config.grid, build_cost(config), config.truth_initial_state, truth, eta
 
 
 @pytest.fixture

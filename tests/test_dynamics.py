@@ -12,7 +12,7 @@ from roughassim.dynamics import (
     lorenz63_quadratic_part,
     lorenz96_model,
 )
-from roughassim.errors import BlowUpError, InvalidSpecError
+from roughassim.errors import BlowUpError, GridMismatchError, InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
 
 
@@ -139,6 +139,13 @@ class TestIntegrateState:
         grid = TimeGrid(1.0, 4)
         with pytest.raises(InvalidSpecError):
             integrate_state(model, SampledPath.zeros(grid, 3), np.zeros(2), grid)
+
+    def test_control_on_another_grid_rejected(self):
+        model = lorenz63_model()
+        xi = np.array([1.0, 1.0, 25.0])
+        for other in (TimeGrid(1.0, 8), TimeGrid(1.5, 4)):
+            with pytest.raises(GridMismatchError):
+                integrate_state(model, SampledPath.zeros(other, 3), xi, TimeGrid(1.0, 4))
 
 
 class TestIntegrateVariation:

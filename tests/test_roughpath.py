@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import pvar_exhaustive, young_sum_reference
 from roughassim.errors import InvalidParameterError
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.kernels import BACKEND
 from roughassim.roughpath import (
     build_observation,
     oscillation,
@@ -92,21 +91,6 @@ class TestPVariation:
         path = random_path(16, 2, seed=seed)
         doubled = SampledPath(path.grid, 2.0 * path.values)
         assert p_variation(doubled, 1.7) == pytest.approx(2.0 * p_variation(path, 1.7))
-
-
-class TestBackends:
-    def test_backend_reported(self):
-        assert BACKEND in ("cython", "python")
-
-    def test_python_fallback_matches_active_backend(self):
-        from roughassim._pvar_py import pvar_max_sum as py_kernel
-        from roughassim.kernels import pvar_max_sum as active
-
-        for trial in range(10):
-            path = random_path(40, 3, seed=trial)
-            vals = np.ascontiguousarray(path.values)
-            p = 1.0 + 0.3 * trial
-            assert active(vals, p) == pytest.approx(py_kernel(vals, p), rel=1e-13)
 
 
 class TestYoungIntegral:

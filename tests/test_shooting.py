@@ -3,7 +3,7 @@ import pytest
 
 from oracles import riccati_lq
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
-from roughassim.dynamics import linear_model
+from roughassim.dynamics import integrate_state, linear_model
 from roughassim.errors import InvalidSpecError, NoConvergenceError
 from roughassim.grid import ObservationPath, SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
@@ -60,6 +60,15 @@ class TestIntegrateHamiltonian:
             model, cost, zero_eta(grid), np.array([1.0]), np.array([2.0]), box
         )
         assert box.contains(us.values, tol=1e-12)
+
+    def test_state_uses_the_integrate_state_stepper(self):
+        # Replaying the eliminated control through integrate_state must
+        # reproduce the Hamiltonian state bit for bit: one RK4 step for both.
+        model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.25)
+        xs, _, us = integrate_hamiltonian(model, cost, eta, xi, np.array([0.5, -0.2, 0.1]))
+        assert np.max(np.abs(us.values)) > 0.1
+        replay = integrate_state(model, us, xi, grid)
+        assert np.array_equal(xs.values, replay.values)
 
 
 class TestShoot:
