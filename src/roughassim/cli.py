@@ -1,14 +1,14 @@
 """Command-line surface: simulate, assimilate, check, value-probe.
 
-Exit codes: 0 success, 1 check failure, 2 non-convergence, 3 invalid
-config.  The ASSIM_JOBS environment variable overrides --jobs for the
-fan-out commands (multistart assimilation, value probing).
+Exit codes: 0 success, 1 check failure, 2 non-convergence or blow-up,
+3 invalid config or input file.  Every error the package raises is typed
+(:class:`RoughAssimError`); :class:`_ExitCodes` turns it into a one-line
+message on stderr and its exit code, so no command handles errors itself.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -16,9 +16,15 @@ import click
 import numpy as np
 
 from .checks import SUITES, run_suite
-from .errors import BlowUpError, InvalidSpecError, NoConvergenceError
-from .experiments import build_cost, cmd_assimilate, cmd_simulate, load_config, simulate_truth
-from .grid import ObservationPath, read_path_csv
+from .errors import BlowUpError, NoConvergenceError, RoughAssimError
+from .experiments import (
+    build_cost,
+    cmd_assimilate,
+    cmd_simulate,
+    load_config,
+    read_observation,
+    simulate_truth,
+)
 from .shooting import value_probe
 
 EXIT_CHECK_FAILURE = 1
@@ -26,37 +32,23 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_CONFIG = 3
 
 
-def _jobs_option(f):
-    return click.option(
-        "--jobs",
-        type=int,
-        default=1,
-        show_default=True,
-        help="worker pool size (env ASSIM_JOBS overrides)",
-    )(f)
+class _ExitCodes(click.Group):
+    """Maps a command's :class:`RoughAssimError` to its documented exit code."""
 
-
-def _effective_jobs(jobs: int) -> int:
-    env = os.environ.get("ASSIM_JOBS")
-    if env is not None:
+    def invoke(self, ctx):
         try:
-            jobs = int(env)
-        except ValueError:
-            raise InvalidSpecError(f"ASSIM_JOBS must be an integer, got {env!r}")
-    if jobs < 1:
-        raise InvalidSpecError("jobs must be >= 1")
-    return jobs
+            return super().invoke(ctx)
+        except RoughAssimError as err:
+            if isinstance(err, (BlowUpError, NoConvergenceError)):
+                prefix, code = f"{ctx.invoked_subcommand} failed", EXIT_NO_CONVERGENCE
+            else:
+                prefix, code = "invalid config", EXIT_INVALID_CONFIG
+            message = " ".join(str(err).split())
+        click.echo(f"{prefix}: {message}", err=True)
+        sys.exit(code)
 
 
-def _load(config_path: str):
-    try:
-        return load_config(config_path)
-    except (InvalidSpecError, OSError, json.JSONDecodeError) as err:
-        click.echo(f"invalid config: {err}", err=True)
-        sys.exit(EXIT_INVALID_CONFIG)
-
-
-@click.group()
+@click.group(cls=_ExitCodes)
 def main():
     """Variational assimilation against rough integrated observations."""
 
@@ -67,12 +59,7 @@ def main():
 @click.option("--timings", is_flag=True, help="record wall-clock timings in the manifest")
 def simulate(config_path, outdir, timings):
     """Integrate the truth and write truth.csv, eta.csv, manifest.json."""
-    config = _load(config_path)
-    try:
-        cmd_simulate(config, outdir, timings=timings)
-    except BlowUpError as err:
-        click.echo(f"simulation failed: {err}", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+    cmd_simulate(load_config(config_path), outdir, timings=timings)
     click.echo(f"wrote truth.csv, eta.csv, manifest.json to {outdir}")
 
 
@@ -81,26 +68,11 @@ def simulate(config_path, outdir, timings):
 @click.option("--eta", "eta_file", required=True, type=click.Path(exists=True))
 @click.option("-o", "--outdir", required=True, type=click.Path())
 @click.option("--truth", "truth_file", type=click.Path(exists=True), default=None)
-@_jobs_option
 @click.option("--timings", is_flag=True, help="record wall-clock time in result.json")
-def assimilate(config_path, eta_file, outdir, truth_file, jobs, timings):
+def assimilate(config_path, eta_file, outdir, truth_file, timings):
     """Minimize the performance index against an observation path."""
-    config = _load(config_path)
-    try:
-        jobs = _effective_jobs(jobs)
-    except InvalidSpecError as err:
-        click.echo(f"invalid config: {err}", err=True)
-        sys.exit(EXIT_INVALID_CONFIG)
-    try:
-        payload = cmd_assimilate(
-            config, eta_file, outdir, truth_file=truth_file, jobs=jobs, timings=timings
-        )
-    except InvalidSpecError as err:
-        click.echo(f"invalid config: {err}", err=True)
-        sys.exit(EXIT_INVALID_CONFIG)
-    except BlowUpError as err:
-        click.echo(f"assimilation failed: {err}", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+    config = load_config(config_path)
+    payload = cmd_assimilate(config, eta_file, outdir, truth_file=truth_file, timings=timings)
     click.echo(
         f"status={payload['status']} iterations={payload['iterations']} "
         f"final_cost={payload['final_cost']:.6g} mp_residual={payload['mp_residual']:.3g}"
@@ -144,41 +116,24 @@ def check(suite, seed, outdir):
     default="shoot",
     show_default=True,
 )
-@_jobs_option
-def value_probe_cmd(config_path, h, eta_file, solver, jobs):
+def value_probe_cmd(config_path, h, eta_file, solver):
     """Compare the finite-difference value gradient against lambda(0).
 
     Uses the observation path in --eta when given, otherwise simulates
     one from the config's truth section.
     """
-    config = _load(config_path)
-    try:
-        jobs = _effective_jobs(jobs)
-    except InvalidSpecError as err:
-        click.echo(f"invalid config: {err}", err=True)
-        sys.exit(EXIT_INVALID_CONFIG)
-    if eta_file is not None:
-        eta = ObservationPath(
-            path=read_path_csv(eta_file), seed=config.seed, noise_scale=config.noise_scale
-        )
-    else:
-        _, eta = simulate_truth(config)
-    cost = build_cost(config)
-    try:
-        probe = value_probe(
-            config.model,
-            cost,
-            eta,
-            config.assim_initial_state,
-            h=h,
-            solver=solver,
-            control_set=config.control_set,
-            opt_config=config.optimizer,
-            jobs=jobs,
-        )
-    except NoConvergenceError as err:
-        click.echo(f"value probe sub-solve did not converge: {err}", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+    config = load_config(config_path)
+    eta = read_observation(config, eta_file) if eta_file else simulate_truth(config)[1]
+    probe = value_probe(
+        config.model,
+        build_cost(config),
+        eta,
+        config.assim_initial_state,
+        h=h,
+        solver=solver,
+        control_set=config.control_set,
+        opt_config=config.optimizer,
+    )
     click.echo("dV_fd    = " + np.array2string(probe["dV_fd"], precision=6))
     click.echo("lambda0  = " + np.array2string(probe["lambda0"], precision=6))
     click.echo(f"max_abs_gap = {probe['max_abs_gap']:.6g}")

@@ -50,6 +50,10 @@ class ModelSpec:
         """M(t) = D2f + (D2g) u, the coefficient of the variational equation."""
         return self.D2f(t, x) + np.einsum("ijk,j->ik", self.D2g(t, x), u)
 
+    def divergence(self, t, x) -> float:
+        """Divergence of the drift f: the trace of its state Jacobian."""
+        return float(np.trace(self.D2f(t, x)))
+
     def rk4_step(self, t, x, u, dt):
         """One classical RK4 step from (t, x) with the control frozen at u."""
         k1 = self.drift(t, x, u)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -40,7 +39,7 @@ from .dynamics import (
     lorenz63_model,
     lorenz96_model,
 )
-from .errors import InvalidSpecError, UnsupportedCostError
+from .errors import InvalidParameterError, InvalidSpecError, UnsupportedCostError
 from .grid import ObservationPath, SampledPath, TimeGrid, read_path_csv, write_path_csv
 from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize
 from .roughpath import build_observation, wiener_rng
@@ -92,22 +91,6 @@ def _build_model(section: dict) -> ModelSpec:
     raise InvalidSpecError(f"unknown model name {name!r}")
 
 
-def _drift_divergence(config: "ExperimentConfig"):
-    """Constant drift divergence for the built-in models (needed for OM costs)."""
-    model = config.model
-    if model.name == "lorenz63":
-        p = config.raw.get("model", {}).get("params", {})
-        lp = Lorenz63Params(**p) if p else Lorenz63Params()
-        value = -(lp.sigma + 1.0 + lp.b)
-    elif model.name == "lorenz96":
-        value = -float(model.state_dim)
-    elif model.name == "linear":
-        value = float(np.trace(np.atleast_2d(config.raw["model"]["params"]["A"])))
-    else:  # pragma: no cover - guarded by _build_model
-        raise InvalidSpecError(f"no divergence rule for model {model.name!r}")
-    return lambda t, x: value
-
-
 def _build_control_set(section: dict, m: int) -> ControlSetSpec:
     kind = section.get("kind", "all_space")
     if kind == "all_space":
@@ -124,16 +107,26 @@ def _build_control_set(section: dict, m: int) -> ControlSetSpec:
     raise InvalidSpecError(f"unknown control set kind {kind!r}")
 
 
+def _integer(value, label: str) -> int:
+    """An integral JSON number as an int; 2.5 is an error, not a truncation."""
+    if not (isinstance(value, (int, float)) and float(value).is_integer()):
+        raise InvalidSpecError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, JSON text, or file path."""
     if isinstance(source, dict):
         raw = source
     else:
-        text = Path(source).read_text() if not str(source).lstrip().startswith("{") else str(source)
-        raw = json.loads(text)
+        try:
+            text = Path(source).read_text() if not str(source).lstrip().startswith("{") else str(source)
+            raw = json.loads(text)
+        except (OSError, json.JSONDecodeError) as err:
+            raise InvalidSpecError(f"unreadable experiment config: {err}") from err
     try:
         model = _build_model(raw["model"])
-        grid = TimeGrid(float(raw["grid"]["T"]), int(raw["grid"]["n_steps"]))
+        grid = TimeGrid(float(raw["grid"]["T"]), _integer(raw["grid"]["n_steps"], "n_steps"))
         truth = raw["truth"]
         truth_x0 = np.asarray(truth["initial_state"], dtype=float)
         truth_u = truth.get("control")
@@ -143,7 +136,7 @@ def load_config(source) -> ExperimentConfig:
         h_indices = obs.get("h_indices", "full")
         if h_indices == "full":
             h_indices = list(range(model.state_dim))
-        h_indices = [int(i) for i in h_indices]
+        h_indices = [_integer(i, "h_indices entry") for i in h_indices]
         R = _matrix_from_config(obs.get("R", 1.0), len(h_indices), "R")
         cost_section = raw.get("cost", {})
         cost_kind = cost_section.get("kind", "minimum_energy")
@@ -162,7 +155,7 @@ def load_config(source) -> ExperimentConfig:
             h_indices=h_indices,
             R=R,
             noise_scale=float(obs.get("noise_scale", 0.1)),
-            seed=int(obs.get("seed", 0)),
+            seed=_integer(obs.get("seed", 0), "seed"),
             cost_kind=cost_kind,
             S=S,
             assim_initial_state=assim_x0,
@@ -171,14 +164,23 @@ def load_config(source) -> ExperimentConfig:
             output_dir=raw.get("output_dir"),
             raw=raw,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         if isinstance(err, InvalidSpecError):
             raise
         raise InvalidSpecError(f"malformed experiment config: {err}") from err
-    if truth_x0.shape != (model.state_dim,) or assim_x0.shape != (model.state_dim,):
+    n = model.state_dim
+    if truth_x0.shape != (n,) or assim_x0.shape != (n,):
         raise InvalidSpecError("initial states must match the model state dimension")
-    if cfg.noise_scale < 0:
-        raise InvalidSpecError("noise_scale must be nonnegative")
+    if not (np.all(np.isfinite(truth_x0)) and np.all(np.isfinite(assim_x0))):
+        raise InvalidSpecError("initial states must be finite")
+    if truth_u is not None and truth_u.shape != (model.control_dim,):
+        raise InvalidSpecError("truth control must match the model control dimension")
+    if not all(0 <= i < n for i in h_indices):
+        raise InvalidSpecError(f"h_indices {h_indices} out of range for state dimension {n}")
+    if not (0.0 <= cfg.noise_scale < np.inf):
+        raise InvalidSpecError(f"noise_scale must be finite and nonnegative, got {cfg.noise_scale}")
+    if cfg.seed < 0:
+        raise InvalidSpecError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 
@@ -199,7 +201,10 @@ def build_cost(config: ExperimentConfig) -> CostSpec:
     )
     if config.cost_kind == "minimum_energy":
         return build_minimum_energy(quad)
-    om = OnsagerMachlupSpec(base=quad, model=config.model, div_f=_drift_divergence(config))
+    # The built-in models have a state-independent drift divergence, so one
+    # evaluation stands for the whole trajectory.
+    div = config.model.divergence(0.0, np.zeros(config.model.state_dim))
+    om = OnsagerMachlupSpec(base=quad, model=config.model, div_f=lambda t, x: div)
     return build_onsager_machlup(om)
 
 
@@ -275,27 +280,38 @@ def _multistart_initials(config: ExperimentConfig):
 
 
 def run_assimilation(config: ExperimentConfig, eta, jobs: int = 1) -> AssimilationResult:
-    """Minimize from the configured initial state, best result over multistarts."""
+    """Minimize from the configured initial state, best result over multistarts.
+
+    The starts are solved one after another; ``jobs`` is kept for callers
+    that pass ``jobs=1`` and accepts no other value.
+    """
+    if jobs != 1:
+        raise InvalidParameterError(f"run_assimilation is serial: jobs must be 1, got {jobs!r}")
     cost = build_cost(config)
-
-    def one(u0):
-        return minimize(
-            config.model,
-            cost,
-            eta,
-            config.assim_initial_state,
-            u0,
-            config.control_set,
-            config.optimizer,
+    results = (
+        minimize(
+            config.model, cost, eta, config.assim_initial_state, u0,
+            config.control_set, config.optimizer,
         )
-
-    starts = list(_multistart_initials(config))
-    if jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, starts))
-    else:
-        results = [one(u0) for u0 in starts]
+        for u0 in _multistart_initials(config)
+    )
     return min(results, key=lambda r: r.final_cost)
+
+
+def read_observation(config: ExperimentConfig, eta_file) -> ObservationPath:
+    """Read an observation CSV and check it against the config's grid and h."""
+    path = read_path_csv(eta_file)
+    g = path.grid
+    if not config.grid.matches(g):
+        raise InvalidSpecError(
+            f"eta grid ({g.T}, {g.n_steps}) does not match config grid "
+            f"({config.grid.T}, {config.grid.n_steps})"
+        )
+    if path.dim != config.obs_dim:
+        raise InvalidSpecError(
+            f"eta has {path.dim} observed components, config observes {config.obs_dim}"
+        )
+    return ObservationPath(path=path, seed=config.seed, noise_scale=config.noise_scale)
 
 
 def cmd_assimilate(
@@ -303,22 +319,14 @@ def cmd_assimilate(
     eta_file,
     outdir,
     truth_file=None,
-    jobs: int = 1,
     timings: bool = False,
 ) -> dict:
     """Run the assimilation and write estimate/control/costate CSVs + result.json."""
+    eta = read_observation(config, eta_file)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    eta_path = read_path_csv(eta_file)
-    g = eta_path.grid
-    if not config.grid.matches(g):
-        raise InvalidSpecError(
-            f"eta grid ({g.T}, {g.n_steps}) does not match config grid "
-            f"({config.grid.T}, {config.grid.n_steps})"
-        )
-    eta = ObservationPath(path=eta_path, seed=config.seed, noise_scale=config.noise_scale)
     t0 = time.perf_counter()
-    result = run_assimilation(config, eta, jobs=jobs)
+    result = run_assimilation(config, eta)
     elapsed = time.perf_counter() - t0
 
     triple = result.triple

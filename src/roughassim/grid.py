@@ -9,6 +9,7 @@ package consumes and produces paths without mutating them.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.t0 != 0.0:
             raise InvalidParameterError("grid must start at t0 = 0")
-        if not (self.T > 0.0):
-            raise InvalidParameterError(f"horizon must be positive, got T={self.T}")
+        if not (0.0 < self.T < np.inf):
+            raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise InvalidParameterError(f"n_steps must be a positive integer, got {self.n_steps}")
 
@@ -184,7 +185,13 @@ def read_path_csv(fileobj_or_name) -> SampledPath:
     else:
         with open(fileobj_or_name) as fh:
             text = fh.read()
-    data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # An empty file fails the node-count check below, not as a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:
+        raise InvalidParameterError(f"unreadable path file: {err}") from err
     times, values = data[:, 0], data[:, 1:]
     if len(times) < 2:
         raise InvalidParameterError("path file must contain at least two nodes")

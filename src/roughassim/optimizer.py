@@ -83,10 +83,12 @@ class OptimizerConfig:
     multistart: int = 1
 
     def __post_init__(self):
-        if min(self.max_iters, self.grad_tol, self.step_init, self.min_step) <= 0:
+        if not all(v > 0 for v in (self.grad_tol, self.step_init, self.min_step)):
             raise InvalidSpecError("optimizer parameters must be positive")
         if not (0 < self.armijo_c < 1 and 0 < self.armijo_shrink < 1):
             raise InvalidSpecError("Armijo parameters must lie in (0, 1)")
+        if not all(isinstance(k, int) and k >= 1 for k in (self.max_iters, self.multistart)):
+            raise InvalidSpecError("max_iters and multistart must be positive integers")
 
 
 @dataclass

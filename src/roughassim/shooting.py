@@ -10,7 +10,6 @@ covers those, and shooting demos default to short windows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +174,6 @@ def value_probe(
     control_set: ControlSetSpec | None = None,
     opt_config: OptimizerConfig = OptimizerConfig(),
     shoot_config: ShootingConfig = ShootingConfig(),
-    jobs: int = 1,
 ) -> dict:
     """Compare the finite-difference value gradient against lambda(0).
 
@@ -184,30 +182,23 @@ def value_probe(
     the maximum absolute gap.  Gap smallness is consistency evidence for
     the sensitivity identity, never an assertion of uniqueness.
     """
-    if h <= 0:
-        raise InvalidSpecError("h must be positive")
+    if not h > 0:
+        raise InvalidSpecError(f"h must be positive, got {h}")
     if solver not in ("gradient", "shoot"):
         raise InvalidSpecError(f"unknown solver {solver!r}")
     control_set = control_set or ControlSetSpec()
     xi = np.asarray(xi, dtype=float)
     n = model.state_dim
     u_template = SampledPath.zeros(eta.grid, model.control_dim)
-
-    def solve_at(z):
-        return _solve_value(
-            model, cost, eta, z, solver, control_set, opt_config, shoot_config, u_template
-        )
-
     points = [xi]
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
         points.extend([xi + e, xi - e])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve_at, points))
-    else:
-        solved = [solve_at(z) for z in points]
+    solved = [
+        _solve_value(model, cost, eta, z, solver, control_set, opt_config, shoot_config, u_template)
+        for z in points
+    ]
     v_center, triple = solved[0]
     lam0 = triple.lam.values[0]
     dv = np.empty(n)

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against a different method than
 the library (closed forms, exhaustive enumeration, classical quadrature,
-Riccati ODEs) so that agreement is evidence, not tautology.
+Riccati ODEs, finite differences) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from roughassim.cost import eval_cost
+from roughassim.dynamics import integrate_state
+from roughassim.grid import SampledPath
 
 
 def riccati_lq(a: float, q: float, r: float, T: float, n_steps: int) -> np.ndarray:
@@ -33,6 +37,22 @@ def riccati_lq(a: float, q: float, r: float, T: float, n_steps: int) -> np.ndarr
         k4 = rate(P[i + 1] - dt * k3)
         P[i] = P[i + 1] - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return P
+
+
+def cost_central_difference(model, cost, u, xi, eta, node, component, h) -> float:
+    """d(cost)/d u[node, component] by a central difference of forward + cost.
+
+    Only the two perturbed forward solves: no costate, no adjoint gradient.
+    """
+    grid = u.grid
+
+    def cost_at(delta):
+        vals = u.values.copy()
+        vals[node, component] += delta
+        up = SampledPath(grid, vals)
+        return eval_cost(cost, integrate_state(model, up, xi, grid), up, eta)
+
+    return (cost_at(h) - cost_at(-h)) / (2.0 * h)
 
 
 def pvar_exhaustive(values: np.ndarray, p: float) -> float:

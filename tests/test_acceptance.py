@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import pvar_exhaustive, riccati_lq
+from oracles import cost_central_difference, pvar_exhaustive, riccati_lq
 from roughassim.adjoint import (
-    gradient_fd_gap,
     control_gradient,
     pointwise_hamiltonian_minimizer,
     solve_costate,
 )
 from roughassim.cli import main as cli_main
-from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation, eval_cost
-from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
-from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.cost import eval_cost
+from roughassim.dynamics import integrate_state
+from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
 from roughassim.roughpath import (
     oscillation,
@@ -33,7 +32,7 @@ from roughassim.roughpath import (
 )
 from roughassim.shooting import shoot, value_probe
 
-from conftest import make_lorenz_twin
+from conftest import make_lorenz_twin, scalar_lq, zero_eta
 
 
 @pytest.fixture
@@ -55,17 +54,6 @@ def _random_path(n_steps, dim, seed, scale=1.0):
     steps = scale * rng.normal(size=(n_steps, dim))
     vals = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
     return SampledPath(TimeGrid(1.0, n_steps), vals)
-
-
-def _scalar_lq(a=-1.0, q=1.0, r=1.0):
-    h, h_jac = coordinate_observation([0], 1)
-    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=q * np.eye(1), S=r * np.eye(1),
-                             obs_dim=1, control_dim=1)
-    return linear_model([[a]]), build_minimum_energy(quad)
-
-
-def _zero_eta(grid, dim=1):
-    return ObservationPath(SampledPath.zeros(grid, dim), seed=0, noise_scale=0.0)
 
 
 def test_criterion_1_pvariation_oracle_equivalence(criterion):
@@ -187,7 +175,7 @@ def test_criterion_5_adjoint_gradient_fd(criterion):
     for node in nodes:
         fd = np.empty(3)
         for comp in range(3):
-            fd[comp] = gradient_fd_gap(model, cost, u, xi, eta, int(node), comp, h)["fd"]
+            fd[comp] = cost_central_difference(model, cost, u, xi, eta, int(node), comp, h)
         pred = grid.dt * G.values[node]
         rel = np.linalg.norm(fd - pred) / max(np.linalg.norm(fd), np.linalg.norm(pred), 1e-12)
         worst = max(worst, rel)
@@ -197,10 +185,10 @@ def test_criterion_5_adjoint_gradient_fd(criterion):
 
 def test_criterion_6_lq_ground_truth(criterion):
     a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 1024
-    model, cost = _scalar_lq(a, q, r)
+    model, cost = scalar_lq(a, q, r)
     grid = TimeGrid(T, n)
     xi = np.array([1.3])
-    eta = _zero_eta(grid)
+    eta = zero_eta(grid)
     P = riccati_lq(a, q, r, T, n)
     V = 0.5 * P[0] * xi[0] ** 2
     lam0_oracle = P[0] * xi[0]
@@ -278,8 +266,8 @@ def test_criterion_8_twin_experiment_skill(criterion):
 def test_criterion_9_value_function_probe(criterion):
     # scalar LQ
     a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 2048
-    model, cost = _scalar_lq(a, q, r)
-    out = value_probe(model, cost, _zero_eta(TimeGrid(T, n)), np.array([1.3]), h=1e-4)
+    model, cost = scalar_lq(a, q, r)
+    out = value_probe(model, cost, zero_eta(TimeGrid(T, n)), np.array([1.3]), h=1e-4)
     lq_gap = out["max_abs_gap"]
     lq_ok = lq_gap < 1e-3
     # Lorenz'63 short horizon, 3 seeds

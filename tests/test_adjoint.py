@@ -17,7 +17,7 @@ from roughassim.errors import GridMismatchError, InvalidParameterError
 from roughassim.grid import ObservationPath, SampledPath, TimeGrid
 from roughassim.roughpath import sample_wiener
 
-from conftest import make_lorenz_twin
+from conftest import zero_eta
 
 
 def scalar_cost(R=1.0, S=1.0):
@@ -26,10 +26,6 @@ def scalar_cost(R=1.0, S=1.0):
         QuadraticCostSpec(h=h, h_jac=h_jac, R=R * np.eye(1), S=S * np.eye(1),
                           obs_dim=1, control_dim=1)
     )
-
-
-def zero_eta(grid, dim=1):
-    return ObservationPath(SampledPath.zeros(grid, dim), seed=0, noise_scale=0.0)
 
 
 class TestSolveCostate:

@@ -1,12 +1,12 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughassim.cli import main
-from roughassim.errors import InvalidSpecError
 from roughassim.experiments import (
     config_hash,
     load_config,
@@ -66,6 +66,12 @@ class TestLoadConfig:
         {"cost": {"kind": "map"}},
         {"optimizer": {"grad_tol": -1.0}},
         {"control_set": {"kind": "simplex"}},
+        {"grid": {"T": float("inf"), "n_steps": 8}},
+        {"observation": {"noise_scale": float("nan")}},
+        {"optimizer": {"max_iters": 2.5}},
+        {"optimizer": {"multistart": 0}},
+        {"observation": {"h_indices": [0, 5]}},
+        {"grid": {"T": 1.0, "n_steps": 2.5}},
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
@@ -210,25 +216,6 @@ class TestCliAssimilate:
         ])
         assert r.exit_code == 2
 
-    def test_assim_jobs_env_must_be_integer(self, sim_dir, monkeypatch, tmp_path):
-        tmp, cfgfile = sim_dir
-        monkeypatch.setenv("ASSIM_JOBS", "many")
-        r = CliRunner().invoke(main, [
-            "assimilate", "-c", str(cfgfile), "--eta", str(tmp / "sim" / "eta.csv"),
-            "-o", str(tmp_path / "out3"),
-        ])
-        assert r.exit_code == 3
-
-    def test_assim_jobs_env_overrides_flag(self, sim_dir, monkeypatch, tmp_path):
-        tmp, cfgfile = sim_dir
-        monkeypatch.setenv("ASSIM_JOBS", "2")
-        out = tmp_path / "par"
-        r = CliRunner().invoke(main, [
-            "assimilate", "-c", str(cfgfile), "--eta", str(tmp / "sim" / "eta.csv"),
-            "-o", str(out), "--jobs", "1",
-        ])
-        assert r.exit_code == 0, r.output
-
 
 class TestCliCheck:
     def test_single_suite_report_and_output(self, tmp_path):
@@ -265,3 +252,115 @@ class TestCliValueProbe:
         assert "max_abs_gap" in r.output
         gap = float(r.output.split("max_abs_gap =")[1].splitlines()[0])
         assert gap < 1e-2
+
+
+def edit_eta(text, edit):
+    """A damaged copy of an eta.csv text; "as_is" keeps it intact."""
+    lines = text.splitlines()
+    if edit == "wrong_columns":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    elif edit == "nonuniform_times":
+        t, rest = lines[2].split(",", 1)
+        lines[2] = f"{1.5 * float(t)!r},{rest}"
+    elif edit == "unparseable":
+        lines.append("0.6,one,two,three")
+    elif edit == "empty":
+        lines = []
+    return "\n".join(lines) + "\n"
+
+
+def assert_clean_exit(result, code):
+    """Documented exit code, a one-line message on stderr, no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert "Traceback" not in result.output
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("command, overrides, eta_edit, extra, code", [
+        pytest.param("simulate", {"observation": {"h_indices": [0, 5]}}, None, [], 3,
+                     id="simulate-h-out-of-range"),
+        pytest.param("simulate", {"observation": {"noise_scale": float("nan")}}, None, [], 3,
+                     id="simulate-nan-noise"),
+        pytest.param("simulate", {"truth": {"initial_state": [1e200, 1e200, 1e200]}}, None, [],
+                     2, id="simulate-blow-up"),
+        pytest.param("assimilate", {}, "wrong_columns", [], 3, id="assimilate-eta-columns"),
+        pytest.param("assimilate", {}, "nonuniform_times", [], 3, id="assimilate-eta-times"),
+        pytest.param("assimilate", {}, "unparseable", [], 3, id="assimilate-eta-text"),
+        pytest.param("assimilate", {}, "empty", [], 3, id="assimilate-eta-empty"),
+        pytest.param("value-probe", {}, None, ["--h", "-1"], 3, id="value-probe-negative-h"),
+        pytest.param("value-probe", {}, None, ["--h", "nan"], 3, id="value-probe-nan-h"),
+        pytest.param("value-probe", {}, "wrong_columns", [], 3, id="value-probe-eta-columns"),
+        pytest.param("value-probe", {"grid": {"T": 0.5, "n_steps": 64}}, "as_is", [], 3,
+                     id="value-probe-eta-other-grid"),
+    ])
+    def test_bad_input_exit_code(self, sim_dir, tmp_path, command, overrides, eta_edit,
+                                 extra, code):
+        tmp, _ = sim_dir
+        args = [command, "-c", str(write_config(tmp_path, lorenz_config(**overrides)))]
+        if eta_edit is not None:
+            eta = tmp_path / "eta.csv"
+            eta.write_text(edit_eta((tmp / "sim" / "eta.csv").read_text(), eta_edit))
+            args += ["--eta", str(eta)]
+        if command != "value-probe":
+            args += ["-o", str(tmp_path / "out")]
+        assert_clean_exit(CliRunner().invoke(main, args + extra), code)
+
+
+def not_integral(v):
+    return not float(v).is_integer()
+
+
+# One strategy of invalid values per config field; a one-element key such as
+# ("observation",) replaces the whole section.
+BAD_FIELDS = {
+    ("model",): st.just("lorenz63"),
+    ("model", "name"): st.text(max_size=8).filter(
+        lambda s: s not in ("lorenz63", "lorenz96", "linear")),
+    ("model", "params"): st.just({"sigma": -1.0}),
+    ("grid", "T"): st.one_of(st.floats(max_value=0.0), st.sampled_from([np.inf, np.nan, "one"])),
+    ("grid", "n_steps"): st.one_of(
+        st.integers(max_value=0), st.floats().filter(not_integral), st.text(max_size=3)),
+    ("truth", "initial_state"): st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=5).filter(
+        lambda xs: len(xs) != 3),
+    ("truth", "control"): st.just([1.0, 2.0]),
+    ("assimilation", "initial_state"): st.just([1.0, np.nan, 24.0]),
+    ("observation",): st.just("full"),
+    ("observation", "h_indices"): st.lists(st.integers(), min_size=1, max_size=4).filter(
+        lambda ix: any(not 0 <= i < 3 for i in ix)),
+    ("observation", "noise_scale"): st.one_of(
+        st.floats(max_value=0.0, exclude_max=True), st.sampled_from([np.inf, np.nan, "loud"])),
+    ("observation", "seed"): st.one_of(st.integers(max_value=-1), st.just(2.5)),
+    ("observation", "R"): st.just([[1.0, 0.0], [0.0, 1.0]]),
+    ("cost", "kind"): st.text(max_size=8).filter(
+        lambda s: s not in ("minimum_energy", "onsager_machlup")),
+    ("cost", "S"): st.sampled_from([[1.0, 2.0], "big"]),
+    ("control_set", "kind"): st.text(max_size=8).filter(lambda s: s != "all_space"),
+    ("optimizer", "grad_tol"): st.one_of(st.floats(max_value=0.0), st.just(np.nan)),
+    ("optimizer", "max_iters"): st.one_of(
+        st.integers(max_value=0), st.floats().filter(not_integral)),
+    ("optimizer", "multistart"): st.integers(max_value=0),
+    ("optimizer", "no_such_option"): st.integers(),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(BAD_FIELDS)).flatmap(
+    lambda key: st.tuples(st.just(key), BAD_FIELDS[key])))
+def test_config_fuzz_exits_3(fuzz_dir, field_and_value):
+    key, value = field_and_value
+    cfg = lorenz_config(grid={"T": 0.5, "n_steps": 16}, control_set={"kind": "all_space"})
+    section = cfg
+    for name in key[:-1]:
+        section = section[name]
+    section[key[-1]] = value
+    cfgfile = write_config(fuzz_dir, cfg)
+    result = CliRunner().invoke(main, ["simulate", "-c", str(cfgfile), "-o", str(fuzz_dir / "o")])
+    assert_clean_exit(result, 3)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import riccati_lq
-from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.errors import InvalidSpecError
-from roughassim.grid import ObservationPath, SampledPath, TimeGrid
-from roughassim.dynamics import linear_model
+from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import (
     AssimilationResult,
     ControlSetSpec,
@@ -14,16 +12,7 @@ from roughassim.optimizer import (
     project_control,
 )
 
-
-def scalar_lq(a=-1.0, q=1.0, r=1.0):
-    h, h_jac = coordinate_observation([0], 1)
-    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=q * np.eye(1), S=r * np.eye(1),
-                             obs_dim=1, control_dim=1)
-    return linear_model([[a]]), build_minimum_energy(quad)
-
-
-def zero_eta(grid, dim=1):
-    return ObservationPath(SampledPath.zeros(grid, dim), seed=0, noise_scale=0.0)
+from conftest import scalar_lq, zero_eta
 
 
 FREE = ControlSetSpec()

@@ -2,25 +2,13 @@ import numpy as np
 import pytest
 
 from oracles import riccati_lq
-from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
-from roughassim.dynamics import integrate_state, linear_model
+from roughassim.dynamics import integrate_state
 from roughassim.errors import InvalidSpecError, NoConvergenceError
-from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
 from roughassim.shooting import ShootingConfig, integrate_hamiltonian, shoot, value_probe
 
-from conftest import make_lorenz_twin
-
-
-def scalar_lq(a=-1.0, q=1.0, r=1.0):
-    h, h_jac = coordinate_observation([0], 1)
-    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=q * np.eye(1), S=r * np.eye(1),
-                             obs_dim=1, control_dim=1)
-    return linear_model([[a]]), build_minimum_energy(quad)
-
-
-def zero_eta(grid, dim=1):
-    return ObservationPath(SampledPath.zeros(grid, dim), seed=0, noise_scale=0.0)
+from conftest import make_lorenz_twin, scalar_lq, zero_eta
 
 
 class TestShootingConfig:
@@ -129,15 +117,6 @@ class TestValueProbe:
         # dV/dxi = P(0) xi = lambda(0)
         assert out["lambda0"][0] == pytest.approx(P[0] * xi[0], abs=2e-3)
         assert out["max_abs_gap"] < 1e-3
-
-    def test_jobs_parallel_matches_serial(self):
-        model, cost = scalar_lq()
-        grid = TimeGrid(0.5, 256)
-        xi = np.array([0.7])
-        a = value_probe(model, cost, zero_eta(grid), xi, h=1e-4, jobs=1)
-        b = value_probe(model, cost, zero_eta(grid), xi, h=1e-4, jobs=3)
-        assert a["max_abs_gap"] == b["max_abs_gap"]
-        assert np.array_equal(a["dV_fd"], b["dV_fd"])
 
     def test_invalid_arguments(self):
         model, cost = scalar_lq()
