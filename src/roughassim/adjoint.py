@@ -102,35 +102,36 @@ def pointwise_hamiltonian_minimizer(
     return raw
 
 
+#: Samples per node when the Hamiltonian minimum has no closed form.
+MP_PROBE_SAMPLES = 256
+
+
 def max_principle_residual(
     triple: OptimalTriple,
     cost: CostSpec,
     model: ModelSpec,
-    probe="closed_form",
     control_set=None,
-    seed: int = 0,
 ) -> float:
     """max over nodes of H(u(t)) - min_v H(v); nonnegative by construction.
 
-    ``probe`` is "closed_form" for quadratic costs or an integer sample
-    count: the minimum is then probed by uniform samples of the control
+    The minimum is in closed form when ``cost.quad`` is set; otherwise it
+    is probed by ``MP_PROBE_SAMPLES`` seeded uniform samples of the control
     set within a ball of radius 10 (1 + |u(t)|) (heuristic residual only).
     """
     grid = require_same_grid(triple.x, triple.u, triple.lam)
     times = grid.times
     worst = 0.0
-    rng = wiener_rng(seed, stream=7)
+    rng = wiener_rng(0, stream=7)
     for i in range(grid.n_nodes):
         t, xv, lv, uv = times[i], triple.x.values[i], triple.lam.values[i], triple.u.values[i]
         h_at_u = hamiltonian(cost, model, t, xv, lv, uv)
-        if probe == "closed_form":
+        if cost.quad is not None:
             vstar = pointwise_hamiltonian_minimizer(cost, model, t, xv, lv, control_set)
             h_min = hamiltonian(cost, model, t, xv, lv, vstar)
         else:
-            count = int(probe)
             radius = 10.0 * (1.0 + float(np.linalg.norm(uv)))
             h_min = h_at_u
-            for _ in range(count):
+            for _ in range(MP_PROBE_SAMPLES):
                 v = uv + radius * rng.uniform(-1.0, 1.0, size=model.control_dim)
                 if control_set is not None:
                     v = control_set.project_point(v)

@@ -1,9 +1,10 @@
 """Command-line surface: simulate, assimilate, check, value-probe.
 
 Exit codes: 0 success, 1 check failure, 2 non-convergence or blow-up,
-3 invalid config or input file.  Every error the package raises is typed
-(:class:`RoughAssimError`); :class:`_ExitCodes` turns it into a one-line
-message on stderr and its exit code, so no command handles errors itself.
+3 invalid config, input file or command line.  Every error the package
+raises is typed (:class:`RoughAssimError`); :class:`_ExitCodes` turns it
+into a one-line message on stderr and its exit code, so no command handles
+errors itself.
 """
 
 from __future__ import annotations
@@ -33,11 +34,21 @@ EXIT_INVALID_CONFIG = 3
 
 
 class _ExitCodes(click.Group):
-    """Maps a command's :class:`RoughAssimError` to its documented exit code."""
+    """Maps usage errors and a command's :class:`RoughAssimError` to exit codes."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as err:
+            err.exit_code = EXIT_INVALID_CONFIG
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as err:
+            err.exit_code = EXIT_INVALID_CONFIG
+            raise
         except RoughAssimError as err:
             if isinstance(err, (BlowUpError, NoConvergenceError)):
                 prefix, code = f"{ctx.invoked_subcommand} failed", EXIT_NO_CONVERGENCE

@@ -11,7 +11,7 @@ for constant g, where the curvature term vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -172,8 +172,8 @@ class OnsagerMachlupSpec:
 MAX_METRIC_CONDITION = 1e8
 
 
-def _check_constant_g(model: ModelSpec, rng=None):
-    rng = rng or np.random.default_rng(0)
+def _check_constant_g(model: ModelSpec):
+    rng = np.random.default_rng(0)
     g0 = np.asarray(model.g(0.0, np.zeros(model.state_dim)), dtype=float)
     for _ in range(8):
         t = float(rng.uniform(0.0, 1.0))
@@ -191,18 +191,7 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
         raise InvalidSpecError("g g' is ill-conditioned; metric inverse unreliable")
     gamma = np.linalg.inv(gg)
     gamma = 0.5 * (gamma + gamma.T)
-    q = om.base
-    quad = QuadraticCostSpec(
-        h=q.h,
-        h_jac=q.h_jac,
-        R=q.R,
-        S=gamma,
-        obs_dim=q.obs_dim,
-        control_dim=om.model.control_dim,
-        h_dt=q.h_dt,
-        R_dt=q.R_dt,
-    )
-    me = build_minimum_energy(quad)
+    me = build_minimum_energy(replace(om.base, S=gamma, control_dim=om.model.control_dim))
 
     def phi(t, x, u):
         return me.phi(t, x, u) - float(om.div_f(t, x))
@@ -213,17 +202,7 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
             out = out - om.div_f_grad(t, x)
         return out
 
-    return CostSpec(
-        phi=phi,
-        D2phi=D2phi,
-        D3phi=me.D3phi,
-        psi=me.psi,
-        D2psi=me.D2psi,
-        D1psi=me.D1psi,
-        obs_dim=me.obs_dim,
-        control_dim=me.control_dim,
-        quad=quad,
-    )
+    return replace(me, phi=phi, D2phi=D2phi)
 
 
 def _node_phis(cost: CostSpec, x: SampledPath, u: SampledPath):

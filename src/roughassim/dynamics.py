@@ -137,8 +137,8 @@ def linear_model(A, B=None, name: str = "linear") -> ModelSpec:
     )
 
 
-def _constant_g(n, matrix=None):
-    G = np.eye(n) if matrix is None else np.asarray(matrix, dtype=float)
+def _constant_g(n):
+    G = np.eye(n)
 
     def g(t, x):
         return G

@@ -62,7 +62,6 @@ class ExperimentConfig:
     assim_initial_state: np.ndarray
     control_set: ControlSetSpec
     optimizer: OptimizerConfig
-    output_dir: Optional[str]
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -72,7 +71,7 @@ class ExperimentConfig:
 
 def _matrix_from_config(value, dim, label):
     if np.isscalar(value):
-        return float(value) * np.eye(dim)
+        return _number(value, label) * np.eye(dim)
     M = np.asarray(value, dtype=float)
     if M.shape != (dim, dim):
         raise InvalidSpecError(f"{label} must be {dim}x{dim}, got {M.shape}")
@@ -103,13 +102,21 @@ def _build_control_set(section: dict, m: int) -> ControlSetSpec:
         center = np.broadcast_to(
             np.asarray(section.get("center", 0.0), dtype=float), (m,)
         )
-        return ControlSetSpec(kind="ball", center=center, radius=float(section["radius"]))
+        radius = _number(section["radius"], "radius")
+        return ControlSetSpec(kind="ball", center=center, radius=radius)
     raise InvalidSpecError(f"unknown control set kind {kind!r}")
+
+
+def _number(value, label: str) -> float:
+    """A JSON number as a float; a string or a boolean is an error, not a coercion."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidSpecError(f"{label} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, label: str) -> int:
     """An integral JSON number as an int; 2.5 is an error, not a truncation."""
-    if not (isinstance(value, (int, float)) and float(value).is_integer()):
+    if not _number(value, label).is_integer():
         raise InvalidSpecError(f"{label} must be an integer, got {value!r}")
     return int(value)
 
@@ -126,7 +133,8 @@ def load_config(source) -> ExperimentConfig:
             raise InvalidSpecError(f"unreadable experiment config: {err}") from err
     try:
         model = _build_model(raw["model"])
-        grid = TimeGrid(float(raw["grid"]["T"]), _integer(raw["grid"]["n_steps"], "n_steps"))
+        g = raw["grid"]
+        grid = TimeGrid(_number(g["T"], "T"), _integer(g["n_steps"], "n_steps"))
         truth = raw["truth"]
         truth_x0 = np.asarray(truth["initial_state"], dtype=float)
         truth_u = truth.get("control")
@@ -154,14 +162,13 @@ def load_config(source) -> ExperimentConfig:
             truth_control=truth_u,
             h_indices=h_indices,
             R=R,
-            noise_scale=float(obs.get("noise_scale", 0.1)),
+            noise_scale=_number(obs.get("noise_scale", 0.1), "noise_scale"),
             seed=_integer(obs.get("seed", 0), "seed"),
             cost_kind=cost_kind,
             S=S,
             assim_initial_state=assim_x0,
             control_set=control_set,
             optimizer=optimizer,
-            output_dir=raw.get("output_dir"),
             raw=raw,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as err:

@@ -2,8 +2,8 @@
 
 A :class:`SampledPath` stores values of a vector- (or matrix-) valued
 function at the nodes of a uniform :class:`TimeGrid`.  Paths are immutable
-after construction and safe to share across threads; every operation in the
-package consumes and produces paths without mutating them.
+after construction; every operation in the package consumes and produces
+paths without mutating them.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ class TimeGrid:
 
     T: float
     n_steps: int
-    t0: float = 0.0
 
     def __post_init__(self):
-        if self.t0 != 0.0:
-            raise InvalidParameterError("grid must start at t0 = 0")
         if not (0.0 < self.T < np.inf):
             raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
         if int(self.n_steps) != self.n_steps or self.n_steps < 1:
             raise InvalidParameterError(f"n_steps must be a positive integer, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -46,7 +44,7 @@ class TimeGrid:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.T, self.n_nodes)
+        return np.linspace(0.0, self.T, self.n_nodes)
 
     def matches(self, other: "TimeGrid") -> bool:
         """Same number of steps and a horizon equal within ``SPACING_RTOL``."""

@@ -43,14 +43,16 @@ class ControlSetSpec:
         if self.kind == "box":
             lo = np.asarray(self.lo, dtype=float)
             hi = np.asarray(self.hi, dtype=float)
-            if lo.shape != hi.shape or np.any(lo > hi):
+            if lo.shape != hi.shape or not np.all(lo <= hi):  # NaN fails lo <= hi
                 raise InvalidSpecError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
         elif self.kind == "ball":
-            if self.radius is None or self.radius <= 0:
-                raise InvalidSpecError("ball radius must be positive")
-            object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+            center = np.asarray(self.center, dtype=float)  # a missing center reads as NaN
+            r = self.radius
+            if not (r is not None and 0 < r < np.inf and np.all(np.isfinite(center))):
+                raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
+            object.__setattr__(self, "center", center)
         else:
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
 
@@ -72,22 +74,25 @@ class ControlSetSpec:
         return bool(np.max(np.abs(values - self.project_values(values))) <= tol)
 
 
+# Armijo line search: the first trial step, the sufficient-decrease constant,
+# the shrink factor and the smallest step tried before an iteration stalls.
+STEP_INIT = 1.0
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+MIN_STEP = 1e-12
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 500
     grad_tol: float = 1e-5
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    min_step: float = 1e-12
     multistart: int = 1
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.grad_tol, self.step_init, self.min_step)):
-            raise InvalidSpecError("optimizer parameters must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.armijo_shrink < 1):
-            raise InvalidSpecError("Armijo parameters must lie in (0, 1)")
-        if not all(isinstance(k, int) and k >= 1 for k in (self.max_iters, self.multistart)):
+        if not self.grad_tol > 0:
+            raise InvalidSpecError(f"grad_tol must be positive, got {self.grad_tol!r}")
+        # ``type(k) is int`` because a boolean is not a count.
+        if not all(type(k) is int and k >= 1 for k in (self.max_iters, self.multistart)):
             raise InvalidSpecError("max_iters and multistart must be positive integers")
 
 
@@ -138,7 +143,7 @@ def minimize(
     cost_trace = [J]
     grad_norm_trace: List[float] = []
     status = "max_iters"
-    alpha = config.step_init
+    alpha = STEP_INIT
     prev_u = prev_G = None
     iterations = 0
 
@@ -159,25 +164,25 @@ def minimize(
             denom = np.sum(du * dg)
             if denom > 0:
                 bb = np.sum(du * du) / denom  # spectral (BB1) step estimate
-                alpha = float(np.clip(bb, config.min_step, 1e6))
+                alpha = float(np.clip(bb, MIN_STEP, 1e6))
         prev_u, prev_G = u.values, G.values
 
         accepted = False
-        while alpha >= config.min_step:
+        while alpha >= MIN_STEP:
             trial_vals = control_set.project_values(u.values - alpha * G.values)
             u_trial = SampledPath(grid, trial_vals)
             try:
                 x_trial = integrate_state(model, u_trial, xi, grid)
                 J_trial = eval_cost(cost, x_trial, u_trial, eta)
             except BlowUpError:
-                alpha *= config.armijo_shrink
+                alpha *= ARMIJO_SHRINK
                 continue
-            decrease = config.armijo_c / alpha * _l2sq(trial_vals - u.values, dt)
+            decrease = ARMIJO_C / alpha * _l2sq(trial_vals - u.values, dt)
             if J_trial <= J - decrease and np.isfinite(J_trial):
                 u, x, J = u_trial, x_trial, J_trial
                 accepted = True
                 break
-            alpha *= config.armijo_shrink
+            alpha *= ARMIJO_SHRINK
         if not accepted:
             status = "stalled"
             break
@@ -185,8 +190,7 @@ def minimize(
 
     lam = solve_costate(model, cost, x, u, eta)
     triple = OptimalTriple(x=x, u=u, lam=lam)
-    probe = "closed_form" if cost.quad is not None else 256
-    mp_res = max_principle_residual(triple, cost, model, probe=probe, control_set=control_set)
+    mp_res = max_principle_residual(triple, cost, model, control_set=control_set)
     if not grad_norm_trace:
         grad_norm_trace = [float("nan")]
     return AssimilationResult(

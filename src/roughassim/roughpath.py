@@ -47,8 +47,8 @@ def p_variation(path: SampledPath, p: float, *, max_nodes: int = MAX_PVAR_NODES)
     O(N^2) in the number of nodes; refuses paths with more than
     ``max_nodes`` nodes to keep the diagnostic affordable.
     """
-    if p < 1:
-        raise InvalidParameterError(f"p-variation requires p >= 1, got p={p}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
     values = _node_matrix(path)
     if values.shape[0] > max_nodes:
         raise InvalidParameterError(
@@ -60,8 +60,8 @@ def p_variation(path: SampledPath, p: float, *, max_nodes: int = MAX_PVAR_NODES)
 
 def p_variation_bruteforce(path: SampledPath, p: float) -> float:
     """Exhaustive enumeration of all grid dissections (oracle, N <= 22 nodes)."""
-    if p < 1:
-        raise InvalidParameterError(f"p-variation requires p >= 1, got p={p}")
+    if not 1 <= p < np.inf:  # NaN fails too
+        raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
     values = _node_matrix(path)
     n = values.shape[0]
     if n < 2:
@@ -170,11 +170,11 @@ def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> Sampl
     return SampledPath(grid, values)
 
 
-def build_observation(zeta: SampledPath, noise_scale: float, seed: int, stream: int = 0) -> ObservationPath:
-    """Observation path eta(t_i) = zeta(t_i) + noise_scale * W(t_i)."""
+def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> ObservationPath:
+    """Observation path eta(t_i) = zeta(t_i) + noise_scale * W(t_i), W on stream 0."""
     if noise_scale < 0:
         raise InvalidParameterError("noise_scale must be nonnegative")
     d = zeta.values.shape[1]
-    w = sample_wiener(zeta.grid, d, seed, stream)
+    w = sample_wiener(zeta.grid, d, seed)
     eta = SampledPath(zeta.grid, zeta.values + noise_scale * w.values)
     return ObservationPath(path=eta, seed=seed, noise_scale=noise_scale)

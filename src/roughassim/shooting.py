@@ -21,19 +21,20 @@ from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, Unsupport
 from .grid import ObservationPath, SampledPath
 from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize
 
+#: Step of the forward-difference Jacobian of lambda0 -> lambda(T).
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class ShootingConfig:
     newton_max_iters: int = 40
     newton_tol: float = 1e-9
-    fd_step: float = 1e-6
-    damping: float = 1.0
 
     def __post_init__(self):
-        if min(self.newton_max_iters, self.newton_tol, self.fd_step) <= 0:
-            raise InvalidSpecError("shooting parameters must be positive")
-        if not (0 < self.damping <= 1):
-            raise InvalidSpecError("damping must lie in (0, 1]")
+        if not (type(self.newton_max_iters) is int and self.newton_max_iters >= 1):
+            raise InvalidSpecError("newton_max_iters must be a positive integer")
+        if not self.newton_tol > 0:
+            raise InvalidSpecError("newton_tol must be positive")
 
 
 def integrate_hamiltonian(
@@ -96,17 +97,16 @@ def shoot(
     cost: CostSpec,
     eta: ObservationPath,
     xi,
-    lambda0_guess=None,
     config: ShootingConfig = ShootingConfig(),
     control_set: ControlSetSpec | None = None,
 ) -> OptimalTriple:
-    """Damped Newton on F(lambda0) = lambda(T; lambda0), FD Jacobian.
+    """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, FD Jacobian.
 
     Returns the optimal triple on success (|lambda(T)| < newton_tol);
     raises :class:`NoConvergenceError` carrying the best residual seen.
     """
     n = model.state_dim
-    lam0 = np.zeros(n) if lambda0_guess is None else np.asarray(lambda0_guess, dtype=float)
+    lam0 = np.zeros(n)
 
     def terminal(l0):
         _, ls, _ = integrate_hamiltonian(model, cost, eta, xi, l0, control_set)
@@ -127,12 +127,12 @@ def shoot(
         try:
             for k in range(n):
                 probe = lam0.copy()
-                probe[k] += config.fd_step
-                jac[:, k] = (terminal(probe) - F) / config.fd_step
+                probe[k] += FD_STEP
+                jac[:, k] = (terminal(probe) - F) / FD_STEP
             delta = np.linalg.solve(jac, F)
         except (BlowUpError, np.linalg.LinAlgError) as err:
             raise NoConvergenceError(best, f"shooting Jacobian failed: {err}")
-        step = config.damping
+        step = 1.0
         accepted = False
         for _ in range(8):
             try:
@@ -140,7 +140,7 @@ def shoot(
             except BlowUpError:
                 step *= 0.5
                 continue
-            if np.linalg.norm(F_new) < res or step < 1e-3:
+            if np.linalg.norm(F_new) < res:
                 lam0 = lam0 - step * delta
                 F = F_new
                 accepted = True
@@ -151,9 +151,9 @@ def shoot(
     raise NoConvergenceError(best, "shooting Newton did not reach tolerance")
 
 
-def _solve_value(model, cost, eta, xi, solver, control_set, opt_config, shoot_config, u_template):
+def _solve_value(model, cost, eta, xi, solver, control_set, opt_config, u_template):
     if solver == "shoot":
-        triple = shoot(model, cost, eta, xi, config=shoot_config, control_set=control_set)
+        triple = shoot(model, cost, eta, xi, control_set=control_set)
         value = eval_cost(cost, triple.x, triple.u, eta)
         return value, triple
     result: AssimilationResult = minimize(
@@ -173,7 +173,6 @@ def value_probe(
     solver: str = "shoot",
     control_set: ControlSetSpec | None = None,
     opt_config: OptimizerConfig = OptimizerConfig(),
-    shoot_config: ShootingConfig = ShootingConfig(),
 ) -> dict:
     """Compare the finite-difference value gradient against lambda(0).
 
@@ -196,7 +195,7 @@ def value_probe(
         e[i] = h
         points.extend([xi + e, xi - e])
     solved = [
-        _solve_value(model, cost, eta, z, solver, control_set, opt_config, shoot_config, u_template)
+        _solve_value(model, cost, eta, z, solver, control_set, opt_config, u_template)
         for z in points
     ]
     v_center, triple = solved[0]

@@ -3,6 +3,7 @@ import pytest
 
 from roughassim.dynamics import (
     Lorenz63Params,
+    ModelSpec,
     energy_diagnostic,
     integrate_state,
     integrate_variation,
@@ -98,6 +99,30 @@ class TestLorenz96:
     def test_minimum_size(self):
         with pytest.raises(InvalidSpecError):
             lorenz96_model(n=3)
+
+
+def test_linearization_matches_finite_differences():
+    # A state-dependent g = (1 + x0^2) I pins the convention
+    # D2g[i, j, k] = d g[i, j] / d x[k]; the built-in models have D2g = 0.
+    n = 2
+    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
+
+    def g(t, x):
+        return (1.0 + x[0] ** 2) * np.eye(n)
+
+    def D2g(t, x):
+        out = np.zeros((n, n, n))
+        out[:, :, 0] = 2.0 * x[0] * np.eye(n)
+        return out
+
+    model = ModelSpec(n, n, lambda t, x: A @ x, g, lambda t, x: A, D2g)
+    x, u = np.array([0.7, -1.2]), np.array([0.3, -0.8])
+    h = 1e-6
+    fd = np.column_stack([
+        (model.drift(0.0, x + h * e, u) - model.drift(0.0, x - h * e, u)) / (2 * h)
+        for e in np.eye(n)
+    ])
+    assert np.allclose(model.linearization(0.0, x, u), fd, rtol=0.0, atol=1e-8)
 
 
 class TestIntegrateState:

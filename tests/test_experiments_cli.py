@@ -72,6 +72,17 @@ class TestLoadConfig:
         {"optimizer": {"multistart": 0}},
         {"observation": {"h_indices": [0, 5]}},
         {"grid": {"T": 1.0, "n_steps": 2.5}},
+        {"grid": {"T": "0.5", "n_steps": 8}},
+        {"grid": {"T": True, "n_steps": 8}},
+        {"grid": {"T": 1.0, "n_steps": True}},
+        {"observation": {"noise_scale": "0.1"}},
+        {"observation": {"R": "1"}},
+        {"cost": {"S": "2"}},
+        {"control_set": {"kind": "ball", "radius": float("nan")}},
+        {"control_set": {"kind": "ball", "radius": "1"}},
+        {"control_set": {"kind": "box", "lo": float("nan"), "hi": 1.0}},
+        {"optimizer": {"grad_tol": 0.02, "step_init": 0.5}},
+        {"optimizer": {"grad_tol": 0.02, "max_iters": True}},
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
@@ -233,7 +244,7 @@ class TestCliCheck:
 
     def test_unknown_suite_rejected_by_click(self, tmp_path):
         r = CliRunner().invoke(main, ["check", "--suite", "nonsense", "-o", str(tmp_path)])
-        assert r.exit_code == 2  # click usage error
+        assert r.exit_code == 3  # a command-line error, like an invalid config
 
 
 class TestCliValueProbe:
@@ -306,6 +317,25 @@ class TestCliErrors:
         if command != "value-probe":
             args += ["-o", str(tmp_path / "out")]
         assert_clean_exit(CliRunner().invoke(main, args + extra), code)
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["simulate", "-c", "{missing}", "-o", "{out}"], id="missing-config-file"),
+        pytest.param(["simulate", "-c", "{config}", "-o", "{out}", "--bogus"],
+                     id="unknown-option"),
+        pytest.param(["simulat", "-c", "{config}", "-o", "{out}"], id="unknown-command"),
+        pytest.param(["--bogus", "simulate", "-c", "{config}", "-o", "{out}"],
+                     id="unknown-group-option"),
+    ])
+    def test_usage_error_exits_3(self, tmp_path, args):
+        # Click reports these with its usage text; 2 stays reserved for a
+        # failed solve.
+        paths = {"missing": tmp_path / "missing.json", "out": tmp_path / "out",
+                 "config": write_config(tmp_path, lorenz_config())}
+        result = CliRunner().invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.stderr and "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
 
 
 def not_integral(v):

@@ -24,10 +24,16 @@ def test_grid_basic_properties():
 
 
 @pytest.mark.parametrize("bad", [dict(T=0.0, n_steps=4), dict(T=-1.0, n_steps=4),
-                                 dict(T=1.0, n_steps=0), dict(T=1.0, n_steps=4, t0=0.5)])
+                                 dict(T=1.0, n_steps=0)])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(InvalidParameterError):
         TimeGrid(**bad)
+
+
+def test_integral_float_n_steps_stored_as_int():
+    g = TimeGrid(1.0, 8.0)
+    assert type(g.n_steps) is int and g == TimeGrid(1.0, 8)
+    assert SampledPath.zeros(g, 1).values.shape == (9, 1)
 
 
 def test_path_is_immutable_and_copies_input():

@@ -57,6 +57,14 @@ class TestControlSetSpec:
             ControlSetSpec(kind="ball", center=np.zeros(1), radius=0.0)
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="simplex")
+        with pytest.raises(InvalidSpecError):
+            ControlSetSpec(kind="box", lo=np.array([np.nan]), hi=np.array([1.0]))
+        with pytest.raises(InvalidSpecError):
+            ControlSetSpec(kind="box", lo=np.array([0.0]), hi=np.array([np.nan]))
+        with pytest.raises(InvalidSpecError):
+            ControlSetSpec(kind="ball", center=np.zeros(1), radius=np.nan)
+        with pytest.raises(InvalidSpecError):
+            ControlSetSpec(kind="ball", radius=1.0)  # no center
 
     def test_project_control_path(self):
         grid = TimeGrid(1.0, 4)
@@ -69,8 +77,6 @@ class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(InvalidSpecError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(InvalidSpecError):
-            OptimizerConfig(armijo_c=1.5)
 
 
 class TestMinimizeDecoupled:

@@ -59,8 +59,11 @@ class TestPVariation:
 
     def test_invalid_p_rejected(self):
         p = random_path(4, 1, seed=0)
-        with pytest.raises(InvalidParameterError):
-            p_variation(p, 0.5)
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                p_variation(p, bad)
+            with pytest.raises(InvalidParameterError):
+                p_variation_bruteforce(p, bad)
 
     def test_node_cap(self):
         path = random_path(64, 1, seed=0)

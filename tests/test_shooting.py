@@ -16,7 +16,9 @@ class TestShootingConfig:
         with pytest.raises(InvalidSpecError):
             ShootingConfig(newton_tol=0.0)
         with pytest.raises(InvalidSpecError):
-            ShootingConfig(damping=1.5)
+            ShootingConfig(newton_tol=np.nan)
+        with pytest.raises(InvalidSpecError):
+            ShootingConfig(newton_max_iters=2.5)
 
 
 class TestIntegrateHamiltonian:
@@ -116,6 +118,17 @@ class TestValueProbe:
         P = riccati_lq(a, q, r, T, n)
         # dV/dxi = P(0) xi = lambda(0)
         assert out["lambda0"][0] == pytest.approx(P[0] * xi[0], abs=2e-3)
+        assert out["max_abs_gap"] < 1e-3
+
+    def test_gradient_solver_sensitivity_identity(self):
+        # The same problem through projected gradient; the default grad_tol
+        # sits below the Heun-costate gradient floor at this N, so the
+        # solve stops at 1e-4.
+        model, cost = scalar_lq(-1.0, 1.0, 1.0)
+        grid = TimeGrid(1.0, 2048)
+        out = value_probe(model, cost, zero_eta(grid), np.array([1.3]), h=1e-4,
+                          solver="gradient",
+                          opt_config=OptimizerConfig(grad_tol=1e-4, max_iters=3000))
         assert out["max_abs_gap"] < 1e-3
 
     def test_invalid_arguments(self):
