@@ -69,9 +69,9 @@ def solve_costate(
     return SampledPath(grid, lam)
 
 
-def hamiltonian(cost: CostSpec, model: ModelSpec, t, x, lam, v) -> float:
+def hamiltonian(cost: CostSpec, model: ModelSpec, t, x, lam, v):
     """H(t, x, lambda, v) = phi(t, x, v) + lambda . (f(t, x) + g(t, x) v)."""
-    return float(cost.phi(t, x, v)) + float(lam @ model.drift(t, x, v))
+    return cost.phi(t, x, v) + np.vecdot(lam, model.drift(t, x, v))
 
 
 def control_gradient(
@@ -79,11 +79,8 @@ def control_gradient(
 ) -> SampledPath:
     """Pointwise Hamiltonian u-gradient G(t_i) = D3 phi + lambda g."""
     grid = require_same_grid(x, u, lam)
-    times = grid.times
-    G = np.empty((grid.n_nodes, model.control_dim))
-    for i in range(grid.n_nodes):
-        t = times[i]
-        G[i] = cost.D3phi(t, x.values[i], u.values[i]) + lam.values[i] @ model.g(t, x.values[i])
+    t = grid.times
+    G = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.g(t, x.values))
     return SampledPath(grid, G)
 
 
@@ -96,9 +93,10 @@ def pointwise_hamiltonian_minimizer(
     """
     if cost.quad is None:
         raise InvalidParameterError("closed-form minimizer needs a quadratic cost")
-    raw = -np.linalg.solve(cost.quad.S(t), model.g(t, x).T @ lam)
+    # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
+    raw = -np.linalg.solve(cost.quad.S(t), np.vecmat(lam, model.g(t, x))[..., None])[..., 0]
     if control_set is not None:
-        raw = control_set.project_point(raw)
+        raw = control_set.project_values(raw)
     return raw
 
 
@@ -115,29 +113,26 @@ def max_principle_residual(
     """max over nodes of H(u(t)) - min_v H(v); nonnegative by construction.
 
     The minimum is in closed form when ``cost.quad`` is set; otherwise it
-    is probed by ``MP_PROBE_SAMPLES`` seeded uniform samples of the control
-    set within a ball of radius 10 (1 + |u(t)|) (heuristic residual only).
+    is probed by ``MP_PROBE_SAMPLES`` seeded uniform draws, each covering
+    every node, of the control set within a ball of radius 10 (1 + |u(t)|)
+    (heuristic residual only).
     """
     grid = require_same_grid(triple.x, triple.u, triple.lam)
-    times = grid.times
-    worst = 0.0
-    rng = wiener_rng(0, stream=7)
-    for i in range(grid.n_nodes):
-        t, xv, lv, uv = times[i], triple.x.values[i], triple.lam.values[i], triple.u.values[i]
-        h_at_u = hamiltonian(cost, model, t, xv, lv, uv)
-        if cost.quad is not None:
-            vstar = pointwise_hamiltonian_minimizer(cost, model, t, xv, lv, control_set)
-            h_min = hamiltonian(cost, model, t, xv, lv, vstar)
-        else:
-            radius = 10.0 * (1.0 + float(np.linalg.norm(uv)))
-            h_min = h_at_u
-            for _ in range(MP_PROBE_SAMPLES):
-                v = uv + radius * rng.uniform(-1.0, 1.0, size=model.control_dim)
-                if control_set is not None:
-                    v = control_set.project_point(v)
-                h_min = min(h_min, hamiltonian(cost, model, t, xv, lv, v))
-        worst = max(worst, h_at_u - h_min)
-    return max(worst, 0.0)
+    t, x, lam, u = grid.times, triple.x.values, triple.lam.values, triple.u.values
+    h_at_u = hamiltonian(cost, model, t, x, lam, u)
+    if cost.quad is not None:
+        vstar = pointwise_hamiltonian_minimizer(cost, model, t, x, lam, control_set)
+        h_min = hamiltonian(cost, model, t, x, lam, vstar)
+    else:
+        rng = wiener_rng(0, stream=7)
+        radius = 10.0 * (1.0 + np.linalg.norm(u, axis=-1, keepdims=True))
+        h_min = h_at_u
+        for _ in range(MP_PROBE_SAMPLES):
+            v = u + radius * rng.uniform(-1.0, 1.0, size=u.shape)
+            if control_set is not None:
+                v = control_set.project_values(v)
+            h_min = np.minimum(h_min, hamiltonian(cost, model, t, x, lam, v))
+    return max(float(np.max(h_at_u - h_min)), 0.0)
 
 
 def _midpoint_sum(z: np.ndarray, dw: np.ndarray) -> float:

@@ -202,13 +202,7 @@ def suite_adjoint(seed: int = 0) -> list:
     )
 
     # Zero residual when the control sits at the pointwise minimizer.
-    times = grid.times
-    ustar = np.array(
-        [
-            pointwise_hamiltonian_minimizer(cost, model, times[i], truth.values[i], lam.values[i])
-            for i in range(grid.n_nodes)
-        ]
-    )
+    ustar = pointwise_hamiltonian_minimizer(cost, model, grid.times, truth.values, lam.values)
     triple = OptimalTriple(x=truth, u=SampledPath(grid, ustar), lam=lam)
     checks.append(
         _record(

@@ -7,6 +7,10 @@ left-tag Young sum against the observation increments.  The quadratic
 family  phi = h'Rh/2 + u'Su/2, psi = -h'R  covers minimum-energy (weak
 4D-VAR) estimation; the Onsager-Machlup variant adds a -div f correction
 for constant g, where the curvature term vanishes identically.
+
+Every node-wise product is an ``np.matvec``, ``np.vecmat`` or ``np.vecdot``,
+which computes each of a stack of nodes exactly as the one-node ``@`` does;
+``einsum`` or ``np.sum`` would move the last bit of the artifacts.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ class CostSpec:
     D2psi -> (d, n), D1psi -> (d,) or None when the time derivative is
     unavailable.  ``quad`` carries the quadratic structure (if any) so the
     pointwise Hamiltonian minimizer stays in closed form downstream.
+
+    All but ``D2phi`` (called only inside the per-step recursions) also take
+    stacked nodes as :class:`ModelSpec` does, with a leading node axis on
+    each result; so do a :class:`QuadraticCostSpec`'s h, h_jac, R and S.
     """
 
     phi: Callable
@@ -105,7 +113,7 @@ def coordinate_observation(indices, state_dim: int):
     P[np.arange(len(indices)), indices] = 1.0
 
     def h(t, x):
-        return P @ x
+        return np.matvec(P, x)
 
     def h_jac(t, x):
         return P
@@ -118,26 +126,27 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
 
     def phi(t, x, u):
         hv = q.h(t, x)
-        return 0.5 * float(hv @ q.R(t) @ hv) + 0.5 * float(u @ q.S(t) @ u)
+        hR, uS = np.vecmat(hv, q.R(t)), np.vecmat(u, q.S(t))
+        return 0.5 * np.vecdot(hR, hv) + 0.5 * np.vecdot(uS, u)
 
     def D2phi(t, x, u):
         return (q.R(t) @ q.h(t, x)) @ q.h_jac(t, x)
 
     def D3phi(t, x, u):
-        return q.S(t) @ u
+        return np.matvec(q.S(t), u)
 
     def psi(t, x):
-        return -(q.h(t, x) @ q.R(t))
+        return -np.vecmat(q.h(t, x), q.R(t))
 
     def D2psi(t, x):
         return -(q.R(t).T @ q.h_jac(t, x))
 
     def D1psi(t, x):
-        out = np.zeros(q.obs_dim)
+        out = np.zeros(np.shape(x)[:-1] + (q.obs_dim,))
         if q.h_dt is not None:
-            out -= q.h_dt(t, x) @ q.R(t)
+            out -= np.vecmat(q.h_dt(t, x), q.R(t))
         if q.R_dt is not None:
-            out -= q.h(t, x) @ q.R_dt(t)
+            out -= np.vecmat(q.h(t, x), q.R_dt(t))
         return out
 
     return CostSpec(
@@ -157,10 +166,11 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
 class OnsagerMachlupSpec:
     """Quadratic base plus model with constant g and the drift divergence.
 
-    ``div_f(t, x)`` is the divergence of the full drift; ``div_f_grad`` is
-    its state gradient and defaults to zero (the divergence of the
-    quadratic geophysical class is constant).  The curvature correction of
-    the trajectory MAP functional vanishes for constant g and is omitted.
+    ``div_f(t, x)`` is the divergence of the full drift (taking stacked
+    nodes, like phi); ``div_f_grad`` is its state gradient and defaults to
+    zero (the divergence of the quadratic geophysical class is constant).
+    The curvature correction of the trajectory MAP functional vanishes for
+    constant g and is omitted.
     """
 
     base: QuadraticCostSpec
@@ -194,7 +204,7 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
     me = build_minimum_energy(replace(om.base, S=gamma, control_dim=om.model.control_dim))
 
     def phi(t, x, u):
-        return me.phi(t, x, u) - float(om.div_f(t, x))
+        return me.phi(t, x, u) - om.div_f(t, x)
 
     def D2phi(t, x, u):
         out = me.D2phi(t, x, u)
@@ -205,17 +215,6 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
     return replace(me, phi=phi, D2phi=D2phi)
 
 
-def _node_phis(cost: CostSpec, x: SampledPath, u: SampledPath):
-    times = x.times
-    phis = np.array(
-        [cost.phi(times[i], x.values[i], u.values[i]) for i in range(len(times))]
-    )
-    bad = np.flatnonzero(~np.isfinite(phis))
-    if bad.size:
-        raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
-    return phis
-
-
 def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
@@ -223,11 +222,12 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
 def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: ObservationPath) -> float:
     """A(x, u): trapezoid deterministic part + left-tag Young stochastic part."""
     grid = require_same_grid(x, u, eta)
-    det = _trapezoid(_node_phis(cost, x, u), grid.dt)
-    times = grid.times
-    psis = np.array([cost.psi(times[i], x.values[i]) for i in range(grid.n_steps)])
-    stoch = float(np.sum(psis * eta.increments()))
-    return det + stoch
+    phis = cost.phi(grid.times, x.values, u.values)
+    bad = np.flatnonzero(~np.isfinite(phis))
+    if bad.size:
+        raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
+    psis = cost.psi(grid.times[:-1], x.values[:-1])
+    return _trapezoid(phis, grid.dt) + float(np.sum(psis * eta.increments()))
 
 
 def eval_cost_by_parts(
@@ -244,14 +244,10 @@ def eval_cost_by_parts(
     grid = require_same_grid(x, u, eta)
     times = grid.times
     etav = eta.values
-    tilde = np.empty(grid.n_nodes)
-    for i in range(grid.n_nodes):
-        t, xv, uv = times[i], x.values[i], u.values[i]
-        rate = cost.D1psi(t, xv) + cost.D2psi(t, xv) @ model.drift(t, xv, uv)
-        tilde[i] = cost.phi(t, xv, uv) - float(rate @ etav[i])
+    xv, uv = x.values, u.values
+    rate = cost.D1psi(times, xv) + np.matvec(cost.D2psi(times, xv), model.drift(times, xv, uv))
+    tilde = cost.phi(times, xv, uv) - np.vecdot(rate, etav)
     if not np.all(np.isfinite(tilde)):
         raise BlowUpError(int(np.flatnonzero(~np.isfinite(tilde))[0]))
-    boundary = float(cost.psi(times[-1], x.values[-1]) @ etav[-1]) - float(
-        cost.psi(times[0], x.values[0]) @ etav[0]
-    )
-    return _trapezoid(tilde, grid.dt) + boundary
+    ends = np.vecdot(cost.psi(times[[0, -1]], xv[[0, -1]]), etav[[0, -1]])
+    return _trapezoid(tilde, grid.dt) + float(ends[1] - ends[0])

@@ -23,8 +23,8 @@ class Lorenz63Params:
     b: float = 8.0 / 3.0
 
     def __post_init__(self):
-        if min(self.sigma, self.r, self.b) <= 0:
-            raise InvalidSpecError("Lorenz'63 parameters must be positive")
+        if not all(0 < p < np.inf for p in (self.sigma, self.r, self.b)):  # NaN fails too
+            raise InvalidSpecError("Lorenz'63 parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,11 @@ class ModelSpec:
 
     f(t, x) -> (n,), g(t, x) -> (n, m), D2f(t, x) -> (n, n),
     D2g(t, x) -> (n, m, n).
+
+    ``f``, ``g`` and :meth:`drift` also take stacked nodes, x (..., n), u
+    (..., m) and t a scalar or an array of the leading shape, and return
+    row k equal to the call on node k (a constant may come back unstacked).
+    ``D2f`` and ``D2g`` run only inside the per-step recursions: one node.
     """
 
     state_dim: int
@@ -44,7 +49,7 @@ class ModelSpec:
     name: str = "model"
 
     def drift(self, t, x, u):
-        return self.f(t, x) + self.g(t, x) @ u
+        return self.f(t, x) + np.matvec(self.g(t, x), u)
 
     def linearization(self, t, x, u):
         """M(t) = D2f + (D2g) u, the coefficient of the variational equation."""
@@ -65,11 +70,9 @@ class ModelSpec:
 
 def lorenz63_drift(state, params: Lorenz63Params = Lorenz63Params()) -> np.ndarray:
     """Stable-linear plus energy-conserving quadratic split of Lorenz'63."""
-    x, y, z = state
+    x, y, z = np.asarray(state).T  # one node (3,) or stacked nodes (..., 3)
     s, r, b = params.sigma, params.r, params.b
-    f1 = np.array([-s * x + s * y, -s * x - y, -b * z - b * (r + s)])
-    f2 = np.array([0.0, -x * z, x * y])
-    return f1 + f2
+    return np.array([-s * x + s * y, -s * x - y - x * z, -b * z - b * (r + s) + x * y]).T
 
 
 def lorenz63_quadratic_part(state) -> np.ndarray:
@@ -101,16 +104,20 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
     """Cyclic Lorenz'96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F."""
     if n < 4:
         raise InvalidSpecError("Lorenz'96 needs at least 4 variables")
+    if not np.isfinite(forcing):
+        raise InvalidSpecError(f"Lorenz'96 forcing must be finite, got {forcing!r}")
+    # Cyclic neighbours, gathered along the last axis (np.roll would mix nodes).
+    idx = np.arange(n)
+    ip1, im1, im2 = (idx + 1) % n, (idx - 1) % n, (idx - 2) % n
 
     def f(t, x):
-        return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + forcing
+        return (x[..., ip1] - x[..., im2]) * x[..., im1] - x + forcing
 
     def D2f(t, x):
         jac = -np.eye(n)
-        idx = np.arange(n)
-        jac[idx, (idx + 1) % n] += np.roll(x, 1)
-        jac[idx, (idx - 2) % n] += -np.roll(x, 1)
-        jac[idx, (idx - 1) % n] += np.roll(x, -1) - np.roll(x, 2)
+        jac[idx, ip1] += x[im1]
+        jac[idx, im2] += -x[im1]
+        jac[idx, im1] += x[ip1] - x[im2]
         return jac
 
     return ModelSpec(n, n, f, _constant_g(n), D2f, _zero_D2g(n, n), name="lorenz96")
@@ -129,7 +136,7 @@ def linear_model(A, B=None, name: str = "linear") -> ModelSpec:
     return ModelSpec(
         n,
         m,
-        lambda t, x: A @ x,
+        lambda t, x: np.matvec(A, x),
         lambda t, x: B,
         lambda t, x: A,
         _zero_D2g(n, m),

@@ -72,7 +72,7 @@ class ExperimentConfig:
 def _matrix_from_config(value, dim, label):
     if np.isscalar(value):
         return _number(value, label) * np.eye(dim)
-    M = np.asarray(value, dtype=float)
+    M = _array(value, label)
     if M.shape != (dim, dim):
         raise InvalidSpecError(f"{label} must be {dim}x{dim}, got {M.shape}")
     return M
@@ -81,13 +81,14 @@ def _matrix_from_config(value, dim, label):
 def _build_model(section: dict) -> ModelSpec:
     name = section.get("name")
     params = section.get("params", {})
-    if name == "lorenz63":
-        return lorenz63_model(Lorenz63Params(**params)) if params else lorenz63_model()
-    if name == "lorenz96":
-        return lorenz96_model(**params) if params else lorenz96_model()
     if name == "linear":
-        return linear_model(params["A"], params.get("B"))
-    raise InvalidSpecError(f"unknown model name {name!r}")
+        B = params.get("B")
+        return linear_model(_array(params["A"], "A"), None if B is None else _array(B, "B"))
+    if name not in ("lorenz63", "lorenz96"):
+        raise InvalidSpecError(f"unknown model name {name!r}")
+    # The Lorenz parameters are JSON numbers, the Lorenz'96 dimension an integer.
+    kw = {k: (_integer if k == "n" else _number)(v, k) for k, v in params.items()}
+    return lorenz63_model(Lorenz63Params(**kw)) if name == "lorenz63" else lorenz96_model(**kw)
 
 
 def _build_control_set(section: dict, m: int) -> ControlSetSpec:
@@ -95,13 +96,11 @@ def _build_control_set(section: dict, m: int) -> ControlSetSpec:
     if kind == "all_space":
         return ControlSetSpec()
     if kind == "box":
-        lo = np.broadcast_to(np.asarray(section["lo"], dtype=float), (m,))
-        hi = np.broadcast_to(np.asarray(section["hi"], dtype=float), (m,))
+        lo = np.broadcast_to(_array(section["lo"], "lo"), (m,))
+        hi = np.broadcast_to(_array(section["hi"], "hi"), (m,))
         return ControlSetSpec(kind="box", lo=lo, hi=hi)
     if kind == "ball":
-        center = np.broadcast_to(
-            np.asarray(section.get("center", 0.0), dtype=float), (m,)
-        )
+        center = np.broadcast_to(_array(section.get("center", 0.0), "center"), (m,))
         radius = _number(section["radius"], "radius")
         return ControlSetSpec(kind="ball", center=center, radius=radius)
     raise InvalidSpecError(f"unknown control set kind {kind!r}")
@@ -121,6 +120,19 @@ def _integer(value, label: str) -> int:
     return int(value)
 
 
+def _array(value, label: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array.
+
+    As in :func:`_number`, a string or a boolean entry is an error; so is a
+    NaN or an infinite one.
+    """
+    entries = np.asarray(value, dtype=object)
+    out = np.array([_number(v, f"{label} entry") for v in entries.flat]).reshape(entries.shape)
+    if not np.all(np.isfinite(out)):
+        raise InvalidSpecError(f"{label} must be finite, got {value!r}")
+    return out
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict, JSON text, or file path."""
     if isinstance(source, dict):
@@ -136,10 +148,10 @@ def load_config(source) -> ExperimentConfig:
         g = raw["grid"]
         grid = TimeGrid(_number(g["T"], "T"), _integer(g["n_steps"], "n_steps"))
         truth = raw["truth"]
-        truth_x0 = np.asarray(truth["initial_state"], dtype=float)
+        truth_x0 = _array(truth["initial_state"], "initial_state")
         truth_u = truth.get("control")
         if truth_u is not None:
-            truth_u = np.asarray(truth_u, dtype=float)
+            truth_u = _array(truth_u, "truth control")
         obs = raw["observation"]
         h_indices = obs.get("h_indices", "full")
         if h_indices == "full":
@@ -152,7 +164,7 @@ def load_config(source) -> ExperimentConfig:
             raise InvalidSpecError(f"unknown cost kind {cost_kind!r}")
         S = _matrix_from_config(cost_section.get("S", 1.0), model.control_dim, "S")
         assim = raw.get("assimilation", {})
-        assim_x0 = np.asarray(assim.get("initial_state", truth["initial_state"]), dtype=float)
+        assim_x0 = _array(assim.get("initial_state", truth["initial_state"]), "initial_state")
         control_set = _build_control_set(raw.get("control_set", {}), model.control_dim)
         optimizer = OptimizerConfig(**raw.get("optimizer", {}))
         cfg = ExperimentConfig(
@@ -178,8 +190,6 @@ def load_config(source) -> ExperimentConfig:
     n = model.state_dim
     if truth_x0.shape != (n,) or assim_x0.shape != (n,):
         raise InvalidSpecError("initial states must match the model state dimension")
-    if not (np.all(np.isfinite(truth_x0)) and np.all(np.isfinite(assim_x0))):
-        raise InvalidSpecError("initial states must be finite")
     if truth_u is not None and truth_u.shape != (model.control_dim,):
         raise InvalidSpecError("truth control must match the model control dimension")
     if not all(0 <= i < n for i in h_indices):
@@ -231,8 +241,7 @@ def simulate_truth(config: ExperimentConfig):
     u_truth = _truth_control_path(config)
     truth = integrate_state(config.model, u_truth, config.truth_initial_state, config.grid)
     h, _ = coordinate_observation(config.h_indices, config.model.state_dim)
-    times = config.grid.times
-    hv = np.array([h(times[i], truth.values[i]) for i in range(config.grid.n_nodes)])
+    hv = h(config.grid.times, truth.values)
     zeta_vals = np.zeros_like(hv)
     dt = config.grid.dt
     np.cumsum(0.5 * dt * (hv[:-1] + hv[1:]), axis=0, out=zeta_vals[1:])

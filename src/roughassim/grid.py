@@ -114,6 +114,8 @@ class SampledPath:
 
     def restrict(self, stride: int) -> "SampledPath":
         """Keep every ``stride``-th node (nested coarsening of the grid)."""
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise InvalidParameterError(f"stride must be a positive integer, got {stride!r}")
         if self.grid.n_steps % stride != 0:
             raise InvalidParameterError("stride must divide n_steps")
         coarse = TimeGrid(self.grid.T, self.grid.n_steps // stride)

@@ -57,7 +57,7 @@ class ControlSetSpec:
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
 
     def project_values(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise Euclidean projection of an (n_nodes, m) array."""
+        """Pointwise Euclidean projection of one control (m,) or stacked (..., m)."""
         if self.kind == "all_space":
             return values
         if self.kind == "box":
@@ -66,9 +66,6 @@ class ControlSetSpec:
         norms = np.linalg.norm(offset, axis=-1, keepdims=True)
         scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
         return self.center + offset * scale
-
-    def project_point(self, v: np.ndarray) -> np.ndarray:
-        return self.project_values(np.asarray(v, dtype=float)[None])[0]
 
     def contains(self, values: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(values - self.project_values(values))) <= tol)

@@ -30,6 +30,15 @@ def lorenz_config(**overrides):
     return cfg
 
 
+def l96_config(**params):
+    """Overrides for a four-variable Lorenz'96 twin with the given parameters."""
+    return {
+        "model": {"name": "lorenz96", "params": {"n": 4, **params}},
+        "truth": {"initial_state": [8.0, 8.5, 7.5, 8.0]},
+        "assimilation": {"initial_state": [8.0, 8.0, 8.0, 8.0]},
+    }
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -83,6 +92,22 @@ class TestLoadConfig:
         {"control_set": {"kind": "box", "lo": float("nan"), "hi": 1.0}},
         {"optimizer": {"grad_tol": 0.02, "step_init": 0.5}},
         {"optimizer": {"grad_tol": 0.02, "max_iters": True}},
+        {"truth": {"initial_state": ["1", "1", "25"]}},
+        {"truth": {"initial_state": [True, 1, 25]}},
+        {"truth": {"initial_state": [1.0, 1.0, 25.0], "control": [0.0, "0", 0.0]}},
+        {"control_set": {"kind": "box", "lo": "-1", "hi": True}},
+        {"control_set": {"kind": "box", "lo": [-1.0, -1.0, False], "hi": 1.0}},
+        {"control_set": {"kind": "ball", "center": ["0", 0, 0], "radius": 1.0}},
+        {"observation": {"R": [["1", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+        {"cost": {"S": [[1.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 1.0]]}},
+        {"model": {"name": "linear", "params": {"A": [["1"]]}},
+         "truth": {"initial_state": [1.0]}, "assimilation": {"initial_state": [1.0]}},
+        {"model": {"name": "linear", "params": {"A": [[-1.0]], "B": [[float("nan")]]}},
+         "truth": {"initial_state": [1.0]}, "assimilation": {"initial_state": [1.0]}},
+        {"model": {"name": "lorenz63", "params": {"sigma": True}}},
+        {"model": {"name": "lorenz63", "params": {"r": float("nan")}}},
+        l96_config(forcing="8"),
+        l96_config(forcing=float("nan")),
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
@@ -296,6 +321,8 @@ class TestCliErrors:
                      id="simulate-nan-noise"),
         pytest.param("simulate", {"truth": {"initial_state": [1e200, 1e200, 1e200]}}, None, [],
                      2, id="simulate-blow-up"),
+        pytest.param("simulate", l96_config(forcing="8"), None, [], 3,
+                     id="simulate-string-forcing"),
         pytest.param("assimilate", {}, "wrong_columns", [], 3, id="assimilate-eta-columns"),
         pytest.param("assimilate", {}, "nonuniform_times", [], 3, id="assimilate-eta-times"),
         pytest.param("assimilate", {}, "unparseable", [], 3, id="assimilate-eta-text"),

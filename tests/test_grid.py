@@ -66,8 +66,9 @@ def test_increments_and_restrict():
     coarse = p.restrict(2)
     assert coarse.grid.n_steps == 2
     assert np.allclose(coarse.values[:, 0], [0.0, 3.0, 10.0])
-    with pytest.raises(InvalidParameterError):
-        p.restrict(3)
+    for stride in (3, 0, -2, 2.0, True):
+        with pytest.raises(InvalidParameterError):
+            p.restrict(stride)
 
 
 def test_require_same_grid():

@@ -29,14 +29,14 @@ class TestControlSetSpec:
 
     def test_ball_projection_hand_values(self):
         ball = ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0)
-        out = ball.project_point(np.array([3.0, 4.0]))
+        out = ball.project_values(np.array([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8])
         inside = np.array([0.1, -0.2])
-        assert np.allclose(ball.project_point(inside), inside)
+        assert np.allclose(ball.project_values(inside), inside)
 
     def test_ball_projection_off_center(self):
         ball = ControlSetSpec(kind="ball", center=np.array([1.0, 0.0]), radius=2.0)
-        out = ball.project_point(np.array([6.0, 0.0]))
+        out = ball.project_values(np.array([6.0, 0.0]))
         assert np.allclose(out, [3.0, 0.0])
 
     def test_projection_idempotent(self):
