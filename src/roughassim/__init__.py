@@ -14,7 +14,6 @@ from .adjoint import (
     OptimalTriple,
     control_gradient,
     duality_check,
-    gradient_fd_gap,
     hamiltonian,
     max_principle_residual,
     pointwise_hamiltonian_minimizer,
@@ -35,7 +34,6 @@ from .dynamics import (
     ModelSpec,
     energy_diagnostic,
     integrate_state,
-    integrate_variation,
     linear_model,
     lorenz63_model,
     lorenz96_model,
@@ -107,11 +105,9 @@ __all__ = [
     "energy_diagnostic",
     "eval_cost",
     "eval_cost_by_parts",
-    "gradient_fd_gap",
     "hamiltonian",
     "integrate_hamiltonian",
     "integrate_state",
-    "integrate_variation",
     "linear_model",
     "lorenz63_model",
     "lorenz96_model",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostSpec, eval_cost
-from .dynamics import ModelSpec, integrate_state
+from .cost import CostSpec
+from .dynamics import ModelSpec
 from .errors import BlowUpError, InvalidParameterError
 from .grid import ObservationPath, SampledPath, require_same_grid
 from .roughpath import wiener_rng
@@ -171,43 +171,3 @@ def duality_check(M: SampledPath, a: SampledPath, b: SampledPath, zeta0, lambdaT
     lhs = float(lam[-1] @ zeta[-1] - lam[0] @ zeta[0])
     rhs = _midpoint_sum(zeta, np.diff(bv, axis=0)) + _midpoint_sum(lam, np.diff(av, axis=0))
     return abs(lhs - rhs)
-
-
-def _central_difference(model, cost, u, xi, eta, node, component, h) -> float:
-    """d(cost)/d u[node, component] by a central difference of forward + cost."""
-    grid = u.grid
-
-    def cost_at(delta):
-        vals = u.values.copy()
-        vals[node, component] += delta
-        up = SampledPath(grid, vals)
-        return eval_cost(cost, integrate_state(model, up, xi, grid), up, eta)
-
-    return (cost_at(h) - cost_at(-h)) / (2.0 * h)
-
-
-def gradient_fd_gap(
-    model: ModelSpec,
-    cost: CostSpec,
-    u: SampledPath,
-    xi,
-    eta: ObservationPath,
-    node: int,
-    component: int = 0,
-    h: float = 1e-5,
-) -> dict:
-    """Central finite difference of the full forward+cost pipeline at one node.
-
-    Returns the adjoint prediction dt * G(t_k), the FD value, and their
-    relative gap; the computable shadow of the first-order cost expansion.
-    """
-    grid = u.grid
-    if not (0 < node < grid.n_steps):
-        raise InvalidParameterError("perturb an interior node")
-    fd = _central_difference(model, cost, u, xi, eta, node, component, h)
-    x = integrate_state(model, u, xi, grid)
-    lam = solve_costate(model, cost, x, u, eta)
-    G = control_gradient(model, cost, x, u, lam)
-    pred = grid.dt * G.values[node, component]
-    rel = abs(fd - pred) / max(abs(fd), abs(pred), 1e-12)
-    return {"fd": fd, "adjoint": pred, "rel_gap": rel}

@@ -12,14 +12,13 @@ import numpy as np
 
 from .adjoint import (
     OptimalTriple,
-    _central_difference,
     control_gradient,
     duality_check,
     max_principle_residual,
     pointwise_hamiltonian_minimizer,
     solve_costate,
 )
-from .cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
+from .cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation, eval_cost
 from .dynamics import integrate_state, linear_model
 from .errors import InvalidParameterError
 from .experiments import build_cost, load_config, simulate_truth
@@ -246,6 +245,19 @@ def suite_duality(seed: int = 0) -> list:
     checks.append(_record("duality_residual_n512", worst, 1e-3))
     checks.append(_record("duality_residual_refines", worst_ratio, 0.9))
     return checks
+
+
+def _central_difference(model, cost, u, xi, eta, node, component, h) -> float:
+    """d(cost)/d u[node, component] by a central difference of forward + cost."""
+    grid = u.grid
+
+    def cost_at(delta):
+        vals = u.values.copy()
+        vals[node, component] += delta
+        up = SampledPath(grid, vals)
+        return eval_cost(cost, integrate_state(model, up, xi, grid), up, eta)
+
+    return (cost_at(h) - cost_at(-h)) / (2.0 * h)
 
 
 def suite_gradient(seed: int = 0) -> list:

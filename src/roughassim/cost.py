@@ -167,16 +167,15 @@ class OnsagerMachlupSpec:
     """Quadratic base plus model with constant g and the drift divergence.
 
     ``div_f(t, x)`` is the divergence of the full drift (taking stacked
-    nodes, like phi); ``div_f_grad`` is its state gradient and defaults to
-    zero (the divergence of the quadratic geophysical class is constant).
-    The curvature correction of the trajectory MAP functional vanishes for
-    constant g and is omitted.
+    nodes, like phi).  It must not depend on x: the cost's state gradient
+    ``D2phi`` is the base's, as for the quadratic geophysical class, whose
+    divergence is constant.  The curvature correction of the trajectory MAP
+    functional vanishes for constant g and is omitted.
     """
 
     base: QuadraticCostSpec
     model: ModelSpec
     div_f: Callable
-    div_f_grad: Optional[Callable] = None
 
 
 MAX_METRIC_CONDITION = 1e8
@@ -206,13 +205,7 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
     def phi(t, x, u):
         return me.phi(t, x, u) - om.div_f(t, x)
 
-    def D2phi(t, x, u):
-        out = me.D2phi(t, x, u)
-        if om.div_f_grad is not None:
-            out = out - om.div_f_grad(t, x)
-        return out
-
-    return replace(me, phi=phi, D2phi=D2phi)
+    return replace(me, phi=phi)
 
 
 def _trapezoid(values: np.ndarray, dt: float) -> float:

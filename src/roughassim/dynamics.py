@@ -3,7 +3,8 @@
 Models are plain callables bundled in a :class:`ModelSpec`; controls are
 piecewise constant on [t_i, t_{i+1}) using the left node value, which makes
 the classical RK4 step exact in the control.  The rank-3 Jacobian of g uses
-the convention ``D2g[i, j, k] = d g[i, j] / d x[k]``.
+the convention ``D2g[i, j, k] = d g[i, j] / d x[k]``; every built-in model
+has a state-independent g and leaves it out.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class ModelSpec:
     """Dynamics f, g and their state Jacobians.
 
     f(t, x) -> (n,), g(t, x) -> (n, m), D2f(t, x) -> (n, n),
-    D2g(t, x) -> (n, m, n).
+    D2g(t, x) -> (n, m, n), or None (the default) when g does not depend
+    on x.
 
     ``f``, ``g`` and :meth:`drift` also take stacked nodes, x (..., n), u
     (..., m) and t a scalar or an array of the leading shape, and return
@@ -45,7 +47,7 @@ class ModelSpec:
     f: callable
     g: callable
     D2f: callable
-    D2g: callable
+    D2g: callable | None = None
     name: str = "model"
 
     def drift(self, t, x, u):
@@ -53,6 +55,8 @@ class ModelSpec:
 
     def linearization(self, t, x, u):
         """M(t) = D2f + (D2g) u, the coefficient of the variational equation."""
+        if self.D2g is None:
+            return self.D2f(t, x)
         return self.D2f(t, x) + np.einsum("ijk,j->ik", self.D2g(t, x), u)
 
     def divergence(self, t, x) -> float:
@@ -97,7 +101,7 @@ def lorenz63_model(params: Lorenz63Params = Lorenz63Params()) -> ModelSpec:
             ]
         )
 
-    return ModelSpec(3, 3, f, _constant_g(3), D2f, _zero_D2g(3, 3), name="lorenz63")
+    return ModelSpec(3, 3, f, _constant_g(3), D2f, name="lorenz63")
 
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
@@ -120,7 +124,7 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
         jac[idx, im1] += x[ip1] - x[im2]
         return jac
 
-    return ModelSpec(n, n, f, _constant_g(n), D2f, _zero_D2g(n, n), name="lorenz96")
+    return ModelSpec(n, n, f, _constant_g(n), D2f, name="lorenz96")
 
 
 def linear_model(A, B=None, name: str = "linear") -> ModelSpec:
@@ -134,13 +138,7 @@ def linear_model(A, B=None, name: str = "linear") -> ModelSpec:
         raise InvalidSpecError("B must have n rows")
     m = B.shape[1]
     return ModelSpec(
-        n,
-        m,
-        lambda t, x: np.matvec(A, x),
-        lambda t, x: B,
-        lambda t, x: A,
-        _zero_D2g(n, m),
-        name=name,
+        n, m, lambda t, x: np.matvec(A, x), lambda t, x: B, lambda t, x: A, name=name
     )
 
 
@@ -151,15 +149,6 @@ def _constant_g(n):
         return G
 
     return g
-
-
-def _zero_D2g(n, m):
-    Z = np.zeros((n, m, n))
-
-    def D2g(t, x):
-        return Z
-
-    return D2g
 
 
 def _check_finite(x, node):
@@ -185,45 +174,6 @@ def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> Sam
             x = model.rk4_step(times[i], x, uv[i], dt)
             _check_finite(x, i + 1)
             out[i + 1] = x
-    return SampledPath(grid, out)
-
-
-def integrate_variation(model: ModelSpec, x: SampledPath, u: SampledPath, v0, forcing=None) -> SampledPath:
-    """Linearized flow: zdot = [D2f + (D2g)u] z + forcing, z(0) = v0.
-
-    RK4 per step; the coefficient matrix at the half step uses the average
-    of the endpoint states (second-order accurate, the data available on
-    the grid).  Forcing is sampled at step endpoints and interpolated the
-    same way; pass None for the homogeneous equation.
-    """
-    grid = require_same_grid(x, u)
-    dt = grid.dt
-    times = grid.times
-    xv, uv = x.values, u.values
-    fv = None if forcing is None else forcing.values
-    if fv is not None:
-        require_same_grid(x, forcing)
-    z = np.asarray(v0, dtype=float).copy()
-    out = np.empty((grid.n_nodes, model.state_dim))
-    out[0] = z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n_steps):
-            ui = uv[i]
-            M0 = model.linearization(times[i], xv[i], ui)
-            M1 = model.linearization(times[i + 1], xv[i + 1], ui)
-            Mh = model.linearization(times[i] + 0.5 * dt, 0.5 * (xv[i] + xv[i + 1]), ui)
-            if fv is None:
-                F0 = F1 = Fh = 0.0
-            else:
-                F0, F1 = fv[i], fv[i + 1]
-                Fh = 0.5 * (F0 + F1)
-            k1 = M0 @ z + F0
-            k2 = Mh @ (z + 0.5 * dt * k1) + Fh
-            k3 = Mh @ (z + 0.5 * dt * k2) + Fh
-            k4 = M1 @ (z + dt * k3) + F1
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(z, i + 1)
-            out[i + 1] = z
     return SampledPath(grid, out)
 
 

@@ -52,10 +52,6 @@ class TimeGrid:
             np.isclose(other.T, self.T, rtol=SPACING_RTOL)
         )
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        """Grid over the same horizon with ``factor`` times as many steps."""
-        return TimeGrid(self.T, self.n_steps * int(factor))
-
 
 class SampledPath:
     """Values of a function at the nodes of a uniform grid.

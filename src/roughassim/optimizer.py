@@ -11,6 +11,7 @@ maximum-principle residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import List, Optional
 
 import numpy as np
@@ -79,6 +80,11 @@ ARMIJO_SHRINK = 0.5
 MIN_STEP = 1e-12
 
 
+def positive_finite(value) -> bool:
+    """A real number in (0, inf); a boolean, a string or a NaN is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool) and 0 < value < np.inf
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 500
@@ -86,8 +92,8 @@ class OptimizerConfig:
     multistart: int = 1
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise InvalidSpecError(f"grad_tol must be positive, got {self.grad_tol!r}")
+        if not positive_finite(self.grad_tol):
+            raise InvalidSpecError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         # ``type(k) is int`` because a boolean is not a count.
         if not all(type(k) is int and k >= 1 for k in (self.max_iters, self.multistart)):
             raise InvalidSpecError("max_iters and multistart must be positive integers")

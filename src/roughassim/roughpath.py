@@ -102,15 +102,14 @@ def _apply_steps(xv: np.ndarray, dy: np.ndarray) -> np.ndarray:
     raise InvalidParameterError(f"unsupported integrand shape {xv.shape}")
 
 
-def young_integral(x: SampledPath, y: SampledPath, tag: str = "left", *, cumulative: bool = False):
+def young_integral(x: SampledPath, y: SampledPath, tag: str = "left"):
     """Tagged Riemann sum  sum_i x(tau_i) (y(t_{i+1}) - y(t_i)).
 
     ``tag`` places tau_i at the left node, right node, or midpoint (the
     midpoint value is the average of the two endpoint samples, matching the
-    piecewise-linear reading of the stored path).  With ``cumulative=True``
-    the running integral is returned as a :class:`SampledPath` as well.
+    piecewise-linear reading of the stored path).
     """
-    grid = require_same_grid(x, y)
+    require_same_grid(x, y)
     if tag not in ("left", "right", "midpoint"):
         raise InvalidParameterError(f"unknown tag {tag!r}")
     xv = x.values
@@ -122,13 +121,7 @@ def young_integral(x: SampledPath, y: SampledPath, tag: str = "left", *, cumulat
         xt = 0.5 * (xv[:-1] + xv[1:])
     terms = _apply_steps(xt, y.increments())
     total = terms.sum(axis=0)
-    total = float(total) if np.ndim(total) == 0 else total
-    if not cumulative:
-        return total
-    running = np.concatenate([np.zeros((1, *np.shape(terms)[1:])), np.cumsum(terms, axis=0)])
-    if running.ndim == 1:
-        running = running[:, None]
-    return total, SampledPath(grid, running)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dict:

@@ -19,7 +19,13 @@ from .cost import CostSpec, eval_cost
 from .dynamics import ModelSpec
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
 from .grid import ObservationPath, SampledPath
-from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize
+from .optimizer import (
+    AssimilationResult,
+    ControlSetSpec,
+    OptimizerConfig,
+    minimize,
+    positive_finite,
+)
 
 #: Step of the forward-difference Jacobian of lambda0 -> lambda(T).
 FD_STEP = 1e-6
@@ -33,8 +39,10 @@ class ShootingConfig:
     def __post_init__(self):
         if not (type(self.newton_max_iters) is int and self.newton_max_iters >= 1):
             raise InvalidSpecError("newton_max_iters must be a positive integer")
-        if not self.newton_tol > 0:
-            raise InvalidSpecError("newton_tol must be positive")
+        if not positive_finite(self.newton_tol):
+            raise InvalidSpecError(
+                f"newton_tol must be positive and finite, got {self.newton_tol!r}"
+            )
 
 
 def integrate_hamiltonian(
@@ -181,8 +189,8 @@ def value_probe(
     the maximum absolute gap.  Gap smallness is consistency evidence for
     the sensitivity identity, never an assertion of uniqueness.
     """
-    if not h > 0:
-        raise InvalidSpecError(f"h must be positive, got {h}")
+    if not positive_finite(h):
+        raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
     if solver not in ("gradient", "shoot"):
         raise InvalidSpecError(f"unknown solver {solver!r}")
     control_set = control_set or ControlSetSpec()

@@ -6,7 +6,6 @@ from roughassim.dynamics import (
     ModelSpec,
     energy_diagnostic,
     integrate_state,
-    integrate_variation,
     linear_model,
     lorenz63_drift,
     lorenz63_model,
@@ -103,7 +102,7 @@ class TestLorenz96:
 
 def test_linearization_matches_finite_differences():
     # A state-dependent g = (1 + x0^2) I pins the convention
-    # D2g[i, j, k] = d g[i, j] / d x[k]; the built-in models have D2g = 0.
+    # D2g[i, j, k] = d g[i, j] / d x[k]; the built-in models leave D2g out.
     n = 2
     A = np.array([[-1.0, 2.0], [0.5, -3.0]])
 
@@ -123,6 +122,17 @@ def test_linearization_matches_finite_differences():
         for e in np.eye(n)
     ])
     assert np.allclose(model.linearization(0.0, x, u), fd, rtol=0.0, atol=1e-8)
+
+
+def test_state_independent_g_needs_no_D2g():
+    # D2g left out means g does not depend on x: M is D2f, bit for bit.
+    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
+    B = np.array([[1.0], [0.5]])
+    model = ModelSpec(2, 1, lambda t, x: A @ x, lambda t, x: B, lambda t, x: A)
+    x, u = np.array([0.7, -1.2]), np.array([0.3])
+    assert np.array_equal(model.linearization(0.0, x, u), model.D2f(0.0, x))
+    for built_in in (lorenz63_model(), lorenz96_model(), linear_model(A, B)):
+        assert built_in.D2g is None
 
 
 class TestIntegrateState:
@@ -171,44 +181,6 @@ class TestIntegrateState:
         for other in (TimeGrid(1.0, 8), TimeGrid(1.5, 4)):
             with pytest.raises(GridMismatchError):
                 integrate_state(model, SampledPath.zeros(other, 3), xi, TimeGrid(1.0, 4))
-
-
-class TestIntegrateVariation:
-    def test_is_flow_derivative_wrt_initial_state(self):
-        model = lorenz63_model()
-        grid = TimeGrid(0.5, 512)
-        u = SampledPath.zeros(grid, 3)
-        xi = np.array([1.0, 1.0, 25.0])
-        x = integrate_state(model, u, xi, grid)
-        h = 1e-6
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
-            z = integrate_variation(model, x, u, e)
-            xp = integrate_state(model, u, xi + h * e, grid)
-            xm = integrate_state(model, u, xi - h * e, grid)
-            fd = (xp.values - xm.values) / (2 * h)
-            scale = 1.0 + np.max(np.abs(fd))
-            assert np.max(np.abs(z.values - fd)) / scale < 1e-3
-
-    def test_linear_model_variation_is_exponential(self):
-        A = np.array([[-0.3]])
-        model = linear_model(A)
-        grid = TimeGrid(1.0, 256)
-        u = SampledPath.zeros(grid, 1)
-        x = integrate_state(model, u, np.array([1.0]), grid)
-        z = integrate_variation(model, x, u, np.array([1.0]))
-        assert np.allclose(z.values[:, 0], np.exp(-0.3 * grid.times), atol=1e-9)
-
-    def test_forcing_particular_solution(self):
-        # zdot = -z + 1, z(0) = 0 -> z = 1 - e^{-t}.
-        model = linear_model([[-1.0]])
-        grid = TimeGrid(1.0, 256)
-        u = SampledPath.zeros(grid, 1)
-        x = integrate_state(model, u, np.array([0.5]), grid)
-        forcing = SampledPath(grid, np.ones((grid.n_nodes, 1)))
-        z = integrate_variation(model, x, u, np.array([0.0]), forcing=forcing)
-        assert np.allclose(z.values[:, 0], 1.0 - np.exp(-grid.times), atol=1e-9)
 
 
 def test_energy_diagnostic_bounded_over_controls():

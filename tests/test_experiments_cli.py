@@ -108,6 +108,8 @@ class TestLoadConfig:
         {"model": {"name": "lorenz63", "params": {"r": float("nan")}}},
         l96_config(forcing="8"),
         l96_config(forcing=float("nan")),
+        {"optimizer": {"grad_tol": True}},
+        {"optimizer": {"grad_tol": float("inf")}},
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
@@ -329,6 +331,7 @@ class TestCliErrors:
         pytest.param("assimilate", {}, "empty", [], 3, id="assimilate-eta-empty"),
         pytest.param("value-probe", {}, None, ["--h", "-1"], 3, id="value-probe-negative-h"),
         pytest.param("value-probe", {}, None, ["--h", "nan"], 3, id="value-probe-nan-h"),
+        pytest.param("value-probe", {}, None, ["--h", "inf"], 3, id="value-probe-inf-h"),
         pytest.param("value-probe", {}, "wrong_columns", [], 3, id="value-probe-eta-columns"),
         pytest.param("value-probe", {"grid": {"T": 0.5, "n_steps": 64}}, "as_is", [], 3,
                      id="value-probe-eta-other-grid"),

@@ -19,8 +19,6 @@ def test_grid_basic_properties():
     assert g.dt == pytest.approx(0.25)
     assert g.n_nodes == 9
     assert np.allclose(g.times, np.linspace(0.0, 2.0, 9))
-    assert g.refine().n_steps == 16
-    assert g.refine(4).dt == pytest.approx(g.dt / 4)
 
 
 @pytest.mark.parametrize("bad", [dict(T=0.0, n_steps=4), dict(T=-1.0, n_steps=4),

@@ -77,6 +77,9 @@ class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(InvalidSpecError):
             OptimizerConfig(max_iters=0)
+        for bad in (True, np.inf, np.nan, "0.02"):
+            with pytest.raises(InvalidSpecError):
+                OptimizerConfig(grad_tol=bad)
 
 
 class TestMinimizeDecoupled:

@@ -125,14 +125,6 @@ class TestYoungIntegral:
                 young_sum_reference(x.values, y.values, tag), abs=1e-12
             )
 
-    def test_cumulative_endpoint_equals_total(self):
-        g = TimeGrid(1.0, 64)
-        x = random_path(64, 1, seed=3)
-        y = random_path(64, 1, seed=4)
-        total, running = young_integral(x, y, cumulative=True)
-        assert running.values[0, 0] == 0.0
-        assert running.values[-1, 0] == pytest.approx(total)
-
     def test_scalar_integrand_against_vector_integrator(self):
         g = TimeGrid(1.0, 16)
         x = SampledPath.from_function(g, lambda t: t)

@@ -19,6 +19,9 @@ class TestShootingConfig:
             ShootingConfig(newton_tol=np.nan)
         with pytest.raises(InvalidSpecError):
             ShootingConfig(newton_max_iters=2.5)
+        for bad in (True, np.inf, "1e-9"):
+            with pytest.raises(InvalidSpecError):
+                ShootingConfig(newton_tol=bad)
 
 
 class TestIntegrateHamiltonian:
