@@ -60,6 +60,7 @@ from .optimizer import (
     ControlSetSpec,
     OptimizerConfig,
     minimize,
+    minimize_batch,
     project_control,
 )
 from .roughpath import (
@@ -113,6 +114,7 @@ __all__ = [
     "lorenz96_model",
     "max_principle_residual",
     "minimize",
+    "minimize_batch",
     "oscillation",
     "p_variation",
     "p_variation_bruteforce",

@@ -9,12 +9,13 @@ to the piecewise-constant control values, up to the dt weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import CostSpec
-from .dynamics import ModelSpec
+from .dynamics import ModelSpec, first_nonfinite
 from .errors import BlowUpError, InvalidParameterError
 from .grid import ObservationPath, SampledPath, require_same_grid
 from .roughpath import wiener_rng
@@ -32,40 +33,78 @@ class OptimalTriple:
         require_same_grid(self.x, self.u, self.lam)
 
 
-def solve_costate(
-    model: ModelSpec, cost: CostSpec, x: SampledPath, u: SampledPath, eta: ObservationPath
-) -> SampledPath:
-    """Backward Heun recursion for the costate with lambda(T) = 0.
+#: Bytes of state Jacobians the costate sweep holds at once.  A block of
+#: nodes is evaluated in one stacked call; the block shrinks as n^2 and the
+#: member count grow, so the sweep's memory does not grow with the grid.
+COSTATE_BLOCK_BYTES = 1 << 24
+
+
+def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: ObservationPath):
+    """Backward Heun recursion for the costate with lambda(T) = 0, on arrays.
 
     Per step: predictor/corrector on lambda' = -(lambda M + D2 phi) with
     M = D2f + (D2g) u (control frozen at the interval's left value), plus
-    the Young increment D2 psi(t_i, x_i) (eta_{i+1} - eta_i).
+    the Young increment D2 psi(t_i, x_i) (eta_{i+1} - eta_i).  The node
+    terms are evaluated in stacked calls, a block of nodes at a time, so
+    the step loop does only the Heun arithmetic.
+
+    ``xv`` (n_nodes, n) and ``uv`` (n_nodes, m) may carry a leading member
+    axis (B, ...), as in :func:`rk4_sweep`; ``eta`` is shared.  Returns the
+    costate values, (..., n_nodes, n), and per member the node where the
+    sweep first met a non-finite costate, or -1.
+    """
+    grid = eta.grid
+    dt = grid.dt
+    n = model.state_dim
+    members = xv.shape[:-2]
+    times = np.broadcast_to(grid.times, xv.shape[:-1])
+    deta = eta.increments()
+    lam = np.zeros(members + (grid.n_nodes, n))
+    out = np.moveaxis(lam, -2, 0)
+    cur = out[-1]
+    node_bytes = 8 * n * n * math.prod(members) * (1 if model.D2g is None else 2)
+    block = max(1, COSTATE_BLOCK_BYTES // node_bytes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hi in range(grid.n_steps, 0, -block):
+            lo = max(hi - block, 0)
+            t0, x0, u0 = times[..., lo:hi], xv[..., lo:hi, :], uv[..., lo:hi, :]
+            t1, x1 = times[..., lo + 1 : hi + 1], xv[..., lo + 1 : hi + 1, :]
+            vectors = x0.shape  # a constant result comes back unstacked
+            matrices = vectors + (n,)
+            if model.D2g is None:  # one Jacobian per node serves both steps it bounds
+                nodes = xv[..., lo : hi + 1, :]
+                M = np.broadcast_to(model.D2f(times[..., lo : hi + 1], nodes), nodes.shape + (n,))
+                M0, M1 = M[..., :-1, :, :], M[..., 1:, :, :]
+            else:
+                M0 = np.broadcast_to(model.linearization(t0, x0, u0), matrices)
+                M1 = np.broadcast_to(model.linearization(t1, x1, u0), matrices)
+            P0 = np.broadcast_to(cost.D2phi(t0, x0, u0), vectors)
+            P1 = np.broadcast_to(cost.D2phi(t1, x1, u0), vectors)
+            young = np.broadcast_to(np.vecmat(deta[lo:hi], cost.D2psi(t0, x0)), vectors)
+            # Node-major views: node k of every member is row k.
+            M0, M1 = np.moveaxis(M0, -3, 0), np.moveaxis(M1, -3, 0)
+            P0, P1, young = (np.moveaxis(a, -2, 0) for a in (P0, P1, young))
+            for k in range(hi - lo - 1, -1, -1):
+                r1 = np.vecmat(cur, M1[k]) + P1[k]
+                pred = cur + dt * r1
+                r0 = np.vecmat(pred, M0[k]) + P0[k]
+                cur = cur + 0.5 * dt * (r1 + r0) + young[k]
+                out[lo + k] = cur
+    return lam, first_nonfinite(lam, backward=True)
+
+
+def solve_costate(
+    model: ModelSpec, cost: CostSpec, x: SampledPath, u: SampledPath, eta: ObservationPath
+) -> SampledPath:
+    """The costate of :func:`costate_sweep` with lambda(T) = 0 as a path.
+
+    Raises :class:`BlowUpError` at the node where the backward sweep first
+    turns non-finite.
     """
     grid = require_same_grid(x, u, eta)
-    dt = grid.dt
-    times = grid.times
-    xv, uv = x.values, u.values
-    deta = eta.increments()
-    n = model.state_dim
-    lam = np.zeros((grid.n_nodes, n))
-    cur = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n_steps - 1, -1, -1):
-            ui = uv[i]
-            t0, t1 = times[i], times[i + 1]
-
-            def rate(t, xval, lval):
-                M = model.linearization(t, xval, ui)
-                return lval @ M + cost.D2phi(t, xval, ui)
-
-            r1 = rate(t1, xv[i + 1], cur)
-            pred = cur + dt * r1
-            r0 = rate(t0, xv[i], pred)
-            young = deta[i] @ cost.D2psi(t0, xv[i])
-            cur = cur + 0.5 * dt * (r1 + r0) + young
-            if not np.all(np.isfinite(cur)):
-                raise BlowUpError(i)
-            lam[i] = cur
+    lam, blown = costate_sweep(model, cost, x.values, u.values, eta)
+    if blown >= 0:
+        raise BlowUpError(int(blown))
     return SampledPath(grid, lam)
 
 

@@ -35,9 +35,9 @@ class CostSpec:
     unavailable.  ``quad`` carries the quadratic structure (if any) so the
     pointwise Hamiltonian minimizer stays in closed form downstream.
 
-    All but ``D2phi`` (called only inside the per-step recursions) also take
-    stacked nodes as :class:`ModelSpec` does, with a leading node axis on
-    each result; so do a :class:`QuadraticCostSpec`'s h, h_jac, R and S.
+    Every callable also takes stacked nodes as :class:`ModelSpec` does,
+    with a leading node axis on each result; so do a
+    :class:`QuadraticCostSpec`'s h, h_jac, R and S.
     """
 
     phi: Callable
@@ -130,7 +130,7 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
         return 0.5 * np.vecdot(hR, hv) + 0.5 * np.vecdot(uS, u)
 
     def D2phi(t, x, u):
-        return (q.R(t) @ q.h(t, x)) @ q.h_jac(t, x)
+        return np.vecmat(np.matvec(q.R(t), q.h(t, x)), q.h_jac(t, x))
 
     def D3phi(t, x, u):
         return np.matvec(q.S(t), u)

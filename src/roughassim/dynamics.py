@@ -36,10 +36,12 @@ class ModelSpec:
     D2g(t, x) -> (n, m, n), or None (the default) when g does not depend
     on x.
 
-    ``f``, ``g`` and :meth:`drift` also take stacked nodes, x (..., n), u
-    (..., m) and t a scalar or an array of the leading shape, and return
-    row k equal to the call on node k (a constant may come back unstacked).
-    ``D2f`` and ``D2g`` run only inside the per-step recursions: one node.
+    Every callable, and :meth:`drift` and :meth:`linearization`, also
+    takes stacked nodes, x (..., n), u (..., m) and t a scalar or an array
+    of the leading shape, and returns row k equal to the call on node k (a
+    constant may come back unstacked).  The sweeps rely on it: the costate
+    evaluates its Jacobians for a block of nodes in one call, and a leading
+    member axis runs independent solves through one RK4 step.
     """
 
     state_dim: int
@@ -57,7 +59,8 @@ class ModelSpec:
         """M(t) = D2f + (D2g) u, the coefficient of the variational equation."""
         if self.D2g is None:
             return self.D2f(t, x)
-        return self.D2f(t, x) + np.einsum("ijk,j->ik", self.D2g(t, x), u)
+        # sum_j D2g[..., i, j, k] u[..., j], one row i at a time.
+        return self.D2f(t, x) + np.vecmat(np.expand_dims(u, -2), self.D2g(t, x))
 
     def divergence(self, t, x) -> float:
         """Divergence of the drift f: the trace of its state Jacobian."""
@@ -92,14 +95,14 @@ def lorenz63_model(params: Lorenz63Params = Lorenz63Params()) -> ModelSpec:
         return lorenz63_drift(state, params)
 
     def D2f(t, state):
-        x, y, z = state
-        return np.array(
-            [
-                [-s, s, 0.0],
-                [-s - z, -1.0, -x],
-                [y, x, -b],
-            ]
-        )
+        x, y, z = np.moveaxis(state, -1, 0)
+        jac = np.empty(np.shape(state) + (3,))
+        jac[...] = [[-s, s, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -b]]
+        jac[..., 1, 0] = -s - z
+        jac[..., 1, 2] = -x
+        jac[..., 2, 0] = y
+        jac[..., 2, 1] = x
+        return jac
 
     return ModelSpec(3, 3, f, _constant_g(3), D2f, name="lorenz63")
 
@@ -118,10 +121,10 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
         return (x[..., ip1] - x[..., im2]) * x[..., im1] - x + forcing
 
     def D2f(t, x):
-        jac = -np.eye(n)
-        jac[idx, ip1] += x[im1]
-        jac[idx, im2] += -x[im1]
-        jac[idx, im1] += x[ip1] - x[im2]
+        jac = np.broadcast_to(-np.eye(n), np.shape(x) + (n,)).copy()
+        jac[..., idx, ip1] += x[..., im1]
+        jac[..., idx, im2] += -x[..., im1]
+        jac[..., idx, im1] += x[..., ip1] - x[..., im2]
         return jac
 
     return ModelSpec(n, n, f, _constant_g(n), D2f, name="lorenz96")
@@ -151,30 +154,61 @@ def _constant_g(n):
     return g
 
 
-def _check_finite(x, node):
-    if not np.all(np.isfinite(x)):
-        raise BlowUpError(node)
+def first_nonfinite(values, backward: bool = False):
+    """Per member, the node a sweep meets first holding a non-finite entry, or -1.
+
+    ``values`` is (..., n_nodes, n); a forward sweep meets node 0 first, a
+    backward one the last node.  The RK4 and costate updates add to the
+    previous value, so once a member turns non-finite it stays so: this
+    node is where a per-step check would have stopped.
+    """
+    bad = ~np.all(np.isfinite(values), axis=-1)
+    if backward:
+        bad = bad[..., ::-1]
+    node = np.argmax(bad, axis=-1)
+    if backward:
+        node = bad.shape[-1] - 1 - node
+    return np.where(np.any(bad, axis=-1), node, -1)
 
 
-def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> SampledPath:
-    """RK4 over each step with the control frozen at its left node value."""
-    if not u.grid.matches(grid):
-        raise GridMismatchError(f"grids differ: {u.grid} vs {grid}")
+def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
+    """RK4 states at every node with the control frozen at its left node value.
+
+    ``uv`` holds the control values, (n_nodes, m), or (B, n_nodes, m) with
+    a leading member axis that takes B independent solves through each
+    step together; ``xi`` (n,) is their initial state.  Returns the states,
+    (..., n_nodes, n), and :func:`first_nonfinite` per member: a member
+    that blows up stays in the sweep and does not stop the others.  Each
+    member's states equal its own one-member sweep bit for bit.
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (model.state_dim,):
         raise InvalidSpecError(f"initial state must have shape ({model.state_dim},)")
     dt = grid.dt
     times = grid.times
-    uv = u.values
-    out = np.empty((grid.n_nodes, model.state_dim))
-    out[0] = xi
-    x = xi
+    out = np.empty(uv.shape[:-1] + (model.state_dim,))
+    # Node-major views: node i of every member is row i.
+    us, xs = np.moveaxis(uv, -2, 0), np.moveaxis(out, -2, 0)
+    xs[0] = xi
+    x = xs[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps):
-            x = model.rk4_step(times[i], x, uv[i], dt)
-            _check_finite(x, i + 1)
-            out[i + 1] = x
-    return SampledPath(grid, out)
+            x = model.rk4_step(times[i], x, us[i], dt)
+            xs[i + 1] = x
+    return out, first_nonfinite(out)
+
+
+def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> SampledPath:
+    """RK4 over each step with the control frozen at its left node value.
+
+    Raises :class:`BlowUpError` at the first non-finite node.
+    """
+    if not u.grid.matches(grid):
+        raise GridMismatchError(f"grids differ: {u.grid} vs {grid}")
+    values, blown = rk4_sweep(model, u.values, xi, grid)
+    if blown >= 0:
+        raise BlowUpError(int(blown))
+    return SampledPath(grid, values)
 
 
 def energy_diagnostic(x: SampledPath, u: SampledPath) -> dict:

@@ -41,7 +41,7 @@ from .dynamics import (
 )
 from .errors import InvalidParameterError, InvalidSpecError, UnsupportedCostError
 from .grid import ObservationPath, SampledPath, TimeGrid, read_path_csv, write_path_csv
-from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize
+from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize_batch
 from .roughpath import build_observation, wiener_rng
 
 RESULT_SCHEMA_VERSION = 1
@@ -196,8 +196,10 @@ def load_config(source) -> ExperimentConfig:
         raise InvalidSpecError(f"h_indices {h_indices} out of range for state dimension {n}")
     if not (0.0 <= cfg.noise_scale < np.inf):
         raise InvalidSpecError(f"noise_scale must be finite and nonnegative, got {cfg.noise_scale}")
-    if cfg.seed < 0:
-        raise InvalidSpecError(f"seed must be nonnegative, got {cfg.seed}")
+    # The generator key is seed + stream * 2**64: a larger seed would draw
+    # another seed's stream.
+    if not 0 <= cfg.seed < 1 << 64:
+        raise InvalidSpecError(f"seed must be in [0, 2**64), got {cfg.seed}")
     return cfg
 
 
@@ -298,18 +300,15 @@ def _multistart_initials(config: ExperimentConfig):
 def run_assimilation(config: ExperimentConfig, eta, jobs: int = 1) -> AssimilationResult:
     """Minimize from the configured initial state, best result over multistarts.
 
-    The starts are solved one after another; ``jobs`` is kept for callers
+    The starts run as one lockstep batch (:func:`minimize_batch`), so each
+    result is the one its start gives alone.  ``jobs`` is kept for callers
     that pass ``jobs=1`` and accepts no other value.
     """
     if jobs != 1:
-        raise InvalidParameterError(f"run_assimilation is serial: jobs must be 1, got {jobs!r}")
-    cost = build_cost(config)
-    results = (
-        minimize(
-            config.model, cost, eta, config.assim_initial_state, u0,
-            config.control_set, config.optimizer,
-        )
-        for u0 in _multistart_initials(config)
+        raise InvalidParameterError(f"run_assimilation takes jobs=1 only, got {jobs!r}")
+    results = minimize_batch(
+        config.model, build_cost(config), eta, config.assim_initial_state,
+        _multistart_initials(config), config.control_set, config.optimizer,
     )
     return min(results, key=lambda r: r.final_cost)
 

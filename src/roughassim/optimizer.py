@@ -5,7 +5,9 @@ between iterations is seeded Barzilai-Borwein style from the last two
 iterates, which keeps the method cheap while coping with the moderate
 ill-conditioning of long-window assimilation.  Stationarity is certified
 twice: projected-gradient norm below tolerance and a small
-maximum-principle residual.
+maximum-principle residual.  Several starts run in lockstep: each round,
+their forward solves share one RK4 sweep and their costate solves one
+costate sweep, along a leading member axis.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import numpy as np
 from .adjoint import (
     OptimalTriple,
     control_gradient,
+    costate_sweep,
     max_principle_residual,
     solve_costate,
 )
 from .cost import CostSpec, eval_cost
-from .dynamics import ModelSpec, integrate_state
-from .errors import BlowUpError, InvalidSpecError
-from .grid import ObservationPath, SampledPath, TimeGrid
+from .dynamics import ModelSpec, integrate_state, rk4_sweep
+from .errors import BlowUpError, InvalidSpecError, RoughAssimError
+from .grid import ObservationPath, SampledPath, TimeGrid, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -122,37 +125,36 @@ def _l2sq(values: np.ndarray, dt: float) -> float:
     return float(dt * np.sum(values**2))
 
 
-def minimize(
+FORWARD, COSTATE = "forward", "costate"
+
+
+def _projected_gradient(
     model: ModelSpec,
     cost: CostSpec,
     eta: ObservationPath,
-    xi,
     u0: SampledPath,
     control_set: ControlSetSpec,
     config: OptimizerConfig,
-) -> AssimilationResult:
-    """Projected gradient with Armijo backtracking on the full index.
+):
+    """The projected-gradient loop of one start, as a generator.
 
-    Iterates u <- Proj_U(u - alpha G) until the projected-gradient sup norm
-    drops below ``grad_tol``; every accepted step strictly decreases the
-    cost.  The returned triple carries a freshly solved costate and the
-    maximum-principle residual (closed form when the cost is quadratic).
+    It yields each solve it needs, ``(FORWARD, u)`` or ``(COSTATE, (x, u))``,
+    and is sent the solved path, or has the solve's :class:`BlowUpError`
+    thrown in at the yield; it returns the :class:`AssimilationResult`.
     """
-    grid: TimeGrid = eta.grid
+    grid: TimeGrid = require_same_grid(u0, eta)
     dt = grid.dt
     u = project_control(u0, control_set)
-    x = integrate_state(model, u, xi, grid)
+    x = yield FORWARD, u
     J = eval_cost(cost, x, u, eta)
     cost_trace = [J]
     grad_norm_trace: List[float] = []
     status = "max_iters"
     alpha = STEP_INIT
     prev_u = prev_G = None
-    iterations = 0
 
-    for it in range(config.max_iters):
-        iterations = it + 1
-        lam = solve_costate(model, cost, x, u, eta)
+    for _ in range(config.max_iters):
+        lam = yield COSTATE, (x, u)
         G = control_gradient(model, cost, x, u, lam)
         pg = u.values - control_set.project_values(u.values - G.values)
         pg_norm = float(np.max(np.abs(pg)))
@@ -175,7 +177,7 @@ def minimize(
             trial_vals = control_set.project_values(u.values - alpha * G.values)
             u_trial = SampledPath(grid, trial_vals)
             try:
-                x_trial = integrate_state(model, u_trial, xi, grid)
+                x_trial = yield FORWARD, u_trial
                 J_trial = eval_cost(cost, x_trial, u_trial, eta)
             except BlowUpError:
                 alpha *= ARMIJO_SHRINK
@@ -191,16 +193,112 @@ def minimize(
             break
         cost_trace.append(J)
 
-    lam = solve_costate(model, cost, x, u, eta)
+    if status == "max_iters":  # the last step moved (x, u) on from lam
+        lam = yield COSTATE, (x, u)
     triple = OptimalTriple(x=x, u=u, lam=lam)
     mp_res = max_principle_residual(triple, cost, model, control_set=control_set)
-    if not grad_norm_trace:
-        grad_norm_trace = [float("nan")]
     return AssimilationResult(
         triple=triple,
         cost_trace=cost_trace,
         grad_norm_trace=grad_norm_trace,
         mp_residual=mp_res,
-        iterations=iterations,
+        iterations=len(grad_norm_trace),
         status=status,
     )
+
+
+def _solve(kind, requests, model, cost, eta, xi):
+    """One round's solves of one kind: per request, its path or its BlowUpError.
+
+    Several requests run as one member batch; a single one runs with no
+    member axis, through the one-path functions, which is faster.
+    """
+    grid = eta.grid
+    try:
+        if len(requests) == 1 and kind == FORWARD:
+            return [integrate_state(model, requests[0], xi, grid)]
+        if len(requests) == 1:
+            return [solve_costate(model, cost, *requests[0], eta)]
+    except BlowUpError as err:
+        return [err]
+    if kind == FORWARD:
+        values, blown = rk4_sweep(model, np.stack([u.values for u in requests]), xi, grid)
+    else:
+        xs, us = zip(*requests)
+        values, blown = costate_sweep(
+            model, cost, np.stack([x.values for x in xs]), np.stack([u.values for u in us]), eta
+        )
+    return [
+        BlowUpError(int(node)) if node >= 0 else SampledPath(grid, v)
+        for v, node in zip(values, blown)
+    ]
+
+
+def minimize(
+    model: ModelSpec,
+    cost: CostSpec,
+    eta: ObservationPath,
+    xi,
+    u0: SampledPath,
+    control_set: ControlSetSpec,
+    config: OptimizerConfig,
+) -> AssimilationResult:
+    """Projected gradient with Armijo backtracking on the full index.
+
+    Iterates u <- Proj_U(u - alpha G) until the projected-gradient sup norm
+    drops below ``grad_tol``; every accepted step strictly decreases the
+    cost.  The returned triple carries the costate at the final iterate and
+    the maximum-principle residual (closed form when the cost is quadratic).
+    """
+    return minimize_batch(model, cost, eta, xi, [u0], control_set, config)[0]
+
+
+def minimize_batch(
+    model: ModelSpec,
+    cost: CostSpec,
+    eta: ObservationPath,
+    xi,
+    starts,
+    control_set: ControlSetSpec,
+    config: OptimizerConfig,
+) -> List[AssimilationResult]:
+    """:func:`minimize` from each control in ``starts``, all in one lockstep batch.
+
+    Each start's loop is a generator that yields its solves.  Each round
+    advances every unfinished start to its next solve; the forward solves
+    of a round share one RK4 sweep and the costate solves one costate
+    sweep.  Each start keeps its own step size, line search, status and
+    traces, and its result equals :func:`minimize` from it bit for bit: a
+    start whose trial step blows up shrinks only its own step, and one that
+    converges or stalls leaves the batch.  When a start raises, the starts
+    after it stop, and the error of the first start to raise is raised, as
+    a serial loop would.
+    """
+    solvers = [_projected_gradient(model, cost, eta, u0, control_set, config) for u0 in starts]
+    results = [None] * len(solvers)
+    answers = {k: None for k in range(len(solvers))}
+    error = None
+    while answers:
+        requests = {}
+        for k, answer in answers.items():
+            try:
+                if isinstance(answer, BlowUpError):
+                    requests[k] = solvers[k].throw(answer)
+                else:
+                    requests[k] = solvers[k].send(answer)
+            except StopIteration as stop:
+                results[k] = stop.value
+            except RoughAssimError as err:
+                error = err
+                requests = {j: r for j, r in requests.items() if j < k}
+                break
+        answers = {}
+        for kind in (FORWARD, COSTATE):
+            ks = [k for k, (want, _) in requests.items() if want == kind]
+            if ks:
+                solved = _solve(kind, [requests[k][1] for k in ks], model, cost, eta, xi)
+                answers.update(zip(ks, solved))
+        answers = dict(sorted(answers.items()))  # start order finds the first raiser
+    if error is not None:
+        raise error
+    return results

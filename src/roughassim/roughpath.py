@@ -149,9 +149,14 @@ def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Streams with distinct indices are statistically independent, which is
     how replicate ensembles split randomness.  Gaussians come from numpy's
     ziggurat transform; cross-run determinism is what matters here, and the
-    generator is pinned by (seed, stream) alone.
+    generator is pinned by (seed, stream) alone.  The Philox key is
+    seed + stream * 2**64 and must lie in [0, 2**128).
     """
     key = int(seed) + (int(stream) << 64)
+    if not 0 <= key < 1 << 128:
+        raise InvalidParameterError(
+            f"seed {seed} with stream {stream} gives a generator key outside [0, 2**128)"
+        )
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -110,6 +110,8 @@ class TestLoadConfig:
         l96_config(forcing=float("nan")),
         {"optimizer": {"grad_tol": True}},
         {"optimizer": {"grad_tol": float("inf")}},
+        {"observation": {"seed": 2**64}},
+        {"observation": {"seed": 2**130}},
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
@@ -335,11 +337,18 @@ class TestCliErrors:
         pytest.param("value-probe", {}, "wrong_columns", [], 3, id="value-probe-eta-columns"),
         pytest.param("value-probe", {"grid": {"T": 0.5, "n_steps": 64}}, "as_is", [], 3,
                      id="value-probe-eta-other-grid"),
+        pytest.param("simulate", {"observation": {"seed": 2**64}}, None, [], 3,
+                     id="simulate-seed-2**64"),
+        pytest.param("simulate", {"observation": {"seed": 2**130}}, None, [], 3,
+                     id="simulate-seed-2**130"),
+        pytest.param("check", None, None, ["--seed", str(2**128)], 3, id="check-seed-2**128"),
     ])
     def test_bad_input_exit_code(self, sim_dir, tmp_path, command, overrides, eta_edit,
                                  extra, code):
         tmp, _ = sim_dir
-        args = [command, "-c", str(write_config(tmp_path, lorenz_config(**overrides)))]
+        args = [command]
+        if overrides is not None:  # check reads no config
+            args += ["-c", str(write_config(tmp_path, lorenz_config(**overrides)))]
         if eta_edit is not None:
             eta = tmp_path / "eta.csv"
             eta.write_text(edit_eta((tmp / "sim" / "eta.csv").read_text(), eta_edit))

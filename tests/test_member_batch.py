@@ -1,0 +1,276 @@
+"""The member axis: independent solves stacked along a leading (B, ...) axis
+through the RK4 and costate sweeps, and the lockstep multistart optimizer.
+
+A member of a batch must give exactly what it gives alone, so every
+comparison here is bit for bit, against the one-member path or against the
+per-step costate loop the sweep replaced.
+"""
+
+import numpy as np
+import pytest
+
+from roughassim import adjoint, optimizer
+from roughassim.adjoint import costate_sweep, solve_costate
+from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
+from roughassim.dynamics import ModelSpec, integrate_state, lorenz96_model, rk4_sweep
+from roughassim.errors import BlowUpError
+from roughassim.experiments import (
+    _multistart_initials,
+    build_cost,
+    load_config,
+    run_assimilation,
+    simulate_truth,
+)
+from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize, minimize_batch
+
+from conftest import make_lorenz_twin, scalar_lq, zero_eta
+
+L63_ME = {
+    "model": {"name": "lorenz63"},
+    "grid": {"T": 1.0, "n_steps": 256},
+    "truth": {"initial_state": [1.0, 1.0, 25.0]},
+    "observation": {"h_indices": "full", "R": 1.0, "noise_scale": 0.1, "seed": 3},
+    "assimilation": {"initial_state": [1.5, 0.5, 24.0]},
+    "cost": {"kind": "minimum_energy", "S": 50.0},
+    "optimizer": {"grad_tol": 0.02, "max_iters": 200, "multistart": 4},
+}
+L96_OM_BOX = {
+    "model": {"name": "lorenz96", "params": {"n": 8, "forcing": 8.0}},
+    "grid": {"T": 0.5, "n_steps": 128},
+    "truth": {"initial_state": [8.0, 8.5, 7.5, 8.0, 9.0, 7.0, 8.2, 7.8]},
+    "observation": {"h_indices": [0, 2, 4, 6], "R": 1.0, "noise_scale": 0.1, "seed": 11},
+    "assimilation": {"initial_state": [8.3, 8.1, 7.9, 8.4, 8.6, 7.2, 8.0, 7.5]},
+    "cost": {"kind": "onsager_machlup"},
+    "control_set": {"kind": "box", "lo": -1.0, "hi": 1.0},
+    "optimizer": {"grad_tol": 0.05, "max_iters": 200, "multistart": 4},
+}
+
+
+def assert_same_result(a, b):
+    for field in ("x", "u", "lam"):
+        assert np.array_equal(getattr(a.triple, field).values, getattr(b.triple, field).values)
+    assert a.cost_trace == b.cost_trace
+    assert a.grad_norm_trace == b.grad_norm_trace
+    assert (a.iterations, a.status, a.mp_residual) == (b.iterations, b.status, b.mp_residual)
+
+
+def costate_reference(model, cost, x, u, eta):
+    """The per-step backward Heun loop, one node at a time, raising at the
+    first non-finite costate; the sweep must reproduce it bit for bit."""
+    grid = eta.grid
+    dt, times = grid.dt, grid.times
+    xv, uv, deta = x.values, u.values, eta.increments()
+    lam = np.zeros((grid.n_nodes, model.state_dim))
+    cur = np.zeros(model.state_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps - 1, -1, -1):
+            r1 = cur @ model.linearization(times[i + 1], xv[i + 1], uv[i]) + cost.D2phi(
+                times[i + 1], xv[i + 1], uv[i]
+            )
+            pred = cur + dt * r1
+            r0 = pred @ model.linearization(times[i], xv[i], uv[i]) + cost.D2phi(
+                times[i], xv[i], uv[i]
+            )
+            cur = cur + 0.5 * dt * (r1 + r0) + deta[i] @ cost.D2psi(times[i], xv[i])
+            if not np.all(np.isfinite(cur)):
+                raise BlowUpError(i)
+            lam[i] = cur
+    return lam
+
+
+@pytest.mark.parametrize("raw", [L63_ME, L96_OM_BOX], ids=["lorenz63_me", "lorenz96_om_box"])
+def test_multistart_batch_equals_serial_starts(raw):
+    config = load_config(raw)
+    _, eta = simulate_truth(config)
+    cost = build_cost(config)
+    starts = list(_multistart_initials(config))
+    args = (config.model, cost, eta, config.assim_initial_state)
+    tail = (config.control_set, config.optimizer)
+    serial = [minimize(*args, u0, *tail) for u0 in starts]
+    batch = minimize_batch(*args, starts, *tail)
+    assert len(batch) == len(serial) == 4
+    for a, b in zip(batch, serial):
+        assert_same_result(a, b)
+    # The starts leave the batch at different iterations (one Lorenz'63
+    # start stalls), so the batch shrinks as it goes.
+    assert len({r.iterations for r in serial}) > 1
+    best = run_assimilation(config, eta)
+    assert_same_result(best, min(serial, key=lambda r: r.final_cost))
+
+
+def riccati_model():
+    """xdot = x^2 + u: blows up in finite time once the control pushes x up."""
+    return ModelSpec(
+        1, 1, lambda t, x: x * x, lambda t, x: np.ones(np.shape(x) + (1,)),
+        lambda t, x: 2.0 * x[..., None], name="riccati",
+    )
+
+
+def riccati_problem():
+    h, h_jac = coordinate_observation([0], 1)
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(1)))
+    grid = TimeGrid(1.0, 64)
+    # A rising observation path rewards large x, so long trial steps blow up.
+    eta = ObservationPath(SampledPath(grid, 2.0 * grid.times), seed=0, noise_scale=0.0)
+    return riccati_model(), cost, grid, eta
+
+
+def test_trial_blow_up_shrinks_only_its_own_step(monkeypatch):
+    model, cost, grid, eta = riccati_problem()
+    xi = np.array([0.5])
+    starts = [SampledPath(grid, np.full((grid.n_nodes, 1), c)) for c in (0.0, -1.0, -5.0)]
+    config = OptimizerConfig(grad_tol=1e-3, max_iters=200)
+    rounds = []
+    sweep = optimizer.rk4_sweep
+
+    def spy(*args):
+        values, blown = sweep(*args)
+        rounds.append(blown.copy())
+        return values, blown
+
+    monkeypatch.setattr(optimizer, "rk4_sweep", spy)
+    batch = minimize_batch(model, cost, eta, xi, starts, ControlSetSpec(), config)
+    # Some batched round had a member blow up beside a member that did not.
+    assert any((r >= 0).any() and (r < 0).any() for r in rounds)
+    monkeypatch.undo()
+    for u0, result in zip(starts, batch):
+        assert_same_result(result, minimize(model, cost, eta, xi, u0, ControlSetSpec(), config))
+
+
+def test_first_forward_blow_up_raises_the_serial_error():
+    model, cost, grid, eta = riccati_problem()
+    xi = np.array([0.5])
+    # Start 1 blows up on its first forward solve; start 2 blows up earlier
+    # in the grid, but the serial order never reaches it.
+    starts = [SampledPath(grid, np.full((grid.n_nodes, 1), c)) for c in (0.0, 50.0, 1e4)]
+    config = OptimizerConfig(grad_tol=1e-3, max_iters=50)
+
+    def node_of(u0):
+        with pytest.raises(BlowUpError) as err:
+            integrate_state(model, u0, xi, grid)
+        return err.value.node_index
+
+    assert node_of(starts[2]) < node_of(starts[1])
+    with pytest.raises(BlowUpError) as serial:
+        for u0 in starts:
+            minimize(model, cost, eta, xi, u0, ControlSetSpec(), config)
+    with pytest.raises(BlowUpError) as batch:
+        minimize_batch(model, cost, eta, xi, starts, ControlSetSpec(), config)
+    assert batch.value.node_index == serial.value.node_index == node_of(starts[1])
+    assert str(batch.value) == str(serial.value)
+
+
+def test_rk4_sweep_members_equal_one_member_sweeps():
+    model = lorenz96_model(9)
+    grid = TimeGrid(0.5, 100)
+    rng = np.random.default_rng(4)
+    U = rng.normal(size=(5, grid.n_nodes, 9))
+    U[3] *= 1e80  # this member overflows; the others must not notice
+    xi = 8.0 + rng.normal(size=9)
+    values, blown = rk4_sweep(model, U, xi, grid)
+    for b in range(5):
+        alone, node = rk4_sweep(model, U[b], xi, grid)
+        assert node == blown[b]
+        if node < 0:
+            assert np.array_equal(values[b], alone)
+            path = integrate_state(model, SampledPath(grid, U[b]), xi, grid)
+            assert np.array_equal(values[b], path.values)
+    assert blown[3] > 0 and (np.delete(blown, 3) == -1).all()
+
+
+def state_dependent_g_model():
+    """g = (1 + x0^2) I, the D2g convention of test_dynamics, in stacked form."""
+    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
+
+    def g(t, x):
+        return (1.0 + x[..., 0, None, None] ** 2) * np.eye(2)
+
+    def D2g(t, x):
+        out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+        out[..., :, :, 0] = 2.0 * x[..., 0, None, None] * np.eye(2)
+        return out
+
+    return ModelSpec(2, 2, lambda t, x: np.matvec(A, x), g, lambda t, x: A, D2g)
+
+
+def d2g_problem():
+    model = state_dependent_g_model()
+    h, h_jac = coordinate_observation([0], 2)
+    cost = build_minimum_energy(
+        QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(2), obs_dim=1, control_dim=2)
+    )
+    grid = TimeGrid(1.0, 256)
+    rng = np.random.default_rng(8)
+    u = SampledPath(grid, 0.3 * rng.normal(size=(grid.n_nodes, 2)))
+    x = integrate_state(model, u, np.array([0.4, -0.3]), grid)
+    eta = ObservationPath(SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, 1)), 0)),
+                          seed=0, noise_scale=1.0)
+    return model, cost, x, u, eta
+
+
+@pytest.mark.parametrize("block_bytes", [adjoint.COSTATE_BLOCK_BYTES, 1, 8 * 9 * 9 * 37])
+def test_costate_sweep_equals_the_per_step_loop(monkeypatch, block_bytes):
+    # One block, one node per block, and blocks that do not divide the grid.
+    monkeypatch.setattr(adjoint, "COSTATE_BLOCK_BYTES", block_bytes)
+    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=200)
+    u = SampledPath(grid, np.random.default_rng(1).normal(size=(grid.n_nodes, 3)))
+    ref = costate_reference(model, cost, truth, u, eta)
+    assert np.array_equal(solve_costate(model, cost, truth, u, eta).values, ref)
+    # With D2g the linearization is contracted with the control; the stacked
+    # contraction may move the last bit.
+    model, cost, x, u, eta = d2g_problem()
+    lam = solve_costate(model, cost, x, u, eta).values
+    ref = costate_reference(model, cost, x, u, eta)
+    np.testing.assert_allclose(lam, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_costate_sweep_members_equal_one_member_sweeps():
+    model = lorenz96_model(9)
+    grid = TimeGrid(0.5, 100)
+    rng = np.random.default_rng(2)
+    h, h_jac = coordinate_observation(range(0, 9, 2), 9)
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(5), S=np.eye(9),
+                                                  obs_dim=5, control_dim=9))
+    eta = ObservationPath(SampledPath(grid, rng.normal(size=(grid.n_nodes, 5))), 0, 1.0)
+    X = 8.0 + rng.normal(size=(3, grid.n_nodes, 9))
+    X[1] *= 1e120  # its costate overflows
+    U = rng.normal(size=(3, grid.n_nodes, 9))
+    lam, blown = costate_sweep(model, cost, X, U, eta)
+    for b in range(3):
+        alone, node = costate_sweep(model, cost, X[b], U[b], eta)
+        assert node == blown[b]
+        if node < 0:
+            assert np.array_equal(lam[b], alone)
+    assert blown[1] >= 0 and blown[0] == blown[2] == -1
+
+
+def test_costate_blow_up_reports_the_per_step_node():
+    # A huge drift matrix on a coarse grid: the backward sweep overflows
+    # after some steps, at the node where the per-step check stopped.
+    model, cost = scalar_lq(a=1e4)
+    grid = TimeGrid(100.0, 40)
+    x = SampledPath(grid, np.ones((grid.n_nodes, 1)))
+    u = SampledPath.zeros(grid, 1)
+    eta = zero_eta(grid)
+    with pytest.raises(BlowUpError) as ref:
+        costate_reference(model, cost, x, u, eta)
+    with pytest.raises(BlowUpError) as err:
+        solve_costate(model, cost, x, u, eta)
+    assert 0 < err.value.node_index == ref.value.node_index < grid.n_steps - 1
+    _, blown = costate_sweep(model, cost, np.stack([x.values] * 2), np.stack([u.values] * 2), eta)
+    assert list(blown) == [ref.value.node_index] * 2
+
+
+def test_single_start_runs_without_member_axis(monkeypatch):
+    # One start never reaches the batched sweeps.
+    def forbidden(*args):
+        raise AssertionError("a batched sweep ran for one member")
+
+    monkeypatch.setattr(optimizer, "rk4_sweep", forbidden)
+    monkeypatch.setattr(optimizer, "costate_sweep", forbidden)
+    model, cost = scalar_lq()
+    grid = TimeGrid(1.0, 64)
+    result = minimize(model, cost, zero_eta(grid), np.array([1.0]), SampledPath.zeros(grid, 1),
+                      ControlSetSpec(), OptimizerConfig(grad_tol=1e-3))
+    assert result.status == "converged"

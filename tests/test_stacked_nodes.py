@@ -2,7 +2,8 @@
 axis returns exactly the stack of its one-node results.
 
 The non-recursive layers (cost, control gradient, maximum-principle
-residual, observation synthesis) evaluate every grid node in one call, so a
+residual, observation synthesis) evaluate every grid node in one call, and
+the costate sweep evaluates its Jacobians a block of nodes at a time, so a
 row that differs from its one-node value, even in the last bit, would change
 the artifacts.
 """
@@ -18,7 +19,7 @@ from roughassim.cost import (
     build_onsager_machlup,
     coordinate_observation,
 )
-from roughassim.dynamics import linear_model, lorenz63_model, lorenz96_model
+from roughassim.dynamics import ModelSpec, linear_model, lorenz63_model, lorenz96_model
 from roughassim.optimizer import ControlSetSpec
 
 N_NODES = 50
@@ -95,13 +96,45 @@ def test_model_callables_stack(name):
     assert_stacks(model.drift, t, x, u)
 
 
+@pytest.mark.parametrize("name", MODELS)
+def test_model_jacobians_stack(name):
+    model = MODELS[name]()
+    t, x, _, u = nodes(model)
+    assert_stacks(model.D2f, t, x)
+    assert_stacks(model.linearization, t, x, u)
+
+
+def test_linearization_with_D2g_stacks():
+    # The state-dependent g = (1 + x0^2) I of test_dynamics, written for
+    # stacked nodes.  Contracting D2g with u may move the last bit against
+    # a one-node einsum, so this compares to a tolerance.
+    n = 2
+    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
+
+    def g(t, x):
+        return (1.0 + x[..., 0, None, None] ** 2) * np.eye(n)
+
+    def D2g(t, x):
+        out = np.zeros(np.shape(x)[:-1] + (n, n, n))
+        out[..., :, :, 0] = 2.0 * x[..., 0, None, None] * np.eye(n)
+        return out
+
+    model = ModelSpec(n, n, lambda t, x: np.matvec(A, x), g, lambda t, x: A, D2g)
+    t, x, _, u = nodes(model)
+    stacked = model.linearization(t, x, u)
+    rows = [model.linearization(t[k], x[k], u[k]) for k in range(N_NODES)]
+    einsum = [A + np.einsum("ijk,j->ik", D2g(t[k], x[k]), u[k]) for k in range(N_NODES)]
+    np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(stacked, einsum, rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("observed", ["full", "partial"])
 @pytest.mark.parametrize("name, family", COSTS)
 def test_cost_callables_stack(name, family, observed):
     model = MODELS[name]()
     cost, h, h_jac = build(model, family, observed)
     t, x, _, u = nodes(model)
-    for fn in (cost.phi, cost.D3phi):
+    for fn in (cost.phi, cost.D2phi, cost.D3phi):
         assert_stacks(fn, t, x, u)
     for fn in (cost.psi, cost.D1psi, cost.D2psi, h, h_jac):
         assert_stacks(fn, t, x)
