@@ -73,7 +73,7 @@ from .roughpath import (
     young_bound_check,
     young_integral,
 )
-from .shooting import ShootingConfig, integrate_hamiltonian, shoot, value_probe
+from .shooting import ShootingConfig, integrate_hamiltonian, shoot, shoot_batch, value_probe
 
 __all__ = [
     "__version__",
@@ -124,6 +124,7 @@ __all__ = [
     "require_same_grid",
     "sample_wiener",
     "shoot",
+    "shoot_batch",
     "solve_costate",
     "value_probe",
     "wiener_rng",

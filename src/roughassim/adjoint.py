@@ -180,6 +180,41 @@ def _midpoint_sum(z: np.ndarray, dw: np.ndarray) -> float:
     return float(np.sum(mids * dw))
 
 
+def duality_sweep(grid, Mv, av, bv, zeta0, lambdaT) -> np.ndarray:
+    """Residuals of the forward/backward duality identity, on arrays.
+
+    ``Mv`` (n_nodes, n, n), ``av`` and ``bv`` (n_nodes, n), ``zeta0`` and
+    ``lambdaT`` (n,) may carry a leading member axis (B, ...); each member
+    runs the Heun steps of :func:`duality_check` and gets its residual, bit
+    for bit the one it gets alone.
+    """
+    dt = grid.dt
+    # Node-major views: node i of every member is row i.
+    Ms = np.moveaxis(Mv, -3, 0)
+    As, Bs = np.moveaxis(av, -2, 0), np.moveaxis(bv, -2, 0)
+    zeta, lam = np.empty(av.shape), np.empty(bv.shape)
+    zs, ls = np.moveaxis(zeta, -2, 0), np.moveaxis(lam, -2, 0)
+    zs[0] = zeta0
+    for i in range(grid.n_steps):
+        da = As[i + 1] - As[i]
+        Mz = np.matvec(Ms[i], zs[i])
+        pred = zs[i] + dt * Mz + da
+        zs[i + 1] = zs[i] + 0.5 * dt * (Mz + np.matvec(Ms[i + 1], pred)) + da
+    ls[-1] = lambdaT
+    for i in range(grid.n_steps - 1, -1, -1):
+        db = Bs[i] - Bs[i + 1]
+        lM = np.vecmat(ls[i + 1], Ms[i + 1])
+        pred = ls[i + 1] + dt * lM + db
+        ls[i] = ls[i + 1] + 0.5 * dt * (lM + np.vecmat(pred, Ms[i])) + db
+    out = np.empty(av.shape[:-2])
+    for k in np.ndindex(out.shape):  # one pairing sum per member, in node order
+        z, l, a, b = zeta[k], lam[k], av[k], bv[k]
+        lhs = float(l[-1] @ z[-1] - l[0] @ z[0])
+        rhs = _midpoint_sum(z, np.diff(b, axis=0)) + _midpoint_sum(l, np.diff(a, axis=0))
+        out[k] = abs(lhs - rhs)
+    return out
+
+
 def duality_check(M: SampledPath, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
     """Residual of the forward/backward duality identity.
 
@@ -188,25 +223,7 @@ def duality_check(M: SampledPath, a: SampledPath, b: SampledPath, zeta0, lambdaT
     Heun steps with exact driver increments, then returns
     |lambda(T) zeta(T) - lambda(0) zeta(0) - int zeta db - int lambda da|.
     The pairing integrals use the midpoint tag, which makes the identity
-    exact to rounding when M = 0.
+    exact to rounding when M = 0.  :func:`duality_sweep` runs it on arrays.
     """
     grid = require_same_grid(M, a, b)
-    dt = grid.dt
-    Mv = M.values
-    av, bv = a.values, b.values
-    n = av.shape[1]
-    zeta = np.empty((grid.n_nodes, n))
-    zeta[0] = np.asarray(zeta0, dtype=float)
-    for i in range(grid.n_steps):
-        da = av[i + 1] - av[i]
-        pred = zeta[i] + dt * (Mv[i] @ zeta[i]) + da
-        zeta[i + 1] = zeta[i] + 0.5 * dt * (Mv[i] @ zeta[i] + Mv[i + 1] @ pred) + da
-    lam = np.empty((grid.n_nodes, n))
-    lam[-1] = np.asarray(lambdaT, dtype=float)
-    for i in range(grid.n_steps - 1, -1, -1):
-        db = bv[i] - bv[i + 1]
-        pred = lam[i + 1] + dt * (lam[i + 1] @ Mv[i + 1]) + db
-        lam[i] = lam[i + 1] + 0.5 * dt * (lam[i + 1] @ Mv[i + 1] + pred @ Mv[i]) + db
-    lhs = float(lam[-1] @ zeta[-1] - lam[0] @ zeta[0])
-    rhs = _midpoint_sum(zeta, np.diff(bv, axis=0)) + _midpoint_sum(lam, np.diff(av, axis=0))
-    return abs(lhs - rhs)
+    return float(duality_sweep(grid, M.values, a.values, b.values, zeta0, lambdaT))

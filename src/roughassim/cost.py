@@ -215,11 +215,13 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
 def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: ObservationPath) -> float:
     """A(x, u): trapezoid deterministic part + left-tag Young stochastic part."""
     grid = require_same_grid(x, u, eta)
-    phis = cost.phi(grid.times, x.values, u.values)
+    # A finite but huge state may overflow phi; that is a blow-up, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = cost.phi(grid.times, x.values, u.values)
+        psis = cost.psi(grid.times[:-1], x.values[:-1])
     bad = np.flatnonzero(~np.isfinite(phis))
     if bad.size:
         raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
-    psis = cost.psi(grid.times[:-1], x.values[:-1])
     return _trapezoid(phis, grid.dt) + float(np.sum(psis * eta.increments()))
 
 

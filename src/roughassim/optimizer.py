@@ -275,30 +275,48 @@ def minimize_batch(
     a serial loop would.
     """
     solvers = [_projected_gradient(model, cost, eta, u0, control_set, config) for u0 in starts]
-    results = [None] * len(solvers)
-    answers = {k: None for k in range(len(solvers))}
-    error = None
-    while answers:
-        requests = {}
-        for k, answer in answers.items():
-            try:
-                if isinstance(answer, BlowUpError):
-                    requests[k] = solvers[k].throw(answer)
-                else:
-                    requests[k] = solvers[k].send(answer)
-            except StopIteration as stop:
-                results[k] = stop.value
-            except RoughAssimError as err:
-                error = err
-                requests = {j: r for j, r in requests.items() if j < k}
-                break
+
+    def answer(requests):
         answers = {}
         for kind in (FORWARD, COSTATE):
             ks = [k for k, (want, _) in requests.items() if want == kind]
             if ks:
                 solved = _solve(kind, [requests[k][1] for k in ks], model, cost, eta, xi)
                 answers.update(zip(ks, solved))
-        answers = dict(sorted(answers.items()))  # start order finds the first raiser
+        return answers
+
+    return lockstep(solvers, answer)
+
+
+def lockstep(solvers, answer) -> list:
+    """Run generator solvers in lockstep rounds; return their results in order.
+
+    Each round advances every unfinished solver to its next request, and
+    ``answer`` maps the round's requests, {solver index: request}, to
+    their answers at once.  A :class:`BlowUpError` answer is thrown into
+    its solver at the yield; any other answer is sent.  When a solver
+    raises, the solvers after it stop, and the error of the first solver
+    to raise is raised, as a serial loop over the solvers would.
+    """
+    results = [None] * len(solvers)
+    answers = {k: None for k in range(len(solvers))}
+    error = None
+    while answers:
+        requests = {}
+        for k, reply in answers.items():
+            try:
+                if isinstance(reply, BlowUpError):
+                    requests[k] = solvers[k].throw(reply)
+                else:
+                    requests[k] = solvers[k].send(reply)
+            except StopIteration as stop:
+                results[k] = stop.value
+            except RoughAssimError as err:
+                error = err
+                requests = {j: r for j, r in requests.items() if j < k}
+                break
+        # Start order finds the first raiser.
+        answers = dict(sorted(answer(requests).items())) if requests else {}
     if error is not None:
         raise error
     return results

@@ -5,7 +5,9 @@ forward system for (x, lambda) once the control is eliminated through its
 closed-form pointwise minimizer; shooting then root-finds the unknown
 initial costate so that lambda(T) = 0.  Long chaotic horizons break the
 Newton iteration (sensitivities explode); the projected-gradient path
-covers those, and shooting demos default to short windows.
+covers those, and shooting demos default to short windows.  Several starts
+shoot in lockstep: each round, the terminal costates they ask for share one
+Hamiltonian sweep along a leading member axis.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import numpy as np
 
 from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
 from .cost import CostSpec, eval_cost
-from .dynamics import ModelSpec
+from .dynamics import ModelSpec, first_nonfinite
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
 from .grid import ObservationPath, SampledPath
 from .optimizer import (
-    AssimilationResult,
     ControlSetSpec,
     OptimizerConfig,
+    lockstep,
     minimize,
     positive_finite,
 )
@@ -45,7 +47,7 @@ class ShootingConfig:
             )
 
 
-def integrate_hamiltonian(
+def hamiltonian_sweep(
     model: ModelSpec,
     cost: CostSpec,
     eta: ObservationPath,
@@ -53,13 +55,19 @@ def integrate_hamiltonian(
     lambda0,
     control_set: ControlSetSpec | None = None,
 ):
-    """Forward integration of the coupled state/costate system.
+    """Forward integration of the coupled state/costate system, on arrays.
 
     The control is eliminated pointwise via u = Proj_U(-S^{-1} g' lambda');
     x advances by the RK4 step of ``integrate_state`` with the control
     frozen per step, lambda by a Heun predictor/corrector on -D2m plus the
     left-tag Young increment.  For an arbitrary lambda0 the terminal
     costate is generally nonzero.
+
+    ``xi`` and ``lambda0`` (n,) may carry a leading member axis (B, n), as
+    in :func:`rk4_sweep`.  Returns the states, costates and controls,
+    (..., n_nodes, n | n | m), and per member the first node where x or
+    lambda is non-finite, or -1; each member equals its one-member sweep
+    bit for bit.
     """
     if cost.quad is None:
         raise UnsupportedCostError("Hamiltonian integration needs a quadratic-family cost")
@@ -67,18 +75,19 @@ def integrate_hamiltonian(
     dt = grid.dt
     times = grid.times
     deta = eta.increments()
+    xi, lambda0 = np.asarray(xi, dtype=float), np.asarray(lambda0, dtype=float)
+    members = np.broadcast_shapes(xi.shape[:-1], lambda0.shape[:-1])
     n, m = model.state_dim, model.control_dim
-    xs = np.empty((grid.n_nodes, n))
-    ls = np.empty((grid.n_nodes, n))
-    us = np.empty((grid.n_nodes, m))
-    xs[0] = np.asarray(xi, dtype=float)
-    ls[0] = np.asarray(lambda0, dtype=float)
+    out = [np.empty(members + (grid.n_nodes, k)) for k in (n, n, m)]
+    # Node-major views: node i of every member is row i.
+    xs, ls, us = (np.moveaxis(a, -2, 0) for a in out)
+    xs[0], ls[0] = xi, lambda0
 
     def upoint(t, xv, lv):
         return pointwise_hamiltonian_minimizer(cost, model, t, xv, lv, control_set)
 
     def d2m(t, xv, lv, uv):
-        return cost.D2phi(t, xv, uv) + lv @ model.linearization(t, xv, uv)
+        return cost.D2phi(t, xv, uv) + np.vecmat(lv, model.linearization(t, xv, uv))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps):
@@ -87,17 +96,90 @@ def integrate_hamiltonian(
             u0 = upoint(t0, x0, l0)
             us[i] = u0
             x1 = model.rk4_step(t0, x0, u0, dt)
-            young = deta[i] @ cost.D2psi(t0, x0)
+            young = np.vecmat(deta[i], cost.D2psi(t0, x0))
             r0 = d2m(t0, x0, l0, u0)
             pred = l0 - dt * r0 - young
             u_pred = upoint(t1, x1, pred)
             r1 = d2m(t1, x1, pred, u_pred)
-            l1 = l0 - 0.5 * dt * (r0 + r1) - young
-            if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(l1))):
-                raise BlowUpError(i + 1)
-            xs[i + 1], ls[i + 1] = x1, l1
-    us[-1] = upoint(times[-1], xs[-1], ls[-1])
-    return SampledPath(grid, xs), SampledPath(grid, ls), SampledPath(grid, us)
+            xs[i + 1], ls[i + 1] = x1, l0 - 0.5 * dt * (r0 + r1) - young
+        us[-1] = upoint(times[-1], xs[-1], ls[-1])
+    # A step from a non-finite node stays non-finite, so the first such node
+    # after the start is where a per-step check stops.
+    blown = first_nonfinite(np.concatenate(out[:2], axis=-1)[..., 1:, :])
+    return *out, np.where(blown >= 0, blown + 1, -1)
+
+
+def integrate_hamiltonian(
+    model: ModelSpec,
+    cost: CostSpec,
+    eta: ObservationPath,
+    xi,
+    lambda0,
+    control_set: ControlSetSpec | None = None,
+):
+    """The (x, lambda, u) paths of one :func:`hamiltonian_sweep`.
+
+    Raises :class:`BlowUpError` at the first node where x or lambda turns
+    non-finite.
+    """
+    xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xi, lambda0, control_set)
+    if blown >= 0:
+        raise BlowUpError(int(blown))
+    return tuple(SampledPath(eta.grid, v) for v in (xs, ls, us))
+
+
+def _damped_newton(grid, n: int, config: ShootingConfig):
+    """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, as a
+    generator.
+
+    Each yield is a list of initial costates: first F's point, then per
+    Newton step the n FD columns together and the line-search trials one
+    at a time.  It is sent, per point, the sweep's (x, lambda, u) arrays
+    or its :class:`BlowUpError`, and returns the optimal triple of the
+    accepted sweep, so a converged solve is not integrated again.
+    """
+    lam0 = np.zeros(n)
+    (sol,) = yield [lam0]
+    if isinstance(sol, BlowUpError):
+        raise NoConvergenceError(np.inf, f"shooting blew up at the initial guess: {sol}")
+    F = sol[1][-1]
+    best = np.inf
+    for _ in range(config.newton_max_iters):
+        res = float(np.linalg.norm(F))
+        best = min(best, res)
+        if res < config.newton_tol:
+            xs, ls, us = (SampledPath(grid, v) for v in sol)
+            return OptimalTriple(x=xs, u=us, lam=ls)
+        probes = [lam0.copy() for _ in range(n)]
+        for k, probe in enumerate(probes):
+            probe[k] += FD_STEP
+        columns = yield probes
+        jac = np.empty((n, n))
+        try:
+            for k, col in enumerate(columns):
+                if isinstance(col, BlowUpError):
+                    raise col
+                jac[:, k] = (col[1][-1] - F) / FD_STEP
+            delta = np.linalg.solve(jac, F)
+        except (BlowUpError, np.linalg.LinAlgError) as err:
+            raise NoConvergenceError(best, f"shooting Jacobian failed: {err}")
+        step = 1.0
+        accepted = False
+        for _ in range(8):
+            (trial,) = yield [lam0 - step * delta]
+            if isinstance(trial, BlowUpError):
+                step *= 0.5
+                continue
+            F_new = trial[1][-1]
+            if np.linalg.norm(F_new) < res:
+                lam0 = lam0 - step * delta
+                F, sol = F_new, trial
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    raise NoConvergenceError(best, "shooting Newton did not reach tolerance")
 
 
 def shoot(
@@ -113,63 +195,44 @@ def shoot(
     Returns the optimal triple on success (|lambda(T)| < newton_tol);
     raises :class:`NoConvergenceError` carrying the best residual seen.
     """
-    n = model.state_dim
-    lam0 = np.zeros(n)
-
-    def terminal(l0):
-        _, ls, _ = integrate_hamiltonian(model, cost, eta, xi, l0, control_set)
-        return ls.values[-1]
-
-    best = np.inf
-    try:
-        F = terminal(lam0)
-    except BlowUpError as err:
-        raise NoConvergenceError(np.inf, f"shooting blew up at the initial guess: {err}")
-    for _ in range(config.newton_max_iters):
-        res = float(np.linalg.norm(F))
-        best = min(best, res)
-        if res < config.newton_tol:
-            xs, ls, us = integrate_hamiltonian(model, cost, eta, xi, lam0, control_set)
-            return OptimalTriple(x=xs, u=us, lam=ls)
-        jac = np.empty((n, n))
-        try:
-            for k in range(n):
-                probe = lam0.copy()
-                probe[k] += FD_STEP
-                jac[:, k] = (terminal(probe) - F) / FD_STEP
-            delta = np.linalg.solve(jac, F)
-        except (BlowUpError, np.linalg.LinAlgError) as err:
-            raise NoConvergenceError(best, f"shooting Jacobian failed: {err}")
-        step = 1.0
-        accepted = False
-        for _ in range(8):
-            try:
-                F_new = terminal(lam0 - step * delta)
-            except BlowUpError:
-                step *= 0.5
-                continue
-            if np.linalg.norm(F_new) < res:
-                lam0 = lam0 - step * delta
-                F = F_new
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    raise NoConvergenceError(best, "shooting Newton did not reach tolerance")
+    return shoot_batch(model, cost, eta, [xi], config, control_set)[0]
 
 
-def _solve_value(model, cost, eta, xi, solver, control_set, opt_config, u_template):
-    if solver == "shoot":
-        triple = shoot(model, cost, eta, xi, control_set=control_set)
-        value = eval_cost(cost, triple.x, triple.u, eta)
-        return value, triple
-    result: AssimilationResult = minimize(
-        model, cost, eta, xi, u_template, control_set, opt_config
-    )
-    if result.status == "stalled":
-        raise NoConvergenceError(result.grad_norm_trace[-1], "gradient solve stalled")
-    return result.final_cost, result.triple
+def shoot_batch(
+    model: ModelSpec,
+    cost: CostSpec,
+    eta: ObservationPath,
+    starts,
+    config: ShootingConfig = ShootingConfig(),
+    control_set: ControlSetSpec | None = None,
+) -> list:
+    """:func:`shoot` from each initial state in ``starts``, in one lockstep batch.
+
+    Each start's Newton iteration is a generator; each round, the terminal
+    costates every unfinished start asks for (its FD columns included)
+    share one :func:`hamiltonian_sweep`, one request alone runs with no
+    member axis.  Each start solves its own Newton system and its result
+    equals :func:`shoot` from it bit for bit.  When a start raises, the
+    starts after it stop and the first raiser's error is raised.
+    """
+    xis = [np.asarray(xi, dtype=float) for xi in starts]
+    solvers = [_damped_newton(eta.grid, model.state_dim, config) for _ in xis]
+
+    def answer(requests):
+        points = [(k, lam) for k, lams in requests.items() for lam in lams]
+        xi = np.stack([xis[k] for k, _ in points])
+        lam0 = np.stack([lam for _, lam in points])
+        if len(points) == 1:  # no member axis, which is faster
+            swept = hamiltonian_sweep(model, cost, eta, xi[0], lam0[0], control_set)
+            swept = [a[None] for a in swept]
+        else:
+            swept = hamiltonian_sweep(model, cost, eta, xi, lam0, control_set)
+        answers = {k: [] for k in requests}
+        for (k, _), x, lam, u, node in zip(points, *swept):
+            answers[k].append(BlowUpError(int(node)) if node >= 0 else (x, lam, u))
+        return answers
+
+    return lockstep(solvers, answer)
 
 
 def value_probe(
@@ -184,7 +247,8 @@ def value_probe(
 ) -> dict:
     """Compare the finite-difference value gradient against lambda(0).
 
-    Runs 2n+1 fresh solves (at xi and xi +/- h e_i) and returns the
+    Runs 2n+1 fresh solves (at xi and xi +/- h e_i; with ``solver="shoot"``
+    as one :func:`shoot_batch`, otherwise one after another) and returns the
     componentwise central difference, lambda(0) from the solve at xi, and
     the maximum absolute gap.  Gap smallness is consistency evidence for
     the sensitivity identity, never an assertion of uniqueness.
@@ -202,16 +266,20 @@ def value_probe(
         e = np.zeros(n)
         e[i] = h
         points.extend([xi + e, xi - e])
-    solved = [
-        _solve_value(model, cost, eta, z, solver, control_set, opt_config, u_template)
-        for z in points
-    ]
-    v_center, triple = solved[0]
-    lam0 = triple.lam.values[0]
+    if solver == "shoot":
+        triples = shoot_batch(model, cost, eta, points, control_set=control_set)
+        values = [eval_cost(cost, t.x, t.u, eta) for t in triples]
+    else:
+        values, triples = [], []
+        for z in points:
+            result = minimize(model, cost, eta, z, u_template, control_set, opt_config)
+            if result.status == "stalled":
+                raise NoConvergenceError(result.grad_norm_trace[-1], "gradient solve stalled")
+            values.append(result.final_cost)
+            triples.append(result.triple)
+    lam0 = triples[0].lam.values[0]
     dv = np.empty(n)
     for i in range(n):
-        v_plus, _ = solved[1 + 2 * i]
-        v_minus, _ = solved[2 + 2 * i]
-        dv[i] = (v_plus - v_minus) / (2.0 * h)
+        dv[i] = (values[1 + 2 * i] - values[2 + 2 * i]) / (2.0 * h)
     gap = float(np.max(np.abs(dv - lam0)))
-    return {"dV_fd": dv, "lambda0": lam0.copy(), "max_abs_gap": gap, "value": v_center}
+    return {"dV_fd": dv, "lambda0": lam0.copy(), "max_abs_gap": gap, "value": values[0]}

@@ -70,6 +70,23 @@ def pvar_exhaustive(values: np.ndarray, p: float) -> float:
     return best ** (1.0 / p)
 
 
+def pvar_full_dp(values: np.ndarray, p: float) -> float:
+    """p-variation by the O(N^2) dynamic program over every node.
+
+    best[j] is the largest sum of |increment|^p over dissections of nodes
+    0..j ending at j; no node is dropped first, whatever the path or p.
+    """
+    values = values.reshape(values.shape[0], -1)
+    n = values.shape[0]
+    if n < 2:
+        return 0.0
+    best = np.zeros(n)
+    for j in range(1, n):
+        dist = np.linalg.norm(values[:j] - values[j], axis=1)
+        best[j] = np.max(best[:j] + dist**p)
+    return float(best[n - 1]) ** (1.0 / p)
+
+
 def trapezoid_integral(f, T: float, n: int) -> float:
     """Plain trapezoid quadrature of a scalar function on [0, T]."""
     t = np.linspace(0.0, T, n + 1)

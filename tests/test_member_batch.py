@@ -1,5 +1,6 @@
 """The member axis: independent solves stacked along a leading (B, ...) axis
-through the RK4 and costate sweeps, and the lockstep multistart optimizer.
+through the RK4, costate, Hamiltonian and duality sweeps, and the lockstep
+drivers of the multistart optimizer and of shooting.
 
 A member of a batch must give exactly what it gives alone, so every
 comparison here is bit for bit, against the one-member path or against the
@@ -9,11 +10,22 @@ per-step costate loop the sweep replaced.
 import numpy as np
 import pytest
 
-from roughassim import adjoint, optimizer
-from roughassim.adjoint import costate_sweep, solve_costate
-from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
+from roughassim import adjoint, optimizer, shooting
+from roughassim.adjoint import (
+    costate_sweep,
+    duality_check,
+    duality_sweep,
+    pointwise_hamiltonian_minimizer,
+    solve_costate,
+)
+from roughassim.cost import (
+    QuadraticCostSpec,
+    build_minimum_energy,
+    coordinate_observation,
+    eval_cost,
+)
 from roughassim.dynamics import ModelSpec, integrate_state, lorenz96_model, rk4_sweep
-from roughassim.errors import BlowUpError
+from roughassim.errors import BlowUpError, NoConvergenceError
 from roughassim.experiments import (
     _multistart_initials,
     build_cost,
@@ -23,6 +35,13 @@ from roughassim.experiments import (
 )
 from roughassim.grid import ObservationPath, SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize, minimize_batch
+from roughassim.shooting import (
+    hamiltonian_sweep,
+    integrate_hamiltonian,
+    shoot,
+    shoot_batch,
+    value_probe,
+)
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
 
@@ -136,6 +155,20 @@ def test_trial_blow_up_shrinks_only_its_own_step(monkeypatch):
     monkeypatch.undo()
     for u0, result in zip(starts, batch):
         assert_same_result(result, minimize(model, cost, eta, xi, u0, ControlSetSpec(), config))
+
+
+def test_overflowing_trial_cost_shrinks_the_step():
+    # eta = 20 t rewards large x so strongly that long trial steps leave the
+    # state finite but overflow its running cost; such a trial is a blow-up
+    # (the step shrinks), not a RuntimeWarning escaping minimize.
+    model, cost, grid, _ = riccati_problem()
+    eta = ObservationPath(SampledPath(grid, 20.0 * grid.times), seed=0, noise_scale=0.0)
+    huge = SampledPath(grid, np.full((grid.n_nodes, 1), 1e200))
+    with pytest.raises(BlowUpError):
+        eval_cost(cost, huge, SampledPath.zeros(grid, 1), eta)
+    result = minimize(model, cost, eta, np.array([0.5]), SampledPath.zeros(grid, 1),
+                      ControlSetSpec(), OptimizerConfig())
+    assert result.iterations >= 1 and np.all(np.diff(result.cost_trace) < 0)
 
 
 def test_first_forward_blow_up_raises_the_serial_error():
@@ -274,3 +307,155 @@ def test_single_start_runs_without_member_axis(monkeypatch):
     result = minimize(model, cost, zero_eta(grid), np.array([1.0]), SampledPath.zeros(grid, 1),
                       ControlSetSpec(), OptimizerConfig(grad_tol=1e-3))
     assert result.status == "converged"
+
+
+def hamiltonian_reference(model, cost, eta, xi, lambda0, control_set=None):
+    """The per-step Hamiltonian loop the sweep replaced, raising at the first
+    node where x or lambda turns non-finite."""
+    grid = eta.grid
+    dt, times, deta = grid.dt, grid.times, eta.increments()
+    xs = np.empty((grid.n_nodes, model.state_dim))
+    ls = np.empty((grid.n_nodes, model.state_dim))
+    us = np.empty((grid.n_nodes, model.control_dim))
+    xs[0], ls[0] = xi, lambda0
+
+    def upoint(t, xv, lv):
+        return pointwise_hamiltonian_minimizer(cost, model, t, xv, lv, control_set)
+
+    def d2m(t, xv, lv, uv):
+        return cost.D2phi(t, xv, uv) + lv @ model.linearization(t, xv, uv)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps):
+            t0, t1, x0, l0 = times[i], times[i + 1], xs[i], ls[i]
+            us[i] = u0 = upoint(t0, x0, l0)
+            x1 = model.rk4_step(t0, x0, u0, dt)
+            young = deta[i] @ cost.D2psi(t0, x0)
+            r0 = d2m(t0, x0, l0, u0)
+            pred = l0 - dt * r0 - young
+            r1 = d2m(t1, x1, pred, upoint(t1, x1, pred))
+            l1 = l0 - 0.5 * dt * (r0 + r1) - young
+            if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(l1))):
+                raise BlowUpError(i + 1)
+            xs[i + 1], ls[i + 1] = x1, l1
+    us[-1] = upoint(times[-1], xs[-1], ls[-1])
+    return xs, ls, us
+
+
+def riccati2_problem():
+    """xdot = x * x + u componentwise in two dimensions, phi = |x|^2/2 + |u|^2/2.
+
+    From (0.3, 0.5) shooting converges; raising either coordinate by 0.8
+    blows the free solve up, the second coordinate at an earlier node.
+    """
+    model = ModelSpec(2, 2, lambda t, x: x * x, lambda t, x: np.eye(2),
+                      lambda t, x: 2.0 * x[..., None] * np.eye(2), name="riccati2")
+    h, h_jac = coordinate_observation([0, 1], 2)
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(2), S=np.eye(2),
+                                                  obs_dim=2, control_dim=2))
+    return model, cost, zero_eta(TimeGrid(1.0, 64), 2)
+
+
+def assert_same_triple(a, b):
+    for field in ("x", "u", "lam"):
+        assert np.array_equal(getattr(a, field).values, getattr(b, field).values)
+
+
+def test_hamiltonian_sweep_members_equal_one_member_runs():
+    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.5)
+    rng = np.random.default_rng(5)
+    xis = xi + rng.normal(size=(4, 3))
+    lams = rng.normal(size=(4, 3))
+    lams[2] = 1e200  # this member's control overflows the state
+    box = ControlSetSpec(kind="box", lo=-np.full(3, 5.0), hi=np.full(3, 5.0))
+    for control_set in (None, box):
+        xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xis, lams, control_set)
+        for b in range(4):
+            if b == 2 and control_set is None:
+                with pytest.raises(BlowUpError) as err:
+                    integrate_hamiltonian(model, cost, eta, xis[b], lams[b], control_set)
+                assert blown[b] == err.value.node_index > 0
+                continue
+            alone = integrate_hamiltonian(model, cost, eta, xis[b], lams[b], control_set)
+            assert blown[b] == -1
+            for batched, path in zip((xs[b], ls[b], us[b]), alone):
+                assert np.array_equal(batched, path.values)
+            ref = hamiltonian_reference(model, cost, eta, xis[b], lams[b], control_set)
+            for batched, loop in zip((xs[b], ls[b], us[b]), ref):
+                assert np.array_equal(batched, loop)
+    # One shared initial costate broadcasts against the members' states.
+    xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xis, lams[0])
+    alone = integrate_hamiltonian(model, cost, eta, xis[3], lams[0])
+    assert np.array_equal(ls[3], alone[1].values) and (blown == -1).all()
+
+
+def test_hamiltonian_blow_up_reports_the_per_step_node():
+    model, cost, eta = riccati2_problem()
+    xi, lam0 = np.array([0.3, 1.3]), np.zeros(2)
+    with pytest.raises(BlowUpError) as ref:
+        hamiltonian_reference(model, cost, eta, xi, lam0)
+    with pytest.raises(BlowUpError) as err:
+        integrate_hamiltonian(model, cost, eta, xi, lam0)
+    assert 0 < err.value.node_index == ref.value.node_index < eta.grid.n_steps
+
+
+@pytest.mark.parametrize("problem", ["scalar_lq", "lorenz63"])
+def test_shoot_batch_equals_per_start_shoot(monkeypatch, problem):
+    if problem == "scalar_lq":
+        model, cost = scalar_lq()
+        eta = zero_eta(TimeGrid(1.0, 1024))
+        starts = [np.array([1.3]), np.array([-0.4]), np.array([2.0])]
+    else:  # criterion 9's Lorenz'63 window
+        model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
+        starts = [xi, xi + np.array([1e-4, 0.0, 0.0]), xi - np.array([0.0, 0.0, 1e-4])]
+    sweeps = []
+    sweep = shooting.hamiltonian_sweep
+
+    def spy(model, cost, eta, xi, lambda0, control_set):
+        sweeps.append(np.ndim(lambda0))
+        return sweep(model, cost, eta, xi, lambda0, control_set)
+
+    monkeypatch.setattr(shooting, "hamiltonian_sweep", spy)
+    batch = shoot_batch(model, cost, eta, starts)
+    batched_sweeps = len(sweeps)
+    serial = [shoot(model, cost, eta, xi) for xi in starts]
+    # The starts shared their sweeps: fewer of them, several with members.
+    assert batched_sweeps < len(sweeps) - batched_sweeps
+    assert 2 in sweeps[:batched_sweeps]
+    for a, b in zip(batch, serial):
+        assert_same_triple(a, b)
+        assert abs(a.lam.values[-1]).max() < 1e-9
+
+
+def test_value_probe_raises_the_first_failing_points_error():
+    model, cost, eta = riccati2_problem()
+    xi, h = np.array([0.3, 0.5]), 0.8
+    points = [xi, xi + [h, 0.0], xi - [h, 0.0], xi + [0.0, h], xi - [0.0, h]]
+    errors = {}
+    for k, z in enumerate(points):
+        try:
+            shoot(model, cost, eta, z)
+        except NoConvergenceError as err:
+            errors[k] = err
+    # Points 1 and 3 fail, point 3 at an earlier grid node.
+    assert sorted(errors) == [1, 3] and str(errors[1]) != str(errors[3])
+    with pytest.raises(NoConvergenceError) as probe:
+        value_probe(model, cost, eta, xi, h=h)
+    assert str(probe.value) == str(errors[1])
+    assert probe.value.best_residual == errors[1].best_residual
+
+
+def test_duality_sweep_members_equal_duality_check():
+    grid = TimeGrid(1.0, 64)
+    rng = np.random.default_rng(9)
+    M = rng.normal(size=(5, 1, 2, 2)) + np.sin(grid.times)[:, None, None] * rng.normal(
+        size=(5, 1, 2, 2)
+    )
+    a = np.cumsum(rng.normal(size=(5, grid.n_nodes, 2)), axis=1)
+    b = np.cumsum(rng.normal(size=(5, grid.n_nodes, 2)), axis=1)
+    zeta0, lambdaT = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    resids = duality_sweep(grid, M, a, b, zeta0, lambdaT)
+    assert resids.shape == (5,)
+    for k in range(5):
+        paths = (SampledPath(grid, v) for v in (M[k], a[k], b[k]))
+        assert resids[k] == duality_check(*paths, zeta0[k], lambdaT[k])

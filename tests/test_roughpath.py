@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pvar_exhaustive, young_sum_reference
+from oracles import pvar_exhaustive, pvar_full_dp, young_sum_reference
 from roughassim.errors import InvalidParameterError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.roughpath import (
+    _turning_points,
     build_observation,
     oscillation,
     p_variation,
@@ -94,6 +95,83 @@ class TestPVariation:
         path = random_path(16, 2, seed=seed)
         doubled = SampledPath(path.grid, 2.0 * path.values)
         assert p_variation(doubled, 1.7) == pytest.approx(2.0 * p_variation(path, 1.7))
+
+
+def _walk(steps):
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _gaussian_walk(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return _walk(np.random.default_rng(seed).normal(size=n))
+
+
+def _integer_walk(draw):
+    # Steps of 0 make plateaus; equal values far apart make ties.
+    steps = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60))
+    return _walk(np.array(steps, dtype=float))
+
+
+def _constant(draw):
+    n = draw(st.integers(min_value=2, max_value=30))
+    return np.full(n, draw(st.floats(min_value=-5.0, max_value=5.0)))
+
+
+def _monotone(draw):
+    steps = draw(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=40))
+    return draw(st.sampled_from([1.0, -1.0])) * _walk(np.array(steps))
+
+
+def _short(draw):
+    n = draw(st.sampled_from([2, 3]))
+    return np.array(draw(st.lists(st.floats(min_value=-5.0, max_value=5.0),
+                                  min_size=n, max_size=n)))
+
+
+@st.composite
+def scalar_paths(draw):
+    kind = draw(st.sampled_from([_gaussian_walk, _integer_walk, _constant, _monotone, _short]))
+    values = kind(draw)
+    return SampledPath(TimeGrid(1.0, len(values) - 1), values)
+
+
+class TestTurningPointPrefilter:
+    """A scalar path with p > 1 runs the dynamic program over its turning
+    points only; the result must equal the full program's exactly."""
+
+    @given(scalar_paths(), st.sampled_from([1.0001, 1.2, 1.5, 2.0, 2.5, 3.7]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_prefiltered_equals_full_dp(self, path, p):
+        assert p_variation(path, p) == pvar_full_dp(path.values, p)
+
+    @given(scalar_paths(), st.sampled_from([1.0, 1.5, 2.5]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_bruteforce_on_short_paths(self, path, p):
+        if path.values.shape[0] > 12:
+            path = SampledPath(TimeGrid(1.0, 11), path.values[:12])
+        assert abs(p_variation(path, p) - p_variation_bruteforce(path, p)) <= 1e-12
+
+    @given(scalar_paths())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_p_one_keeps_every_node(self, path):
+        # At p = 1 dissections tie; the unfiltered program decides the bits.
+        assert p_variation(path, 1.0) == pvar_full_dp(path.values, 1.0)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 3]),
+           st.sampled_from([1.0, 1.5, 2.5]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_vector_paths_keep_every_node(self, seed, dim, p):
+        path = random_path(40, dim, seed=seed)
+        assert p_variation(path, p) == pvar_full_dp(path.values, p)
+
+    def test_kept_nodes(self):
+        v = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 1.0, 0.0, -1.0, 4.0])
+        # Interiors of strict monotone runs go; plateaus and extrema stay.
+        assert _turning_points(v).tolist() == [
+            True, False, True, True, True, False, False, True, True
+        ]
+        assert _turning_points(np.arange(6.0)).tolist() == [True] + [False] * 4 + [True]
 
 
 class TestYoungIntegral:
