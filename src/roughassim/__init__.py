@@ -73,7 +73,7 @@ from .roughpath import (
     young_bound_check,
     young_integral,
 )
-from .shooting import ShootingConfig, integrate_hamiltonian, shoot, shoot_batch, value_probe
+from .shooting import integrate_hamiltonian, shoot, shoot_batch, value_probe
 
 __all__ = [
     "__version__",
@@ -94,7 +94,6 @@ __all__ = [
     "QuadraticCostSpec",
     "RoughAssimError",
     "SampledPath",
-    "ShootingConfig",
     "TimeGrid",
     "UnsupportedCostError",
     "build_minimum_energy",

@@ -123,20 +123,18 @@ def control_gradient(
     return SampledPath(grid, G)
 
 
-def pointwise_hamiltonian_minimizer(
-    cost: CostSpec, model: ModelSpec, t, x, lam, control_set=None
-):
+def pointwise_hamiltonian_minimizer(cost: CostSpec, model: ModelSpec, t, x, lam, control_set):
     """Closed-form arg min over v of H for the quadratic family.
 
-    u* = Proj_U(-S(t)^{-1} g(t, x)' lambda'); requires ``cost.quad``.
+    u* = Proj_U(-S(t)^{-1} g(t, x)' lambda') with U the
+    :class:`~roughassim.optimizer.ControlSetSpec` ``control_set``;
+    requires ``cost.quad``.
     """
     if cost.quad is None:
         raise InvalidParameterError("closed-form minimizer needs a quadratic cost")
     # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
     raw = -np.linalg.solve(cost.quad.S(t), np.vecmat(lam, model.g(t, x))[..., None])[..., 0]
-    if control_set is not None:
-        raw = control_set.project_values(raw)
-    return raw
+    return control_set.project_values(raw)
 
 
 #: Samples per node when the Hamiltonian minimum has no closed form.
@@ -144,10 +142,7 @@ MP_PROBE_SAMPLES = 256
 
 
 def max_principle_residual(
-    triple: OptimalTriple,
-    cost: CostSpec,
-    model: ModelSpec,
-    control_set=None,
+    triple: OptimalTriple, cost: CostSpec, model: ModelSpec, control_set
 ) -> float:
     """max over nodes of H(u(t)) - min_v H(v); nonnegative by construction.
 
@@ -167,9 +162,7 @@ def max_principle_residual(
         radius = 10.0 * (1.0 + np.linalg.norm(u, axis=-1, keepdims=True))
         h_min = h_at_u
         for _ in range(MP_PROBE_SAMPLES):
-            v = u + radius * rng.uniform(-1.0, 1.0, size=u.shape)
-            if control_set is not None:
-                v = control_set.project_values(v)
+            v = control_set.project_values(u + radius * rng.uniform(-1.0, 1.0, size=u.shape))
             h_min = np.minimum(h_min, hamiltonian(cost, model, t, x, lam, v))
     return max(float(np.max(h_at_u - h_min)), 0.0)
 

@@ -23,6 +23,7 @@ from .dynamics import integrate_state, linear_model, rk4_sweep
 from .errors import BlowUpError, InvalidParameterError
 from .experiments import build_cost, load_config, simulate_truth
 from .grid import ObservationPath, SampledPath, TimeGrid
+from .optimizer import ControlSetSpec
 from .roughpath import (
     oscillation,
     p_variation,
@@ -201,12 +202,15 @@ def suite_adjoint(seed: int = 0) -> list:
     )
 
     # Zero residual when the control sits at the pointwise minimizer.
-    ustar = pointwise_hamiltonian_minimizer(cost, model, grid.times, truth.values, lam.values)
+    unconstrained = ControlSetSpec()
+    ustar = pointwise_hamiltonian_minimizer(
+        cost, model, grid.times, truth.values, lam.values, unconstrained
+    )
     triple = OptimalTriple(x=truth, u=SampledPath(grid, ustar), lam=lam)
     checks.append(
         _record(
             "mp_residual_at_minimizer",
-            max_principle_residual(triple, cost, model),
+            max_principle_residual(triple, cost, model, unconstrained),
             1e-12,
         )
     )

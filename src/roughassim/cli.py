@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -23,6 +22,7 @@ from .experiments import (
     cmd_assimilate,
     cmd_simulate,
     load_config,
+    make_outdir,
     read_observation,
     simulate_truth,
 )
@@ -104,8 +104,7 @@ def assimilate(config_path, eta_file, outdir, truth_file, timings):
 def check(suite, seed, outdir):
     """Run the named diagnostic suite and write report.json."""
     report = run_suite(suite, seed)
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_outdir(outdir)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for rec in report["checks"]:
         mark = "PASS" if rec["passed"] else "FAIL"

@@ -15,7 +15,7 @@ which computes each of a stack of nodes exactly as the one-node ``@`` does;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,18 +45,14 @@ class CostSpec:
     D3phi: Callable
     psi: Callable
     D2psi: Callable
-    obs_dim: int
-    control_dim: int
     D1psi: Optional[Callable] = None
     quad: Optional["QuadraticCostSpec"] = None
 
 
-def _as_matrix_callable(value, shape, label):
+def _as_matrix_callable(value):
     if callable(value):
         return value
     M = np.asarray(value, dtype=float)
-    if M.shape != shape:
-        raise InvalidSpecError(f"{label} must have shape {shape}, got {M.shape}")
 
     def const(t):
         return M
@@ -69,29 +65,27 @@ class QuadraticCostSpec:
     """Observation operator h with Jacobian, plus weights R(t), S(t).
 
     R must be symmetric nonnegative definite and S uniformly positive
-    definite (smallest eigenvalue >= s_min > 0).  Constant matrices may be
-    passed directly; they are wrapped as callables of t.  ``h_dt`` and
-    ``R_dt`` are time derivatives (None means identically zero), needed
-    only by the integration-by-parts cross-evaluator.
+    definite.  Constant matrices may be passed directly; they are wrapped
+    as callables of t.  The observation and control dimensions are the
+    sizes of R(0) and S(0).  ``h_dt`` and ``R_dt`` are time derivatives
+    (None means identically zero), needed only by the integration-by-parts
+    cross-evaluator.
     """
 
     h: Callable
     h_jac: Callable
-    R: Callable = field(default=None)
-    S: Callable = field(default=None)
-    obs_dim: int = 1
-    control_dim: int = 1
+    R: Callable
+    S: Callable
     h_dt: Optional[Callable] = None
     R_dt: Optional[Callable] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "R", _as_matrix_callable(self.R, (self.obs_dim, self.obs_dim), "R")
-        )
-        object.__setattr__(
-            self, "S", _as_matrix_callable(self.S, (self.control_dim, self.control_dim), "S")
-        )
+        object.__setattr__(self, "R", _as_matrix_callable(self.R))
+        object.__setattr__(self, "S", _as_matrix_callable(self.S))
         R0, S0 = self.R(0.0), self.S(0.0)
+        for label, M in (("R", R0), ("S", S0)):
+            if np.ndim(M) != 2 or M.shape[0] != M.shape[1]:
+                raise InvalidSpecError(f"{label} must be a square matrix, got shape {np.shape(M)}")
         if not np.allclose(S0, S0.T):
             raise InvalidSpecError("S must be symmetric")
         if not np.allclose(R0, R0.T):
@@ -101,7 +95,14 @@ class QuadraticCostSpec:
             raise InvalidSpecError(f"S must be positive definite, min eigenvalue {s_min}")
         if float(np.min(np.linalg.eigvalsh(R0))) < -1e-12:
             raise InvalidSpecError("R must be nonnegative definite")
-        object.__setattr__(self, "s_min", s_min)
+
+    @property
+    def obs_dim(self) -> int:
+        return self.R(0.0).shape[0]
+
+    @property
+    def control_dim(self) -> int:
+        return self.S(0.0).shape[0]
 
 
 def coordinate_observation(indices, state_dim: int):
@@ -156,8 +157,6 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
         psi=psi,
         D2psi=D2psi,
         D1psi=D1psi,
-        obs_dim=q.obs_dim,
-        control_dim=q.control_dim,
         quad=q,
     )
 
@@ -198,9 +197,15 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
     gg = g0 @ g0.T
     if np.linalg.cond(gg) >= MAX_METRIC_CONDITION:
         raise InvalidSpecError("g g' is ill-conditioned; metric inverse unreliable")
+    m = om.model.control_dim
+    if gg.shape != (m, m):
+        raise InvalidSpecError(
+            f"the metric (g g')^-1 is {gg.shape[0]}x{gg.shape[0]}, "
+            f"but the model has {m} controls"
+        )
     gamma = np.linalg.inv(gg)
     gamma = 0.5 * (gamma + gamma.T)
-    me = build_minimum_energy(replace(om.base, S=gamma, control_dim=om.model.control_dim))
+    me = build_minimum_energy(replace(om.base, S=gamma))
 
     def phi(t, x, u):
         return me.phi(t, x, u) - om.div_f(t, x)

@@ -50,7 +50,6 @@ class ModelSpec:
     g: callable
     D2f: callable
     D2g: callable | None = None
-    name: str = "model"
 
     def drift(self, t, x, u):
         return self.f(t, x) + np.matvec(self.g(t, x), u)
@@ -104,7 +103,7 @@ def lorenz63_model(params: Lorenz63Params = Lorenz63Params()) -> ModelSpec:
         jac[..., 2, 1] = x
         return jac
 
-    return ModelSpec(3, 3, f, _constant_g(3), D2f, name="lorenz63")
+    return ModelSpec(3, 3, f, _constant_g(3), D2f)
 
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
@@ -127,10 +126,10 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
         jac[..., idx, im1] += x[..., ip1] - x[..., im2]
         return jac
 
-    return ModelSpec(n, n, f, _constant_g(n), D2f, name="lorenz96")
+    return ModelSpec(n, n, f, _constant_g(n), D2f)
 
 
-def linear_model(A, B=None, name: str = "linear") -> ModelSpec:
+def linear_model(A, B=None) -> ModelSpec:
     """xdot = A x + B u with constant matrices (B defaults to identity)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -140,9 +139,7 @@ def linear_model(A, B=None, name: str = "linear") -> ModelSpec:
     if B.shape[0] != n:
         raise InvalidSpecError("B must have n rows")
     m = B.shape[1]
-    return ModelSpec(
-        n, m, lambda t, x: np.matvec(A, x), lambda t, x: B, lambda t, x: A, name=name
-    )
+    return ModelSpec(n, m, lambda t, x: np.matvec(A, x), lambda t, x: B, lambda t, x: A)
 
 
 def _constant_g(n):

@@ -134,14 +134,13 @@ def _array(value, label: str) -> np.ndarray:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse an experiment config from a dict, JSON text, or file path."""
+    """Parse an experiment config from a dict or the path of a UTF-8 JSON file."""
     if isinstance(source, dict):
         raw = source
     else:
         try:
-            text = Path(source).read_text() if not str(source).lstrip().startswith("{") else str(source)
-            raw = json.loads(text)
-        except (OSError, json.JSONDecodeError) as err:
+            raw = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise InvalidSpecError(f"unreadable experiment config: {err}") from err
     try:
         model = _build_model(raw["model"])
@@ -210,14 +209,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def build_cost(config: ExperimentConfig) -> CostSpec:
     h, h_jac = coordinate_observation(config.h_indices, config.model.state_dim)
-    quad = QuadraticCostSpec(
-        h=h,
-        h_jac=h_jac,
-        R=config.R,
-        S=config.S,
-        obs_dim=config.obs_dim,
-        control_dim=config.model.control_dim,
-    )
+    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=config.R, S=config.S)
     if config.cost_kind == "minimum_energy":
         return build_minimum_energy(quad)
     # The built-in models have a state-independent drift divergence, so one
@@ -269,10 +261,19 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def make_outdir(outdir) -> Path:
+    """Create an output directory; a path that cannot be one is an invalid input."""
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InvalidSpecError(f"cannot use {str(outdir)!r} as output directory: {err}") from err
+    return outdir
+
+
 def cmd_simulate(config: ExperimentConfig, outdir, timings: bool = False) -> dict:
     """Write truth.csv, eta.csv, manifest.json into outdir."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_outdir(outdir)
     t0 = time.perf_counter()
     truth, eta = simulate_truth(config)
     elapsed = time.perf_counter() - t0
@@ -313,19 +314,23 @@ def run_assimilation(config: ExperimentConfig, eta, jobs: int = 1) -> Assimilati
     return min(results, key=lambda r: r.final_cost)
 
 
-def read_observation(config: ExperimentConfig, eta_file) -> ObservationPath:
-    """Read an observation CSV and check it against the config's grid and h."""
-    path = read_path_csv(eta_file)
+def _read_checked_path(config: ExperimentConfig, filename, label: str, dim: int) -> SampledPath:
+    """Read a path CSV and check it against the config's grid and a dimension."""
+    path = read_path_csv(filename)
     g = path.grid
     if not config.grid.matches(g):
         raise InvalidSpecError(
-            f"eta grid ({g.T}, {g.n_steps}) does not match config grid "
+            f"{label} grid ({g.T}, {g.n_steps}) does not match config grid "
             f"({config.grid.T}, {config.grid.n_steps})"
         )
-    if path.dim != config.obs_dim:
-        raise InvalidSpecError(
-            f"eta has {path.dim} observed components, config observes {config.obs_dim}"
-        )
+    if path.dim != dim:
+        raise InvalidSpecError(f"{label} has {path.dim} components, the config needs {dim}")
+    return path
+
+
+def read_observation(config: ExperimentConfig, eta_file) -> ObservationPath:
+    """Read an observation CSV and check it against the config's grid and h."""
+    path = _read_checked_path(config, eta_file, "eta", config.obs_dim)
     return ObservationPath(path=path, seed=config.seed, noise_scale=config.noise_scale)
 
 
@@ -336,10 +341,17 @@ def cmd_assimilate(
     truth_file=None,
     timings: bool = False,
 ) -> dict:
-    """Run the assimilation and write estimate/control/costate CSVs + result.json."""
+    """Run the assimilation and write estimate/control/costate CSVs + result.json.
+
+    The truth path (``truth_file``, else a truth.csv beside ``eta_file``)
+    is read and checked, if there is one, before the solve.
+    """
     eta = read_observation(config, eta_file)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    truth_candidate = Path(truth_file) if truth_file else Path(eta_file).parent / "truth.csv"
+    truth = None
+    if truth_candidate.exists():
+        truth = _read_checked_path(config, truth_candidate, "truth", config.model.state_dim)
+    outdir = make_outdir(outdir)
     t0 = time.perf_counter()
     result = run_assimilation(config, eta)
     elapsed = time.perf_counter() - t0
@@ -368,9 +380,7 @@ def cmd_assimilate(
     except (InvalidSpecError, UnsupportedCostError):
         payload["cost_onsager_machlup"] = None
 
-    truth_candidate = Path(truth_file) if truth_file else Path(eta_file).parent / "truth.csv"
-    if truth_candidate.exists():
-        truth = read_path_csv(truth_candidate)
+    if truth is not None:
         payload["rmse_estimate"] = rmse_between(triple.x, truth)
         free_run = integrate_state(
             config.model,

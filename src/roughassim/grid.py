@@ -8,7 +8,6 @@ paths without mutating them.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -156,7 +155,7 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_path_csv(path: SampledPath, fileobj_or_name) -> None:
+def write_path_csv(path: SampledPath, filename) -> None:
     """Write a vector-valued path as ``t,v0,...,v{d-1}`` rows."""
     values = path.values
     if values.ndim != 2:
@@ -166,27 +165,18 @@ def write_path_csv(path: SampledPath, fileobj_or_name) -> None:
     lines = [header]
     for t, row in zip(path.times, values):
         lines.append(",".join([_format_float(t)] + [_format_float(v) for v in row]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(fileobj_or_name, "write"):
-        fileobj_or_name.write(text)
-    else:
-        with open(fileobj_or_name, "w") as fh:
-            fh.write(text)
+    with open(filename, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def read_path_csv(fileobj_or_name) -> SampledPath:
+def read_path_csv(filename) -> SampledPath:
     """Read a path written by :func:`write_path_csv`, validating uniform spacing."""
-    if hasattr(fileobj_or_name, "read"):
-        text = fileobj_or_name.read()
-    else:
-        with open(fileobj_or_name) as fh:
-            text = fh.read()
     try:
         with warnings.catch_warnings():
             # An empty file fails the node-count check below, not as a warning.
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as err:
+            data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+    except (OSError, ValueError) as err:
         raise InvalidParameterError(f"unreadable path file: {err}") from err
     times, values = data[:, 0], data[:, 1:]
     if len(times) < 2:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .grid import ObservationPath, SampledPath, TimeGrid, require_same_grid
 
-#: Default node cap for the O(N^2) variation dynamic program.
+#: Node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
 
 
@@ -61,21 +61,20 @@ def _max_dissection_sum(values: np.ndarray, p: float) -> float:
     return float(best[n - 1])
 
 
-def p_variation(path: SampledPath, p: float, *, max_nodes: int = MAX_PVAR_NODES) -> float:
+def p_variation(path: SampledPath, p: float) -> float:
     """Exact grid p-variation of a path, Euclidean norm on increments.
 
     O(K^2) in the K nodes the dynamic program keeps: every node of a
     vector path or at p = 1, only the turning points of a scalar path
-    with p > 1.  Refuses paths with more than ``max_nodes`` nodes (counted
-    before that reduction) to keep the diagnostic affordable.
+    with p > 1.  Refuses paths with more than ``MAX_PVAR_NODES`` nodes
+    (counted before that reduction) to keep the diagnostic affordable.
     """
     if not 1 <= p < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
     values = _node_matrix(path)
-    if values.shape[0] > max_nodes:
+    if values.shape[0] > MAX_PVAR_NODES:
         raise InvalidParameterError(
-            f"path has {values.shape[0]} nodes, above the cap of {max_nodes}; "
-            "pass max_nodes explicitly to override"
+            f"path has {values.shape[0]} nodes, above the cap of {MAX_PVAR_NODES}"
         )
     return _max_dissection_sum(values, float(p)) ** (1.0 / p)
 

@@ -12,8 +12,6 @@ Hamiltonian sweep along a leading member axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
@@ -31,20 +29,10 @@ from .optimizer import (
 
 #: Step of the forward-difference Jacobian of lambda0 -> lambda(T).
 FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    newton_max_iters: int = 40
-    newton_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (type(self.newton_max_iters) is int and self.newton_max_iters >= 1):
-            raise InvalidSpecError("newton_max_iters must be a positive integer")
-        if not positive_finite(self.newton_tol):
-            raise InvalidSpecError(
-                f"newton_tol must be positive and finite, got {self.newton_tol!r}"
-            )
+#: Newton iterations before a shooting solve gives up, and the |lambda(T)|
+#: that ends one.
+NEWTON_MAX_ITERS = 40
+NEWTON_TOL = 1e-9
 
 
 def hamiltonian_sweep(
@@ -53,7 +41,7 @@ def hamiltonian_sweep(
     eta: ObservationPath,
     xi,
     lambda0,
-    control_set: ControlSetSpec | None = None,
+    control_set: ControlSetSpec = ControlSetSpec(),
 ):
     """Forward integration of the coupled state/costate system, on arrays.
 
@@ -115,7 +103,7 @@ def integrate_hamiltonian(
     eta: ObservationPath,
     xi,
     lambda0,
-    control_set: ControlSetSpec | None = None,
+    control_set: ControlSetSpec = ControlSetSpec(),
 ):
     """The (x, lambda, u) paths of one :func:`hamiltonian_sweep`.
 
@@ -128,7 +116,7 @@ def integrate_hamiltonian(
     return tuple(SampledPath(eta.grid, v) for v in (xs, ls, us))
 
 
-def _damped_newton(grid, n: int, config: ShootingConfig):
+def _damped_newton(grid, n: int):
     """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, as a
     generator.
 
@@ -144,10 +132,10 @@ def _damped_newton(grid, n: int, config: ShootingConfig):
         raise NoConvergenceError(np.inf, f"shooting blew up at the initial guess: {sol}")
     F = sol[1][-1]
     best = np.inf
-    for _ in range(config.newton_max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         res = float(np.linalg.norm(F))
         best = min(best, res)
-        if res < config.newton_tol:
+        if res < NEWTON_TOL:
             xs, ls, us = (SampledPath(grid, v) for v in sol)
             return OptimalTriple(x=xs, u=us, lam=ls)
         probes = [lam0.copy() for _ in range(n)]
@@ -187,15 +175,14 @@ def shoot(
     cost: CostSpec,
     eta: ObservationPath,
     xi,
-    config: ShootingConfig = ShootingConfig(),
-    control_set: ControlSetSpec | None = None,
+    control_set: ControlSetSpec = ControlSetSpec(),
 ) -> OptimalTriple:
     """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, FD Jacobian.
 
-    Returns the optimal triple on success (|lambda(T)| < newton_tol);
+    Returns the optimal triple on success (|lambda(T)| < ``NEWTON_TOL``);
     raises :class:`NoConvergenceError` carrying the best residual seen.
     """
-    return shoot_batch(model, cost, eta, [xi], config, control_set)[0]
+    return shoot_batch(model, cost, eta, [xi], control_set)[0]
 
 
 def shoot_batch(
@@ -203,8 +190,7 @@ def shoot_batch(
     cost: CostSpec,
     eta: ObservationPath,
     starts,
-    config: ShootingConfig = ShootingConfig(),
-    control_set: ControlSetSpec | None = None,
+    control_set: ControlSetSpec = ControlSetSpec(),
 ) -> list:
     """:func:`shoot` from each initial state in ``starts``, in one lockstep batch.
 
@@ -216,7 +202,7 @@ def shoot_batch(
     starts after it stop and the first raiser's error is raised.
     """
     xis = [np.asarray(xi, dtype=float) for xi in starts]
-    solvers = [_damped_newton(eta.grid, model.state_dim, config) for _ in xis]
+    solvers = [_damped_newton(eta.grid, model.state_dim) for _ in xis]
 
     def answer(requests):
         points = [(k, lam) for k, lams in requests.items() for lam in lams]
@@ -242,7 +228,7 @@ def value_probe(
     xi,
     h: float,
     solver: str = "shoot",
-    control_set: ControlSetSpec | None = None,
+    control_set: ControlSetSpec = ControlSetSpec(),
     opt_config: OptimizerConfig = OptimizerConfig(),
 ) -> dict:
     """Compare the finite-difference value gradient against lambda(0).
@@ -251,13 +237,13 @@ def value_probe(
     as one :func:`shoot_batch`, otherwise one after another) and returns the
     componentwise central difference, lambda(0) from the solve at xi, and
     the maximum absolute gap.  Gap smallness is consistency evidence for
-    the sensitivity identity, never an assertion of uniqueness.
+    the sensitivity identity, never an assertion of uniqueness.  A solve
+    that does not converge raises :class:`NoConvergenceError`.
     """
     if not positive_finite(h):
         raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
     if solver not in ("gradient", "shoot"):
         raise InvalidSpecError(f"unknown solver {solver!r}")
-    control_set = control_set or ControlSetSpec()
     xi = np.asarray(xi, dtype=float)
     n = model.state_dim
     u_template = SampledPath.zeros(eta.grid, model.control_dim)
@@ -273,8 +259,9 @@ def value_probe(
         values, triples = [], []
         for z in points:
             result = minimize(model, cost, eta, z, u_template, control_set, opt_config)
-            if result.status == "stalled":
-                raise NoConvergenceError(result.grad_norm_trace[-1], "gradient solve stalled")
+            if result.status != "converged":
+                message = f"gradient solve did not converge: {result.status}"
+                raise NoConvergenceError(result.grad_norm_trace[-1], message)
             values.append(result.final_cost)
             triples.append(result.triple)
     lam0 = triples[0].lam.values[0]

@@ -25,8 +25,7 @@ def make_lorenz_twin(seed=42, n_steps=512, T=1.0, noise=0.1, S=1.0):
 def scalar_lq(a=-1.0, q=1.0, r=1.0):
     """Scalar LQ problem xdot = a x + u, running cost 1/2 (q x^2 + r u^2)."""
     h, h_jac = coordinate_observation([0], 1)
-    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=q * np.eye(1), S=r * np.eye(1),
-                             obs_dim=1, control_dim=1)
+    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=q * np.eye(1), S=r * np.eye(1))
     return linear_model([[a]]), build_minimum_energy(quad)
 
 

@@ -236,7 +236,7 @@ def test_criterion_7_maximum_principle_certificate(criterion):
     for i in range(grid.n_nodes):
         t = grid.times[i]
         ustar = pointwise_hamiltonian_minimizer(
-            cost, model, t, res.triple.x.values[i], res.triple.lam.values[i]
+            cost, model, t, res.triple.x.values[i], res.triple.lam.values[i], ControlSetSpec()
         )
         worst_u = max(worst_u, float(np.max(np.abs(res.triple.u.values[i] - ustar))))
     u_ok = worst_u < 1e-3
@@ -294,13 +294,13 @@ def test_criterion_10_wiener_roughness_dichotomy(criterion):
         fine = TimeGrid(1.0, 4096)
         w = sample_wiener(fine, 1, seed=seed)
         # p = 2.5 (> 2): stable under one grid doubling
-        v_coarse = p_variation(w.restrict(8), 2.5, max_nodes=5000)
-        v_fine = p_variation(w.restrict(4), 2.5, max_nodes=5000)
+        v_coarse = p_variation(w.restrict(8), 2.5)
+        v_fine = p_variation(w.restrict(4), 2.5)
         ratio = v_fine / v_coarse
         stable_lo, stable_hi = min(stable_lo, ratio), max(stable_hi, ratio)
         # p = 1.5 (< 2): grows across the refinement span
-        g_coarse = p_variation(w.restrict(32), 1.5, max_nodes=5000)
-        g_fine = p_variation(w, 1.5, max_nodes=5000)
+        g_coarse = p_variation(w.restrict(32), 1.5)
+        g_fine = p_variation(w, 1.5)
         growth_min = min(growth_min, g_fine / g_coarse)
     ok = 0.8 <= stable_lo and stable_hi <= 1.25 and growth_min > 1.3
     criterion(10, ok,

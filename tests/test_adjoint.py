@@ -16,6 +16,7 @@ from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_
 from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
 from roughassim.errors import GridMismatchError, InvalidParameterError
 from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.optimizer import ControlSetSpec
 from roughassim.roughpath import sample_wiener
 
 from conftest import zero_eta
@@ -25,8 +26,7 @@ from oracles import cost_central_difference
 def scalar_cost(R=1.0, S=1.0):
     h, h_jac = coordinate_observation([0], 1)
     return build_minimum_energy(
-        QuadraticCostSpec(h=h, h_jac=h_jac, R=R * np.eye(1), S=S * np.eye(1),
-                          obs_dim=1, control_dim=1)
+        QuadraticCostSpec(h=h, h_jac=h_jac, R=R * np.eye(1), S=S * np.eye(1))
     )
 
 
@@ -37,8 +37,7 @@ class TestSolveCostate:
         grid = TimeGrid(1.0, 128)
         h, h_jac = coordinate_observation([0, 1, 2], 3)
         cost = build_minimum_energy(
-            QuadraticCostSpec(h=h, h_jac=h_jac, R=np.zeros((3, 3)), S=np.eye(3),
-                              obs_dim=3, control_dim=3)
+            QuadraticCostSpec(h=h, h_jac=h_jac, R=np.zeros((3, 3)), S=np.eye(3))
         )
         u = SampledPath.zeros(grid, 3)
         x = integrate_state(model, u, np.array([1.0, 1.0, 25.0]), grid)
@@ -112,11 +111,11 @@ class TestHamiltonianPieces:
         model = lorenz63_model()
         h, h_jac = coordinate_observation([0, 1, 2], 3)
         cost = build_minimum_energy(QuadraticCostSpec(
-            h=h, h_jac=h_jac, R=np.eye(3), S=2.5 * np.eye(3), obs_dim=3, control_dim=3,
+            h=h, h_jac=h_jac, R=np.eye(3), S=2.5 * np.eye(3),
         ))
         rng = np.random.default_rng(0)
         x, lam = rng.normal(size=3), rng.normal(size=3)
-        ustar = pointwise_hamiltonian_minimizer(cost, model, 0.0, x, lam)
+        ustar = pointwise_hamiltonian_minimizer(cost, model, 0.0, x, lam, ControlSetSpec())
         grad = cost.D3phi(0.0, x, ustar) + lam @ model.g(0.0, x)
         assert np.max(np.abs(grad)) < 1e-12
 
@@ -129,11 +128,12 @@ class TestHamiltonianPieces:
             D3phi=lambda t, x, u: 2 * u,
             psi=lambda t, x: np.zeros(1),
             D2psi=lambda t, x: np.zeros((1, 1)),
-            obs_dim=1, control_dim=1,
         )
         model = linear_model([[0.0]])
         with pytest.raises(InvalidParameterError):
-            pointwise_hamiltonian_minimizer(cost, model, 0.0, np.zeros(1), np.zeros(1))
+            pointwise_hamiltonian_minimizer(
+                cost, model, 0.0, np.zeros(1), np.zeros(1), ControlSetSpec()
+            )
 
 
 class TestMaxPrincipleResidual:
@@ -149,7 +149,8 @@ class TestMaxPrincipleResidual:
         cost = scalar_cost(S=2.0)
         grid = TimeGrid(1.0, 8)
         triple = self._triple(grid, uval=-1.5, lamval=3.0)
-        assert max_principle_residual(triple, cost, model) == pytest.approx(0.0, abs=1e-14)
+        residual = max_principle_residual(triple, cost, model, ControlSetSpec())
+        assert residual == pytest.approx(0.0, abs=1e-14)
 
     def test_perturbed_control_residual_quadratic_in_offset(self):
         # H(u* + d) - H(u*) = s d^2 / 2 exactly for the quadratic family.
@@ -159,7 +160,7 @@ class TestMaxPrincipleResidual:
         grid = TimeGrid(1.0, 8)
         for d in (0.1, 0.5, 2.0):
             triple = self._triple(grid, uval=-1.5 + d, lamval=3.0)
-            assert max_principle_residual(triple, cost, model) == pytest.approx(
+            assert max_principle_residual(triple, cost, model, ControlSetSpec()) == pytest.approx(
                 0.5 * s * d * d, abs=1e-12
             )
 
@@ -169,8 +170,8 @@ class TestMaxPrincipleResidual:
         cost = scalar_cost(S=2.0)
         grid = TimeGrid(1.0, 8)
         triple = self._triple(grid, uval=0.0, lamval=3.0)
-        exact = max_principle_residual(triple, cost, model)
-        sampled = max_principle_residual(triple, replace(cost, quad=None), model)
+        exact = max_principle_residual(triple, cost, model, ControlSetSpec())
+        sampled = max_principle_residual(triple, replace(cost, quad=None), model, ControlSetSpec())
         assert sampled <= exact + 1e-12
         assert sampled >= 0.5 * exact  # sampling finds most of the gap
 

@@ -21,30 +21,46 @@ from conftest import make_lorenz_twin
 def quad_spec(obs_dim=1, control_dim=1, R=1.0, S=1.0, state_dim=None):
     state_dim = state_dim or obs_dim
     h, h_jac = coordinate_observation(list(range(obs_dim)), state_dim)
-    return QuadraticCostSpec(
-        h=h, h_jac=h_jac, R=R * np.eye(obs_dim), S=S * np.eye(control_dim),
-        obs_dim=obs_dim, control_dim=control_dim,
-    )
+    return QuadraticCostSpec(h=h, h_jac=h_jac, R=R * np.eye(obs_dim), S=S * np.eye(control_dim))
 
 
 class TestQuadraticCostSpec:
     def test_validates_S_positive_definite(self):
         h, h_jac = coordinate_observation([0], 1)
         with pytest.raises(InvalidSpecError):
-            QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.zeros((1, 1)),
-                              obs_dim=1, control_dim=1)
+            QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.zeros((1, 1)))
 
     def test_validates_R_nonnegative(self):
         h, h_jac = coordinate_observation([0], 1)
         with pytest.raises(InvalidSpecError):
-            QuadraticCostSpec(h=h, h_jac=h_jac, R=-np.eye(1), S=np.eye(1),
-                              obs_dim=1, control_dim=1)
+            QuadraticCostSpec(h=h, h_jac=h_jac, R=-np.eye(1), S=np.eye(1))
 
     def test_constant_matrices_wrapped_as_callables(self):
         q = quad_spec(obs_dim=2, control_dim=2, R=3.0, S=2.0, state_dim=2)
         assert np.allclose(q.R(0.7), 3.0 * np.eye(2))
         assert np.allclose(q.S(0.7), 2.0 * np.eye(2))
-        assert q.s_min == pytest.approx(2.0)
+
+    def test_dimensions_are_the_sizes_of_R_and_S(self):
+        q = quad_spec(obs_dim=2, control_dim=3, state_dim=3)
+        assert (q.obs_dim, q.control_dim) == (2, 3)
+
+    @pytest.mark.parametrize("R, S", [
+        pytest.param(np.ones((1, 2)), np.eye(1), id="R-1x2"),
+        pytest.param(np.eye(1), np.ones((2, 1)), id="S-2x1"),
+        pytest.param(1.0, np.eye(1), id="R-scalar"),
+        pytest.param(np.eye(1), lambda t: np.ones(2), id="S-callable-vector"),
+    ])
+    def test_validates_R_and_S_square(self, R, S):
+        h, h_jac = coordinate_observation([0], 1)
+        with pytest.raises(InvalidSpecError, match="square"):
+            QuadraticCostSpec(h=h, h_jac=h_jac, R=R, S=S)
+
+    def test_onsager_machlup_metric_must_match_the_controls(self):
+        # A 1x2 g: (g g')^-1 is 1x1, but the model has two controls.
+        model = linear_model([[-1.0]], [[1.0, 1.0]])
+        q = quad_spec(control_dim=2)
+        with pytest.raises(InvalidSpecError, match="2 controls"):
+            build_onsager_machlup(OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: 0.0))
 
     def test_coordinate_observation_bounds(self):
         with pytest.raises(InvalidSpecError):
@@ -55,8 +71,7 @@ class TestMinimumEnergy:
     def test_lorenz_first_coordinate_form(self):
         # h = x1, R = 1, S = I gives phi = x1^2/2 + |u|^2/2 and psi = -x1.
         h, h_jac = coordinate_observation([0], 3)
-        q = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(3),
-                              obs_dim=1, control_dim=3)
+        q = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(3))
         cost = build_minimum_energy(q)
         x = np.array([2.0, -1.0, 5.0])
         u = np.array([1.0, 2.0, 2.0])
@@ -181,7 +196,6 @@ class TestByParts:
             D3phi=lambda t, x, u: np.zeros(1),
             psi=lambda t, x: np.zeros(1),
             D2psi=lambda t, x: np.zeros((1, 1)),
-            obs_dim=1, control_dim=1,
         )
         model = linear_model([[0.0]])
         grid = TimeGrid(1.0, 4)
@@ -223,8 +237,7 @@ class TestOnsagerMachlup:
             return np.eye(n) * (1.0 + x[0] ** 2)
 
         model = ModelSpec(n, n, lambda t, x: -x, g,
-                          lambda t, x: -np.eye(n), lambda t, x: np.zeros((n, n, n)),
-                          name="statedep")
+                          lambda t, x: -np.eye(n), lambda t, x: np.zeros((n, n, n)))
         q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
         with pytest.raises(UnsupportedCostError):
             build_onsager_machlup(OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: 0.0))

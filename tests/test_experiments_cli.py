@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughassim.cli import main
+from roughassim.dynamics import lorenz63_drift
+from roughassim.errors import InvalidSpecError
 from roughassim.experiments import (
     config_hash,
     load_config,
@@ -47,13 +49,16 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 class TestLoadConfig:
     def test_dict_and_json_text_and_file_agree(self, tmp_path):
+        # A dict and a file path agree; JSON text is not a config source.
         cfg = lorenz_config()
         a = load_config(cfg)
-        b = load_config(json.dumps(cfg))
         c = load_config(write_config(tmp_path, cfg))
-        assert config_hash(a) == config_hash(b) == config_hash(c)
+        assert config_hash(a) == config_hash(c)
+        with pytest.raises(InvalidSpecError):
+            load_config(json.dumps(cfg))
         assert a.grid.n_steps == 128
-        assert a.model.name == "lorenz63"
+        x = np.array([1.0, -2.0, 20.0])
+        assert np.array_equal(a.model.f(0.0, x), lorenz63_drift(x))
         assert a.obs_dim == 3
 
     def test_defaults_filled(self):
@@ -295,7 +300,7 @@ class TestCliValueProbe:
 
 
 def edit_eta(text, edit):
-    """A damaged copy of an eta.csv text; "as_is" keeps it intact."""
+    """A damaged copy of a path CSV text; "as_is" keeps it intact."""
     lines = text.splitlines()
     if edit == "wrong_columns":
         lines = [line.rsplit(",", 1)[0] for line in lines]
@@ -306,6 +311,10 @@ def edit_eta(text, edit):
         lines.append("0.6,one,two,three")
     elif edit == "empty":
         lines = []
+    elif edit == "every_other_node":
+        lines = lines[:1] + lines[1::2]
+    elif edit == "not_utf8":  # only the header changes, and it is skipped
+        lines[0] = "\N{LATIN SMALL LETTER E WITH ACUTE}" + lines[0][1:]
     return "\n".join(lines) + "\n"
 
 
@@ -342,6 +351,16 @@ class TestCliErrors:
         pytest.param("simulate", {"observation": {"seed": 2**130}}, None, [], 3,
                      id="simulate-seed-2**130"),
         pytest.param("check", None, None, ["--seed", str(2**128)], 3, id="check-seed-2**128"),
+        pytest.param("assimilate", {}, "as_is", ["--truth", "{truth:every_other_node}"], 3,
+                     id="assimilate-truth-other-grid"),
+        pytest.param("assimilate", {}, "as_is", ["--truth", "{truth:wrong_columns}"], 3,
+                     id="assimilate-truth-columns"),
+        pytest.param("assimilate", {}, "not_utf8", [], 3, id="assimilate-eta-not-utf8"),
+        pytest.param("simulate", {}, None, ["-o", "{file}"], 3, id="simulate-outdir-is-a-file"),
+        pytest.param("assimilate", {}, "as_is", ["-o", "{file}"], 3,
+                     id="assimilate-outdir-is-a-file"),
+        pytest.param("check", None, None, ["--suite", "duality", "-o", "{file}"], 3,
+                     id="check-outdir-is-a-file"),
     ])
     def test_bad_input_exit_code(self, sim_dir, tmp_path, command, overrides, eta_edit,
                                  extra, code):
@@ -351,11 +370,32 @@ class TestCliErrors:
             args += ["-c", str(write_config(tmp_path, lorenz_config(**overrides)))]
         if eta_edit is not None:
             eta = tmp_path / "eta.csv"
-            eta.write_text(edit_eta((tmp / "sim" / "eta.csv").read_text(), eta_edit))
+            text = edit_eta((tmp / "sim" / "eta.csv").read_text(), eta_edit)
+            eta.write_text(text, encoding="latin-1")
             args += ["--eta", str(eta)]
         if command != "value-probe":
-            args += ["-o", str(tmp_path / "out")]
-        assert_clean_exit(CliRunner().invoke(main, args + extra), code)
+            args += ["-o", str(tmp_path / "out")]  # a later -o overrides it
+
+        def resolve(arg):
+            """ "{file}" names an existing file, "{truth:<edit>}" a damaged truth copy."""
+            if arg == "{file}":
+                (tmp_path / "taken").write_text("")
+                return str(tmp_path / "taken")
+            if arg.startswith("{truth:"):
+                truth = tmp_path / "truth.csv"
+                truth.write_text(edit_eta((tmp / "sim" / "truth.csv").read_text(), arg[7:-1]))
+                return str(truth)
+            return arg
+
+        assert_clean_exit(CliRunner().invoke(main, args + [resolve(a) for a in extra]), code)
+        assert not list(tmp_path.glob("out/*.csv"))
+
+    def test_config_not_utf8_exits_3(self, tmp_path):
+        # A Latin-1 e-acute in a key that loading ignores.
+        config = write_config(tmp_path, lorenz_config(note="e"))
+        config.write_bytes(config.read_bytes().replace(b'"e"', b'"\xe9"'))
+        result = CliRunner().invoke(main, ["simulate", "-c", str(config), "-o", str(tmp_path)])
+        assert_clean_exit(result, 3)
 
     @pytest.mark.parametrize("args", [
         pytest.param(["simulate", "-c", "{missing}", "-o", "{out}"], id="missing-config-file"),

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -87,16 +85,16 @@ def test_observation_path_wraps_sampled_path():
         ObservationPath(path=p, seed=0, noise_scale=-1.0)
 
 
-def test_csv_roundtrip_is_exact():
+def test_csv_roundtrip_is_exact(tmp_path):
     g = TimeGrid(1.0, 7)
     rng = np.random.default_rng(0)
     p = SampledPath(g, rng.normal(size=(8, 3)))
-    buf = io.StringIO()
-    write_path_csv(p, buf)
-    back = read_path_csv(io.StringIO(buf.getvalue()))
+    f = tmp_path / "path.csv"
+    write_path_csv(p, f)
+    back = read_path_csv(f)
     assert back.grid.n_steps == 7
     assert np.array_equal(back.values, p.values)  # bitwise, via repr round-trip
-    assert buf.getvalue().splitlines()[0] == "t,v0,v1,v2"
+    assert f.read_text().splitlines()[0] == "t,v0,v1,v2"
 
 
 def test_csv_rejects_nonuniform_spacing(tmp_path):

@@ -122,7 +122,7 @@ def riccati_model():
     """xdot = x^2 + u: blows up in finite time once the control pushes x up."""
     return ModelSpec(
         1, 1, lambda t, x: x * x, lambda t, x: np.ones(np.shape(x) + (1,)),
-        lambda t, x: 2.0 * x[..., None], name="riccati",
+        lambda t, x: 2.0 * x[..., None],
     )
 
 
@@ -231,7 +231,7 @@ def d2g_problem():
     model = state_dependent_g_model()
     h, h_jac = coordinate_observation([0], 2)
     cost = build_minimum_energy(
-        QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(2), obs_dim=1, control_dim=2)
+        QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(2))
     )
     grid = TimeGrid(1.0, 256)
     rng = np.random.default_rng(8)
@@ -263,8 +263,7 @@ def test_costate_sweep_members_equal_one_member_sweeps():
     grid = TimeGrid(0.5, 100)
     rng = np.random.default_rng(2)
     h, h_jac = coordinate_observation(range(0, 9, 2), 9)
-    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(5), S=np.eye(9),
-                                                  obs_dim=5, control_dim=9))
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(5), S=np.eye(9)))
     eta = ObservationPath(SampledPath(grid, rng.normal(size=(grid.n_nodes, 5))), 0, 1.0)
     X = 8.0 + rng.normal(size=(3, grid.n_nodes, 9))
     X[1] *= 1e120  # its costate overflows
@@ -309,7 +308,7 @@ def test_single_start_runs_without_member_axis(monkeypatch):
     assert result.status == "converged"
 
 
-def hamiltonian_reference(model, cost, eta, xi, lambda0, control_set=None):
+def hamiltonian_reference(model, cost, eta, xi, lambda0, control_set=ControlSetSpec()):
     """The per-step Hamiltonian loop the sweep replaced, raising at the first
     node where x or lambda turns non-finite."""
     grid = eta.grid
@@ -349,10 +348,9 @@ def riccati2_problem():
     blows the free solve up, the second coordinate at an earlier node.
     """
     model = ModelSpec(2, 2, lambda t, x: x * x, lambda t, x: np.eye(2),
-                      lambda t, x: 2.0 * x[..., None] * np.eye(2), name="riccati2")
+                      lambda t, x: 2.0 * x[..., None] * np.eye(2))
     h, h_jac = coordinate_observation([0, 1], 2)
-    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(2), S=np.eye(2),
-                                                  obs_dim=2, control_dim=2))
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(2), S=np.eye(2)))
     return model, cost, zero_eta(TimeGrid(1.0, 64), 2)
 
 
@@ -367,11 +365,12 @@ def test_hamiltonian_sweep_members_equal_one_member_runs():
     xis = xi + rng.normal(size=(4, 3))
     lams = rng.normal(size=(4, 3))
     lams[2] = 1e200  # this member's control overflows the state
+    unconstrained = ControlSetSpec()
     box = ControlSetSpec(kind="box", lo=-np.full(3, 5.0), hi=np.full(3, 5.0))
-    for control_set in (None, box):
+    for control_set in (unconstrained, box):
         xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xis, lams, control_set)
         for b in range(4):
-            if b == 2 and control_set is None:
+            if b == 2 and control_set is unconstrained:
                 with pytest.raises(BlowUpError) as err:
                     integrate_hamiltonian(model, cost, eta, xis[b], lams[b], control_set)
                 assert blown[b] == err.value.node_index > 0

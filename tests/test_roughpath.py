@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import pvar_exhaustive, pvar_full_dp, young_sum_reference
 from roughassim.errors import InvalidParameterError
+from roughassim import roughpath
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.roughpath import (
     _turning_points,
@@ -66,11 +67,13 @@ class TestPVariation:
             with pytest.raises(InvalidParameterError):
                 p_variation_bruteforce(p, bad)
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         path = random_path(64, 1, seed=0)
-        with pytest.raises(InvalidParameterError):
-            p_variation(path, 2.0, max_nodes=32)
-        p_variation(path, 2.0, max_nodes=65)  # explicit override works
+        monkeypatch.setattr(roughpath, "MAX_PVAR_NODES", 32)
+        with pytest.raises(InvalidParameterError, match="cap of 32"):
+            p_variation(path, 2.0)
+        monkeypatch.setattr(roughpath, "MAX_PVAR_NODES", 65)
+        p_variation(path, 2.0)  # a path at or below the cap is accepted
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

@@ -6,22 +6,10 @@ from roughassim.dynamics import integrate_state
 from roughassim.errors import InvalidSpecError, NoConvergenceError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
-from roughassim.shooting import ShootingConfig, integrate_hamiltonian, shoot, value_probe
+from roughassim import shooting
+from roughassim.shooting import integrate_hamiltonian, shoot, value_probe
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
-
-
-class TestShootingConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidSpecError):
-            ShootingConfig(newton_tol=0.0)
-        with pytest.raises(InvalidSpecError):
-            ShootingConfig(newton_tol=np.nan)
-        with pytest.raises(InvalidSpecError):
-            ShootingConfig(newton_max_iters=2.5)
-        for bad in (True, np.inf, "1e-9"):
-            with pytest.raises(InvalidSpecError):
-                ShootingConfig(newton_tol=bad)
 
 
 class TestIntegrateHamiltonian:
@@ -94,12 +82,13 @@ class TestShoot:
         # initial costates agree across the two formulations
         assert np.max(np.abs(triple.lam.values[0] - res.triple.lam.values[0])) < 5e-2
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
         model, cost = scalar_lq(a=3.0)  # unstable drift over a long window
         grid = TimeGrid(6.0, 512)
+        monkeypatch.setattr(shooting, "NEWTON_MAX_ITERS", 2)
+        monkeypatch.setattr(shooting, "NEWTON_TOL", 1e-14)
         with pytest.raises(NoConvergenceError) as err:
-            shoot(model, cost, zero_eta(grid), np.array([1.0]),
-                  config=ShootingConfig(newton_max_iters=2, newton_tol=1e-14))
+            shoot(model, cost, zero_eta(grid), np.array([1.0]))
         assert err.value.best_residual >= 0.0 or np.isinf(err.value.best_residual)
 
 
@@ -133,6 +122,16 @@ class TestValueProbe:
                           solver="gradient",
                           opt_config=OptimizerConfig(grad_tol=1e-4, max_iters=3000))
         assert out["max_abs_gap"] < 1e-3
+
+    def test_gradient_solver_rejects_unconverged_solves(self):
+        # One iteration ends at max_iters, far from the optimum: its cost is
+        # not a value, so no gap may be reported from it.
+        model, cost = scalar_lq(a=1.0)
+        grid = TimeGrid(1.0, 256)
+        with pytest.raises(NoConvergenceError, match="max_iters"):
+            value_probe(model, cost, zero_eta(grid), np.array([1.0]), h=1e-4,
+                        solver="gradient",
+                        opt_config=OptimizerConfig(max_iters=1, grad_tol=1e-4))
 
     def test_invalid_arguments(self):
         model, cost = scalar_lq()

@@ -69,8 +69,8 @@ def build(model, family, observed):
     d = len(indices)
     R_dot = spd(rng, d)
     quad = QuadraticCostSpec(
-        h=h, h_jac=h_jac, R=spd(rng, d), S=spd(rng, model.control_dim), obs_dim=d,
-        control_dim=model.control_dim, h_dt=h, R_dt=lambda t: R_dot,
+        h=h, h_jac=h_jac, R=spd(rng, d), S=spd(rng, model.control_dim), h_dt=h,
+        R_dt=lambda t: R_dot,
     )
     if family == "minimum_energy":
         return build_minimum_energy(quad), h, h_jac
@@ -141,7 +141,7 @@ def test_cost_callables_stack(name, family, observed):
 
 
 CONTROL_SETS = {
-    "free": lambda m: None,
+    "free": lambda m: ControlSetSpec(),
     "box": lambda m: ControlSetSpec(kind="box", lo=-0.5 * np.ones(m), hi=0.5 * np.ones(m)),
     "ball": lambda m: ControlSetSpec(kind="ball", center=0.1 * np.ones(m), radius=0.7),
 }
