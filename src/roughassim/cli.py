@@ -19,6 +19,7 @@ from .checks import SUITES, run_suite
 from .errors import BlowUpError, NoConvergenceError, RoughAssimError
 from .experiments import (
     build_cost,
+    check_outdir,
     cmd_assimilate,
     cmd_simulate,
     load_config,
@@ -103,6 +104,7 @@ def assimilate(config_path, eta_file, outdir, truth_file, timings):
 @click.option("-o", "--outdir", type=click.Path(), default=".", show_default=True)
 def check(suite, seed, outdir):
     """Run the named diagnostic suite and write report.json."""
+    check_outdir(outdir)  # before the suite, which can take a minute
     report = run_suite(suite, seed)
     out = make_outdir(outdir)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -261,6 +261,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def check_outdir(outdir) -> None:
+    """Reject, creating nothing, an output directory ``make_outdir`` could
+    not make: a path naming a non-directory, or one whose nearest existing
+    ancestor is not a directory."""
+    outdir = Path(outdir)
+    try:
+        existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    except OSError as err:
+        raise InvalidSpecError(f"cannot use {str(outdir)!r} as output directory: {err}") from err
+    if not existing.is_dir():
+        raise InvalidSpecError(
+            f"cannot use {str(outdir)!r} as output directory: {str(existing)!r} is not a directory"
+        )
+
+
 def make_outdir(outdir) -> Path:
     """Create an output directory; a path that cannot be one is an invalid input."""
     outdir = Path(outdir)

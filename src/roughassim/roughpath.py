@@ -3,14 +3,17 @@
 The p-variation is the supremum over dissections of the sum of
 |increment|^p, raised to 1/p.  For sampled data the supremum is taken over
 dissections through grid nodes only, computed exactly by an O(N^2) dynamic
-program (over the turning points alone for a scalar path and p > 1).
+program (over the turning points alone for a scalar path and p > 1).  The
+program, its brute-force oracle and the oscillation read their node
+distances from one blocked kernel, :func:`_distances`.
 Young integrals are evaluated as tagged Riemann sums; the left tag is the
 canonical evaluator used by every other module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -20,11 +23,31 @@ from .grid import ObservationPath, SampledPath, TimeGrid, require_same_grid
 #: Node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
 
+#: Rows of the variation dynamic program (and of the oscillation) filled per
+#: distance block; a block holds PVAR_BLOCK x K distances for K nodes.
+PVAR_BLOCK = 64
+
 
 def _node_matrix(path: SampledPath) -> np.ndarray:
     """Node values flattened to shape (n_nodes, prod(dim))."""
     v = path.values
     return v.reshape(v.shape[0], -1)
+
+
+def _distances(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """|v_j - v_i| for rows j in [lo, hi) against columns i < hi.
+
+    Row j is bit for bit ``np.linalg.norm(values[:hi] - values[j], axis=1)``.
+    """
+    if values.shape[1] >= 8:
+        # numpy sums 8 or more terms pairwise, so only norm's own reduce matches.
+        return np.stack([np.linalg.norm(values[:hi] - values[j], axis=1) for j in range(lo, hi)])
+    # Below 8 terms norm's reduce adds left to right, as these column sums do.
+    sq = None
+    for c in values.T:
+        diff = c[None, :hi] - c[lo:hi, None]
+        sq = diff * diff if sq is None else np.add(sq, diff * diff, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def _turning_points(v: np.ndarray) -> np.ndarray:
@@ -47,6 +70,12 @@ def _max_dissection_sum(values: np.ndarray, p: float) -> float:
     J. 58, 2018), and the program over the kept nodes adds the same terms
     in the same order.  At p = 1 dissections tie, and which one the float
     sums favour would change, so that case keeps every node.
+
+    Rows are filled ``PVAR_BLOCK`` at a time from one block of terms: one
+    max gives each row its best over the earlier blocks, and a sweep over
+    the block adds the candidates from inside it.  Each candidate is the
+    same sum best[i] + |v_j - v_i|^p, and max is exact, so best is bit for
+    bit the row-by-row program's.
     """
     n = values.shape[0]
     if n < 2:
@@ -55,19 +84,27 @@ def _max_dissection_sum(values: np.ndarray, p: float) -> float:
         values = values[_turning_points(values[:, 0])]
         n = values.shape[0]
     best = np.zeros(n)
-    for j in range(1, n):
-        dist = np.linalg.norm(values[:j] - values[j], axis=1)
-        best[j] = np.max(best[:j] + dist**p)
+    for lo in range(1, n, PVAR_BLOCK):
+        hi = min(lo + PVAR_BLOCK, n)
+        terms = _distances(values, lo, hi) ** p
+        reach = np.max(best[:lo] + terms[:, :lo], axis=1)
+        inside = terms[:, lo:].T.copy()  # inside[k]: terms from node lo + k
+        for k in range(hi - lo):
+            best[lo + k] = reach[k]
+            # Rows up to k are final already; what this writes there is unread.
+            np.maximum(reach, inside[k] + reach[k], out=reach)
     return float(best[n - 1])
 
 
 def p_variation(path: SampledPath, p: float) -> float:
     """Exact grid p-variation of a path, Euclidean norm on increments.
 
-    O(K^2) in the K nodes the dynamic program keeps: every node of a
+    O(K^2) time in the K nodes the dynamic program keeps: every node of a
     vector path or at p = 1, only the turning points of a scalar path
-    with p > 1.  Refuses paths with more than ``MAX_PVAR_NODES`` nodes
-    (counted before that reduction) to keep the diagnostic affordable.
+    with p > 1.  Memory is O(``PVAR_BLOCK`` * K): the program fills its
+    rows a block at a time.  Refuses paths with more than
+    ``MAX_PVAR_NODES`` nodes (counted before that reduction) to keep the
+    diagnostic affordable.
     """
     if not 1 <= p < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
@@ -80,7 +117,13 @@ def p_variation(path: SampledPath, p: float) -> float:
 
 
 def p_variation_bruteforce(path: SampledPath, p: float) -> float:
-    """Exhaustive enumeration of all grid dissections (oracle, N <= 22 nodes)."""
+    """Exhaustive enumeration of all grid dissections (oracle, N <= 22 nodes).
+
+    The n x n table of |increment|^p is built once; then, for each number
+    k of interior nodes, the C(n - 2, k) dissections are one index array,
+    their terms are gathered and each row is summed.  Shares only the
+    distance kernel with :func:`p_variation`, not its dynamic program.
+    """
     if not 1 <= p < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
     values = _node_matrix(path)
@@ -89,21 +132,28 @@ def p_variation_bruteforce(path: SampledPath, p: float) -> float:
         return 0.0
     if n > 22:
         raise InvalidParameterError("brute force is exponential; use p_variation")
-    interior = range(1, n - 1)
+    terms = _distances(values, 0, n) ** p
     best = 0.0
-    for k in range(len(interior) + 1):
-        for subset in combinations(interior, k):
-            nodes = values[[0, *subset, n - 1]]
-            s = float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=1) ** p))
-            best = max(best, s)
+    for k in range(n - 1):
+        interior = chain.from_iterable(combinations(range(1, n - 1), k))
+        count = comb(n - 2, k)
+        nodes = np.fromiter(interior, dtype=np.intp, count=count * k).reshape(count, k)
+        nodes = np.pad(nodes, ((0, 0), (1, 1)), constant_values=(0, n - 1))
+        sums = np.sum(terms[nodes[:, 1:], nodes[:, :-1]], axis=1)
+        best = max(best, float(np.max(sums)))
     return best ** (1.0 / p)
 
 
 def oscillation(path: SampledPath) -> float:
-    """sup over node pairs of |y(t) - y(s)|."""
+    """sup over node pairs of |y(t) - y(s)|.
+
+    Reads the distances ``PVAR_BLOCK`` rows at a time, so memory is
+    O(``PVAR_BLOCK`` * n), never n^2.
+    """
     values = _node_matrix(path)
-    diffs = values[:, None, :] - values[None, :, :]
-    return float(np.max(np.linalg.norm(diffs, axis=-1)))
+    n = values.shape[0]
+    blocks = range(0, n, PVAR_BLOCK)
+    return float(max(np.max(_distances(values, lo, min(lo + PVAR_BLOCK, n))) for lo in blocks))
 
 
 def _apply_steps(xv: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -87,6 +87,33 @@ def pvar_full_dp(values: np.ndarray, p: float) -> float:
     return float(best[n - 1]) ** (1.0 / p)
 
 
+def pvar_bruteforce_loop(values: np.ndarray, p: float) -> float:
+    """p-variation by a Python loop over every dissection, one norm each.
+
+    Reference for ``roughpath.p_variation_bruteforce``, which enumerates the
+    same dissections as arrays and must reproduce these sums bit for bit.
+    """
+    values = values.reshape(values.shape[0], -1)
+    n = values.shape[0]
+    if n < 2:
+        return 0.0
+    interior = range(1, n - 1)
+    best = 0.0
+    for k in range(len(interior) + 1):
+        for subset in itertools.combinations(interior, k):
+            nodes = values[[0, *subset, n - 1]]
+            s = float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=1) ** p))
+            best = max(best, s)
+    return best ** (1.0 / p)
+
+
+def oscillation_all_pairs(values: np.ndarray) -> float:
+    """Largest distance between two nodes, from the full (n, n, d) difference array."""
+    values = values.reshape(values.shape[0], -1)
+    diffs = values[:, None, :] - values[None, :, :]
+    return float(np.max(np.linalg.norm(diffs, axis=-1)))
+
+
 def trapezoid_integral(f, T: float, n: int) -> float:
     """Plain trapezoid quadrature of a scalar function on [0, T]."""
     t = np.linspace(0.0, T, n + 1)

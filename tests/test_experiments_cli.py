@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughassim import cli
 from roughassim.cli import main
 from roughassim.dynamics import lorenz63_drift
 from roughassim.errors import InvalidSpecError
@@ -389,6 +390,23 @@ class TestCliErrors:
 
         assert_clean_exit(CliRunner().invoke(main, args + [resolve(a) for a in extra]), code)
         assert not list(tmp_path.glob("out/*.csv"))
+
+    @pytest.mark.parametrize("outdir", ["taken", "taken/sub"])
+    def test_check_rejects_outdir_before_the_suite(self, tmp_path, monkeypatch, outdir):
+        def no_suite(*args):
+            raise AssertionError("run_suite called")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        (tmp_path / "taken").write_text("")
+        result = CliRunner().invoke(main, ["check", "-o", str(tmp_path / outdir)])
+        assert_clean_exit(result, 3)
+        assert "not a directory" in result.stderr
+
+    def test_check_failing_suite_leaves_no_outdir(self, tmp_path):
+        out = tmp_path / "fresh" / "out"
+        result = CliRunner().invoke(main, ["check", "--seed", str(2**128), "-o", str(out)])
+        assert_clean_exit(result, 3)
+        assert not (tmp_path / "fresh").exists()
 
     def test_config_not_utf8_exits_3(self, tmp_path):
         # A Latin-1 e-acute in a key that loading ignores.

@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pvar_exhaustive, pvar_full_dp, young_sum_reference
+from oracles import (
+    oscillation_all_pairs,
+    pvar_bruteforce_loop,
+    pvar_exhaustive,
+    pvar_full_dp,
+    young_sum_reference,
+)
 from roughassim.errors import InvalidParameterError
 from roughassim import roughpath
 from roughassim.grid import SampledPath, TimeGrid
@@ -175,6 +183,83 @@ class TestTurningPointPrefilter:
             True, False, True, True, True, False, False, True, True
         ]
         assert _turning_points(np.arange(6.0)).tolist() == [True] + [False] * 4 + [True]
+
+
+KERNEL_KINDS = [  # (column counts, p values)
+    ([1], [1.2, 1.5, 2.0, 2.5, 3.7]),  # scalar with p > 1: the turning-point prefilter
+    ([1, 2, 3], [1.0]),
+    ([2, 3], [1.0, 1.5, 2.5]),
+    ([8, 9], [1.0, 1.5, 2.5]),  # norm's pairwise reduce
+]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A path of up to 200 nodes and a p; integer steps make plateaus and ties."""
+    dims, ps = draw(st.sampled_from(KERNEL_KINDS))
+    dim, p = draw(st.sampled_from(dims)), draw(st.sampled_from(ps))
+    n = draw(st.integers(min_value=2, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    if draw(st.booleans()):
+        steps = rng.integers(-2, 3, size=(n - 1, dim)).astype(float)
+    else:
+        steps = rng.normal(size=(n - 1, dim))
+    values = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    return SampledPath(TimeGrid(1.0, n - 1), values), p
+
+
+class TestDistanceKernel:
+    """The blocked dynamic program, the array oracle and the oscillation
+    read one distance kernel; each must equal its row-by-row reference bit
+    for bit, whatever the block size."""
+
+    @given(kernel_cases(), st.sampled_from([1, 2, 3, 64]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_blocked_dp_equals_full_dp(self, case, block):
+        path, p = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roughpath, "PVAR_BLOCK", block)
+            assert p_variation(path, p) == pvar_full_dp(path.values, p)
+
+    @given(st.integers(min_value=2, max_value=13), st.sampled_from([1, 2, 3, 9]),
+           st.sampled_from([1.0, 1.3, 2.0, 2.5, 3.1]), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_array_oracle_equals_loop(self, n, dim, p, seed):
+        # From 9 nodes on, dissections of 8 or more terms take np.sum's pairwise branch.
+        path = random_path(n - 1, dim, seed=seed)
+        assert p_variation_bruteforce(path, p) == pvar_bruteforce_loop(path.values, p)
+
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_oscillation_equals_all_pairs(self, monkeypatch, dim):
+        monkeypatch.setattr(roughpath, "PVAR_BLOCK", 7)
+        for seed in range(10):
+            path = random_path(40 + seed, dim, seed=seed)
+            assert oscillation(path) == oscillation_all_pairs(path.values)
+
+    def test_oscillation_memory_is_not_quadratic(self):
+        # The (n, n, 3) difference array alone would take 0.4 GB.
+        path = random_path(4096, 3, seed=3)
+        tracemalloc.start()
+        try:
+            oscillation(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_short_reduce_sums_left_to_right(self, length):
+        # The kernel sums the squares of fewer than 8 columns one column at a
+        # time; that matches norm only while numpy reduces so few terms in order.
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=(4096, length)) * 10.0 ** rng.integers(-4, 4, size=(4096, length))
+        sq = x * x
+        in_order = sq[:, 0]
+        for c in range(1, length):
+            in_order = in_order + sq[:, c]
+        assert np.array_equal(np.add.reduce(sq, axis=1), in_order)
+        assert all(np.add.reduce(row) == total for row, total in zip(sq[:64], in_order))
+        assert np.array_equal(np.linalg.norm(x, axis=1), np.sqrt(in_order))
 
 
 class TestYoungIntegral:
