@@ -21,7 +21,6 @@ from .adjoint import (
 )
 from .cost import (
     CostSpec,
-    OnsagerMachlupSpec,
     QuadraticCostSpec,
     build_minimum_energy,
     build_onsager_machlup,
@@ -48,7 +47,6 @@ from .errors import (
     UnsupportedCostError,
 )
 from .grid import (
-    ObservationPath,
     SampledPath,
     TimeGrid,
     read_path_csv,
@@ -87,8 +85,6 @@ __all__ = [
     "Lorenz63Params",
     "ModelSpec",
     "NoConvergenceError",
-    "ObservationPath",
-    "OnsagerMachlupSpec",
     "OptimalTriple",
     "OptimizerConfig",
     "QuadraticCostSpec",

@@ -17,7 +17,7 @@ import numpy as np
 from .cost import CostSpec
 from .dynamics import ModelSpec, first_nonfinite
 from .errors import BlowUpError, InvalidParameterError
-from .grid import ObservationPath, SampledPath, require_same_grid
+from .grid import SampledPath, require_same_grid
 from .roughpath import wiener_rng
 
 
@@ -39,7 +39,7 @@ class OptimalTriple:
 COSTATE_BLOCK_BYTES = 1 << 24
 
 
-def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: ObservationPath):
+def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: SampledPath):
     """Backward Heun recursion for the costate with lambda(T) = 0, on arrays.
 
     Per step: predictor/corrector on lambda' = -(lambda M + D2 phi) with
@@ -94,7 +94,7 @@ def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: ObservationPath
 
 
 def solve_costate(
-    model: ModelSpec, cost: CostSpec, x: SampledPath, u: SampledPath, eta: ObservationPath
+    model: ModelSpec, cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath
 ) -> SampledPath:
     """The costate of :func:`costate_sweep` with lambda(T) = 0 as a path.
 

@@ -22,7 +22,7 @@ from .cost import QuadraticCostSpec, build_minimum_energy, coordinate_observatio
 from .dynamics import integrate_state, linear_model, rk4_sweep
 from .errors import BlowUpError, InvalidParameterError
 from .experiments import build_cost, load_config, simulate_truth
-from .grid import ObservationPath, SampledPath, TimeGrid
+from .grid import SampledPath, TimeGrid
 from .optimizer import ControlSetSpec
 from .roughpath import (
     oscillation,
@@ -189,7 +189,7 @@ def suite_adjoint(seed: int = 0) -> list:
     a = -0.7
     lin, lcost = _scalar_lq(a)
     lgrid = TimeGrid(1.0, 1024)
-    zero_eta = ObservationPath(SampledPath.zeros(lgrid, 1), seed=0, noise_scale=0.0)
+    zero_eta = SampledPath.zeros(lgrid, 1)
     # R = 1 keeps phi = x^2/2 + u^2/2 but psi couples to the zero path, so
     # the stochastic term vanishes and the linear adjoint is closed form.
     x0 = np.array([1.3])
@@ -295,7 +295,7 @@ def suite_gradient(seed: int = 0) -> list:
 def suite_valueprobe(seed: int = 0) -> list:
     lin, cost = _scalar_lq(1.0)
     grid = TimeGrid(1.0, 2048)
-    eta = ObservationPath(SampledPath.zeros(grid, 1), seed=seed, noise_scale=0.0)
+    eta = SampledPath.zeros(grid, 1)
     probe = value_probe(lin, cost, eta, np.array([0.8]), h=1e-4, solver="shoot")
     return [_record("valueprobe_scalar_lq_gap", probe["max_abs_gap"], 1e-3)]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
-from .grid import ObservationPath, SampledPath, require_same_grid
+from .grid import SampledPath, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -161,43 +161,42 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
     )
 
 
-@dataclass(frozen=True)
-class OnsagerMachlupSpec:
-    """Quadratic base plus model with constant g and the drift divergence.
-
-    ``div_f(t, x)`` is the divergence of the full drift (taking stacked
-    nodes, like phi).  It must not depend on x: the cost's state gradient
-    ``D2phi`` is the base's, as for the quadratic geophysical class, whose
-    divergence is constant.  The curvature correction of the trajectory MAP
-    functional vanishes for constant g and is omitted.
-    """
-
-    base: QuadraticCostSpec
-    model: ModelSpec
-    div_f: Callable
-
-
 MAX_METRIC_CONDITION = 1e8
 
 
-def _check_constant_g(model: ModelSpec):
+def _constant_g_and_divergence(model: ModelSpec):
+    """g and the drift divergence at (0, 0), checked constant at seeded points."""
     rng = np.random.default_rng(0)
-    g0 = np.asarray(model.g(0.0, np.zeros(model.state_dim)), dtype=float)
+    x0 = np.zeros(model.state_dim)
+    g0 = np.asarray(model.g(0.0, x0), dtype=float)
+    div0 = model.divergence(0.0, x0)
     for _ in range(8):
         t = float(rng.uniform(0.0, 1.0))
         x = rng.normal(size=model.state_dim)
         if not np.allclose(np.asarray(model.g(t, x), dtype=float), g0):
             raise UnsupportedCostError("Onsager-Machlup variant requires constant g")
-    return g0
+        if not np.isclose(model.divergence(t, x), div0):
+            raise UnsupportedCostError(
+                "Onsager-Machlup variant requires a constant drift divergence"
+            )
+    return g0, div0
 
 
-def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
-    """phi = h'Rh/2 + u'Gamma u/2 - div f with Gamma = (g g')^{-1}."""
-    g0 = _check_constant_g(om.model)
+def build_onsager_machlup(base: QuadraticCostSpec, model: ModelSpec) -> CostSpec:
+    """phi = h'Rh/2 + u'Gamma u/2 - div f with Gamma = (g g')^{-1}.
+
+    The base's S is replaced by Gamma.  g and the divergence of the drift f
+    are read off the model and must be constant (checked at seeded points):
+    the cost's state gradient ``D2phi`` is the base's, as for the quadratic
+    geophysical class, whose divergence is constant.  The curvature
+    correction of the trajectory MAP functional vanishes for constant g and
+    is omitted.
+    """
+    g0, div = _constant_g_and_divergence(model)
     gg = g0 @ g0.T
     if np.linalg.cond(gg) >= MAX_METRIC_CONDITION:
         raise InvalidSpecError("g g' is ill-conditioned; metric inverse unreliable")
-    m = om.model.control_dim
+    m = model.control_dim
     if gg.shape != (m, m):
         raise InvalidSpecError(
             f"the metric (g g')^-1 is {gg.shape[0]}x{gg.shape[0]}, "
@@ -205,10 +204,10 @@ def build_onsager_machlup(om: OnsagerMachlupSpec) -> CostSpec:
         )
     gamma = np.linalg.inv(gg)
     gamma = 0.5 * (gamma + gamma.T)
-    me = build_minimum_energy(replace(om.base, S=gamma))
+    me = build_minimum_energy(replace(base, S=gamma))
 
     def phi(t, x, u):
-        return me.phi(t, x, u) - om.div_f(t, x)
+        return me.phi(t, x, u) - div
 
     return replace(me, phi=phi)
 
@@ -217,21 +216,30 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
 
-def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: ObservationPath) -> float:
-    """A(x, u): trapezoid deterministic part + left-tag Young stochastic part."""
+def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) -> float:
+    """A(x, u): trapezoid deterministic part + left-tag Young stochastic part.
+
+    Raises :class:`InvalidSpecError` when eta's dimension is not psi's.
+    """
     grid = require_same_grid(x, u, eta)
     # A finite but huge state may overflow phi; that is a blow-up, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         phis = cost.phi(grid.times, x.values, u.values)
         psis = cost.psi(grid.times[:-1], x.values[:-1])
+    deta = eta.increments()
+    # A constant psi may come back unstacked, so only the last axes must agree.
+    if psis.shape[-1:] != deta.shape[-1:]:
+        raise InvalidSpecError(
+            f"eta has {deta.shape[-1]} components, the cost observes {psis.shape[-1]}"
+        )
     bad = np.flatnonzero(~np.isfinite(phis))
     if bad.size:
         raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
-    return _trapezoid(phis, grid.dt) + float(np.sum(psis * eta.increments()))
+    return _trapezoid(phis, grid.dt) + float(np.sum(psis * deta))
 
 
 def eval_cost_by_parts(
-    cost: CostSpec, model: ModelSpec, x: SampledPath, u: SampledPath, eta: ObservationPath
+    cost: CostSpec, model: ModelSpec, x: SampledPath, u: SampledPath, eta: SampledPath
 ) -> float:
     """A(x, u) via the classical reformulation after integration by parts.
 

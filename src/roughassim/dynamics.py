@@ -168,6 +168,14 @@ def first_nonfinite(values, backward: bool = False):
     return np.where(np.any(bad, axis=-1), node, -1)
 
 
+def initial_state(model: ModelSpec, xi, members: bool = False, name: str = "initial state"):
+    """``xi`` as floats of shape (n,), or (B, n) where ``members`` allows it."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (model.state_dim,) or xi.ndim > (2 if members else 1):
+        raise InvalidSpecError(f"{name} must have shape ({model.state_dim},)")
+    return xi
+
+
 def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     """RK4 states at every node with the control frozen at its left node value.
 
@@ -178,9 +186,7 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     that blows up stays in the sweep and does not stop the others.  Each
     member's states equal its own one-member sweep bit for bit.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (model.state_dim,):
-        raise InvalidSpecError(f"initial state must have shape ({model.state_dim},)")
+    xi = initial_state(model, xi)
     dt = grid.dt
     times = grid.times
     out = np.empty(uv.shape[:-1] + (model.state_dim,))

@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .cost import (
     CostSpec,
-    OnsagerMachlupSpec,
     QuadraticCostSpec,
     build_minimum_energy,
     build_onsager_machlup,
@@ -40,7 +39,7 @@ from .dynamics import (
     lorenz96_model,
 )
 from .errors import InvalidParameterError, InvalidSpecError, UnsupportedCostError
-from .grid import ObservationPath, SampledPath, TimeGrid, read_path_csv, write_path_csv
+from .grid import SampledPath, TimeGrid, read_path_csv, write_path_csv
 from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize_batch
 from .roughpath import build_observation, wiener_rng
 
@@ -212,11 +211,7 @@ def build_cost(config: ExperimentConfig) -> CostSpec:
     quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=config.R, S=config.S)
     if config.cost_kind == "minimum_energy":
         return build_minimum_energy(quad)
-    # The built-in models have a state-independent drift divergence, so one
-    # evaluation stands for the whole trajectory.
-    div = config.model.divergence(0.0, np.zeros(config.model.state_dim))
-    om = OnsagerMachlupSpec(base=quad, model=config.model, div_f=lambda t, x: div)
-    return build_onsager_machlup(om)
+    return build_onsager_machlup(quad, config.model)
 
 
 def _truth_control_path(config: ExperimentConfig) -> SampledPath:
@@ -293,7 +288,7 @@ def cmd_simulate(config: ExperimentConfig, outdir, timings: bool = False) -> dic
     truth, eta = simulate_truth(config)
     elapsed = time.perf_counter() - t0
     write_path_csv(truth, outdir / "truth.csv")
-    write_path_csv(eta.path, outdir / "eta.csv")
+    write_path_csv(eta, outdir / "eta.csv")
     manifest = _manifest(config, {"simulate": elapsed} if timings else None)
     _write_json(outdir / "manifest.json", manifest)
     return manifest
@@ -343,10 +338,9 @@ def _read_checked_path(config: ExperimentConfig, filename, label: str, dim: int)
     return path
 
 
-def read_observation(config: ExperimentConfig, eta_file) -> ObservationPath:
+def read_observation(config: ExperimentConfig, eta_file) -> SampledPath:
     """Read an observation CSV and check it against the config's grid and h."""
-    path = _read_checked_path(config, eta_file, "eta", config.obs_dim)
-    return ObservationPath(path=path, seed=config.seed, noise_scale=config.noise_scale)
+    return _read_checked_path(config, eta_file, "eta", config.obs_dim)
 
 
 def cmd_assimilate(

@@ -28,7 +28,7 @@ from .adjoint import (
 from .cost import CostSpec, eval_cost
 from .dynamics import ModelSpec, integrate_state, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
-from .grid import ObservationPath, SampledPath, TimeGrid, require_same_grid
+from .grid import SampledPath, TimeGrid, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,15 @@ class AssimilationResult:
     cost_trace: List[float]
     grad_norm_trace: List[float]
     mp_residual: float
-    iterations: int
     status: str  # converged | max_iters | stalled
 
     @property
     def final_cost(self) -> float:
         return self.cost_trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.grad_norm_trace)
 
 
 def project_control(u: SampledPath, control_set: ControlSetSpec) -> SampledPath:
@@ -131,7 +134,7 @@ FORWARD, COSTATE = "forward", "costate"
 def _projected_gradient(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     u0: SampledPath,
     control_set: ControlSetSpec,
     config: OptimizerConfig,
@@ -202,7 +205,6 @@ def _projected_gradient(
         cost_trace=cost_trace,
         grad_norm_trace=grad_norm_trace,
         mp_residual=mp_res,
-        iterations=len(grad_norm_trace),
         status=status,
     )
 
@@ -237,7 +239,7 @@ def _solve(kind, requests, model, cost, eta, xi):
 def minimize(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     xi,
     u0: SampledPath,
     control_set: ControlSetSpec,
@@ -256,7 +258,7 @@ def minimize(
 def minimize_batch(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     xi,
     starts,
     control_set: ControlSetSpec,

@@ -6,8 +6,9 @@ dissections through grid nodes only, computed exactly by an O(N^2) dynamic
 program (over the turning points alone for a scalar path and p > 1).  The
 program, its brute-force oracle and the oscillation read their node
 distances from one blocked kernel, :func:`_distances`.
-Young integrals are evaluated as tagged Riemann sums; the left tag is the
-canonical evaluator used by every other module.
+Young integrals are evaluated as tagged Riemann sums with a left, right or
+midpoint tag; the cost and the costate form their own left-tag sums against
+the observation increments.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import ObservationPath, SampledPath, TimeGrid, require_same_grid
+from .grid import SampledPath, TimeGrid, require_same_grid
 
 #: Node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
@@ -239,11 +240,10 @@ def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> Sampl
     return SampledPath(grid, values)
 
 
-def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> ObservationPath:
+def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> SampledPath:
     """Observation path eta(t_i) = zeta(t_i) + noise_scale * W(t_i), W on stream 0."""
     if noise_scale < 0:
         raise InvalidParameterError("noise_scale must be nonnegative")
     d = zeta.values.shape[1]
     w = sample_wiener(zeta.grid, d, seed)
-    eta = SampledPath(zeta.grid, zeta.values + noise_scale * w.values)
-    return ObservationPath(path=eta, seed=seed, noise_scale=noise_scale)
+    return SampledPath(zeta.grid, zeta.values + noise_scale * w.values)

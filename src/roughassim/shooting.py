@@ -16,9 +16,9 @@ import numpy as np
 
 from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
 from .cost import CostSpec, eval_cost
-from .dynamics import ModelSpec, first_nonfinite
+from .dynamics import ModelSpec, first_nonfinite, initial_state
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
-from .grid import ObservationPath, SampledPath
+from .grid import SampledPath
 from .optimizer import (
     ControlSetSpec,
     OptimizerConfig,
@@ -38,7 +38,7 @@ NEWTON_TOL = 1e-9
 def hamiltonian_sweep(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     xi,
     lambda0,
     control_set: ControlSetSpec = ControlSetSpec(),
@@ -63,7 +63,8 @@ def hamiltonian_sweep(
     dt = grid.dt
     times = grid.times
     deta = eta.increments()
-    xi, lambda0 = np.asarray(xi, dtype=float), np.asarray(lambda0, dtype=float)
+    xi = initial_state(model, xi, members=True)
+    lambda0 = initial_state(model, lambda0, members=True, name="initial costate")
     members = np.broadcast_shapes(xi.shape[:-1], lambda0.shape[:-1])
     n, m = model.state_dim, model.control_dim
     out = [np.empty(members + (grid.n_nodes, k)) for k in (n, n, m)]
@@ -100,7 +101,7 @@ def hamiltonian_sweep(
 def integrate_hamiltonian(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     xi,
     lambda0,
     control_set: ControlSetSpec = ControlSetSpec(),
@@ -173,7 +174,7 @@ def _damped_newton(grid, n: int):
 def shoot(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     xi,
     control_set: ControlSetSpec = ControlSetSpec(),
 ) -> OptimalTriple:
@@ -188,7 +189,7 @@ def shoot(
 def shoot_batch(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     starts,
     control_set: ControlSetSpec = ControlSetSpec(),
 ) -> list:
@@ -201,7 +202,7 @@ def shoot_batch(
     equals :func:`shoot` from it bit for bit.  When a start raises, the
     starts after it stop and the first raiser's error is raised.
     """
-    xis = [np.asarray(xi, dtype=float) for xi in starts]
+    xis = [initial_state(model, xi) for xi in starts]
     solvers = [_damped_newton(eta.grid, model.state_dim) for _ in xis]
 
     def answer(requests):
@@ -224,7 +225,7 @@ def shoot_batch(
 def value_probe(
     model: ModelSpec,
     cost: CostSpec,
-    eta: ObservationPath,
+    eta: SampledPath,
     xi,
     h: float,
     solver: str = "shoot",
@@ -244,7 +245,7 @@ def value_probe(
         raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
     if solver not in ("gradient", "shoot"):
         raise InvalidSpecError(f"unknown solver {solver!r}")
-    xi = np.asarray(xi, dtype=float)
+    xi = initial_state(model, xi)
     n = model.state_dim
     u_template = SampledPath.zeros(eta.grid, model.control_dim)
     points = [xi]

@@ -4,7 +4,7 @@ import pytest
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.dynamics import linear_model
 from roughassim.experiments import build_cost, load_config, simulate_truth
-from roughassim.grid import ObservationPath, SampledPath
+from roughassim.grid import SampledPath
 
 
 def make_lorenz_twin(seed=42, n_steps=512, T=1.0, noise=0.1, S=1.0):
@@ -31,7 +31,7 @@ def scalar_lq(a=-1.0, q=1.0, r=1.0):
 
 def zero_eta(grid, dim=1):
     """A noiseless observation path that is identically zero."""
-    return ObservationPath(SampledPath.zeros(grid, dim), seed=0, noise_scale=0.0)
+    return SampledPath.zeros(grid, dim)
 
 
 @pytest.fixture

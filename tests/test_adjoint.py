@@ -15,7 +15,7 @@ from roughassim.adjoint import (
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
 from roughassim.errors import GridMismatchError, InvalidParameterError
-from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec
 from roughassim.roughpath import sample_wiener
 
@@ -72,8 +72,7 @@ class TestSolveCostate:
         x = SampledPath.zeros(grid, 1)
         u = SampledPath.zeros(grid, 1)
         w = sample_wiener(grid, 1, seed=2)
-        eta = ObservationPath(w, seed=2, noise_scale=1.0)
-        lam = solve_costate(model, cost, x, u, eta)
+        lam = solve_costate(model, cost, x, u, w)
         exact = -(w.values[-1, 0] - w.values[:, 0])
         assert np.max(np.abs(lam.values[:, 0] - exact)) < 1e-12
 

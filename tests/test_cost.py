@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from roughassim.cost import (
-    OnsagerMachlupSpec,
     QuadraticCostSpec,
     build_minimum_energy,
     build_onsager_machlup,
@@ -12,7 +11,8 @@ from roughassim.cost import (
 )
 from roughassim.dynamics import Lorenz63Params, ModelSpec, integrate_state, linear_model, lorenz63_model
 from roughassim.errors import InvalidSpecError, UnsupportedCostError
-from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.grid import SampledPath, TimeGrid
+from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
 from roughassim.roughpath import sample_wiener
 
 from conftest import make_lorenz_twin
@@ -60,7 +60,7 @@ class TestQuadraticCostSpec:
         model = linear_model([[-1.0]], [[1.0, 1.0]])
         q = quad_spec(control_dim=2)
         with pytest.raises(InvalidSpecError, match="2 controls"):
-            build_onsager_machlup(OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: 0.0))
+            build_onsager_machlup(q, model)
 
     def test_coordinate_observation_bounds(self):
         with pytest.raises(InvalidSpecError):
@@ -131,7 +131,7 @@ class TestEvalCost:
         cost = build_minimum_energy(quad_spec(R=0.0))
         u = SampledPath(grid, np.ones((grid.n_nodes, 1)))
         x = SampledPath.zeros(grid, 1)
-        eta = ObservationPath(SampledPath.zeros(grid, 1), seed=0, noise_scale=0.0)
+        eta = SampledPath.zeros(grid, 1)
         assert eval_cost(cost, x, u, eta) == pytest.approx(0.5, abs=1e-14)
 
     def test_constant_psi_telescopes(self):
@@ -141,8 +141,7 @@ class TestEvalCost:
         x = SampledPath(grid, np.full((grid.n_nodes, 1), 2.0))
         u = SampledPath.zeros(grid, 1)
         w = sample_wiener(grid, 1, seed=3)
-        eta = ObservationPath(w, seed=3, noise_scale=1.0)
-        got = eval_cost(cost, x, u, eta)
+        got = eval_cost(cost, x, u, w)
         expected_det = 0.5 * 4.0  # trapezoid of constant x^2/2
         expected_stoch = -2.0 * float(w.values[-1, 0] - w.values[0, 0])
         assert got == pytest.approx(expected_det + expected_stoch, abs=1e-12)
@@ -161,10 +160,22 @@ class TestEvalCost:
         stoch_oracle = -float(np.trapezoid(h2, times))
         assert got - det_part == pytest.approx(stoch_oracle, abs=1e-3 * (1 + abs(stoch_oracle)))
 
+    def test_observation_dimension_must_match_psi(self):
+        # One column of eta against Lorenz'63's three observed components
+        # would broadcast into a wrong index; minimize evaluates the cost
+        # before its first costate solve, so it stops there too.
+        model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=64, T=0.25)
+        one_column = SampledPath(grid, eta.values[:, :1])
+        u = SampledPath.zeros(grid, 3)
+        with pytest.raises(InvalidSpecError, match="eta has 1 components"):
+            eval_cost(cost, truth, u, one_column)
+        with pytest.raises(InvalidSpecError, match="eta has 1 components"):
+            minimize(model, cost, one_column, xi, u, ControlSetSpec(), OptimizerConfig())
+
 
 class TestByParts:
     def _eta(self, grid, seed=0):
-        return ObservationPath(sample_wiener(grid, 1, seed), seed=seed, noise_scale=1.0)
+        return sample_wiener(grid, 1, seed)
 
     def test_psi_zero_identical(self):
         model = linear_model([[-0.2]])
@@ -200,9 +211,8 @@ class TestByParts:
         model = linear_model([[0.0]])
         grid = TimeGrid(1.0, 4)
         z = SampledPath.zeros(grid, 1)
-        eta = ObservationPath(z, seed=0, noise_scale=0.0)
         with pytest.raises(UnsupportedCostError):
-            eval_cost_by_parts(cost, model, z, z, eta)
+            eval_cost_by_parts(cost, model, z, z, z)
 
 
 class TestOnsagerMachlup:
@@ -211,9 +221,7 @@ class TestOnsagerMachlup:
         model = lorenz63_model()
         q = quad_spec(obs_dim=3, control_dim=3, state_dim=3)
         me = build_minimum_energy(q)
-        om = build_onsager_machlup(
-            OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: -(p.sigma + 1 + p.b))
-        )
+        om = build_onsager_machlup(q, model)
         rng = np.random.default_rng(4)
         for _ in range(10):
             x, u = rng.normal(size=3), rng.normal(size=3)
@@ -223,11 +231,11 @@ class TestOnsagerMachlup:
             assert np.allclose(om.psi(0.0, x), me.psi(0.0, x))
 
     def test_zero_divergence_reduces_to_minimum_energy(self):
-        model = lorenz63_model()
-        q = quad_spec(obs_dim=3, control_dim=3, state_dim=3)
+        model = linear_model([[0.0, 1.0], [-1.0, 0.0]])  # a rotation: trace 0
+        q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
         me = build_minimum_energy(q)
-        om = build_onsager_machlup(OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: 0.0))
-        x, u = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
+        om = build_onsager_machlup(q, model)
+        x, u = np.array([1.0, 2.0]), np.array([0.1, 0.2])
         assert om.phi(0.0, x, u) == pytest.approx(me.phi(0.0, x, u))
 
     def test_nonconstant_g_rejected(self):
@@ -240,11 +248,23 @@ class TestOnsagerMachlup:
                           lambda t, x: -np.eye(n), lambda t, x: np.zeros((n, n, n)))
         q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
         with pytest.raises(UnsupportedCostError):
-            build_onsager_machlup(OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: 0.0))
+            build_onsager_machlup(q, model)
+
+    def test_state_dependent_divergence_rejected(self):
+        # xdot = -x^3 + u: the divergence -3 |x|^2 is 0 only at the origin.
+        n = 2
+
+        def D2f(t, x):
+            return -3.0 * np.expand_dims(x**2, -1) * np.eye(n)
+
+        model = ModelSpec(n, n, lambda t, x: -(x**3), lambda t, x: np.eye(n), D2f)
+        q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
+        with pytest.raises(UnsupportedCostError, match="divergence"):
+            build_onsager_machlup(q, model)
 
     def test_gamma_is_metric_inverse(self):
         B = np.array([[2.0, 0.0], [0.0, 0.5]])
         model = linear_model(-np.eye(2), B)
         q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
-        om = build_onsager_machlup(OnsagerMachlupSpec(base=q, model=model, div_f=lambda t, x: 0.0))
+        om = build_onsager_machlup(q, model)
         assert np.allclose(om.quad.S(0.0), np.linalg.inv(B @ B.T))

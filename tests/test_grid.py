@@ -3,7 +3,6 @@ import pytest
 
 from roughassim.errors import GridMismatchError, InvalidParameterError
 from roughassim.grid import (
-    ObservationPath,
     SampledPath,
     TimeGrid,
     read_path_csv,
@@ -74,15 +73,6 @@ def test_require_same_grid():
     assert require_same_grid(a, b).n_steps == 4
     with pytest.raises(GridMismatchError):
         require_same_grid(a, c)
-
-
-def test_observation_path_wraps_sampled_path():
-    p = SampledPath.zeros(TimeGrid(1.0, 4), 2)
-    obs = ObservationPath(path=p, seed=3, noise_scale=0.5)
-    assert obs.grid is p.grid
-    assert obs.values.shape == (5, 2)
-    with pytest.raises(InvalidParameterError):
-        ObservationPath(path=p, seed=0, noise_scale=-1.0)
 
 
 def test_csv_roundtrip_is_exact(tmp_path):

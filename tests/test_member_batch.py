@@ -33,7 +33,7 @@ from roughassim.experiments import (
     run_assimilation,
     simulate_truth,
 )
-from roughassim.grid import ObservationPath, SampledPath, TimeGrid
+from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize, minimize_batch
 from roughassim.shooting import (
     hamiltonian_sweep,
@@ -131,7 +131,7 @@ def riccati_problem():
     cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(1)))
     grid = TimeGrid(1.0, 64)
     # A rising observation path rewards large x, so long trial steps blow up.
-    eta = ObservationPath(SampledPath(grid, 2.0 * grid.times), seed=0, noise_scale=0.0)
+    eta = SampledPath(grid, 2.0 * grid.times)
     return riccati_model(), cost, grid, eta
 
 
@@ -162,7 +162,7 @@ def test_overflowing_trial_cost_shrinks_the_step():
     # state finite but overflow its running cost; such a trial is a blow-up
     # (the step shrinks), not a RuntimeWarning escaping minimize.
     model, cost, grid, _ = riccati_problem()
-    eta = ObservationPath(SampledPath(grid, 20.0 * grid.times), seed=0, noise_scale=0.0)
+    eta = SampledPath(grid, 20.0 * grid.times)
     huge = SampledPath(grid, np.full((grid.n_nodes, 1), 1e200))
     with pytest.raises(BlowUpError):
         eval_cost(cost, huge, SampledPath.zeros(grid, 1), eta)
@@ -237,8 +237,7 @@ def d2g_problem():
     rng = np.random.default_rng(8)
     u = SampledPath(grid, 0.3 * rng.normal(size=(grid.n_nodes, 2)))
     x = integrate_state(model, u, np.array([0.4, -0.3]), grid)
-    eta = ObservationPath(SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, 1)), 0)),
-                          seed=0, noise_scale=1.0)
+    eta = SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, 1)), 0))
     return model, cost, x, u, eta
 
 
@@ -264,7 +263,7 @@ def test_costate_sweep_members_equal_one_member_sweeps():
     rng = np.random.default_rng(2)
     h, h_jac = coordinate_observation(range(0, 9, 2), 9)
     cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(5), S=np.eye(9)))
-    eta = ObservationPath(SampledPath(grid, rng.normal(size=(grid.n_nodes, 5))), 0, 1.0)
+    eta = SampledPath(grid, rng.normal(size=(grid.n_nodes, 5)))
     X = 8.0 + rng.normal(size=(3, grid.n_nodes, 9))
     X[1] *= 1e120  # its costate overflows
     U = rng.normal(size=(3, grid.n_nodes, 9))

@@ -357,5 +357,10 @@ class TestWienerSampling:
         obs = build_observation(zeta, 0.0, seed=4)
         assert np.array_equal(obs.values, zeta.values)
 
+    def test_build_observation_rejects_negative_noise(self):
+        zeta = SampledPath.zeros(TimeGrid(1.0, 8), 2)
+        with pytest.raises(InvalidParameterError, match="noise_scale"):
+            build_observation(zeta, -1.0, seed=4)
+
     def test_wiener_rng_reproducible(self):
         assert wiener_rng(7, 3).normal() == wiener_rng(7, 3).normal()

@@ -141,3 +141,19 @@ class TestValueProbe:
         with pytest.raises(InvalidSpecError):
             value_probe(model, cost, zero_eta(grid), np.array([1.0]), h=1e-4,
                         solver="newton")
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda m, c, eta, xi: shoot(m, c, eta, xi), id="shoot"),
+    pytest.param(lambda m, c, eta, xi: value_probe(m, c, eta, xi, h=1e-4), id="value_probe"),
+    pytest.param(lambda m, c, eta, xi: integrate_hamiltonian(m, c, eta, xi, np.zeros(3)),
+                 id="integrate_hamiltonian"),
+    pytest.param(lambda m, c, eta, lam0: integrate_hamiltonian(m, c, eta, np.ones(3), lam0),
+                 id="integrate_hamiltonian-costate"),
+])
+def test_initial_state_shape_checked(solve):
+    # A 2-vector start (or initial costate) for Lorenz'63 is a spec error, as
+    # in integrate_state.
+    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=16, T=0.1)
+    with pytest.raises(InvalidSpecError, match=r"initial (state|costate) must have shape \(3,\)"):
+        solve(model, cost, eta, np.array([1.0, 25.0]))

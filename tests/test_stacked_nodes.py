@@ -13,7 +13,6 @@ import pytest
 
 from roughassim.adjoint import hamiltonian, pointwise_hamiltonian_minimizer
 from roughassim.cost import (
-    OnsagerMachlupSpec,
     QuadraticCostSpec,
     build_minimum_energy,
     build_onsager_machlup,
@@ -74,9 +73,7 @@ def build(model, family, observed):
     )
     if family == "minimum_energy":
         return build_minimum_energy(quad), h, h_jac
-    div = model.divergence(0.0, np.zeros(n))
-    om = OnsagerMachlupSpec(base=quad, model=model, div_f=lambda t, x: div)
-    return build_onsager_machlup(om), h, h_jac
+    return build_onsager_machlup(quad, model), h, h_jac
 
 
 def assert_stacks(fn, *args):
