@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostSpec
+from .cost import CostSpec, check_observation
 from .dynamics import ModelSpec, first_nonfinite
-from .errors import BlowUpError, InvalidParameterError
+from .errors import BlowUpError, UnsupportedCostError
 from .grid import SampledPath, require_same_grid
 from .roughpath import wiener_rng
 
@@ -51,8 +51,10 @@ def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: SampledPath):
     ``xv`` (n_nodes, n) and ``uv`` (n_nodes, m) may carry a leading member
     axis (B, ...), as in :func:`rk4_sweep`; ``eta`` is shared.  Returns the
     costate values, (..., n_nodes, n), and per member the node where the
-    sweep first met a non-finite costate, or -1.
+    sweep first met a non-finite costate, or -1.  Raises
+    :class:`InvalidSpecError` when eta's dimension is not psi's.
     """
+    check_observation(cost, eta, xv[..., 0, :])
     grid = eta.grid
     dt = grid.dt
     n = model.state_dim
@@ -131,7 +133,7 @@ def pointwise_hamiltonian_minimizer(cost: CostSpec, model: ModelSpec, t, x, lam,
     requires ``cost.quad``.
     """
     if cost.quad is None:
-        raise InvalidParameterError("closed-form minimizer needs a quadratic cost")
+        raise UnsupportedCostError("closed-form minimizer needs a quadratic cost")
     # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
     raw = -np.linalg.solve(cost.quad.S(t), np.vecmat(lam, model.g(t, x))[..., None])[..., 0]
     return control_set.project_values(raw)

@@ -216,22 +216,34 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
 
 
+def check_observation(cost: CostSpec, eta: SampledPath, x0) -> None:
+    """Raise :class:`InvalidSpecError` unless eta has psi's dimension.
+
+    psi is evaluated at the first node of eta's grid and the initial state
+    ``x0``, one (n,) or stacked (..., n).  Every function that pairs psi or
+    D2 psi with eta calls this before it sweeps, so a wrong eta is named
+    here instead of failing in a numpy contraction.
+    """
+    # Only the shape is read, and a constant psi may come back unstacked, so
+    # only its last axis counts.
+    with np.errstate(over="ignore", invalid="ignore"):
+        observed = np.shape(cost.psi(eta.grid.times[0], x0))[-1]
+    if eta.dim != observed:
+        raise InvalidSpecError(f"eta has {eta.dim} components, the cost observes {observed}")
+
+
 def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) -> float:
     """A(x, u): trapezoid deterministic part + left-tag Young stochastic part.
 
     Raises :class:`InvalidSpecError` when eta's dimension is not psi's.
     """
     grid = require_same_grid(x, u, eta)
+    check_observation(cost, eta, x.values[0])
     # A finite but huge state may overflow phi; that is a blow-up, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         phis = cost.phi(grid.times, x.values, u.values)
         psis = cost.psi(grid.times[:-1], x.values[:-1])
     deta = eta.increments()
-    # A constant psi may come back unstacked, so only the last axes must agree.
-    if psis.shape[-1:] != deta.shape[-1:]:
-        raise InvalidSpecError(
-            f"eta has {deta.shape[-1]} components, the cost observes {psis.shape[-1]}"
-        )
     bad = np.flatnonzero(~np.isfinite(phis))
     if bad.size:
         raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
@@ -250,6 +262,7 @@ def eval_cost_by_parts(
     if cost.D1psi is None:
         raise UnsupportedCostError("eval_cost_by_parts needs the time derivative of psi")
     grid = require_same_grid(x, u, eta)
+    check_observation(cost, eta, x.values[0])
     times = grid.times
     etav = eta.values
     xv, uv = x.values, u.values

@@ -168,11 +168,14 @@ def first_nonfinite(values, backward: bool = False):
     return np.where(np.any(bad, axis=-1), node, -1)
 
 
-def initial_state(model: ModelSpec, xi, members: bool = False, name: str = "initial state"):
-    """``xi`` as floats of shape (n,), or (B, n) where ``members`` allows it."""
+def initial_state(model: ModelSpec, xi, members: tuple = (), name: str = "initial state"):
+    """``xi`` as floats of shape (n,), shared by every member of a sweep, or of
+    shape ``members + (n,)``, one row per member."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1:] != (model.state_dim,) or xi.ndim > (2 if members else 1):
-        raise InvalidSpecError(f"{name} must have shape ({model.state_dim},)")
+    n = (model.state_dim,)
+    if xi.shape not in (n, members + n):
+        shapes = " or ".join(str(s) for s in dict.fromkeys((n, members + n)))
+        raise InvalidSpecError(f"{name} must have shape {shapes}")
     return xi
 
 
@@ -181,12 +184,14 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
 
     ``uv`` holds the control values, (n_nodes, m), or (B, n_nodes, m) with
     a leading member axis that takes B independent solves through each
-    step together; ``xi`` (n,) is their initial state.  Returns the states,
-    (..., n_nodes, n), and :func:`first_nonfinite` per member: a member
-    that blows up stays in the sweep and does not stop the others.  Each
-    member's states equal its own one-member sweep bit for bit.
+    step together; ``xi`` is their initial state, (n,) shared by every
+    member or (B, n) one row per member, as in ``hamiltonian_sweep``.
+    Returns the states, (..., n_nodes, n), and :func:`first_nonfinite` per
+    member: a member that blows up stays in the sweep and does not stop the
+    others.  Each member's states equal its own one-member sweep bit for
+    bit.
     """
-    xi = initial_state(model, xi)
+    xi = initial_state(model, xi, uv.shape[:-2])
     dt = grid.dt
     times = grid.times
     out = np.empty(uv.shape[:-1] + (model.state_dim,))

@@ -317,9 +317,9 @@ def run_assimilation(config: ExperimentConfig, eta, jobs: int = 1) -> Assimilati
     """
     if jobs != 1:
         raise InvalidParameterError(f"run_assimilation takes jobs=1 only, got {jobs!r}")
+    starts = [(config.assim_initial_state, u0) for u0 in _multistart_initials(config)]
     results = minimize_batch(
-        config.model, build_cost(config), eta, config.assim_initial_state,
-        _multistart_initials(config), config.control_set, config.optimizer,
+        config.model, build_cost(config), eta, starts, config.control_set, config.optimizer
     )
     return min(results, key=lambda r: r.final_cost)
 

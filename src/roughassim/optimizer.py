@@ -7,7 +7,8 @@ ill-conditioning of long-window assimilation.  Stationarity is certified
 twice: projected-gradient norm below tolerance and a small
 maximum-principle residual.  Several starts run in lockstep: each round,
 their forward solves share one RK4 sweep and their costate solves one
-costate sweep, along a leading member axis.
+costate sweep, along a leading member axis.  A start is an initial state
+and a control, so the starts need not share their initial state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .adjoint import (
     solve_costate,
 )
 from .cost import CostSpec, eval_cost
-from .dynamics import ModelSpec, integrate_state, rk4_sweep
+from .dynamics import ModelSpec, initial_state, integrate_state, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
 from .grid import SampledPath, TimeGrid, require_same_grid
 
@@ -135,20 +136,23 @@ def _projected_gradient(
     model: ModelSpec,
     cost: CostSpec,
     eta: SampledPath,
+    xi,
     u0: SampledPath,
     control_set: ControlSetSpec,
     config: OptimizerConfig,
 ):
-    """The projected-gradient loop of one start, as a generator.
+    """The projected-gradient loop of one start (xi, u0), as a generator.
 
-    It yields each solve it needs, ``(FORWARD, u)`` or ``(COSTATE, (x, u))``,
-    and is sent the solved path, or has the solve's :class:`BlowUpError`
-    thrown in at the yield; it returns the :class:`AssimilationResult`.
+    It yields each solve it needs, ``(FORWARD, (xi, u))`` or
+    ``(COSTATE, (x, u))``, and is sent the solved path, or has the solve's
+    :class:`BlowUpError` thrown in at the yield; it returns the
+    :class:`AssimilationResult`.
     """
     grid: TimeGrid = require_same_grid(u0, eta)
+    xi = initial_state(model, xi)
     dt = grid.dt
     u = project_control(u0, control_set)
-    x = yield FORWARD, u
+    x = yield FORWARD, (xi, u)
     J = eval_cost(cost, x, u, eta)
     cost_trace = [J]
     grad_norm_trace: List[float] = []
@@ -180,7 +184,7 @@ def _projected_gradient(
             trial_vals = control_set.project_values(u.values - alpha * G.values)
             u_trial = SampledPath(grid, trial_vals)
             try:
-                x_trial = yield FORWARD, u_trial
+                x_trial = yield FORWARD, (xi, u_trial)
                 J_trial = eval_cost(cost, x_trial, u_trial, eta)
             except BlowUpError:
                 alpha *= ARMIJO_SHRINK
@@ -209,27 +213,29 @@ def _projected_gradient(
     )
 
 
-def _solve(kind, requests, model, cost, eta, xi):
+def _solve(kind, requests, model, cost, eta):
     """One round's solves of one kind: per request, its path or its BlowUpError.
 
-    Several requests run as one member batch; a single one runs with no
-    member axis, through the one-path functions, which is faster.
+    A request is a pair, ``(xi, u)`` forward and ``(x, u)`` for the costate.
+    Several requests run as one member batch, each member from its own
+    first entry; a single one runs with no member axis, through the
+    one-path functions, which is faster.
     """
     grid = eta.grid
     try:
         if len(requests) == 1 and kind == FORWARD:
-            return [integrate_state(model, requests[0], xi, grid)]
+            xi, u = requests[0]
+            return [integrate_state(model, u, xi, grid)]
         if len(requests) == 1:
             return [solve_costate(model, cost, *requests[0], eta)]
     except BlowUpError as err:
         return [err]
+    firsts, us = zip(*requests)
+    uv = np.stack([u.values for u in us])
     if kind == FORWARD:
-        values, blown = rk4_sweep(model, np.stack([u.values for u in requests]), xi, grid)
+        values, blown = rk4_sweep(model, uv, np.stack(firsts), grid)
     else:
-        xs, us = zip(*requests)
-        values, blown = costate_sweep(
-            model, cost, np.stack([x.values for x in xs]), np.stack([u.values for u in us]), eta
-        )
+        values, blown = costate_sweep(model, cost, np.stack([x.values for x in firsts]), uv, eta)
     return [
         BlowUpError(int(node)) if node >= 0 else SampledPath(grid, v)
         for v, node in zip(values, blown)
@@ -252,38 +258,40 @@ def minimize(
     cost.  The returned triple carries the costate at the final iterate and
     the maximum-principle residual (closed form when the cost is quadratic).
     """
-    return minimize_batch(model, cost, eta, xi, [u0], control_set, config)[0]
+    return minimize_batch(model, cost, eta, [(xi, u0)], control_set, config)[0]
 
 
 def minimize_batch(
     model: ModelSpec,
     cost: CostSpec,
     eta: SampledPath,
-    xi,
     starts,
     control_set: ControlSetSpec,
     config: OptimizerConfig,
 ) -> List[AssimilationResult]:
-    """:func:`minimize` from each control in ``starts``, all in one lockstep batch.
+    """:func:`minimize` from each ``(xi, u0)`` in ``starts``, all in one lockstep batch.
 
     Each start's loop is a generator that yields its solves.  Each round
     advances every unfinished start to its next solve; the forward solves
-    of a round share one RK4 sweep and the costate solves one costate
-    sweep.  Each start keeps its own step size, line search, status and
-    traces, and its result equals :func:`minimize` from it bit for bit: a
-    start whose trial step blows up shrinks only its own step, and one that
-    converges or stalls leaves the batch.  When a start raises, the starts
-    after it stop, and the error of the first start to raise is raised, as
-    a serial loop would.
+    of a round share one RK4 sweep, each member from its own initial state,
+    and the costate solves one costate sweep.  Each start keeps its own
+    initial state, step size, line search, status and traces, and its
+    result equals :func:`minimize` from it bit for bit: a start whose trial
+    step blows up shrinks only its own step, and one that converges or
+    stalls leaves the batch.  When a start raises, the starts after it
+    stop, and the error of the first start to raise is raised, as a serial
+    loop would.
     """
-    solvers = [_projected_gradient(model, cost, eta, u0, control_set, config) for u0 in starts]
+    solvers = [
+        _projected_gradient(model, cost, eta, xi, u0, control_set, config) for xi, u0 in starts
+    ]
 
     def answer(requests):
         answers = {}
         for kind in (FORWARD, COSTATE):
             ks = [k for k, (want, _) in requests.items() if want == kind]
             if ks:
-                solved = _solve(kind, [requests[k][1] for k in ks], model, cost, eta, xi)
+                solved = _solve(kind, [requests[k][1] for k in ks], model, cost, eta)
                 answers.update(zip(ks, solved))
         return answers
 

@@ -7,7 +7,9 @@ initial costate so that lambda(T) = 0.  Long chaotic horizons break the
 Newton iteration (sensitivities explode); the projected-gradient path
 covers those, and shooting demos default to short windows.  Several starts
 shoot in lockstep: each round, the terminal costates they ask for share one
-Hamiltonian sweep along a leading member axis.
+Hamiltonian sweep along a leading member axis, each member from its own
+initial state.  The value probe's 2n+1 solves run as one such batch, or,
+with the gradient solver, as one :func:`minimize_batch`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
-from .cost import CostSpec, eval_cost
+from .cost import CostSpec, check_observation, eval_cost
 from .dynamics import ModelSpec, first_nonfinite, initial_state
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
 from .grid import SampledPath
@@ -23,7 +25,7 @@ from .optimizer import (
     ControlSetSpec,
     OptimizerConfig,
     lockstep,
-    minimize,
+    minimize_batch,
     positive_finite,
 )
 
@@ -51,11 +53,13 @@ def hamiltonian_sweep(
     left-tag Young increment.  For an arbitrary lambda0 the terminal
     costate is generally nonzero.
 
-    ``xi`` and ``lambda0`` (n,) may carry a leading member axis (B, n), as
-    in :func:`rk4_sweep`.  Returns the states, costates and controls,
+    ``xi`` and ``lambda0`` are each (n,), shared by every member, or
+    (B, n), one row per member, as ``xi`` in :func:`rk4_sweep`; two member
+    axes must agree.  Returns the states, costates and controls,
     (..., n_nodes, n | n | m), and per member the first node where x or
     lambda is non-finite, or -1; each member equals its one-member sweep
-    bit for bit.
+    bit for bit.  Raises :class:`InvalidSpecError` for any other shape, and
+    when eta's dimension is not psi's.
     """
     if cost.quad is None:
         raise UnsupportedCostError("Hamiltonian integration needs a quadratic-family cost")
@@ -63,9 +67,11 @@ def hamiltonian_sweep(
     dt = grid.dt
     times = grid.times
     deta = eta.increments()
-    xi = initial_state(model, xi, members=True)
-    lambda0 = initial_state(model, lambda0, members=True, name="initial costate")
-    members = np.broadcast_shapes(xi.shape[:-1], lambda0.shape[:-1])
+    # The members are those of whichever initial value has a member axis.
+    members = np.shape(xi)[:-1] or np.shape(lambda0)[:-1]
+    xi = initial_state(model, xi, members)
+    lambda0 = initial_state(model, lambda0, members, name="initial costate")
+    check_observation(cost, eta, xi)
     n, m = model.state_dim, model.control_dim
     out = [np.empty(members + (grid.n_nodes, k)) for k in (n, n, m)]
     # Node-major views: node i of every member is row i.
@@ -108,9 +114,11 @@ def integrate_hamiltonian(
 ):
     """The (x, lambda, u) paths of one :func:`hamiltonian_sweep`.
 
-    Raises :class:`BlowUpError` at the first node where x or lambda turns
-    non-finite.
+    ``xi`` and ``lambda0`` are (n,).  Raises :class:`BlowUpError` at the
+    first node where x or lambda turns non-finite.
     """
+    xi = initial_state(model, xi)
+    lambda0 = initial_state(model, lambda0, name="initial costate")
     xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xi, lambda0, control_set)
     if blown >= 0:
         raise BlowUpError(int(blown))
@@ -234,12 +242,16 @@ def value_probe(
 ) -> dict:
     """Compare the finite-difference value gradient against lambda(0).
 
-    Runs 2n+1 fresh solves (at xi and xi +/- h e_i; with ``solver="shoot"``
-    as one :func:`shoot_batch`, otherwise one after another) and returns the
-    componentwise central difference, lambda(0) from the solve at xi, and
-    the maximum absolute gap.  Gap smallness is consistency evidence for
-    the sensitivity identity, never an assertion of uniqueness.  A solve
-    that does not converge raises :class:`NoConvergenceError`.
+    Runs 2n+1 fresh solves, at xi and xi +/- h e_i, as one lockstep batch:
+    one :func:`shoot_batch`, or with ``solver="gradient"`` one
+    :func:`minimize_batch` from the zero control, each start with its own
+    initial state.  Each value is the index of its solve's triple.  Returns
+    the componentwise central difference, lambda(0) from the solve at xi,
+    and the maximum absolute gap.  Gap smallness is consistency evidence
+    for the sensitivity identity, never an assertion of uniqueness.  A
+    solve that raises stops the batch and its error is raised, the first
+    point's when several raise; failing that, a gradient solve that did not
+    converge raises :class:`NoConvergenceError`, again the first point's.
     """
     if not positive_finite(h):
         raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
@@ -247,7 +259,6 @@ def value_probe(
         raise InvalidSpecError(f"unknown solver {solver!r}")
     xi = initial_state(model, xi)
     n = model.state_dim
-    u_template = SampledPath.zeros(eta.grid, model.control_dim)
     points = [xi]
     for i in range(n):
         e = np.zeros(n)
@@ -255,16 +266,16 @@ def value_probe(
         points.extend([xi + e, xi - e])
     if solver == "shoot":
         triples = shoot_batch(model, cost, eta, points, control_set=control_set)
-        values = [eval_cost(cost, t.x, t.u, eta) for t in triples]
     else:
-        values, triples = [], []
-        for z in points:
-            result = minimize(model, cost, eta, z, u_template, control_set, opt_config)
+        u0 = SampledPath.zeros(eta.grid, model.control_dim)
+        results = minimize_batch(model, cost, eta, [(z, u0) for z in points], control_set,
+                                 opt_config)
+        for result in results:
             if result.status != "converged":
                 message = f"gradient solve did not converge: {result.status}"
                 raise NoConvergenceError(result.grad_norm_trace[-1], message)
-            values.append(result.final_cost)
-            triples.append(result.triple)
+        triples = [result.triple for result in results]
+    values = [eval_cost(cost, t.x, t.u, eta) for t in triples]
     lam0 = triples[0].lam.values[0]
     dv = np.empty(n)
     for i in range(n):

@@ -14,7 +14,7 @@ from roughassim.adjoint import (
 )
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
-from roughassim.errors import GridMismatchError, InvalidParameterError
+from roughassim.errors import GridMismatchError, UnsupportedCostError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec
 from roughassim.roughpath import sample_wiener
@@ -129,7 +129,7 @@ class TestHamiltonianPieces:
             D2psi=lambda t, x: np.zeros((1, 1)),
         )
         model = linear_model([[0.0]])
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UnsupportedCostError):
             pointwise_hamiltonian_minimizer(
                 cost, model, 0.0, np.zeros(1), np.zeros(1), ControlSetSpec()
             )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughassim.adjoint import costate_sweep, solve_costate
 from roughassim.cost import (
     QuadraticCostSpec,
     build_minimum_energy,
@@ -14,6 +15,7 @@ from roughassim.errors import InvalidSpecError, UnsupportedCostError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
 from roughassim.roughpath import sample_wiener
+from roughassim.shooting import hamiltonian_sweep, integrate_hamiltonian, shoot, value_probe
 
 from conftest import make_lorenz_twin
 
@@ -162,15 +164,37 @@ class TestEvalCost:
 
     def test_observation_dimension_must_match_psi(self):
         # One column of eta against Lorenz'63's three observed components
-        # would broadcast into a wrong index; minimize evaluates the cost
-        # before its first costate solve, so it stops there too.
+        # would broadcast into a wrong index in eval_cost, and fail in a
+        # numpy contraction in the sweeps; every entry point that pairs psi
+        # with eta names both dimensions instead, before it sweeps.
         model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=64, T=0.25)
         one_column = SampledPath(grid, eta.values[:, :1])
         u = SampledPath.zeros(grid, 3)
-        with pytest.raises(InvalidSpecError, match="eta has 1 components"):
-            eval_cost(cost, truth, u, one_column)
-        with pytest.raises(InvalidSpecError, match="eta has 1 components"):
-            minimize(model, cost, one_column, xi, u, ControlSetSpec(), OptimizerConfig())
+        solves = {
+            "eval_cost": lambda: eval_cost(cost, truth, u, one_column),
+            "eval_cost_by_parts": lambda: eval_cost_by_parts(cost, model, truth, u, one_column),
+            "minimize": lambda: minimize(
+                model, cost, one_column, xi, u, ControlSetSpec(), OptimizerConfig()
+            ),
+            "solve_costate": lambda: solve_costate(model, cost, truth, u, one_column),
+            "costate_sweep": lambda: costate_sweep(
+                model, cost, np.stack([truth.values] * 2), np.stack([u.values] * 2), one_column
+            ),
+            "integrate_hamiltonian": lambda: integrate_hamiltonian(
+                model, cost, one_column, xi, np.zeros(3)
+            ),
+            "hamiltonian_sweep": lambda: hamiltonian_sweep(
+                model, cost, one_column, np.stack([xi] * 2), np.zeros(3)
+            ),
+            "shoot": lambda: shoot(model, cost, one_column, xi),
+            "value_probe": lambda: value_probe(model, cost, one_column, xi, h=1e-4),
+            "value_probe-gradient": lambda: value_probe(
+                model, cost, one_column, xi, h=1e-4, solver="gradient"
+            ),
+        }
+        for solve in solves.values():
+            with pytest.raises(InvalidSpecError, match="eta has 1 components, the cost observes 3"):
+                solve()
 
 
 class TestByParts:

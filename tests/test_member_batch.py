@@ -102,12 +102,11 @@ def costate_reference(model, cost, x, u, eta):
 def test_multistart_batch_equals_serial_starts(raw):
     config = load_config(raw)
     _, eta = simulate_truth(config)
-    cost = build_cost(config)
+    model, cost, xi = config.model, build_cost(config), config.assim_initial_state
     starts = list(_multistart_initials(config))
-    args = (config.model, cost, eta, config.assim_initial_state)
     tail = (config.control_set, config.optimizer)
-    serial = [minimize(*args, u0, *tail) for u0 in starts]
-    batch = minimize_batch(*args, starts, *tail)
+    serial = [minimize(model, cost, eta, xi, u0, *tail) for u0 in starts]
+    batch = minimize_batch(model, cost, eta, [(xi, u0) for u0 in starts], *tail)
     assert len(batch) == len(serial) == 4
     for a, b in zip(batch, serial):
         assert_same_result(a, b)
@@ -149,7 +148,8 @@ def test_trial_blow_up_shrinks_only_its_own_step(monkeypatch):
         return values, blown
 
     monkeypatch.setattr(optimizer, "rk4_sweep", spy)
-    batch = minimize_batch(model, cost, eta, xi, starts, ControlSetSpec(), config)
+    batch = minimize_batch(model, cost, eta, [(xi, u0) for u0 in starts], ControlSetSpec(),
+                           config)
     # Some batched round had a member blow up beside a member that did not.
     assert any((r >= 0).any() and (r < 0).any() for r in rounds)
     monkeypatch.undo()
@@ -189,7 +189,7 @@ def test_first_forward_blow_up_raises_the_serial_error():
         for u0 in starts:
             minimize(model, cost, eta, xi, u0, ControlSetSpec(), config)
     with pytest.raises(BlowUpError) as batch:
-        minimize_batch(model, cost, eta, xi, starts, ControlSetSpec(), config)
+        minimize_batch(model, cost, eta, [(xi, u0) for u0 in starts], ControlSetSpec(), config)
     assert batch.value.node_index == serial.value.node_index == node_of(starts[1])
     assert str(batch.value) == str(serial.value)
 
@@ -200,16 +200,19 @@ def test_rk4_sweep_members_equal_one_member_sweeps():
     rng = np.random.default_rng(4)
     U = rng.normal(size=(5, grid.n_nodes, 9))
     U[3] *= 1e80  # this member overflows; the others must not notice
-    xi = 8.0 + rng.normal(size=9)
-    values, blown = rk4_sweep(model, U, xi, grid)
-    for b in range(5):
-        alone, node = rk4_sweep(model, U[b], xi, grid)
-        assert node == blown[b]
-        if node < 0:
-            assert np.array_equal(values[b], alone)
-            path = integrate_state(model, SampledPath(grid, U[b]), xi, grid)
-            assert np.array_equal(values[b], path.values)
-    assert blown[3] > 0 and (np.delete(blown, 3) == -1).all()
+    shared = 8.0 + rng.normal(size=9)
+    own = 8.0 + rng.normal(size=(5, 9))
+    for xi in (shared, own):  # one initial state for all members, or one each
+        values, blown = rk4_sweep(model, U, xi, grid)
+        for b in range(5):
+            xb = xi if xi.ndim == 1 else xi[b]
+            alone, node = rk4_sweep(model, U[b], xb, grid)
+            assert node == blown[b]
+            if node < 0:
+                assert np.array_equal(values[b], alone)
+                path = integrate_state(model, SampledPath(grid, U[b]), xb, grid)
+                assert np.array_equal(values[b], path.values)
+        assert blown[3] > 0 and (np.delete(blown, 3) == -1).all()
 
 
 def state_dependent_g_model():
@@ -425,22 +428,63 @@ def test_shoot_batch_equals_per_start_shoot(monkeypatch, problem):
         assert abs(a.lam.values[-1]).max() < 1e-9
 
 
-def test_value_probe_raises_the_first_failing_points_error():
+@pytest.mark.parametrize("solver", ["shoot", "gradient"])
+def test_value_probe_raises_the_first_failing_points_error(solver):
     model, cost, eta = riccati2_problem()
-    xi, h = np.array([0.3, 0.5]), 0.8
+    xi = np.array([0.3, 0.5])
+    h = 0.8 if solver == "shoot" else 0.4
+    config = OptimizerConfig(grad_tol=1e-3, max_iters=8)
     points = [xi, xi + [h, 0.0], xi - [h, 0.0], xi + [0.0, h], xi - [0.0, h]]
-    errors = {}
+    failures = {}  # point -> (message, best residual) of its own solve
     for k, z in enumerate(points):
-        try:
-            shoot(model, cost, eta, z)
-        except NoConvergenceError as err:
-            errors[k] = err
-    # Points 1 and 3 fail, point 3 at an earlier grid node.
-    assert sorted(errors) == [1, 3] and str(errors[1]) != str(errors[3])
+        if solver == "shoot":
+            try:
+                shoot(model, cost, eta, z)
+            except NoConvergenceError as err:
+                failures[k] = (str(err), err.best_residual)
+            continue
+        result = minimize(model, cost, eta, z, SampledPath.zeros(eta.grid, 2), ControlSetSpec(),
+                          config)
+        if result.status != "converged":
+            message = f"gradient solve did not converge: {result.status}"
+            failures[k] = (message, result.grad_norm_trace[-1])
+    # Shooting fails at points 1 and 3, point 3 at an earlier grid node;
+    # the gradient solve stalls at point 1 and runs out of iterations at
+    # point 3 (and 4), after the batch has run every point to its end.
+    assert sorted(failures) == ([1, 3] if solver == "shoot" else [1, 3, 4])
+    assert failures[1] != failures[3]
     with pytest.raises(NoConvergenceError) as probe:
-        value_probe(model, cost, eta, xi, h=h)
-    assert str(probe.value) == str(errors[1])
-    assert probe.value.best_residual == errors[1].best_residual
+        value_probe(model, cost, eta, xi, h=h, solver=solver, opt_config=config)
+    assert (str(probe.value), probe.value.best_residual) == failures[1]
+
+
+def test_gradient_value_probe_is_one_batch_equal_to_serial_solves(monkeypatch):
+    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
+    h, config = 1e-4, OptimizerConfig(grad_tol=1e-3, max_iters=200)
+    initial_states = []
+    sweep = optimizer.rk4_sweep
+
+    def spy(model, uv, xi, grid):
+        initial_states.append(np.shape(xi))
+        return sweep(model, uv, xi, grid)
+
+    monkeypatch.setattr(optimizer, "rk4_sweep", spy)
+    probe = value_probe(model, cost, eta, xi, h=h, solver="gradient", opt_config=config)
+    monkeypatch.undo()
+    # The forward solves ran as member sweeps, each member from its own point.
+    assert initial_states[0] == (7, 3) and all(len(s) == 2 for s in initial_states)
+    points = [xi]
+    for e in h * np.eye(3):
+        points.extend([xi + e, xi - e])
+    serial = [minimize(model, cost, eta, z, SampledPath.zeros(grid, 3), ControlSetSpec(), config)
+              for z in points]
+    assert all(r.status == "converged" for r in serial)
+    values = [r.final_cost for r in serial]
+    dv = np.array([(values[1 + 2 * i] - values[2 + 2 * i]) / (2.0 * h) for i in range(3)])
+    assert np.array_equal(probe["dV_fd"], dv)
+    assert np.array_equal(probe["lambda0"], serial[0].triple.lam.values[0])
+    assert probe["value"] == values[0]
+    assert probe["max_abs_gap"] == float(np.max(np.abs(dv - probe["lambda0"])))
 
 
 def test_duality_sweep_members_equal_duality_check():

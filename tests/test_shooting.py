@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import riccati_lq
-from roughassim.dynamics import integrate_state
+from roughassim.dynamics import integrate_state, rk4_sweep
 from roughassim.errors import InvalidSpecError, NoConvergenceError
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
+from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize, minimize_batch
 from roughassim import shooting
-from roughassim.shooting import integrate_hamiltonian, shoot, value_probe
+from roughassim.shooting import hamiltonian_sweep, integrate_hamiltonian, shoot, value_probe
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
 
@@ -143,6 +143,12 @@ class TestValueProbe:
                         solver="newton")
 
 
+def minimize_second_start(model, cost, eta, xi):
+    u0 = SampledPath.zeros(eta.grid, 3)
+    starts = [(np.ones(3), u0), (xi, u0)]
+    return minimize_batch(model, cost, eta, starts, ControlSetSpec(), OptimizerConfig())
+
+
 @pytest.mark.parametrize("solve", [
     pytest.param(lambda m, c, eta, xi: shoot(m, c, eta, xi), id="shoot"),
     pytest.param(lambda m, c, eta, xi: value_probe(m, c, eta, xi, h=1e-4), id="value_probe"),
@@ -150,10 +156,26 @@ class TestValueProbe:
                  id="integrate_hamiltonian"),
     pytest.param(lambda m, c, eta, lam0: integrate_hamiltonian(m, c, eta, np.ones(3), lam0),
                  id="integrate_hamiltonian-costate"),
+    pytest.param(minimize_second_start, id="minimize_batch"),
+    # Two initial states are a member axis: it must be the sweep's, and a
+    # one-path function has none.
+    pytest.param(lambda m, c, eta, xi: rk4_sweep(
+        m, np.zeros((4, eta.grid.n_nodes, 3)), np.ones((2, 3)), eta.grid
+    ), id="rk4_sweep-members"),
+    pytest.param(lambda m, c, eta, xi: hamiltonian_sweep(
+        m, c, eta, np.ones((2, 3)), np.zeros((4, 3))
+    ), id="hamiltonian_sweep-members"),
+    pytest.param(lambda m, c, eta, xi: integrate_state(
+        m, SampledPath.zeros(eta.grid, 3), np.ones((2, 3)), eta.grid
+    ), id="integrate_state-members"),
+    pytest.param(lambda m, c, eta, xi: integrate_hamiltonian(
+        m, c, eta, np.ones((2, 3)), np.zeros(3)
+    ), id="integrate_hamiltonian-members"),
 ])
 def test_initial_state_shape_checked(solve):
     # A 2-vector start (or initial costate) for Lorenz'63 is a spec error, as
-    # in integrate_state.
+    # in integrate_state; so is a member axis that does not fit, never a
+    # numpy broadcast error.
     model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=16, T=0.1)
     with pytest.raises(InvalidSpecError, match=r"initial (state|costate) must have shape \(3,\)"):
         solve(model, cost, eta, np.array([1.0, 25.0]))
