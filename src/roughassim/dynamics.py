@@ -5,6 +5,12 @@ piecewise constant on [t_i, t_{i+1}) using the left node value, which makes
 the classical RK4 step exact in the control.  The rank-3 Jacobian of g uses
 the convention ``D2g[i, j, k] = d g[i, j] / d x[k]``; every built-in model
 has a state-independent g and leaves it out.
+
+A one-member forward sweep of a model that gives its drift in Python floats
+(``ModelSpec.rates``, set by Lorenz'63) steps in floats, not numpy arrays,
+whose call overhead is most of a step on a small state; its states are the
+array stepper's, bit for bit.  Member batches and every other model step
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ class ModelSpec:
     constant may come back unstacked).  The sweeps rely on it: the costate
     evaluates its Jacobians for a block of nodes in one call, and a leading
     member axis runs independent solves through one RK4 step.
+
+    ``rates(t, x, u)`` is optional: the drift at one node in Python floats.
+    It takes x and u as lists of floats and returns a sequence of n floats
+    equal, bit for bit, to ``drift(t, x, u)`` at that node for every finite
+    control, the control term included.  Only a sweep with no member axis
+    calls it (see :func:`rk4_sweep`); None, the default, is always correct.
     """
 
     state_dim: int
@@ -50,6 +62,7 @@ class ModelSpec:
     g: callable
     D2f: callable
     D2g: callable | None = None
+    rates: callable | None = None
 
     def drift(self, t, x, u):
         return self.f(t, x) + np.matvec(self.g(t, x), u)
@@ -88,7 +101,8 @@ def lorenz63_quadratic_part(state) -> np.ndarray:
 
 
 def lorenz63_model(params: Lorenz63Params = Lorenz63Params()) -> ModelSpec:
-    s, b = params.sigma, params.b
+    s, r, b = params.sigma, params.r, params.b
+    brs = b * (r + s)
 
     def f(t, state):
         return lorenz63_drift(state, params)
@@ -103,7 +117,17 @@ def lorenz63_model(params: Lorenz63Params = Lorenz63Params()) -> ModelSpec:
         jac[..., 2, 1] = x
         return jac
 
-    return ModelSpec(3, 3, f, _constant_g(3), D2f)
+    def rates(t, state, u):
+        # lorenz63_drift's operations in its order.  np.matvec(eye(3), u)
+        # sums from +0.0, so its row i is u_i + 0.0: -0.0 becomes +0.0.
+        x, y, z = state
+        return [
+            -s * x + s * y + (u[0] + 0.0),
+            -s * x - y - x * z + (u[1] + 0.0),
+            -b * z - brs + x * y + (u[2] + 0.0),
+        ]
+
+    return ModelSpec(3, 3, f, _constant_g(3), D2f, rates=rates)
 
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
@@ -190,8 +214,17 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     member: a member that blows up stays in the sweep and does not stop the
     others.  Each member's states equal its own one-member sweep bit for
     bit.
+
+    With no member axis, a model that sets ``rates`` steps in Python floats
+    (:func:`_float_sweep`), with the same states up to the first
+    non-finite node.
     """
     xi = initial_state(model, xi, uv.shape[:-2])
+    if uv.shape[-2] != grid.n_nodes:
+        raise GridMismatchError(f"control has {uv.shape[-2]} nodes, the grid {grid.n_nodes}")
+    if model.rates is not None and uv.ndim == 2:
+        out = _float_sweep(model.rates, uv, xi, grid)
+        return out, first_nonfinite(out)
     dt = grid.dt
     times = grid.times
     out = np.empty(uv.shape[:-1] + (model.state_dim,))
@@ -204,6 +237,27 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
             x = model.rk4_step(times[i], x, us[i], dt)
             xs[i + 1] = x
     return out, first_nonfinite(out)
+
+
+def _float_sweep(rates, uv, xi, grid: TimeGrid) -> np.ndarray:
+    """One member's RK4 states, (n_nodes, n), stepped in Python floats:
+    :meth:`ModelSpec.rk4_step`'s operations in its order, one component at
+    a time, so each state equals the array stepper's bit for bit."""
+    dt = grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    x = xi.tolist()
+    rows = [x]
+    for t, u in zip(grid.times.tolist(), uv[:-1].tolist()):
+        k1 = rates(t, x, u)
+        k2 = rates(t + half, [a + half * k for a, k in zip(x, k1)], u)
+        k3 = rates(t + half, [a + half * k for a, k in zip(x, k2)], u)
+        k4 = rates(t + dt, [a + dt * k for a, k in zip(x, k3)], u)
+        x = [
+            a + sixth * (p + 2.0 * q + 2.0 * r + w)
+            for a, p, q, r, w in zip(x, k1, k2, k3, k4)
+        ]
+        rows.append(x)
+    return np.array(rows)
 
 
 def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> SampledPath:

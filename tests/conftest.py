@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.dynamics import linear_model
 from roughassim.experiments import build_cost, load_config, simulate_truth
 from roughassim.grid import SampledPath
+
+# A deeper run of the property tests that leave max_examples to the profile,
+# chosen with --hypothesis-profile=ci; the default profile stays in force.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def make_lorenz_twin(seed=42, n_steps=512, T=1.0, noise=0.1, S=1.0):

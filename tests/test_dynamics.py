@@ -1,5 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roughassim.dynamics import (
     Lorenz63Params,
@@ -11,6 +16,7 @@ from roughassim.dynamics import (
     lorenz63_model,
     lorenz63_quadratic_part,
     lorenz96_model,
+    rk4_sweep,
 )
 from roughassim.errors import BlowUpError, GridMismatchError, InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
@@ -181,6 +187,104 @@ class TestIntegrateState:
         for other in (TimeGrid(1.0, 8), TimeGrid(1.5, 4)):
             with pytest.raises(GridMismatchError):
                 integrate_state(model, SampledPath.zeros(other, 3), xi, TimeGrid(1.0, 4))
+
+
+# Control entries that stress the float path: signed zeros and subnormals,
+# and magnitudes that overflow the state within a few steps.
+TINY_CONTROLS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308])
+HUGE = st.floats(min_value=1e100, max_value=1e300).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def lorenz63_sweeps(draw):
+    """A Lorenz'63 model, grid, initial state and control for one sweep."""
+    params = Lorenz63Params(*(draw(st.floats(min_value=0.1, max_value=30.0)) for _ in range(3)))
+    grid = TimeGrid(draw(st.floats(min_value=0.01, max_value=1.0)), draw(st.integers(1, 64)))
+    xi = draw(arrays(float, 3, elements=st.floats(-50.0, 50.0)))
+    U = draw(arrays(float, (grid.n_nodes, 3), elements=st.floats(-100.0, 100.0)))
+    for index, value in draw(st.lists(st.tuples(st.integers(0, U.size - 1), TINY_CONTROLS),
+                                      max_size=8)):
+        U.flat[index] = value
+    if draw(st.booleans()):  # one huge control entry or initial coordinate
+        index, value = draw(st.integers(0, U.size + 2)), draw(HUGE)
+        if index < U.size:
+            U.flat[index] = value
+        else:
+            xi[index - U.size] = value
+    return lorenz63_model(params), grid, xi, U
+
+
+def sweep_outcome(model, U, xi, grid):
+    """integrate_state's states as bytes, or the node its BlowUpError names."""
+    try:
+        return integrate_state(model, SampledPath(grid, U), xi, grid).values.tobytes()
+    except BlowUpError as err:
+        return err.node_index
+
+
+class TestFloatSweep:
+    """A one-member sweep of a model that sets ``rates`` steps in Python
+    floats; ``replace(model, rates=None)`` reaches the array stepper.  The
+    two must agree in bytes (np.array_equal would let -0.0 pass for +0.0)."""
+
+    def test_rates_equal_drift_node_by_node(self):
+        model = lorenz63_model(Lorenz63Params(sigma=7.5, r=31.0, b=2.5))
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 3)) * 20.0
+        U = rng.normal(size=(200, 3)) * 5.0
+        U[rng.random(U.shape) < 0.3] = -0.0
+        U[:8] = [[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, 1.0, -1.0],
+                 [5e-324, -5e-324, -0.0], [1e300, -1e300, -0.0], [-1e-310, 0.0, 2.0],
+                 [-0.0, -2.0, 3.0], [0.0, 0.0, 0.0]]
+        X[:2] = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+        for t, x, u in zip(np.linspace(0.0, 2.0, 200), X, U):
+            rates = np.array(model.rates(float(t), x.tolist(), u.tolist()))
+            assert rates.tobytes() == model.drift(t, x, u).tobytes()
+
+    @given(lorenz63_sweeps())
+    @settings(deadline=None, derandomize=True)
+    def test_float_sweep_equals_array_sweep(self, case):
+        model, grid, xi, U = case
+        array_model = replace(model, rates=None)
+        floats, node = rk4_sweep(model, U, xi, grid)
+        arrays_, array_node = rk4_sweep(array_model, U, xi, grid)
+        event("blown up" if node >= 0 else "finite")
+        assert node == array_node
+        # Past the first non-finite node the two may carry different NaNs.
+        kept = grid.n_nodes if node < 0 else node
+        assert floats[:kept].tobytes() == arrays_[:kept].tobytes()
+        assert sweep_outcome(model, U, xi, grid) == sweep_outcome(array_model, U, xi, grid)
+
+    def test_nonfinite_control_blows_up_at_the_same_node(self):
+        # A SampledPath rejects such a control, so only rk4_sweep sees one.
+        # Past node 5 the bytes differ: np.matvec spreads 0 * inf = NaN over
+        # every component, the float path keeps the control in its own.
+        model = lorenz63_model()
+        grid = TimeGrid(1.0, 16)
+        xi = np.array([1.0, 1.0, 25.0])
+        for bad in (np.inf, -np.inf, np.nan):
+            U = np.zeros((grid.n_nodes, 3))
+            U[5, 1] = bad
+            floats, node = rk4_sweep(model, U, xi, grid)
+            arrays_, array_node = rk4_sweep(replace(model, rates=None), U, xi, grid)
+            assert node == array_node == 6
+            assert floats[:6].tobytes() == arrays_[:6].tobytes()
+
+    def test_control_node_count_checked_on_both_paths(self):
+        # Without the check the array stepper would return np.empty rows
+        # past the grid's last node, and the float stepper would stop early.
+        model = lorenz63_model()
+        grid = TimeGrid(1.0, 8)
+        xi = np.array([1.0, 1.0, 25.0])
+        for m in (model, replace(model, rates=None)):
+            for rows in (grid.n_nodes - 1, grid.n_nodes + 1):
+                with pytest.raises(GridMismatchError):
+                    rk4_sweep(m, np.zeros((rows, 3)), xi, grid)
+
+    def test_only_lorenz63_sets_rates(self):
+        assert lorenz63_model().rates is not None
+        assert lorenz96_model().rates is None
+        assert linear_model(np.eye(3)).rates is None
 
 
 def test_energy_diagnostic_bounded_over_controls():
