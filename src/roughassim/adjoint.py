@@ -16,7 +16,7 @@ import numpy as np
 
 from .cost import CostSpec, check_observation
 from .dynamics import ModelSpec, first_nonfinite
-from .errors import BlowUpError, UnsupportedCostError
+from .errors import BlowUpError, InvalidParameterError, UnsupportedCostError
 from .grid import SampledPath, require_same_grid
 from .roughpath import wiener_rng
 
@@ -210,7 +210,7 @@ def duality_sweep(grid, Mv, av, bv, zeta0, lambdaT) -> np.ndarray:
     return out
 
 
-def duality_check(M: SampledPath, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
+def duality_check(M, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
     """Residual of the forward/backward duality identity.
 
     Solves zeta(t) = zeta(0) + int_0^t M zeta ds + [a(t) - a(0)] forward and
@@ -219,6 +219,10 @@ def duality_check(M: SampledPath, a: SampledPath, b: SampledPath, zeta0, lambdaT
     |lambda(T) zeta(T) - lambda(0) zeta(0) - int zeta db - int lambda da|.
     The pairing integrals use the midpoint tag, which makes the identity
     exact to rounding when M = 0.  :func:`duality_sweep` runs it on arrays.
+    M is an array, one n x n matrix per node of a's and b's grid.
     """
-    grid = require_same_grid(M, a, b)
-    return float(duality_sweep(grid, M.values, a.values, b.values, zeta0, lambdaT))
+    grid = require_same_grid(a, b)
+    shape = (grid.n_nodes, a.dim, a.dim)
+    if np.shape(M) != shape:
+        raise InvalidParameterError(f"M must have shape {shape}, got {np.shape(M)}")
+    return float(duality_sweep(grid, M, a.values, b.values, zeta0, lambdaT))

@@ -9,7 +9,6 @@ errors itself.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -18,6 +17,7 @@ import numpy as np
 from .checks import SUITES, run_suite
 from .errors import BlowUpError, NoConvergenceError, RoughAssimError
 from .experiments import (
+    _write_json,
     build_cost,
     check_outdir,
     cmd_assimilate,
@@ -107,7 +107,7 @@ def check(suite, seed, outdir):
     check_outdir(outdir)  # before the suite, which can take a minute
     report = run_suite(suite, seed)
     out = make_outdir(outdir)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "report.json", report)
     for rec in report["checks"]:
         mark = "PASS" if rec["passed"] else "FAIL"
         click.echo(

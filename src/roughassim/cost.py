@@ -65,9 +65,9 @@ class QuadraticCostSpec:
     """Observation operator h with Jacobian, plus weights R(t), S(t).
 
     R must be symmetric nonnegative definite and S uniformly positive
-    definite.  Constant matrices may be passed directly; they are wrapped
-    as callables of t.  The observation and control dimensions are the
-    sizes of R(0) and S(0).  ``h_dt`` and ``R_dt`` are time derivatives
+    definite, both nonempty.  Constant matrices may be passed directly; they
+    are wrapped as callables of t.  The observation and control dimensions
+    are the sizes of R(0) and S(0).  ``h_dt`` and ``R_dt`` are time derivatives
     (None means identically zero), needed only by the integration-by-parts
     cross-evaluator.
     """
@@ -84,8 +84,8 @@ class QuadraticCostSpec:
         object.__setattr__(self, "S", _as_matrix_callable(self.S))
         R0, S0 = self.R(0.0), self.S(0.0)
         for label, M in (("R", R0), ("S", S0)):
-            if np.ndim(M) != 2 or M.shape[0] != M.shape[1]:
-                raise InvalidSpecError(f"{label} must be a square matrix, got shape {np.shape(M)}")
+            if np.ndim(M) != 2 or not 0 < M.shape[0] == M.shape[1]:
+                raise InvalidSpecError(f"{label} must be a nonempty square matrix: {np.shape(M)}")
         if not np.allclose(S0, S0.T):
             raise InvalidSpecError("S must be symmetric")
         if not np.allclose(R0, R0.T):

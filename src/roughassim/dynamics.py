@@ -160,8 +160,8 @@ def linear_model(A, B=None) -> ModelSpec:
     if A.shape != (n, n):
         raise InvalidSpecError("A must be square")
     B = np.eye(n) if B is None else np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != n:
-        raise InvalidSpecError("B must have n rows")
+    if B.shape[0] != n or B.shape[1] == 0:
+        raise InvalidSpecError("B must have n rows and at least one column")
     m = B.shape[1]
     return ModelSpec(n, m, lambda t, x: np.matvec(A, x), lambda t, x: B, lambda t, x: A)
 

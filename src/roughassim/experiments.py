@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +33,7 @@ from .cost import (
 from .dynamics import (
     Lorenz63Params,
     ModelSpec,
+    initial_state,
     integrate_state,
     linear_model,
     lorenz63_model,
@@ -48,16 +49,16 @@ RESULT_SCHEMA_VERSION = 1
 
 @dataclass
 class ExperimentConfig:
+    """A checked config; :func:`build_cost` builds its cost from ``quad`` (h, R and S)."""
+
     model: ModelSpec
     grid: TimeGrid
     truth_initial_state: np.ndarray
     truth_control: Optional[np.ndarray]
-    h_indices: list
-    R: np.ndarray
+    quad: QuadraticCostSpec
     noise_scale: float
     seed: int
     cost_kind: str
-    S: np.ndarray
     assim_initial_state: np.ndarray
     control_set: ControlSetSpec
     optimizer: OptimizerConfig
@@ -65,7 +66,7 @@ class ExperimentConfig:
 
     @property
     def obs_dim(self) -> int:
-        return len(self.h_indices)
+        return self.quad.obs_dim
 
 
 def _matrix_from_config(value, dim, label):
@@ -133,7 +134,11 @@ def _array(value, label: str) -> np.ndarray:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse an experiment config from a dict or the path of a UTF-8 JSON file."""
+    """Parse an experiment config from a dict or the path of a UTF-8 JSON file.
+
+    Every rule is checked here, the weights' and the cost's included, so
+    every command accepts and rejects the same configs before it writes.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -157,10 +162,8 @@ def load_config(source) -> ExperimentConfig:
         h_indices = [_integer(i, "h_indices entry") for i in h_indices]
         R = _matrix_from_config(obs.get("R", 1.0), len(h_indices), "R")
         cost_section = raw.get("cost", {})
-        cost_kind = cost_section.get("kind", "minimum_energy")
-        if cost_kind not in ("minimum_energy", "onsager_machlup"):
-            raise InvalidSpecError(f"unknown cost kind {cost_kind!r}")
         S = _matrix_from_config(cost_section.get("S", 1.0), model.control_dim, "S")
+        quad = QuadraticCostSpec(*coordinate_observation(h_indices, model.state_dim), R, S)
         assim = raw.get("assimilation", {})
         assim_x0 = _array(assim.get("initial_state", truth["initial_state"]), "initial_state")
         control_set = _build_control_set(raw.get("control_set", {}), model.control_dim)
@@ -170,12 +173,10 @@ def load_config(source) -> ExperimentConfig:
             grid=grid,
             truth_initial_state=truth_x0,
             truth_control=truth_u,
-            h_indices=h_indices,
-            R=R,
+            quad=quad,
             noise_scale=_number(obs.get("noise_scale", 0.1), "noise_scale"),
             seed=_integer(obs.get("seed", 0), "seed"),
-            cost_kind=cost_kind,
-            S=S,
+            cost_kind=cost_section.get("kind", "minimum_energy"),
             assim_initial_state=assim_x0,
             control_set=control_set,
             optimizer=optimizer,
@@ -185,19 +186,17 @@ def load_config(source) -> ExperimentConfig:
         if isinstance(err, InvalidSpecError):
             raise
         raise InvalidSpecError(f"malformed experiment config: {err}") from err
-    n = model.state_dim
-    if truth_x0.shape != (n,) or assim_x0.shape != (n,):
-        raise InvalidSpecError("initial states must match the model state dimension")
+    initial_state(model, truth_x0, name="truth initial state")
+    initial_state(model, assim_x0, name="assimilation initial state")
     if truth_u is not None and truth_u.shape != (model.control_dim,):
         raise InvalidSpecError("truth control must match the model control dimension")
-    if not all(0 <= i < n for i in h_indices):
-        raise InvalidSpecError(f"h_indices {h_indices} out of range for state dimension {n}")
     if not (0.0 <= cfg.noise_scale < np.inf):
         raise InvalidSpecError(f"noise_scale must be finite and nonnegative, got {cfg.noise_scale}")
     # The generator key is seed + stream * 2**64: a larger seed would draw
     # another seed's stream.
     if not 0 <= cfg.seed < 1 << 64:
         raise InvalidSpecError(f"seed must be in [0, 2**64), got {cfg.seed}")
+    build_cost(cfg)
     return cfg
 
 
@@ -207,11 +206,12 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def build_cost(config: ExperimentConfig) -> CostSpec:
-    h, h_jac = coordinate_observation(config.h_indices, config.model.state_dim)
-    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=config.R, S=config.S)
+    """The config's ``cost_kind`` cost on its observation and weights."""
     if config.cost_kind == "minimum_energy":
-        return build_minimum_energy(quad)
-    return build_onsager_machlup(quad, config.model)
+        return build_minimum_energy(config.quad)
+    if config.cost_kind == "onsager_machlup":
+        return build_onsager_machlup(config.quad, config.model)
+    raise InvalidSpecError(f"unknown cost kind {config.cost_kind!r}")
 
 
 def _truth_control_path(config: ExperimentConfig) -> SampledPath:
@@ -229,8 +229,7 @@ def simulate_truth(config: ExperimentConfig):
     """
     u_truth = _truth_control_path(config)
     truth = integrate_state(config.model, u_truth, config.truth_initial_state, config.grid)
-    h, _ = coordinate_observation(config.h_indices, config.model.state_dim)
-    hv = h(config.grid.times, truth.values)
+    hv = config.quad.h(config.grid.times, truth.values)
     zeta_vals = np.zeros_like(hv)
     dt = config.grid.dt
     np.cumsum(0.5 * dt * (hv[:-1] + hv[1:]), axis=0, out=zeta_vals[1:])
@@ -253,7 +252,10 @@ def _manifest(config: ExperimentConfig, phases=None) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError as err:
+        raise InvalidSpecError(f"cannot write {str(path)!r}: {err}") from err
 
 
 def check_outdir(outdir) -> None:
@@ -381,11 +383,11 @@ def cmd_assimilate(
         "cost_kind": config.cost_kind,
     }
     # Both quadratic-family costs evaluated at the converged pair, when defined.
-    me_cfg = replace(config, cost_kind="minimum_energy")
-    payload["cost_minimum_energy"] = eval_cost(build_cost(me_cfg), triple.x, triple.u, eta)
+    me = build_minimum_energy(config.quad)
+    payload["cost_minimum_energy"] = eval_cost(me, triple.x, triple.u, eta)
     try:
-        om_cfg = replace(config, cost_kind="onsager_machlup")
-        payload["cost_onsager_machlup"] = eval_cost(build_cost(om_cfg), triple.x, triple.u, eta)
+        om = build_onsager_machlup(config.quad, config.model)
+        payload["cost_onsager_machlup"] = eval_cost(om, triple.x, triple.u, eta)
     except (InvalidSpecError, UnsupportedCostError):
         payload["cost_onsager_machlup"] = None
 

@@ -1,8 +1,8 @@
 """Time grids, sampled paths, and the CSV path format.
 
-A :class:`SampledPath` stores values of a vector- (or matrix-) valued
-function at the nodes of a uniform :class:`TimeGrid`.  Paths are immutable
-after construction; every operation in the package consumes and produces
+A :class:`SampledPath` stores the values of a d-vector valued function at
+the nodes of a uniform :class:`TimeGrid`.  Paths are immutable after
+construction; every operation in the package consumes and produces
 paths without mutating them.
 """
 
@@ -53,11 +53,11 @@ class TimeGrid:
 
 
 class SampledPath:
-    """Values of a function at the nodes of a uniform grid.
+    """Values of a d-vector valued function at the nodes of a uniform grid.
 
-    ``values`` has shape ``(n_nodes, *dim)`` where ``dim`` is ``(d,)`` for a
-    d-vector valued path and ``(r, c)`` for a matrix-valued one.  The array
-    is copied and frozen on construction.
+    ``values`` has shape ``(n_nodes, d)``: 1-D values are a path with d = 1,
+    and any other number of axes is rejected.  The array is copied and
+    frozen on construction.
     """
 
     __slots__ = ("grid", "values")
@@ -66,6 +66,8 @@ class SampledPath:
         values = np.array(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
+        if values.ndim != 2:
+            raise InvalidParameterError(f"path values must be (n_nodes, d), got {values.shape}")
         if values.shape[0] != grid.n_nodes:
             raise InvalidParameterError(
                 f"expected {grid.n_nodes} rows of values, got {values.shape[0]}"
@@ -80,26 +82,24 @@ class SampledPath:
         raise AttributeError("SampledPath is immutable")
 
     @property
-    def dim(self):
-        """Value dimension: an int for vectors, a tuple for matrices."""
-        shape = self.values.shape[1:]
-        return shape[0] if len(shape) == 1 else shape
+    def dim(self) -> int:
+        """Number of components d."""
+        return self.values.shape[1]
 
     @property
     def times(self) -> np.ndarray:
         return self.grid.times
 
     def increments(self) -> np.ndarray:
-        """Forward differences ``values[i+1] - values[i]``, shape (n_steps, *dim)."""
+        """Forward differences ``values[i+1] - values[i]``, shape (n_steps, d)."""
         return np.diff(self.values, axis=0)
 
     def __len__(self):
         return self.values.shape[0]
 
     @classmethod
-    def zeros(cls, grid: TimeGrid, dim) -> "SampledPath":
-        shape = (dim,) if np.isscalar(dim) else tuple(dim)
-        return cls(grid, np.zeros((grid.n_nodes, *shape)))
+    def zeros(cls, grid: TimeGrid, d: int) -> "SampledPath":
+        return cls(grid, np.zeros((grid.n_nodes, d)))
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "SampledPath":
@@ -139,17 +139,16 @@ def _format_float(x: float) -> str:
 
 
 def write_path_csv(path: SampledPath, filename) -> None:
-    """Write a vector-valued path as ``t,v0,...,v{d-1}`` rows."""
-    values = path.values
-    if values.ndim != 2:
-        raise InvalidParameterError("only vector-valued paths can be written as CSV")
-    d = values.shape[1]
-    header = "t," + ",".join(f"v{k}" for k in range(d))
+    """Write a path as ``t,v0,...,v{d-1}`` rows; an unwritable file is an invalid input."""
+    header = "t," + ",".join(f"v{k}" for k in range(path.dim))
     lines = [header]
-    for t, row in zip(path.times, values):
+    for t, row in zip(path.times, path.values):
         lines.append(",".join([_format_float(t)] + [_format_float(v) for v in row]))
-    with open(filename, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(filename, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as err:
+        raise InvalidParameterError(f"cannot write path file: {err}") from err
 
 
 def read_path_csv(filename) -> SampledPath:

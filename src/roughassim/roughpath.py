@@ -29,12 +29,6 @@ MAX_PVAR_NODES = 4097
 PVAR_BLOCK = 64
 
 
-def _node_matrix(path: SampledPath) -> np.ndarray:
-    """Node values flattened to shape (n_nodes, prod(dim))."""
-    v = path.values
-    return v.reshape(v.shape[0], -1)
-
-
 def _distances(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """|v_j - v_i| for rows j in [lo, hi) against columns i < hi.
 
@@ -109,7 +103,7 @@ def p_variation(path: SampledPath, p: float) -> float:
     """
     if not 1 <= p < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
-    values = _node_matrix(path)
+    values = path.values
     if values.shape[0] > MAX_PVAR_NODES:
         raise InvalidParameterError(
             f"path has {values.shape[0]} nodes, above the cap of {MAX_PVAR_NODES}"
@@ -127,7 +121,7 @@ def p_variation_bruteforce(path: SampledPath, p: float) -> float:
     """
     if not 1 <= p < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
-    values = _node_matrix(path)
+    values = path.values
     n = values.shape[0]
     if n < 2:
         return 0.0
@@ -151,27 +145,24 @@ def oscillation(path: SampledPath) -> float:
     Reads the distances ``PVAR_BLOCK`` rows at a time, so memory is
     O(``PVAR_BLOCK`` * n), never n^2.
     """
-    values = _node_matrix(path)
+    values = path.values
     n = values.shape[0]
     blocks = range(0, n, PVAR_BLOCK)
     return float(max(np.max(_distances(values, lo, min(lo + PVAR_BLOCK, n))) for lo in blocks))
 
 
 def _apply_steps(xv: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Apply per-step integrand values xv to increments dy.
+    """Apply per-step integrand values xv (N, k) to increments dy (N, d).
 
-    Shapes: xv (N, ...) acting on dy (N, d); scalar, covector, and matrix
-    integrands are supported.
+    k = d pairs them as covectors, (N,) terms; k = 1 scales them, (N, d)
+    terms; any other k raises :class:`InvalidParameterError`.
     """
-    if xv.ndim == 2 and xv.shape[1] == 1 and dy.shape[1] != 1:
-        xv = xv[:, 0]
-    if xv.ndim == 1:  # scalar integrand against vector increments
-        return xv[:, None] * dy
-    if xv.ndim == 2:  # covector rows against vector increments
+    k, d = xv.shape[1], dy.shape[1]
+    if k == d:
         return np.einsum("nd,nd->n", xv, dy)
-    if xv.ndim == 3:  # matrix L(V, W) against vector increments
-        return np.einsum("nwd,nd->nw", xv, dy)
-    raise InvalidParameterError(f"unsupported integrand shape {xv.shape}")
+    if k == 1:
+        return xv * dy
+    raise InvalidParameterError(f"a {k}-component integrand cannot act on {d} components")
 
 
 def young_integral(x: SampledPath, y: SampledPath, tag: str = "left"):
@@ -179,7 +170,9 @@ def young_integral(x: SampledPath, y: SampledPath, tag: str = "left"):
 
     ``tag`` places tau_i at the left node, right node, or midpoint (the
     midpoint value is the average of the two endpoint samples, matching the
-    piecewise-linear reading of the stored path).
+    piecewise-linear reading of the stored path).  An x with y's d
+    components gives a float, a 1-component x a d-vector (see
+    :func:`_apply_steps`).
     """
     require_same_grid(x, y)
     if tag not in ("left", "right", "midpoint"):
@@ -244,6 +237,5 @@ def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> Sampl
     """Observation path eta(t_i) = zeta(t_i) + noise_scale * W(t_i), W on stream 0."""
     if noise_scale < 0:
         raise InvalidParameterError("noise_scale must be nonnegative")
-    d = zeta.values.shape[1]
-    w = sample_wiener(zeta.grid, d, seed)
+    w = sample_wiener(zeta.grid, zeta.dim, seed)
     return SampledPath(zeta.grid, zeta.values + noise_scale * w.values)

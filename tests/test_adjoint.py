@@ -14,7 +14,7 @@ from roughassim.adjoint import (
 )
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
-from roughassim.errors import GridMismatchError, UnsupportedCostError
+from roughassim.errors import GridMismatchError, InvalidParameterError, UnsupportedCostError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec
 from roughassim.roughpath import sample_wiener
@@ -178,7 +178,7 @@ class TestMaxPrincipleResidual:
 class TestDualityCheck:
     def test_zero_coefficient_is_exact(self):
         grid = TimeGrid(1.0, 64)
-        M = SampledPath(grid, np.zeros((grid.n_nodes, 1, 1)))
+        M = np.zeros((grid.n_nodes, 1, 1))
         a = sample_wiener(grid, 1, seed=0)
         b = sample_wiener(grid, 1, seed=1)
         res = duality_check(M, a, b, zeta0=np.array([1.3]), lambdaT=np.array([-0.7]))
@@ -188,8 +188,7 @@ class TestDualityCheck:
         residuals = []
         for n in (128, 256):
             grid = TimeGrid(1.0, n)
-            Mv = (0.5 * np.sin(2 * np.pi * grid.times)).reshape(-1, 1, 1)
-            M = SampledPath(grid, Mv)
+            M = (0.5 * np.sin(2 * np.pi * grid.times)).reshape(-1, 1, 1)
             a = SampledPath.from_function(grid, lambda t: np.sin(3 * t))
             b = SampledPath.from_function(grid, lambda t: np.cos(2 * t))
             residuals.append(duality_check(M, a, b, np.array([1.0]), np.array([0.5])))
@@ -197,10 +196,18 @@ class TestDualityCheck:
 
     def test_rough_drivers_stay_small(self):
         grid = TimeGrid(1.0, 512)
-        M = SampledPath(grid, 0.3 * np.ones((grid.n_nodes, 1, 1)))
+        M = 0.3 * np.ones((grid.n_nodes, 1, 1))
         a = sample_wiener(grid, 1, seed=4)
         b = sample_wiener(grid, 1, seed=5)
         assert duality_check(M, a, b, np.array([1.0]), np.array([1.0])) < 5e-2
+
+    @pytest.mark.parametrize("nodes", [64, 66])
+    def test_coefficient_on_another_grid_rejected(self, nodes):
+        grid = TimeGrid(1.0, 64)
+        a = sample_wiener(grid, 1, seed=4)
+        b = sample_wiener(grid, 1, seed=5)
+        with pytest.raises(InvalidParameterError):
+            duality_check(np.zeros((nodes, 1, 1)), a, b, np.array([1.0]), np.array([1.0]))
 
 
 class TestGradientFdGap:

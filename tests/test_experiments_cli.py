@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughassim import cli
@@ -118,6 +118,9 @@ class TestLoadConfig:
         {"optimizer": {"grad_tol": float("inf")}},
         {"observation": {"seed": 2**64}},
         {"observation": {"seed": 2**130}},
+        {"observation": {"h_indices": []}},
+        {"model": {"name": "linear", "params": {"A": [[-1.0]], "B": [[]]}},
+         "truth": {"initial_state": [1.0]}, "assimilation": {"initial_state": [1.0]}},
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
@@ -362,6 +365,18 @@ class TestCliErrors:
                      id="assimilate-outdir-is-a-file"),
         pytest.param("check", None, None, ["--suite", "duality", "-o", "{file}"], 3,
                      id="check-outdir-is-a-file"),
+        pytest.param("value-probe", {"observation": {"h_indices": []}}, None, [], 3,
+                     id="value-probe-empty-h"),
+        pytest.param("simulate", {
+            "model": {"name": "linear", "params": {"A": [[-1.0, 0.0], [0.0, -1.0]],
+                                                   "B": [[1.0], [0.0]]}},
+            "truth": {"initial_state": [1.0, 1.0]}, "assimilation": {"initial_state": [1.0, 1.0]},
+            "cost": {"kind": "onsager_machlup"}}, None, [], 3,
+                     id="simulate-om-cost-the-model-cannot-carry"),
+        pytest.param("simulate", {}, None, ["-o", "{blocked:truth.csv}"], 3,
+                     id="simulate-truth-csv-is-a-directory"),
+        pytest.param("simulate", {}, None, ["-o", "{blocked:manifest.json}"], 3,
+                     id="simulate-manifest-is-a-directory"),
     ])
     def test_bad_input_exit_code(self, sim_dir, tmp_path, command, overrides, eta_edit,
                                  extra, code):
@@ -378,10 +393,14 @@ class TestCliErrors:
             args += ["-o", str(tmp_path / "out")]  # a later -o overrides it
 
         def resolve(arg):
-            """ "{file}" names an existing file, "{truth:<edit>}" a damaged truth copy."""
+            """ "{file}" names an existing file, "{truth:<edit>}" a damaged truth copy,
+            "{blocked:<artifact>}" an output directory where that artifact is a directory."""
             if arg == "{file}":
                 (tmp_path / "taken").write_text("")
                 return str(tmp_path / "taken")
+            if arg.startswith("{blocked:"):
+                (tmp_path / "blocked" / arg[9:-1]).mkdir(parents=True)
+                return str(tmp_path / "blocked")
             if arg.startswith("{truth:"):
                 truth = tmp_path / "truth.csv"
                 truth.write_text(edit_eta((tmp / "sim" / "truth.csv").read_text(), arg[7:-1]))
@@ -439,6 +458,8 @@ def not_integral(v):
     return not float(v).is_integer()
 
 
+NONSYMMETRIC_R = [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
 # One strategy of invalid values per config field; a one-element key such as
 # ("observation",) replaces the whole section.
 BAD_FIELDS = {
@@ -455,15 +476,15 @@ BAD_FIELDS = {
     ("truth", "control"): st.just([1.0, 2.0]),
     ("assimilation", "initial_state"): st.just([1.0, np.nan, 24.0]),
     ("observation",): st.just("full"),
-    ("observation", "h_indices"): st.lists(st.integers(), min_size=1, max_size=4).filter(
-        lambda ix: any(not 0 <= i < 3 for i in ix)),
+    ("observation", "h_indices"): st.lists(st.integers(), max_size=4).filter(
+        lambda ix: not ix or any(not 0 <= i < 3 for i in ix)),
     ("observation", "noise_scale"): st.one_of(
         st.floats(max_value=0.0, exclude_max=True), st.sampled_from([np.inf, np.nan, "loud"])),
     ("observation", "seed"): st.one_of(st.integers(max_value=-1), st.just(2.5)),
-    ("observation", "R"): st.just([[1.0, 0.0], [0.0, 1.0]]),
+    ("observation", "R"): st.sampled_from([[[1.0, 0.0], [0.0, 1.0]], NONSYMMETRIC_R, -1.0]),
     ("cost", "kind"): st.text(max_size=8).filter(
         lambda s: s not in ("minimum_energy", "onsager_machlup")),
-    ("cost", "S"): st.sampled_from([[1.0, 2.0], "big"]),
+    ("cost", "S"): st.sampled_from([[1.0, 2.0], "big", 0.0]),
     ("control_set", "kind"): st.text(max_size=8).filter(lambda s: s != "all_space"),
     ("optimizer", "grad_tol"): st.one_of(st.floats(max_value=0.0), st.just(np.nan)),
     ("optimizer", "max_iters"): st.one_of(
@@ -481,13 +502,24 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(BAD_FIELDS)).flatmap(
     lambda key: st.tuples(st.just(key), BAD_FIELDS[key])))
-def test_config_fuzz_exits_3(fuzz_dir, field_and_value):
+@example((("observation", "R"), NONSYMMETRIC_R))
+@example((("observation", "R"), -1.0))
+@example((("cost", "S"), 0.0))
+@example((("observation", "h_indices"), []))
+def test_config_fuzz_exits_3(sim_dir, fuzz_dir, field_and_value):
+    """simulate, assimilate (on a valid eta) and value-probe reject the config
+    alike: exit 3, one line on stderr, nothing written."""
     key, value = field_and_value
-    cfg = lorenz_config(grid={"T": 0.5, "n_steps": 16}, control_set={"kind": "all_space"})
+    cfg = lorenz_config(control_set={"kind": "all_space"})
     section = cfg
     for name in key[:-1]:
         section = section[name]
     section[key[-1]] = value
     cfgfile = write_config(fuzz_dir, cfg)
-    result = CliRunner().invoke(main, ["simulate", "-c", str(cfgfile), "-o", str(fuzz_dir / "o")])
-    assert_clean_exit(result, 3)
+    out = fuzz_dir / "o"
+    eta = str(sim_dir[0] / "sim" / "eta.csv")
+    for args in (["simulate", "-o", str(out)], ["assimilate", "--eta", eta, "-o", str(out)],
+                 ["value-probe"]):
+        result = CliRunner().invoke(main, args + ["-c", str(cfgfile)])
+        assert_clean_exit(result, 3)
+        assert not out.exists()

@@ -54,6 +54,12 @@ def test_path_promotes_1d_and_validates():
         SampledPath(g, [0.0, np.nan, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 2), (4, 1, 3), ()])
+def test_path_is_n_nodes_by_d(shape):
+    with pytest.raises(InvalidParameterError):
+        SampledPath(TimeGrid(1.0, 3), np.zeros(shape))
+
+
 def test_increments_and_restrict():
     g = TimeGrid(1.0, 4)
     p = SampledPath(g, [0.0, 1.0, 3.0, 6.0, 10.0])

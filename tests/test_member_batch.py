@@ -511,5 +511,5 @@ def test_duality_sweep_members_equal_duality_check():
     resids = duality_sweep(grid, M, a, b, zeta0, lambdaT)
     assert resids.shape == (5,)
     for k in range(5):
-        paths = (SampledPath(grid, v) for v in (M[k], a[k], b[k]))
-        assert resids[k] == duality_check(*paths, zeta0[k], lambdaT[k])
+        paths = (SampledPath(grid, v) for v in (a[k], b[k]))
+        assert resids[k] == duality_check(M[k], *paths, zeta0[k], lambdaT[k])

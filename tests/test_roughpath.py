@@ -298,6 +298,12 @@ class TestYoungIntegral:
         out = young_integral(x, y)
         assert np.shape(out) == (3,)
 
+    def test_integrand_of_another_dimension_rejected(self):
+        g = TimeGrid(1.0, 16)
+        x, y = sample_wiener(g, 2, seed=7), sample_wiener(g, 3, seed=8)
+        with pytest.raises(InvalidParameterError):
+            young_integral(x, y)
+
     def test_linearity_in_integrand(self):
         g = TimeGrid(1.0, 32)
         x1, x2 = random_path(32, 1, seed=8), random_path(32, 1, seed=9)
