@@ -29,7 +29,6 @@ from .cost import (
     eval_cost_by_parts,
 )
 from .dynamics import (
-    Lorenz63Params,
     ModelSpec,
     energy_diagnostic,
     integrate_state,
@@ -82,7 +81,6 @@ __all__ = [
     "GridMismatchError",
     "InvalidParameterError",
     "InvalidSpecError",
-    "Lorenz63Params",
     "ModelSpec",
     "NoConvergenceError",
     "OptimalTriple",

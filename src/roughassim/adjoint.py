@@ -154,6 +154,7 @@ def max_principle_residual(
     (heuristic residual only).
     """
     grid = require_same_grid(triple.x, triple.u, triple.lam)
+    control_set.check(model.control_dim)
     t, x, lam, u = grid.times, triple.x.values, triple.lam.values, triple.u.values
     h_at_u = hamiltonian(cost, model, t, x, lam, u)
     if cost.quad is not None:

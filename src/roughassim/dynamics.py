@@ -24,17 +24,6 @@ from .grid import SampledPath, TimeGrid, require_same_grid
 
 
 @dataclass(frozen=True)
-class Lorenz63Params:
-    sigma: float = 10.0
-    r: float = 28.0
-    b: float = 8.0 / 3.0
-
-    def __post_init__(self):
-        if not all(0 < p < np.inf for p in (self.sigma, self.r, self.b)):  # NaN fails too
-            raise InvalidSpecError("Lorenz'63 parameters must be positive and finite")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Dynamics f, g and their state Jacobians.
 
@@ -87,10 +76,10 @@ class ModelSpec:
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def lorenz63_drift(state, params: Lorenz63Params = Lorenz63Params()) -> np.ndarray:
+def lorenz63_drift(state, sigma=10.0, r=28.0, b=8.0 / 3.0) -> np.ndarray:
     """Stable-linear plus energy-conserving quadratic split of Lorenz'63."""
     x, y, z = np.asarray(state).T  # one node (3,) or stacked nodes (..., 3)
-    s, r, b = params.sigma, params.r, params.b
+    s = sigma
     return np.array([-s * x + s * y, -s * x - y - x * z, -b * z - b * (r + s) + x * y]).T
 
 
@@ -100,12 +89,14 @@ def lorenz63_quadratic_part(state) -> np.ndarray:
     return np.array([0.0, -x * z, x * y])
 
 
-def lorenz63_model(params: Lorenz63Params = Lorenz63Params()) -> ModelSpec:
-    s, r, b = params.sigma, params.r, params.b
-    brs = b * (r + s)
+def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
+    """Lorenz'63 in the shifted form of :func:`lorenz63_drift`, controlled in every state."""
+    if not all(0 < p < np.inf for p in (sigma, r, b)):  # NaN fails too
+        raise InvalidSpecError("Lorenz'63 parameters must be positive and finite")
+    s, brs = sigma, b * (r + sigma)
 
     def f(t, state):
-        return lorenz63_drift(state, params)
+        return lorenz63_drift(state, s, r, b)
 
     def D2f(t, state):
         x, y, z = np.moveaxis(state, -1, 0)
@@ -222,6 +213,8 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     xi = initial_state(model, xi, uv.shape[:-2])
     if uv.shape[-2] != grid.n_nodes:
         raise GridMismatchError(f"control has {uv.shape[-2]} nodes, the grid {grid.n_nodes}")
+    if uv.shape[-1] != model.control_dim:
+        raise InvalidSpecError(f"control has {uv.shape[-1]} components, not {model.control_dim}")
     if model.rates is not None and uv.ndim == 2:
         out = _float_sweep(model.rates, uv, xi, grid)
         return out, first_nonfinite(out)

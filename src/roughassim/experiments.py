@@ -31,7 +31,6 @@ from .cost import (
     eval_cost,
 )
 from .dynamics import (
-    Lorenz63Params,
     ModelSpec,
     initial_state,
     integrate_state,
@@ -78,39 +77,11 @@ def _matrix_from_config(value, dim, label):
     return M
 
 
-def _build_model(section: dict) -> ModelSpec:
-    name = section.get("name")
-    params = section.get("params", {})
-    if name == "linear":
-        B = params.get("B")
-        return linear_model(_array(params["A"], "A"), None if B is None else _array(B, "B"))
-    if name not in ("lorenz63", "lorenz96"):
-        raise InvalidSpecError(f"unknown model name {name!r}")
-    # The Lorenz parameters are JSON numbers, the Lorenz'96 dimension an integer.
-    kw = {k: (_integer if k == "n" else _number)(v, k) for k, v in params.items()}
-    return lorenz63_model(Lorenz63Params(**kw)) if name == "lorenz63" else lorenz96_model(**kw)
-
-
-def _build_control_set(section: dict, m: int) -> ControlSetSpec:
-    kind = section.get("kind", "all_space")
-    if kind == "all_space":
-        return ControlSetSpec()
-    if kind == "box":
-        lo = np.broadcast_to(_array(section["lo"], "lo"), (m,))
-        hi = np.broadcast_to(_array(section["hi"], "hi"), (m,))
-        return ControlSetSpec(kind="box", lo=lo, hi=hi)
-    if kind == "ball":
-        center = np.broadcast_to(_array(section.get("center", 0.0), "center"), (m,))
-        radius = _number(section["radius"], "radius")
-        return ControlSetSpec(kind="ball", center=center, radius=radius)
-    raise InvalidSpecError(f"unknown control set kind {kind!r}")
-
-
 def _number(value, label: str) -> float:
     """A JSON number as a float; a string or a boolean is an error, not a coercion."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidSpecError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    return float(value)  # OverflowError for an integer beyond the float range
 
 
 def _integer(value, label: str) -> int:
@@ -133,6 +104,29 @@ def _array(value, label: str) -> np.ndarray:
     return out
 
 
+# How a constructor-shaped config section reads each key; any other key is
+# read as a number, and the constructor rejects it if it is no keyword.
+_COERCE = {
+    "kind": lambda value, label: value,
+    **dict.fromkeys(("n", "n_steps"), _integer),
+    **dict.fromkeys(("A", "lo", "hi", "center"), _array),
+    "B": lambda value, label: None if value is None else _array(value, label),
+}
+
+
+def _construct(constructor, section: dict):
+    """``constructor`` called with a config section's keys as its keywords."""
+    return constructor(**{k: _COERCE.get(k, _number)(v, k) for k, v in section.items()})
+
+
+def _build_model(section: dict) -> ModelSpec:
+    models = {"lorenz63": lorenz63_model, "lorenz96": lorenz96_model, "linear": linear_model}
+    name = section.get("name")
+    if name not in models:
+        raise InvalidSpecError(f"unknown model name {name!r}")
+    return _construct(models[name], section.get("params", {}))
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict or the path of a UTF-8 JSON file.
 
@@ -148,8 +142,7 @@ def load_config(source) -> ExperimentConfig:
             raise InvalidSpecError(f"unreadable experiment config: {err}") from err
     try:
         model = _build_model(raw["model"])
-        g = raw["grid"]
-        grid = TimeGrid(_number(g["T"], "T"), _integer(g["n_steps"], "n_steps"))
+        grid = _construct(TimeGrid, raw["grid"])
         truth = raw["truth"]
         truth_x0 = _array(truth["initial_state"], "initial_state")
         truth_u = truth.get("control")
@@ -166,7 +159,8 @@ def load_config(source) -> ExperimentConfig:
         quad = QuadraticCostSpec(*coordinate_observation(h_indices, model.state_dim), R, S)
         assim = raw.get("assimilation", {})
         assim_x0 = _array(assim.get("initial_state", truth["initial_state"]), "initial_state")
-        control_set = _build_control_set(raw.get("control_set", {}), model.control_dim)
+        control_set = _construct(ControlSetSpec, raw.get("control_set", {}))
+        control_set.check(model.control_dim)
         optimizer = OptimizerConfig(**raw.get("optimizer", {}))
         cfg = ExperimentConfig(
             model=model,
@@ -182,7 +176,7 @@ def load_config(source) -> ExperimentConfig:
             optimizer=optimizer,
             raw=raw,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
         if isinstance(err, InvalidSpecError):
             raise
         raise InvalidSpecError(f"malformed experiment config: {err}") from err
@@ -273,19 +267,23 @@ def check_outdir(outdir) -> None:
         )
 
 
-def make_outdir(outdir) -> Path:
-    """Create an output directory; a path that cannot be one is an invalid input."""
+def make_outdir(outdir, artifacts=()) -> Path:
+    """Create an output directory; a path that cannot be one is an invalid input, and
+    so is an ``artifacts`` name in it that is a directory, checked before any write."""
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise InvalidSpecError(f"cannot use {str(outdir)!r} as output directory: {err}") from err
+    for name in artifacts:
+        if (outdir / name).is_dir():
+            raise InvalidSpecError(f"cannot write {str(outdir / name)!r}: it is a directory")
     return outdir
 
 
 def cmd_simulate(config: ExperimentConfig, outdir, timings: bool = False) -> dict:
     """Write truth.csv, eta.csv, manifest.json into outdir."""
-    outdir = make_outdir(outdir)
+    outdir = make_outdir(outdir, ("truth.csv", "eta.csv", "manifest.json"))
     t0 = time.perf_counter()
     truth, eta = simulate_truth(config)
     elapsed = time.perf_counter() - t0
@@ -362,7 +360,7 @@ def cmd_assimilate(
     truth = None
     if truth_candidate.exists():
         truth = _read_checked_path(config, truth_candidate, "truth", config.model.state_dim)
-    outdir = make_outdir(outdir)
+    outdir = make_outdir(outdir, ("estimate.csv", "control.csv", "costate.csv", "result.json"))
     t0 = time.perf_counter()
     result = run_assimilation(config, eta)
     elapsed = time.perf_counter() - t0

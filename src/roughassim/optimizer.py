@@ -34,12 +34,12 @@ from .grid import SampledPath, TimeGrid, require_same_grid
 
 @dataclass(frozen=True)
 class ControlSetSpec:
-    """Closed convex control set: all of E, a box, or a ball."""
+    """Closed convex control set: all of E, a box, or a ball (about 0 by default)."""
 
     kind: str = "all_space"
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
-    center: Optional[np.ndarray] = None
+    center: Optional[np.ndarray] = 0.0
     radius: Optional[float] = None
 
     def __post_init__(self):
@@ -48,18 +48,25 @@ class ControlSetSpec:
         if self.kind == "box":
             lo = np.asarray(self.lo, dtype=float)
             hi = np.asarray(self.hi, dtype=float)
-            if lo.shape != hi.shape or not np.all(lo <= hi):  # NaN fails lo <= hi
+            # Bounds of one shape, or one of them a single number; NaN fails lo <= hi.
+            if not ((lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)):
                 raise InvalidSpecError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
         elif self.kind == "ball":
-            center = np.asarray(self.center, dtype=float)  # a missing center reads as NaN
+            center = np.asarray(self.center, dtype=float)  # a None center reads as NaN
             r = self.radius
             if not (r is not None and 0 < r < np.inf and np.all(np.isfinite(center))):
                 raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
             object.__setattr__(self, "center", center)
         else:
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
+
+    def check(self, m: int) -> None:
+        """Reject bounds or a center that do not broadcast to m controls."""
+        read = {"box": (self.lo, self.hi), "ball": (self.center,)}.get(self.kind, ())
+        if any(np.shape(v) not in ((), (1,), (m,)) for v in read):
+            raise InvalidSpecError(f"the {self.kind} control set does not fit {m} controls")
 
     def project_values(self, values: np.ndarray) -> np.ndarray:
         """Pointwise Euclidean projection of one control (m,) or stacked (..., m)."""
@@ -150,6 +157,7 @@ def _projected_gradient(
     """
     grid: TimeGrid = require_same_grid(u0, eta)
     xi = initial_state(model, xi)
+    control_set.check(model.control_dim)
     dt = grid.dt
     u = project_control(u0, control_set)
     x = yield FORWARD, (xi, u)

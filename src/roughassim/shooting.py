@@ -58,8 +58,8 @@ def hamiltonian_sweep(
     axes must agree.  Returns the states, costates and controls,
     (..., n_nodes, n | n | m), and per member the first node where x or
     lambda is non-finite, or -1; each member equals its one-member sweep
-    bit for bit.  Raises :class:`InvalidSpecError` for any other shape, and
-    when eta's dimension is not psi's.
+    bit for bit.  Raises :class:`InvalidSpecError` for any other shape, a
+    control set that does not fit m controls, or eta not of psi's dimension.
     """
     if cost.quad is None:
         raise UnsupportedCostError("Hamiltonian integration needs a quadratic-family cost")
@@ -72,6 +72,7 @@ def hamiltonian_sweep(
     xi = initial_state(model, xi, members)
     lambda0 = initial_state(model, lambda0, members, name="initial costate")
     check_observation(cost, eta, xi)
+    control_set.check(model.control_dim)
     n, m = model.state_dim, model.control_dim
     out = [np.empty(members + (grid.n_nodes, k)) for k in (n, n, m)]
     # Node-major views: node i of every member is row i.

@@ -10,7 +10,7 @@ from roughassim.cost import (
     eval_cost,
     eval_cost_by_parts,
 )
-from roughassim.dynamics import Lorenz63Params, ModelSpec, integrate_state, linear_model, lorenz63_model
+from roughassim.dynamics import ModelSpec, integrate_state, linear_model, lorenz63_model
 from roughassim.errors import InvalidSpecError, UnsupportedCostError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
@@ -241,7 +241,7 @@ class TestByParts:
 
 class TestOnsagerMachlup:
     def test_constant_offset_for_lorenz(self):
-        p = Lorenz63Params()
+        sigma, b = 10.0, 8.0 / 3.0  # lorenz63_model's defaults
         model = lorenz63_model()
         q = quad_spec(obs_dim=3, control_dim=3, state_dim=3)
         me = build_minimum_energy(q)
@@ -250,7 +250,7 @@ class TestOnsagerMachlup:
         for _ in range(10):
             x, u = rng.normal(size=3), rng.normal(size=3)
             assert om.phi(0.0, x, u) - me.phi(0.0, x, u) == pytest.approx(
-                p.sigma + 1 + p.b
+                sigma + 1 + b
             )
             assert np.allclose(om.psi(0.0, x), me.psi(0.0, x))
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from roughassim.dynamics import (
-    Lorenz63Params,
     ModelSpec,
     energy_diagnostic,
     integrate_state,
@@ -21,21 +20,23 @@ from roughassim.dynamics import (
 from roughassim.errors import BlowUpError, GridMismatchError, InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
 
+# lorenz63_model's default parameters.
+SIGMA, R, B = 10.0, 28.0, 8.0 / 3.0
+
 
 class TestLorenz63:
     def test_drift_matches_textbook_form(self):
         # Internal z is the classic z minus (r + sigma); velocities must agree
         # with sigma(y-x), x(r-z)-y, xy-bz evaluated in classic coordinates.
-        p = Lorenz63Params()
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, y, z = rng.normal(size=3)
-            zc = z + (p.r + p.sigma)
+            zc = z + (R + SIGMA)
             classic = np.array(
                 [
-                    p.sigma * (y - x),
-                    x * (p.r - zc) - y,
-                    x * y - p.b * zc,
+                    SIGMA * (y - x),
+                    x * (R - zc) - y,
+                    x * y - B * zc,
                 ]
             )
             ours = lorenz63_drift(np.array([x, y, z]))
@@ -49,9 +50,8 @@ class TestLorenz63:
 
     def test_specific_state_quadratic_values(self):
         # At (1, 1, -(r + sigma)) the bilinear term is (0, r + sigma, 1).
-        p = Lorenz63Params()
-        f2 = lorenz63_quadratic_part(np.array([1.0, 1.0, -(p.r + p.sigma)]))
-        assert np.allclose(f2, [0.0, p.r + p.sigma, 1.0])
+        f2 = lorenz63_quadratic_part(np.array([1.0, 1.0, -(R + SIGMA)]))
+        assert np.allclose(f2, [0.0, R + SIGMA, 1.0])
 
     def test_jacobian_matches_finite_differences(self):
         model = lorenz63_model()
@@ -66,16 +66,23 @@ class TestLorenz63:
             assert np.allclose(J[:, k], fd, atol=1e-5)
 
     def test_divergence_is_constant(self):
-        p = Lorenz63Params()
         model = lorenz63_model()
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=3) * 10
-            assert np.trace(model.D2f(0.0, x)) == pytest.approx(-(p.sigma + 1 + p.b))
+            assert np.trace(model.D2f(0.0, x)) == pytest.approx(-(SIGMA + 1 + B))
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidSpecError):
-            Lorenz63Params(sigma=-1.0)
+        for bad in ({"sigma": -1.0}, {"r": 0.0}, {"b": np.inf}, {"sigma": np.nan}):
+            with pytest.raises(InvalidSpecError):
+                lorenz63_model(**bad)
+
+    def test_keyword_parameters_reach_the_drift(self):
+        x = np.array([[1.0, -2.0, 20.0], [0.5, 3.0, -7.0]])
+        model = lorenz63_model(sigma=7.5, r=31.0, b=2.5)
+        assert model.f(0.0, x).tobytes() == lorenz63_drift(x, 7.5, 31.0, 2.5).tobytes()
+        assert lorenz63_model().f(0.0, x).tobytes() == lorenz63_drift(x).tobytes()
+        assert np.trace(model.D2f(0.0, x[0])) == pytest.approx(-(7.5 + 1 + 2.5))
 
 
 class TestLorenz96:
@@ -198,7 +205,7 @@ HUGE = st.floats(min_value=1e100, max_value=1e300).flatmap(lambda v: st.sampled_
 @st.composite
 def lorenz63_sweeps(draw):
     """A Lorenz'63 model, grid, initial state and control for one sweep."""
-    params = Lorenz63Params(*(draw(st.floats(min_value=0.1, max_value=30.0)) for _ in range(3)))
+    params = [draw(st.floats(min_value=0.1, max_value=30.0)) for _ in range(3)]
     grid = TimeGrid(draw(st.floats(min_value=0.01, max_value=1.0)), draw(st.integers(1, 64)))
     xi = draw(arrays(float, 3, elements=st.floats(-50.0, 50.0)))
     U = draw(arrays(float, (grid.n_nodes, 3), elements=st.floats(-100.0, 100.0)))
@@ -211,7 +218,7 @@ def lorenz63_sweeps(draw):
             U.flat[index] = value
         else:
             xi[index - U.size] = value
-    return lorenz63_model(params), grid, xi, U
+    return lorenz63_model(*params), grid, xi, U
 
 
 def sweep_outcome(model, U, xi, grid):
@@ -228,7 +235,7 @@ class TestFloatSweep:
     two must agree in bytes (np.array_equal would let -0.0 pass for +0.0)."""
 
     def test_rates_equal_drift_node_by_node(self):
-        model = lorenz63_model(Lorenz63Params(sigma=7.5, r=31.0, b=2.5))
+        model = lorenz63_model(sigma=7.5, r=31.0, b=2.5)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(200, 3)) * 20.0
         U = rng.normal(size=(200, 3)) * 5.0
@@ -280,6 +287,19 @@ class TestFloatSweep:
             for rows in (grid.n_nodes - 1, grid.n_nodes + 1):
                 with pytest.raises(GridMismatchError):
                     rk4_sweep(m, np.zeros((rows, 3)), xi, grid)
+
+    def test_control_component_count_checked_on_both_paths(self):
+        # Without the check the float stepper raises IndexError on a short
+        # control and numpy's broadcast ValueError is the array stepper's.
+        model = lorenz63_model()
+        grid = TimeGrid(1.0, 8)
+        xi = np.array([1.0, 1.0, 25.0])
+        for m in (model, replace(model, rates=None)):
+            for width in (2, 4):
+                with pytest.raises(InvalidSpecError, match="components"):
+                    rk4_sweep(m, np.zeros((grid.n_nodes, width)), xi, grid)
+                with pytest.raises(InvalidSpecError):
+                    integrate_state(m, SampledPath.zeros(grid, width), xi, grid)
 
     def test_only_lorenz63_sets_rates(self):
         assert lorenz63_model().rates is not None

@@ -48,6 +48,9 @@ def write_config(tmp_path, cfg, name="config.json"):
     return p
 
 
+NEGATIVE_I3 = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+
+
 class TestLoadConfig:
     def test_dict_and_json_text_and_file_agree(self, tmp_path):
         # A dict and a file path agree; JSON text is not a config source.
@@ -121,12 +124,36 @@ class TestLoadConfig:
         {"observation": {"h_indices": []}},
         {"model": {"name": "linear", "params": {"A": [[-1.0]], "B": [[]]}},
          "truth": {"initial_state": [1.0]}, "assimilation": {"initial_state": [1.0]}},
+        {"observation": {"seed": 2**1100}},
+        {"observation": {"h_indices": [0, 2**1100]}},
+        {"grid": {"T": 1.0, "n_steps": 10**400}},
+        {"grid": {"T": 1.0, "n_steps": 8, "dt": 0.125}},
+        {"control_set": {"kind": "ball", "radius": 1.0, "centre": 0.0}},
+        {"model": {"name": "linear", "params": {"A": NEGATIVE_I3, "C": 1.0}}},
+        {"control_set": {"kind": "box", "lo": [-1.0, -1.0], "hi": 1.0}},
+        {"control_set": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
         with pytest.raises(Exception) as err:
             load_config(cfg)
         assert err.type.__name__ in ("InvalidSpecError", "InvalidParameterError")
+
+    def test_sections_are_their_constructors_keywords(self):
+        # Each spelling the parser took before still loads: a null B, scalar
+        # and vector bounds, a ball with no center, explicit Lorenz parameters.
+        cfg = load_config(lorenz_config(
+            model={"name": "linear", "params": {"A": NEGATIVE_I3, "B": None}},
+            control_set={"kind": "box", "lo": -1.0, "hi": [1.0, 2.0, 3.0]}))
+        assert cfg.model.control_dim == 3
+        assert cfg.control_set.project_values(np.full(3, 5.0)).tolist() == [1.0, 2.0, 3.0]
+        ball = load_config(lorenz_config(control_set={"kind": "ball", "radius": 0.5}))
+        assert np.allclose(ball.control_set.project_values(np.array([3.0, 0.0, 4.0])),
+                           [0.3, 0.0, 0.4])
+        x = np.array([1.0, -2.0, 20.0])
+        params = {"sigma": 7.5, "r": 31.0, "b": 2.5}
+        l63 = load_config(lorenz_config(model={"name": "lorenz63", "params": params}))
+        assert l63.model.f(0.0, x).tobytes() == lorenz63_drift(x, **params).tobytes()
 
     def test_hash_is_content_addressed(self):
         a = load_config(lorenz_config())
@@ -235,13 +262,12 @@ class TestCliAssimilate:
         # The two running costs differ by the constant drift-divergence rate
         # plus the control-energy change from S = 50 I to the metric Gamma = I.
         gap = result["cost_onsager_machlup"] - result["cost_minimum_energy"]
-        from roughassim.dynamics import Lorenz63Params
         from roughassim.grid import read_path_csv
 
         u = read_path_csv(out / "control.csv")
         energy = float(np.trapezoid(np.sum(u.values**2, axis=1), u.times))
-        p = Lorenz63Params()
-        expected = (p.sigma + 1 + p.b) * 0.5 + 0.5 * (1.0 - 50.0) * energy
+        sigma, b = 10.0, 8.0 / 3.0  # the Lorenz'63 defaults
+        expected = (sigma + 1 + b) * 0.5 + 0.5 * (1.0 - 50.0) * energy
         assert gap == pytest.approx(expected, rel=1e-9)
 
     def test_eta_grid_mismatch_exit_3(self, sim_dir, tmp_path):
@@ -410,6 +436,25 @@ class TestCliErrors:
         assert_clean_exit(CliRunner().invoke(main, args + [resolve(a) for a in extra]), code)
         assert not list(tmp_path.glob("out/*.csv"))
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("simulate", "truth.csv"), ("simulate", "eta.csv"), ("simulate", "manifest.json"),
+        ("assimilate", "estimate.csv"), ("assimilate", "costate.csv"),
+        ("assimilate", "result.json"),
+    ])
+    def test_artifact_directory_rejected_before_any_write(self, sim_dir, tmp_path, command,
+                                                         artifact):
+        tmp, _ = sim_dir
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        args = [command, "-c", str(write_config(tmp_path, lorenz_config())), "-o", str(out)]
+        if command == "assimilate":
+            args += ["--eta", str(tmp / "sim" / "eta.csv")]
+        result = CliRunner().invoke(main, args)
+        assert_clean_exit(result, 3)
+        assert "is a directory" in result.stderr
+        assert [p.name for p in out.iterdir()] == [artifact]
+        assert not any((out / artifact).iterdir())
+
     @pytest.mark.parametrize("outdir", ["taken", "taken/sub"])
     def test_check_rejects_outdir_before_the_suite(self, tmp_path, monkeypatch, outdir):
         def no_suite(*args):
@@ -459,15 +504,17 @@ def not_integral(v):
 
 
 NONSYMMETRIC_R = [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+LINEAR_WITH_UNKNOWN_KEY = {"name": "linear", "params": {"A": NEGATIVE_I3, "C": 1.0}}
 
 # One strategy of invalid values per config field; a one-element key such as
 # ("observation",) replaces the whole section.
 BAD_FIELDS = {
-    ("model",): st.just("lorenz63"),
+    ("model",): st.sampled_from(["lorenz63", LINEAR_WITH_UNKNOWN_KEY]),
     ("model", "name"): st.text(max_size=8).filter(
         lambda s: s not in ("lorenz63", "lorenz96", "linear")),
     ("model", "params"): st.just({"sigma": -1.0}),
     ("grid", "T"): st.one_of(st.floats(max_value=0.0), st.sampled_from([np.inf, np.nan, "one"])),
+    ("grid", "dt"): st.floats(),
     ("grid", "n_steps"): st.one_of(
         st.integers(max_value=0), st.floats().filter(not_integral), st.text(max_size=3)),
     ("truth", "initial_state"): st.lists(
@@ -480,12 +527,18 @@ BAD_FIELDS = {
         lambda ix: not ix or any(not 0 <= i < 3 for i in ix)),
     ("observation", "noise_scale"): st.one_of(
         st.floats(max_value=0.0, exclude_max=True), st.sampled_from([np.inf, np.nan, "loud"])),
-    ("observation", "seed"): st.one_of(st.integers(max_value=-1), st.just(2.5)),
+    ("observation", "seed"): st.one_of(
+        st.integers(max_value=-1), st.sampled_from([2.5, 2**1100])),
     ("observation", "R"): st.sampled_from([[[1.0, 0.0], [0.0, 1.0]], NONSYMMETRIC_R, -1.0]),
     ("cost", "kind"): st.text(max_size=8).filter(
         lambda s: s not in ("minimum_energy", "onsager_machlup")),
     ("cost", "S"): st.sampled_from([[1.0, 2.0], "big", 0.0]),
+    ("control_set",): st.sampled_from([
+        {"kind": "box", "lo": [-1.0, -1.0], "hi": 1.0},
+        {"kind": "ball", "radius": 1.0, "center": [0.0, 0.0]},
+    ]),
     ("control_set", "kind"): st.text(max_size=8).filter(lambda s: s != "all_space"),
+    ("control_set", "centre"): st.just(0.0),
     ("optimizer", "grad_tol"): st.one_of(st.floats(max_value=0.0), st.just(np.nan)),
     ("optimizer", "max_iters"): st.one_of(
         st.integers(max_value=0), st.floats().filter(not_integral)),
@@ -506,6 +559,11 @@ def fuzz_dir(tmp_path_factory):
 @example((("observation", "R"), -1.0))
 @example((("cost", "S"), 0.0))
 @example((("observation", "h_indices"), []))
+@example((("model",), LINEAR_WITH_UNKNOWN_KEY))
+@example((("grid", "dt"), 0.125))
+@example((("control_set", "centre"), 0.0))
+@example((("control_set",), {"kind": "box", "lo": [-1.0, -1.0], "hi": 1.0}))
+@example((("observation", "seed"), 2**1100))
 def test_config_fuzz_exits_3(sim_dir, fuzz_dir, field_and_value):
     """simulate, assimilate (on a valid eta) and value-probe reject the config
     alike: exit 3, one line on stderr, nothing written."""

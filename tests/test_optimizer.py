@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import riccati_lq
+from roughassim.adjoint import OptimalTriple, max_principle_residual
 from roughassim.errors import InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import (
@@ -12,7 +13,9 @@ from roughassim.optimizer import (
     project_control,
 )
 
-from conftest import scalar_lq, zero_eta
+from roughassim.shooting import shoot
+
+from conftest import make_lorenz_twin, scalar_lq, zero_eta
 
 
 FREE = ControlSetSpec()
@@ -64,13 +67,71 @@ class TestControlSetSpec:
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="ball", center=np.zeros(1), radius=np.nan)
         with pytest.raises(InvalidSpecError):
-            ControlSetSpec(kind="ball", radius=1.0)  # no center
+            ControlSetSpec(kind="box", lo=np.zeros(2), hi=np.ones(3))
+        with pytest.raises(InvalidSpecError):
+            ControlSetSpec(kind="ball", center=None, radius=1.0)
+
+    def test_ball_without_center_is_the_origin_ball(self):
+        vals = np.random.default_rng(1).normal(size=(50, 3)) * 2
+        vals[:3] = [[-0.0, 0.0, -0.0], [-3.0, -0.0, 4.0], [0.1, -0.0, -0.2]]
+        ball = ControlSetSpec(kind="ball", radius=0.8)
+        origin = ControlSetSpec(kind="ball", center=np.zeros(3), radius=0.8)
+        assert ball.project_values(vals).tobytes() == origin.project_values(vals).tobytes()
+
+    def test_scalar_bounds_project_as_m_vectors(self):
+        vals = np.random.default_rng(2).normal(size=(50, 3)) * 2
+        vals[:2] = [[-0.0, 0.0, -0.0], [-0.0, 5.0, -5.0]]
+        hi = np.array([0.1, 0.5, 2.0])
+        for short, full in (
+            (ControlSetSpec(kind="box", lo=-0.5, hi=hi),
+             ControlSetSpec(kind="box", lo=np.full(3, -0.5), hi=hi)),
+            (ControlSetSpec(kind="box", lo=[-1.0], hi=1.0),
+             ControlSetSpec(kind="box", lo=-np.ones(3), hi=np.ones(3))),
+            (ControlSetSpec(kind="ball", center=0.3, radius=0.7),
+             ControlSetSpec(kind="ball", center=np.full(3, 0.3), radius=0.7)),
+        ):
+            short.check(3)
+            assert short.project_values(vals).tobytes() == full.project_values(vals).tobytes()
+
+    def test_check_rejects_sets_that_do_not_fit_m(self):
+        for spec in (ControlSetSpec(), ControlSetSpec(kind="box", lo=-1.0, hi=np.ones(3)),
+                     ControlSetSpec(kind="ball", center=[0.5], radius=1.0)):
+            spec.check(3)
+        for spec in (
+            ControlSetSpec(kind="box", lo=-np.ones(2), hi=np.ones(2)),
+            ControlSetSpec(kind="box", lo=-1.0, hi=np.ones(2)),
+            ControlSetSpec(kind="box", lo=-np.ones((3, 3)), hi=np.ones((3, 3))),
+            ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0),
+        ):
+            with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
+                spec.check(3)
 
     def test_project_control_path(self):
         grid = TimeGrid(1.0, 4)
         u = SampledPath(grid, 5.0 * np.ones((grid.n_nodes, 1)))
         box = ControlSetSpec(kind="box", lo=np.array([-1.0]), hi=np.array([1.0]))
         assert np.allclose(project_control(u, box).values, 1.0)
+
+
+MISFIT_SETS = [
+    ControlSetSpec(kind="box", lo=-np.ones(2), hi=np.ones(2)),
+    ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0),
+]
+
+
+@pytest.mark.parametrize("control_set", MISFIT_SETS, ids=["box", "ball"])
+def test_two_component_set_rejected_on_lorenz63(control_set):
+    """A (2,) set against three controls is an InvalidSpecError at every door,
+    not numpy's broadcast ValueError."""
+    model, grid, cost, xi, _, eta = make_lorenz_twin(n_steps=32, T=0.05)
+    u0 = SampledPath.zeros(grid, 3)
+    with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
+        minimize(model, cost, eta, xi, u0, control_set, OptimizerConfig(max_iters=2))
+    with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
+        shoot(model, cost, eta, xi, control_set=control_set)
+    triple = OptimalTriple(x=SampledPath.zeros(grid, 3), u=u0, lam=SampledPath.zeros(grid, 3))
+    with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
+        max_principle_residual(triple, cost, model, control_set)
 
 
 class TestOptimizerConfig:
