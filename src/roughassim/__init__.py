@@ -30,7 +30,6 @@ from .cost import (
 )
 from .dynamics import (
     ModelSpec,
-    energy_diagnostic,
     integrate_state,
     linear_model,
     lorenz63_model,
@@ -52,14 +51,8 @@ from .grid import (
     require_same_grid,
     write_path_csv,
 )
-from .optimizer import (
-    AssimilationResult,
-    ControlSetSpec,
-    OptimizerConfig,
-    minimize,
-    minimize_batch,
-    project_control,
-)
+from .optimizer import AssimilationResult, OptimizerConfig, minimize, minimize_batch
+from .problem import AssimilationProblem, ControlSetSpec
 from .roughpath import (
     build_observation,
     oscillation,
@@ -74,6 +67,7 @@ from .shooting import integrate_hamiltonian, shoot, shoot_batch, value_probe
 
 __all__ = [
     "__version__",
+    "AssimilationProblem",
     "AssimilationResult",
     "BlowUpError",
     "ControlSetSpec",
@@ -96,7 +90,6 @@ __all__ = [
     "control_gradient",
     "coordinate_observation",
     "duality_check",
-    "energy_diagnostic",
     "eval_cost",
     "eval_cost_by_parts",
     "hamiltonian",
@@ -112,7 +105,6 @@ __all__ = [
     "p_variation",
     "p_variation_bruteforce",
     "pointwise_hamiltonian_minimizer",
-    "project_control",
     "read_path_csv",
     "require_same_grid",
     "sample_wiener",

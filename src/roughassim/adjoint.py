@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostSpec, check_observation
-from .dynamics import ModelSpec, first_nonfinite
-from .errors import BlowUpError, InvalidParameterError, UnsupportedCostError
+from .dynamics import first_nonfinite
+from .errors import BlowUpError, InvalidParameterError, InvalidSpecError, UnsupportedCostError
 from .grid import SampledPath, require_same_grid
+from .problem import AssimilationProblem
 from .roughpath import wiener_rng
 
 
@@ -39,7 +39,7 @@ class OptimalTriple:
 COSTATE_BLOCK_BYTES = 1 << 24
 
 
-def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: SampledPath):
+def costate_sweep(problem: AssimilationProblem, xv, uv):
     """Backward Heun recursion for the costate with lambda(T) = 0, on arrays.
 
     Per step: predictor/corrector on lambda' = -(lambda M + D2 phi) with
@@ -49,15 +49,19 @@ def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: SampledPath):
     the step loop does only the Heun arithmetic.
 
     ``xv`` (n_nodes, n) and ``uv`` (n_nodes, m) may carry a leading member
-    axis (B, ...), as in :func:`rk4_sweep`; ``eta`` is shared.  Returns the
-    costate values, (..., n_nodes, n), and per member the node where the
-    sweep first met a non-finite costate, or -1.  Raises
-    :class:`InvalidSpecError` when eta's dimension is not psi's.
+    axis (B, ...), as in :func:`rk4_sweep`; the problem's eta is shared.
+    Returns the costate values, (..., n_nodes, n), and per member the node
+    where the sweep first met a non-finite costate, or -1.  Raises
+    :class:`InvalidSpecError` for a state without n components or a control
+    without m.
     """
-    check_observation(cost, eta, xv[..., 0, :])
+    model, cost, eta = problem.model, problem.cost, problem.eta
+    n = model.state_dim
+    for name, values, k in (("state", xv, n), ("control", uv, model.control_dim)):
+        if values.shape[-1] != k:
+            raise InvalidSpecError(f"{name} has {values.shape[-1]} components, not {k}")
     grid = eta.grid
     dt = grid.dt
-    n = model.state_dim
     members = xv.shape[:-2]
     times = np.broadcast_to(grid.times, xv.shape[:-1])
     deta = eta.increments()
@@ -95,57 +99,54 @@ def costate_sweep(model: ModelSpec, cost: CostSpec, xv, uv, eta: SampledPath):
     return lam, first_nonfinite(lam, backward=True)
 
 
-def solve_costate(
-    model: ModelSpec, cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath
-) -> SampledPath:
+def solve_costate(problem: AssimilationProblem, x: SampledPath, u: SampledPath) -> SampledPath:
     """The costate of :func:`costate_sweep` with lambda(T) = 0 as a path.
 
     Raises :class:`BlowUpError` at the node where the backward sweep first
     turns non-finite.
     """
-    grid = require_same_grid(x, u, eta)
-    lam, blown = costate_sweep(model, cost, x.values, u.values, eta)
+    grid = require_same_grid(x, u, problem.eta)
+    lam, blown = costate_sweep(problem, x.values, u.values)
     if blown >= 0:
         raise BlowUpError(int(blown))
     return SampledPath(grid, lam)
 
 
-def hamiltonian(cost: CostSpec, model: ModelSpec, t, x, lam, v):
+def hamiltonian(problem: AssimilationProblem, t, x, lam, v):
     """H(t, x, lambda, v) = phi(t, x, v) + lambda . (f(t, x) + g(t, x) v)."""
-    return cost.phi(t, x, v) + np.vecdot(lam, model.drift(t, x, v))
+    return problem.cost.phi(t, x, v) + np.vecdot(lam, problem.model.drift(t, x, v))
 
 
 def control_gradient(
-    model: ModelSpec, cost: CostSpec, x: SampledPath, u: SampledPath, lam: SampledPath
+    problem: AssimilationProblem, x: SampledPath, u: SampledPath, lam: SampledPath
 ) -> SampledPath:
     """Pointwise Hamiltonian u-gradient G(t_i) = D3 phi + lambda g."""
     grid = require_same_grid(x, u, lam)
     t = grid.times
+    cost, model = problem.cost, problem.model
     G = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.g(t, x.values))
     return SampledPath(grid, G)
 
 
-def pointwise_hamiltonian_minimizer(cost: CostSpec, model: ModelSpec, t, x, lam, control_set):
+def pointwise_hamiltonian_minimizer(problem: AssimilationProblem, t, x, lam):
     """Closed-form arg min over v of H for the quadratic family.
 
-    u* = Proj_U(-S(t)^{-1} g(t, x)' lambda') with U the
-    :class:`~roughassim.optimizer.ControlSetSpec` ``control_set``;
-    requires ``cost.quad``.
+    u* = Proj_U(-S(t)^{-1} g(t, x)' lambda') with U the problem's control
+    set; requires a quadratic-family cost (``cost.quad``).
     """
-    if cost.quad is None:
+    quad = problem.cost.quad
+    if quad is None:
         raise UnsupportedCostError("closed-form minimizer needs a quadratic cost")
     # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
-    raw = -np.linalg.solve(cost.quad.S(t), np.vecmat(lam, model.g(t, x))[..., None])[..., 0]
-    return control_set.project_values(raw)
+    raw = -np.linalg.solve(quad.S(t), np.vecmat(lam, problem.model.g(t, x))[..., None])[..., 0]
+    return problem.control_set.project_values(raw)
 
 
 #: Samples per node when the Hamiltonian minimum has no closed form.
 MP_PROBE_SAMPLES = 256
 
 
-def max_principle_residual(
-    triple: OptimalTriple, cost: CostSpec, model: ModelSpec, control_set
-) -> float:
+def max_principle_residual(triple: OptimalTriple, problem: AssimilationProblem) -> float:
     """max over nodes of H(u(t)) - min_v H(v); nonnegative by construction.
 
     The minimum is in closed form when ``cost.quad`` is set; otherwise it
@@ -154,19 +155,20 @@ def max_principle_residual(
     (heuristic residual only).
     """
     grid = require_same_grid(triple.x, triple.u, triple.lam)
-    control_set.check(model.control_dim)
     t, x, lam, u = grid.times, triple.x.values, triple.lam.values, triple.u.values
-    h_at_u = hamiltonian(cost, model, t, x, lam, u)
-    if cost.quad is not None:
-        vstar = pointwise_hamiltonian_minimizer(cost, model, t, x, lam, control_set)
-        h_min = hamiltonian(cost, model, t, x, lam, vstar)
+    h_at_u = hamiltonian(problem, t, x, lam, u)
+    if problem.cost.quad is not None:
+        vstar = pointwise_hamiltonian_minimizer(problem, t, x, lam)
+        h_min = hamiltonian(problem, t, x, lam, vstar)
     else:
         rng = wiener_rng(0, stream=7)
         radius = 10.0 * (1.0 + np.linalg.norm(u, axis=-1, keepdims=True))
         h_min = h_at_u
         for _ in range(MP_PROBE_SAMPLES):
-            v = control_set.project_values(u + radius * rng.uniform(-1.0, 1.0, size=u.shape))
-            h_min = np.minimum(h_min, hamiltonian(cost, model, t, x, lam, v))
+            v = problem.control_set.project_values(
+                u + radius * rng.uniform(-1.0, 1.0, size=u.shape)
+            )
+            h_min = np.minimum(h_min, hamiltonian(problem, t, x, lam, v))
     return max(float(np.max(h_at_u - h_min)), 0.0)
 
 

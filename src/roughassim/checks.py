@@ -23,7 +23,7 @@ from .dynamics import integrate_state, linear_model, rk4_sweep
 from .errors import BlowUpError, InvalidParameterError
 from .experiments import build_cost, load_config, simulate_truth
 from .grid import SampledPath, TimeGrid
-from .optimizer import ControlSetSpec
+from .problem import AssimilationProblem
 from .roughpath import (
     oscillation,
     p_variation,
@@ -157,7 +157,8 @@ def suite_roughpath(seed: int = 0) -> list:
 
 
 def _lorenz_setup(seed, n_steps=512, T=1.0, noise=0.1):
-    """Fully observed Lorenz'63 twin with a minimum-energy cost, R = S = I."""
+    """Fully observed Lorenz'63 twin with a minimum-energy cost, R = S = I:
+    the problem, the truth's initial state and the truth."""
     config = load_config(
         {
             "model": {"name": "lorenz63"},
@@ -168,33 +169,36 @@ def _lorenz_setup(seed, n_steps=512, T=1.0, noise=0.1):
         }
     )
     truth, eta = simulate_truth(config)
-    return config.model, config.grid, build_cost(config), config.truth_initial_state, truth, eta
+    problem = AssimilationProblem(config.model, build_cost(config), eta)
+    return problem, config.truth_initial_state, truth
 
 
-def _scalar_lq(a):
-    """xdot = a x + u with phi = x^2/2 + u^2/2 (R = S = 1, observing x)."""
+def _scalar_lq(a, grid):
+    """xdot = a x + u with phi = x^2/2 + u^2/2 (R = S = 1, observing x),
+    observed along the zero path on ``grid``."""
     h, h_jac = coordinate_observation([0], 1)
     quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(1))
-    return linear_model([[a]]), build_minimum_energy(quad)
+    model, cost = linear_model([[a]]), build_minimum_energy(quad)
+    return AssimilationProblem(model, cost, SampledPath.zeros(grid, 1))
 
 
 def suite_adjoint(seed: int = 0) -> list:
     checks = []
-    model, grid, cost, xi, truth, eta = _lorenz_setup(seed)
+    problem, xi, truth = _lorenz_setup(seed)
+    grid = problem.eta.grid
     u = SampledPath.zeros(grid, 3)
-    lam = solve_costate(model, cost, truth, u, eta)
+    lam = solve_costate(problem, truth, u)
     checks.append(_record("costate_terminal_condition", np.max(np.abs(lam.values[-1])), 0.0))
 
     # Closed-form linear adjoint: xdot = a x, phi = x^2/2, psi = 0.
     a = -0.7
-    lin, lcost = _scalar_lq(a)
     lgrid = TimeGrid(1.0, 1024)
-    zero_eta = SampledPath.zeros(lgrid, 1)
     # R = 1 keeps phi = x^2/2 + u^2/2 but psi couples to the zero path, so
     # the stochastic term vanishes and the linear adjoint is closed form.
+    lin = _scalar_lq(a, lgrid)
     x0 = np.array([1.3])
-    xlin = integrate_state(lin, SampledPath.zeros(lgrid, 1), x0, lgrid)
-    lam_lin = solve_costate(lin, lcost, xlin, SampledPath.zeros(lgrid, 1), zero_eta)
+    xlin = integrate_state(lin.model, SampledPath.zeros(lgrid, 1), x0, lgrid)
+    lam_lin = solve_costate(lin, xlin, SampledPath.zeros(lgrid, 1))
     t = lgrid.times
     exact = x0[0] * np.exp(-a * t) * (np.exp(2 * a * lgrid.T) - np.exp(2 * a * t)) / (2 * a)
     checks.append(
@@ -202,25 +206,17 @@ def suite_adjoint(seed: int = 0) -> list:
     )
 
     # Zero residual when the control sits at the pointwise minimizer.
-    unconstrained = ControlSetSpec()
-    ustar = pointwise_hamiltonian_minimizer(
-        cost, model, grid.times, truth.values, lam.values, unconstrained
-    )
+    ustar = pointwise_hamiltonian_minimizer(problem, grid.times, truth.values, lam.values)
     triple = OptimalTriple(x=truth, u=SampledPath(grid, ustar), lam=lam)
     checks.append(
-        _record(
-            "mp_residual_at_minimizer",
-            max_principle_residual(triple, cost, model, unconstrained),
-            1e-12,
-        )
+        _record("mp_residual_at_minimizer", max_principle_residual(triple, problem), 1e-12)
     )
 
     # Costate grid q-variation stabilizes under refinement for q = 2.5.
     ratios = []
     for s in range(3):
-        fine_setup = _lorenz_setup(seed + s, n_steps=2048, T=1.0)
-        modelf, gridf, costf, xif, truthf, etaf = fine_setup
-        lamf = solve_costate(modelf, costf, truthf, SampledPath.zeros(gridf, 3), etaf)
+        problemf, _, truthf = _lorenz_setup(seed + s, n_steps=2048, T=1.0)
+        lamf = solve_costate(problemf, truthf, SampledPath.zeros(problemf.eta.grid, 3))
         coarse = lamf.restrict(2)
         ratios.append(p_variation(lamf, 2.5) / p_variation(coarse, 2.5))
     checks.append(_record("costate_qvar_ratio_high", max(ratios), 1.25))
@@ -251,7 +247,7 @@ def suite_duality(seed: int = 0) -> list:
     ]
 
 
-def _central_differences(model, cost, u, xi, eta, nodes, h) -> np.ndarray:
+def _central_differences(problem, u, xi, nodes, h) -> np.ndarray:
     """d(cost)/d u[node, component] by central differences of forward + cost.
 
     Returns one row per node.  The two perturbed forward solves of every
@@ -264,27 +260,28 @@ def _central_differences(model, cost, u, xi, eta, nodes, h) -> np.ndarray:
     for k, (node, comp) in enumerate(entries):
         probes[2 * k, node, comp] += h
         probes[2 * k + 1, node, comp] += -h
-    states, blown = rk4_sweep(model, probes, xi, grid)
+    states, blown = rk4_sweep(problem.model, probes, xi, grid)
     costs = np.empty(len(probes))
     for k, (up, x) in enumerate(zip(probes, states)):
         if blown[k] >= 0:
             raise BlowUpError(int(blown[k]))
-        costs[k] = eval_cost(cost, SampledPath(grid, x), SampledPath(grid, up), eta)
+        costs[k] = eval_cost(problem.cost, SampledPath(grid, x), SampledPath(grid, up), problem.eta)
     return ((costs[0::2] - costs[1::2]) / (2.0 * h)).reshape(len(nodes), m)
 
 
 def suite_gradient(seed: int = 0) -> list:
     # Fine grid + short window keep the O(dt) continuous-vs-discrete adjoint
     # defect (scaling like dt * |Jacobian|) below the 1e-3 certificate.
-    model, grid, cost, xi, truth, eta = _lorenz_setup(seed, n_steps=4096, T=0.0625, noise=0.01)
+    problem, xi, _ = _lorenz_setup(seed, n_steps=4096, T=0.0625, noise=0.01)
+    grid = problem.eta.grid
     rng = wiener_rng(seed, 53)
     u = SampledPath(grid, rng.normal(size=(grid.n_nodes, 3)))
-    x = integrate_state(model, u, xi, grid)
-    lam = solve_costate(model, cost, x, u, eta)
-    G = control_gradient(model, cost, x, u, lam)
+    x = integrate_state(problem.model, u, xi, grid)
+    lam = solve_costate(problem, x, u)
+    G = control_gradient(problem, x, u, lam)
     worst = 0.0
     nodes = rng.choice(np.arange(1, grid.n_steps), size=20, replace=False)
-    fds = _central_differences(model, cost, u, xi, eta, nodes, 1e-5)
+    fds = _central_differences(problem, u, xi, nodes, 1e-5)
     for node, fd in zip(nodes, fds):
         pred = grid.dt * G.values[node]
         rel = np.linalg.norm(fd - pred) / max(np.linalg.norm(fd), np.linalg.norm(pred), 1e-12)
@@ -293,10 +290,8 @@ def suite_gradient(seed: int = 0) -> list:
 
 
 def suite_valueprobe(seed: int = 0) -> list:
-    lin, cost = _scalar_lq(1.0)
-    grid = TimeGrid(1.0, 2048)
-    eta = SampledPath.zeros(grid, 1)
-    probe = value_probe(lin, cost, eta, np.array([0.8]), h=1e-4, solver="shoot")
+    problem = _scalar_lq(1.0, TimeGrid(1.0, 2048))
+    probe = value_probe(problem, np.array([0.8]), h=1e-4, solver="shoot")
     return [_record("valueprobe_scalar_lq_gap", probe["max_abs_gap"], 1e-3)]
 
 

@@ -27,6 +27,7 @@ from .experiments import (
     read_observation,
     simulate_truth,
 )
+from .problem import AssimilationProblem
 from .shooting import value_probe
 
 EXIT_CHECK_FAILURE = 1
@@ -136,15 +137,9 @@ def value_probe_cmd(config_path, h, eta_file, solver):
     """
     config = load_config(config_path)
     eta = read_observation(config, eta_file) if eta_file else simulate_truth(config)[1]
+    problem = AssimilationProblem(config.model, build_cost(config), eta, config.control_set)
     probe = value_probe(
-        config.model,
-        build_cost(config),
-        eta,
-        config.assim_initial_state,
-        h=h,
-        solver=solver,
-        control_set=config.control_set,
-        opt_config=config.optimizer,
+        problem, config.assim_initial_state, h=h, solver=solver, opt_config=config.optimizer
     )
     click.echo("dV_fd    = " + np.array2string(probe["dV_fd"], precision=6))
     click.echo("lambda0  = " + np.array2string(probe["lambda0"], precision=6))

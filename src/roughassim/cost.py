@@ -16,13 +16,16 @@ which computes each of a stack of nodes exactly as the one-node ``@`` does;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
 from .grid import SampledPath, require_same_grid
+
+if TYPE_CHECKING:  # problem.py imports this module
+    from .problem import AssimilationProblem
 
 
 @dataclass(frozen=True)
@@ -220,9 +223,10 @@ def check_observation(cost: CostSpec, eta: SampledPath, x0) -> None:
     """Raise :class:`InvalidSpecError` unless eta has psi's dimension.
 
     psi is evaluated at the first node of eta's grid and the initial state
-    ``x0``, one (n,) or stacked (..., n).  Every function that pairs psi or
-    D2 psi with eta calls this before it sweeps, so a wrong eta is named
-    here instead of failing in a numpy contraction.
+    ``x0``, one (n,) or stacked (..., n).  The
+    :class:`~roughassim.problem.AssimilationProblem` constructor calls this,
+    and so does :func:`eval_cost`, the one function that takes eta alone, so
+    a wrong eta is named here instead of failing in a numpy contraction.
     """
     # Only the shape is read, and a constant psi may come back unstacked, so
     # only its last axis counts.
@@ -250,19 +254,17 @@ def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) 
     return _trapezoid(phis, grid.dt) + float(np.sum(psis * deta))
 
 
-def eval_cost_by_parts(
-    cost: CostSpec, model: ModelSpec, x: SampledPath, u: SampledPath, eta: SampledPath
-) -> float:
+def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledPath) -> float:
     """A(x, u) via the classical reformulation after integration by parts.
 
     Running cost  phi - {D1 psi + D2 psi (f + g u)} . eta(t)  plus the
     boundary term psi(T, x(T)) . eta(T) - psi(0, x(0)) . eta(0); agrees
     with :func:`eval_cost` under grid refinement for smooth psi.
     """
+    cost, model, eta = problem.cost, problem.model, problem.eta
     if cost.D1psi is None:
         raise UnsupportedCostError("eval_cost_by_parts needs the time derivative of psi")
     grid = require_same_grid(x, u, eta)
-    check_observation(cost, eta, x.values[0])
     times = grid.times
     etav = eta.values
     xv, uv = x.values, u.values

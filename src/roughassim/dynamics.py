@@ -16,11 +16,12 @@ numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, InvalidSpecError
-from .grid import SampledPath, TimeGrid, require_same_grid
+from .grid import SampledPath, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,6 @@ def lorenz63_drift(state, sigma=10.0, r=28.0, b=8.0 / 3.0) -> np.ndarray:
     return np.array([-s * x + s * y, -s * x - y - x * z, -b * z - b * (r + s) + x * y]).T
 
 
-def lorenz63_quadratic_part(state) -> np.ndarray:
-    """The bilinear term f2; satisfies state . f2(state) = 0 identically."""
-    x, y, z = state
-    return np.array([0.0, -x * z, x * y])
-
-
 def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
     """Lorenz'63 in the shifted form of :func:`lorenz63_drift`, controlled in every state."""
     if not all(0 < p < np.inf for p in (sigma, r, b)):  # NaN fails too
@@ -123,8 +118,9 @@ def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
     """Cyclic Lorenz'96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F."""
-    if n < 4:
-        raise InvalidSpecError("Lorenz'96 needs at least 4 variables")
+    # A boolean or an integral float is not a count of variables.
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 4:
+        raise InvalidSpecError(f"Lorenz'96 needs an integer number of variables >= 4, got {n!r}")
     if not np.isfinite(forcing):
         raise InvalidSpecError(f"Lorenz'96 forcing must be finite, got {forcing!r}")
     # Cyclic neighbours, gathered along the last axis (np.roll would mix nodes).
@@ -153,6 +149,8 @@ def linear_model(A, B=None) -> ModelSpec:
     B = np.eye(n) if B is None else np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape[0] != n or B.shape[1] == 0:
         raise InvalidSpecError("B must have n rows and at least one column")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise InvalidSpecError("A and B must be finite")
     m = B.shape[1]
     return ModelSpec(n, m, lambda t, x: np.matvec(A, x), lambda t, x: B, lambda t, x: A)
 
@@ -264,23 +262,3 @@ def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> Sam
     if blown >= 0:
         raise BlowUpError(int(blown))
     return SampledPath(grid, values)
-
-
-def energy_diagnostic(x: SampledPath, u: SampledPath) -> dict:
-    """Empirical boundedness ratios for the energy and nonlinearity estimates.
-
-    sup_ratio = ||x||_inf / (1 + ||u||_2), nonlin_ratio = ||xdot||_2 /
-    (1 + ||u||_2^2), with xdot the per-step slope.  For the energy-conserving
-    quadratic class these stay bounded across control ensembles (gamma = 1,
-    beta = 2 with r = 2).
-    """
-    grid = require_same_grid(x, u)
-    dt = grid.dt
-    u_l2 = float(np.sqrt(dt * np.sum(np.linalg.norm(u.values[:-1], axis=1) ** 2)))
-    x_sup = float(np.max(np.linalg.norm(x.values, axis=1)))
-    slopes = x.increments() / dt
-    xdot_l2 = float(np.sqrt(dt * np.sum(np.linalg.norm(slopes, axis=1) ** 2)))
-    return {
-        "sup_ratio": x_sup / (1.0 + u_l2),
-        "nonlin_ratio": xdot_l2 / (1.0 + u_l2**2),
-    }

@@ -40,7 +40,8 @@ from .dynamics import (
 )
 from .errors import InvalidParameterError, InvalidSpecError, UnsupportedCostError
 from .grid import SampledPath, TimeGrid, read_path_csv, write_path_csv
-from .optimizer import AssimilationResult, ControlSetSpec, OptimizerConfig, minimize_batch
+from .optimizer import AssimilationResult, OptimizerConfig, minimize_batch
+from .problem import AssimilationProblem, ControlSetSpec
 from .roughpath import build_observation, wiener_rng
 
 RESULT_SCHEMA_VERSION = 1
@@ -317,10 +318,9 @@ def run_assimilation(config: ExperimentConfig, eta, jobs: int = 1) -> Assimilati
     """
     if jobs != 1:
         raise InvalidParameterError(f"run_assimilation takes jobs=1 only, got {jobs!r}")
+    problem = AssimilationProblem(config.model, build_cost(config), eta, config.control_set)
     starts = [(config.assim_initial_state, u0) for u0 in _multistart_initials(config)]
-    results = minimize_batch(
-        config.model, build_cost(config), eta, starts, config.control_set, config.optimizer
-    )
+    results = minimize_batch(problem, starts, config.optimizer)
     return min(results, key=lambda r: r.final_cost)
 
 

@@ -13,9 +13,9 @@ and a control, so the starts need not share their initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -26,61 +26,11 @@ from .adjoint import (
     max_principle_residual,
     solve_costate,
 )
-from .cost import CostSpec, eval_cost
-from .dynamics import ModelSpec, initial_state, integrate_state, rk4_sweep
+from .cost import eval_cost
+from .dynamics import initial_state, integrate_state, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
 from .grid import SampledPath, TimeGrid, require_same_grid
-
-
-@dataclass(frozen=True)
-class ControlSetSpec:
-    """Closed convex control set: all of E, a box, or a ball (about 0 by default)."""
-
-    kind: str = "all_space"
-    lo: Optional[np.ndarray] = None
-    hi: Optional[np.ndarray] = None
-    center: Optional[np.ndarray] = 0.0
-    radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "all_space":
-            return
-        if self.kind == "box":
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
-            # Bounds of one shape, or one of them a single number; NaN fails lo <= hi.
-            if not ((lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)):
-                raise InvalidSpecError("box bounds need lo <= hi componentwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-        elif self.kind == "ball":
-            center = np.asarray(self.center, dtype=float)  # a None center reads as NaN
-            r = self.radius
-            if not (r is not None and 0 < r < np.inf and np.all(np.isfinite(center))):
-                raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
-            object.__setattr__(self, "center", center)
-        else:
-            raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
-
-    def check(self, m: int) -> None:
-        """Reject bounds or a center that do not broadcast to m controls."""
-        read = {"box": (self.lo, self.hi), "ball": (self.center,)}.get(self.kind, ())
-        if any(np.shape(v) not in ((), (1,), (m,)) for v in read):
-            raise InvalidSpecError(f"the {self.kind} control set does not fit {m} controls")
-
-    def project_values(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise Euclidean projection of one control (m,) or stacked (..., m)."""
-        if self.kind == "all_space":
-            return values
-        if self.kind == "box":
-            return np.clip(values, self.lo, self.hi)
-        offset = values - self.center
-        norms = np.linalg.norm(offset, axis=-1, keepdims=True)
-        scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
-        return self.center + offset * scale
-
-    def contains(self, values: np.ndarray, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(values - self.project_values(values))) <= tol)
+from .problem import AssimilationProblem
 
 
 # Armijo line search: the first trial step, the sufficient-decrease constant,
@@ -127,11 +77,6 @@ class AssimilationResult:
         return len(self.grad_norm_trace)
 
 
-def project_control(u: SampledPath, control_set: ControlSetSpec) -> SampledPath:
-    """Pointwise projection onto the control set; idempotent."""
-    return SampledPath(u.grid, control_set.project_values(u.values))
-
-
 def _l2sq(values: np.ndarray, dt: float) -> float:
     return float(dt * np.sum(values**2))
 
@@ -140,13 +85,7 @@ FORWARD, COSTATE = "forward", "costate"
 
 
 def _projected_gradient(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    xi,
-    u0: SampledPath,
-    control_set: ControlSetSpec,
-    config: OptimizerConfig,
+    problem: AssimilationProblem, xi, u0: SampledPath, config: OptimizerConfig
 ):
     """The projected-gradient loop of one start (xi, u0), as a generator.
 
@@ -155,11 +94,11 @@ def _projected_gradient(
     :class:`BlowUpError` thrown in at the yield; it returns the
     :class:`AssimilationResult`.
     """
+    cost, eta, control_set = problem.cost, problem.eta, problem.control_set
     grid: TimeGrid = require_same_grid(u0, eta)
-    xi = initial_state(model, xi)
-    control_set.check(model.control_dim)
+    xi = initial_state(problem.model, xi)
     dt = grid.dt
-    u = project_control(u0, control_set)
+    u = SampledPath(grid, control_set.project_values(u0.values))
     x = yield FORWARD, (xi, u)
     J = eval_cost(cost, x, u, eta)
     cost_trace = [J]
@@ -170,7 +109,7 @@ def _projected_gradient(
 
     for _ in range(config.max_iters):
         lam = yield COSTATE, (x, u)
-        G = control_gradient(model, cost, x, u, lam)
+        G = control_gradient(problem, x, u, lam)
         pg = u.values - control_set.project_values(u.values - G.values)
         pg_norm = float(np.max(np.abs(pg)))
         grad_norm_trace.append(pg_norm)
@@ -211,7 +150,7 @@ def _projected_gradient(
     if status == "max_iters":  # the last step moved (x, u) on from lam
         lam = yield COSTATE, (x, u)
     triple = OptimalTriple(x=x, u=u, lam=lam)
-    mp_res = max_principle_residual(triple, cost, model, control_set=control_set)
+    mp_res = max_principle_residual(triple, problem)
     return AssimilationResult(
         triple=triple,
         cost_trace=cost_trace,
@@ -221,7 +160,7 @@ def _projected_gradient(
     )
 
 
-def _solve(kind, requests, model, cost, eta):
+def _solve(kind, requests, problem: AssimilationProblem):
     """One round's solves of one kind: per request, its path or its BlowUpError.
 
     A request is a pair, ``(xi, u)`` forward and ``(x, u)`` for the costate.
@@ -229,13 +168,13 @@ def _solve(kind, requests, model, cost, eta):
     first entry; a single one runs with no member axis, through the
     one-path functions, which is faster.
     """
-    grid = eta.grid
+    model, grid = problem.model, problem.eta.grid
     try:
         if len(requests) == 1 and kind == FORWARD:
             xi, u = requests[0]
             return [integrate_state(model, u, xi, grid)]
         if len(requests) == 1:
-            return [solve_costate(model, cost, *requests[0], eta)]
+            return [solve_costate(problem, *requests[0])]
     except BlowUpError as err:
         return [err]
     firsts, us = zip(*requests)
@@ -243,7 +182,7 @@ def _solve(kind, requests, model, cost, eta):
     if kind == FORWARD:
         values, blown = rk4_sweep(model, uv, np.stack(firsts), grid)
     else:
-        values, blown = costate_sweep(model, cost, np.stack([x.values for x in firsts]), uv, eta)
+        values, blown = costate_sweep(problem, np.stack([x.values for x in firsts]), uv)
     return [
         BlowUpError(int(node)) if node >= 0 else SampledPath(grid, v)
         for v, node in zip(values, blown)
@@ -251,13 +190,7 @@ def _solve(kind, requests, model, cost, eta):
 
 
 def minimize(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    xi,
-    u0: SampledPath,
-    control_set: ControlSetSpec,
-    config: OptimizerConfig,
+    problem: AssimilationProblem, xi, u0: SampledPath, config: OptimizerConfig
 ) -> AssimilationResult:
     """Projected gradient with Armijo backtracking on the full index.
 
@@ -266,16 +199,11 @@ def minimize(
     cost.  The returned triple carries the costate at the final iterate and
     the maximum-principle residual (closed form when the cost is quadratic).
     """
-    return minimize_batch(model, cost, eta, [(xi, u0)], control_set, config)[0]
+    return minimize_batch(problem, [(xi, u0)], config)[0]
 
 
 def minimize_batch(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    starts,
-    control_set: ControlSetSpec,
-    config: OptimizerConfig,
+    problem: AssimilationProblem, starts, config: OptimizerConfig
 ) -> List[AssimilationResult]:
     """:func:`minimize` from each ``(xi, u0)`` in ``starts``, all in one lockstep batch.
 
@@ -290,16 +218,14 @@ def minimize_batch(
     stop, and the error of the first start to raise is raised, as a serial
     loop would.
     """
-    solvers = [
-        _projected_gradient(model, cost, eta, xi, u0, control_set, config) for xi, u0 in starts
-    ]
+    solvers = [_projected_gradient(problem, xi, u0, config) for xi, u0 in starts]
 
     def answer(requests):
         answers = {}
         for kind in (FORWARD, COSTATE):
             ks = [k for k, (want, _) in requests.items() if want == kind]
             if ks:
-                solved = _solve(kind, [requests[k][1] for k in ks], model, cost, eta)
+                solved = _solve(kind, [requests[k][1] for k in ks], problem)
                 answers.update(zip(ks, solved))
         return answers
 

@@ -1,0 +1,106 @@
+"""The assimilation problem: dynamics, index, observation path and control set.
+
+The problem is fixed by four pieces of data: the controlled dynamics
+(f, g), the performance index (phi, psi), the observation path eta and the
+closed convex control set U.  :class:`AssimilationProblem` holds them
+together, and its constructor is the one place that decides whether they
+fit; the solvers take a problem and check nothing more about how its
+pieces fit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .cost import CostSpec, check_observation
+from .dynamics import ModelSpec
+from .errors import InvalidSpecError
+from .grid import SampledPath
+
+
+@dataclass(frozen=True)
+class ControlSetSpec:
+    """Closed convex control set: all of E, a box, or a ball (about 0 by default)."""
+
+    kind: str = "all_space"
+    lo: Optional[np.ndarray] = None
+    hi: Optional[np.ndarray] = None
+    center: Optional[np.ndarray] = 0.0
+    radius: Optional[float] = None
+
+    def __post_init__(self):
+        if self.kind == "all_space":
+            return
+        if self.kind == "box":
+            lo = np.asarray(self.lo, dtype=float)
+            hi = np.asarray(self.hi, dtype=float)
+            # Bounds of one shape, or one of them a single number; NaN fails lo <= hi.
+            if not ((lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)):
+                raise InvalidSpecError("box bounds need lo <= hi componentwise")
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
+        elif self.kind == "ball":
+            center = np.asarray(self.center, dtype=float)  # a None center reads as NaN
+            r = self.radius
+            if not (r is not None and 0 < r < np.inf and np.all(np.isfinite(center))):
+                raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
+            object.__setattr__(self, "center", center)
+        else:
+            raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
+
+    def check(self, m: int) -> None:
+        """Reject bounds or a center that do not broadcast to m controls."""
+        read = {"box": (self.lo, self.hi), "ball": (self.center,)}.get(self.kind, ())
+        if any(np.shape(v) not in ((), (1,), (m,)) for v in read):
+            raise InvalidSpecError(f"the {self.kind} control set does not fit {m} controls")
+
+    def project_values(self, values: np.ndarray) -> np.ndarray:
+        """Pointwise Euclidean projection of one control (m,) or stacked (..., m)."""
+        if self.kind == "all_space":
+            return values
+        if self.kind == "box":
+            return np.clip(values, self.lo, self.hi)
+        offset = values - self.center
+        norms = np.linalg.norm(offset, axis=-1, keepdims=True)
+        scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
+        return self.center + offset * scale
+
+
+@dataclass(frozen=True)
+class AssimilationProblem:
+    """The dynamics, the index, the observation path and U, checked to fit.
+
+    With n states and m controls, the constructor raises
+    :class:`InvalidSpecError` unless, for a quadratic-family cost, h's
+    Jacobian has n columns, h gives as many components as R has rows and
+    S is m x m; unless eta has as many components as psi; and unless the
+    control set fits m controls.  The shapes are read off one evaluation
+    at the first node of eta's grid and the zero state.
+    """
+
+    model: ModelSpec
+    cost: CostSpec
+    eta: SampledPath
+    control_set: ControlSetSpec = ControlSetSpec()
+
+    def __post_init__(self):
+        n, m = self.model.state_dim, self.model.control_dim
+        t0, x0 = self.eta.grid.times[0], np.zeros(n)
+        quad = self.cost.quad
+        if quad is not None:
+            # The Jacobian first: an h built for another n fails when evaluated.
+            jac = np.shape(quad.h_jac(t0, x0))
+            if jac[-1:] != (n,):
+                raise InvalidSpecError(f"h's Jacobian has shape {jac}, the model {n} states")
+            d = quad.obs_dim
+            observed = np.shape(quad.h(t0, x0))
+            if observed[-1:] != (d,):
+                raise InvalidSpecError(f"h gives shape {observed}, but R is {d}x{d}")
+            if quad.control_dim != m:
+                s = quad.control_dim
+                raise InvalidSpecError(f"S is {s}x{s}, but the model has {m} controls")
+        check_observation(self.cost, self.eta, x0)
+        self.control_set.check(m)

@@ -17,17 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
-from .cost import CostSpec, check_observation, eval_cost
-from .dynamics import ModelSpec, first_nonfinite, initial_state
+from .cost import eval_cost
+from .dynamics import first_nonfinite, initial_state
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
 from .grid import SampledPath
-from .optimizer import (
-    ControlSetSpec,
-    OptimizerConfig,
-    lockstep,
-    minimize_batch,
-    positive_finite,
-)
+from .optimizer import OptimizerConfig, lockstep, minimize_batch, positive_finite
+from .problem import AssimilationProblem
 
 #: Step of the forward-difference Jacobian of lambda0 -> lambda(T).
 FD_STEP = 1e-6
@@ -37,14 +32,7 @@ NEWTON_MAX_ITERS = 40
 NEWTON_TOL = 1e-9
 
 
-def hamiltonian_sweep(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    xi,
-    lambda0,
-    control_set: ControlSetSpec = ControlSetSpec(),
-):
+def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
     """Forward integration of the coupled state/costate system, on arrays.
 
     The control is eliminated pointwise via u = Proj_U(-S^{-1} g' lambda');
@@ -58,9 +46,9 @@ def hamiltonian_sweep(
     axes must agree.  Returns the states, costates and controls,
     (..., n_nodes, n | n | m), and per member the first node where x or
     lambda is non-finite, or -1; each member equals its one-member sweep
-    bit for bit.  Raises :class:`InvalidSpecError` for any other shape, a
-    control set that does not fit m controls, or eta not of psi's dimension.
+    bit for bit.  Raises :class:`InvalidSpecError` for any other shape.
     """
+    model, cost, eta = problem.model, problem.cost, problem.eta
     if cost.quad is None:
         raise UnsupportedCostError("Hamiltonian integration needs a quadratic-family cost")
     grid = eta.grid
@@ -71,8 +59,6 @@ def hamiltonian_sweep(
     members = np.shape(xi)[:-1] or np.shape(lambda0)[:-1]
     xi = initial_state(model, xi, members)
     lambda0 = initial_state(model, lambda0, members, name="initial costate")
-    check_observation(cost, eta, xi)
-    control_set.check(model.control_dim)
     n, m = model.state_dim, model.control_dim
     out = [np.empty(members + (grid.n_nodes, k)) for k in (n, n, m)]
     # Node-major views: node i of every member is row i.
@@ -80,7 +66,7 @@ def hamiltonian_sweep(
     xs[0], ls[0] = xi, lambda0
 
     def upoint(t, xv, lv):
-        return pointwise_hamiltonian_minimizer(cost, model, t, xv, lv, control_set)
+        return pointwise_hamiltonian_minimizer(problem, t, xv, lv)
 
     def d2m(t, xv, lv, uv):
         return cost.D2phi(t, xv, uv) + np.vecmat(lv, model.linearization(t, xv, uv))
@@ -105,25 +91,18 @@ def hamiltonian_sweep(
     return *out, np.where(blown >= 0, blown + 1, -1)
 
 
-def integrate_hamiltonian(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    xi,
-    lambda0,
-    control_set: ControlSetSpec = ControlSetSpec(),
-):
+def integrate_hamiltonian(problem: AssimilationProblem, xi, lambda0):
     """The (x, lambda, u) paths of one :func:`hamiltonian_sweep`.
 
     ``xi`` and ``lambda0`` are (n,).  Raises :class:`BlowUpError` at the
     first node where x or lambda turns non-finite.
     """
-    xi = initial_state(model, xi)
-    lambda0 = initial_state(model, lambda0, name="initial costate")
-    xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xi, lambda0, control_set)
+    xi = initial_state(problem.model, xi)
+    lambda0 = initial_state(problem.model, lambda0, name="initial costate")
+    xs, ls, us, blown = hamiltonian_sweep(problem, xi, lambda0)
     if blown >= 0:
         raise BlowUpError(int(blown))
-    return tuple(SampledPath(eta.grid, v) for v in (xs, ls, us))
+    return tuple(SampledPath(problem.eta.grid, v) for v in (xs, ls, us))
 
 
 def _damped_newton(grid, n: int):
@@ -180,28 +159,16 @@ def _damped_newton(grid, n: int):
     raise NoConvergenceError(best, "shooting Newton did not reach tolerance")
 
 
-def shoot(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    xi,
-    control_set: ControlSetSpec = ControlSetSpec(),
-) -> OptimalTriple:
+def shoot(problem: AssimilationProblem, xi) -> OptimalTriple:
     """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, FD Jacobian.
 
     Returns the optimal triple on success (|lambda(T)| < ``NEWTON_TOL``);
     raises :class:`NoConvergenceError` carrying the best residual seen.
     """
-    return shoot_batch(model, cost, eta, [xi], control_set)[0]
+    return shoot_batch(problem, [xi])[0]
 
 
-def shoot_batch(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
-    starts,
-    control_set: ControlSetSpec = ControlSetSpec(),
-) -> list:
+def shoot_batch(problem: AssimilationProblem, starts) -> list:
     """:func:`shoot` from each initial state in ``starts``, in one lockstep batch.
 
     Each start's Newton iteration is a generator; each round, the terminal
@@ -211,18 +178,18 @@ def shoot_batch(
     equals :func:`shoot` from it bit for bit.  When a start raises, the
     starts after it stop and the first raiser's error is raised.
     """
+    model = problem.model
     xis = [initial_state(model, xi) for xi in starts]
-    solvers = [_damped_newton(eta.grid, model.state_dim) for _ in xis]
+    solvers = [_damped_newton(problem.eta.grid, model.state_dim) for _ in xis]
 
     def answer(requests):
         points = [(k, lam) for k, lams in requests.items() for lam in lams]
         xi = np.stack([xis[k] for k, _ in points])
         lam0 = np.stack([lam for _, lam in points])
         if len(points) == 1:  # no member axis, which is faster
-            swept = hamiltonian_sweep(model, cost, eta, xi[0], lam0[0], control_set)
-            swept = [a[None] for a in swept]
+            swept = [a[None] for a in hamiltonian_sweep(problem, xi[0], lam0[0])]
         else:
-            swept = hamiltonian_sweep(model, cost, eta, xi, lam0, control_set)
+            swept = hamiltonian_sweep(problem, xi, lam0)
         answers = {k: [] for k in requests}
         for (k, _), x, lam, u, node in zip(points, *swept):
             answers[k].append(BlowUpError(int(node)) if node >= 0 else (x, lam, u))
@@ -232,13 +199,10 @@ def shoot_batch(
 
 
 def value_probe(
-    model: ModelSpec,
-    cost: CostSpec,
-    eta: SampledPath,
+    problem: AssimilationProblem,
     xi,
     h: float,
     solver: str = "shoot",
-    control_set: ControlSetSpec = ControlSetSpec(),
     opt_config: OptimizerConfig = OptimizerConfig(),
 ) -> dict:
     """Compare the finite-difference value gradient against lambda(0).
@@ -258,6 +222,7 @@ def value_probe(
         raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
     if solver not in ("gradient", "shoot"):
         raise InvalidSpecError(f"unknown solver {solver!r}")
+    model, cost, eta = problem.model, problem.cost, problem.eta
     xi = initial_state(model, xi)
     n = model.state_dim
     points = [xi]
@@ -266,11 +231,10 @@ def value_probe(
         e[i] = h
         points.extend([xi + e, xi - e])
     if solver == "shoot":
-        triples = shoot_batch(model, cost, eta, points, control_set=control_set)
+        triples = shoot_batch(problem, points)
     else:
         u0 = SampledPath.zeros(eta.grid, model.control_dim)
-        results = minimize_batch(model, cost, eta, [(z, u0) for z in points], control_set,
-                                 opt_config)
+        results = minimize_batch(problem, [(z, u0) for z in points], opt_config)
         for result in results:
             if result.status != "converged":
                 message = f"gradient solve did not converge: {result.status}"

@@ -3,6 +3,8 @@
 Everything here is deliberately written against a different method than
 the library (closed forms, exhaustive enumeration, classical quadrature,
 Riccati ODEs, finite differences) so that agreement is evidence, not tautology.
+The last few are diagnostics only the tests read: set containment, the
+Lorenz'63 quadratic part and the energy ratios.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from roughassim.cost import eval_cost
 from roughassim.dynamics import integrate_state
-from roughassim.grid import SampledPath
+from roughassim.grid import SampledPath, require_same_grid
 
 
 def riccati_lq(a: float, q: float, r: float, T: float, n_steps: int) -> np.ndarray:
@@ -39,7 +41,7 @@ def riccati_lq(a: float, q: float, r: float, T: float, n_steps: int) -> np.ndarr
     return P
 
 
-def cost_central_difference(model, cost, u, xi, eta, node, component, h) -> float:
+def cost_central_difference(problem, u, xi, node, component, h) -> float:
     """d(cost)/d u[node, component] by a central difference of forward + cost.
 
     Only the two perturbed forward solves: no costate, no adjoint gradient.
@@ -50,7 +52,8 @@ def cost_central_difference(model, cost, u, xi, eta, node, component, h) -> floa
         vals = u.values.copy()
         vals[node, component] += delta
         up = SampledPath(grid, vals)
-        return eval_cost(cost, integrate_state(model, up, xi, grid), up, eta)
+        x = integrate_state(problem.model, up, xi, grid)
+        return eval_cost(problem.cost, x, up, problem.eta)
 
     return (cost_at(h) - cost_at(-h)) / (2.0 * h)
 
@@ -134,3 +137,35 @@ def young_sum_reference(x_vals, y_vals, tag: str) -> float:
             xv = 0.5 * (x_vals[i] + x_vals[i + 1])
         total += float(xv @ (y_vals[i + 1] - y_vals[i]))
     return total
+
+
+def contains(control_set, values: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether every control in ``values`` lies in ``control_set``, to ``tol``."""
+    return bool(np.max(np.abs(values - control_set.project_values(values))) <= tol)
+
+
+def lorenz63_quadratic_part(state) -> np.ndarray:
+    """The bilinear term f2 of Lorenz'63 in the shifted form of
+    ``lorenz63_drift``; satisfies state . f2(state) = 0 identically."""
+    x, y, z = state
+    return np.array([0.0, -x * z, x * y])
+
+
+def energy_diagnostic(x: SampledPath, u: SampledPath) -> dict:
+    """Empirical boundedness ratios for the energy and nonlinearity estimates.
+
+    sup_ratio = ||x||_inf / (1 + ||u||_2), nonlin_ratio = ||xdot||_2 /
+    (1 + ||u||_2^2), with xdot the per-step slope.  For the energy-conserving
+    quadratic class these stay bounded across control ensembles (gamma = 1,
+    beta = 2 with r = 2).
+    """
+    grid = require_same_grid(x, u)
+    dt = grid.dt
+    u_l2 = float(np.sqrt(dt * np.sum(np.linalg.norm(u.values[:-1], axis=1) ** 2)))
+    x_sup = float(np.max(np.linalg.norm(x.values, axis=1)))
+    slopes = x.increments() / dt
+    xdot_l2 = float(np.sqrt(dt * np.sum(np.linalg.norm(slopes, axis=1) ** 2)))
+    return {
+        "sup_ratio": x_sup / (1.0 + u_l2),
+        "nonlin_ratio": xdot_l2 / (1.0 + u_l2**2),
+    }

@@ -21,7 +21,7 @@ from roughassim.cli import main as cli_main
 from roughassim.cost import eval_cost
 from roughassim.dynamics import integrate_state
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
+from roughassim.optimizer import OptimizerConfig, minimize
 from roughassim.roughpath import (
     oscillation,
     p_variation,
@@ -32,7 +32,7 @@ from roughassim.roughpath import (
 )
 from roughassim.shooting import shoot, value_probe
 
-from conftest import make_lorenz_twin, scalar_lq, zero_eta
+from conftest import make_lorenz_twin, scalar_lq
 
 
 @pytest.fixture
@@ -160,21 +160,22 @@ def test_criterion_4_duality_identity(criterion):
 def test_criterion_5_adjoint_gradient_fd(criterion):
     # Short window + fine grid keep the first-order Euler defect of the
     # continuous costate recursion below the stated tolerance.
-    model, grid, cost, xi, truth, eta = make_lorenz_twin(
+    problem, xi, truth = make_lorenz_twin(
         seed=0, n_steps=4096, T=0.0625, noise=0.01
     )
+    grid = problem.eta.grid
     rng = np.random.default_rng(1)
     u = SampledPath(grid, rng.normal(size=(grid.n_nodes, 3)))
-    x = integrate_state(model, u, xi, grid)
-    lam = solve_costate(model, cost, x, u, eta)
-    G = control_gradient(model, cost, x, u, lam)
+    x = integrate_state(problem.model, u, xi, grid)
+    lam = solve_costate(problem, x, u)
+    G = control_gradient(problem, x, u, lam)
     nodes = rng.choice(np.arange(1, grid.n_steps), size=20, replace=False)
     h = 1e-5
     worst = 0.0
     for node in nodes:
         fd = np.empty(3)
         for comp in range(3):
-            fd[comp] = cost_central_difference(model, cost, u, xi, eta, int(node), comp, h)
+            fd[comp] = cost_central_difference(problem, u, xi, int(node), comp, h)
         pred = grid.dt * G.values[node]
         rel = np.linalg.norm(fd - pred) / max(np.linalg.norm(fd), np.linalg.norm(pred), 1e-12)
         worst = max(worst, rel)
@@ -184,26 +185,25 @@ def test_criterion_5_adjoint_gradient_fd(criterion):
 
 def test_criterion_6_lq_ground_truth(criterion):
     a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 1024
-    model, cost = scalar_lq(a, q, r)
     grid = TimeGrid(T, n)
+    problem = scalar_lq(grid, a, q, r)
     xi = np.array([1.3])
-    eta = zero_eta(grid)
     P = riccati_lq(a, q, r, T, n)
     V = 0.5 * P[0] * xi[0] ** 2
     lam0_oracle = P[0] * xi[0]
 
     gaps = {}
-    res = minimize(model, cost, eta, xi, SampledPath.zeros(grid, 1),
-                   ControlSetSpec(), OptimizerConfig(grad_tol=1e-4, max_iters=3000))
+    res = minimize(problem, xi, SampledPath.zeros(grid, 1),
+                   OptimizerConfig(grad_tol=1e-4, max_iters=3000))
     u_ric = -(P * res.triple.x.values[:, 0]) / r
     gaps["pg_u"] = float(np.max(np.abs(res.triple.u.values[:, 0] - u_ric)))
     gaps["pg_V"] = abs(res.final_cost - V)
     gaps["pg_lam0"] = abs(res.triple.lam.values[0, 0] - lam0_oracle)
 
-    triple = shoot(model, cost, eta, xi)
+    triple = shoot(problem, xi)
     u_ric_s = -(P * triple.x.values[:, 0]) / r
     gaps["shoot_u"] = float(np.max(np.abs(triple.u.values[:, 0] - u_ric_s)))
-    gaps["shoot_V"] = abs(eval_cost(cost, triple.x, triple.u, eta) - V)
+    gaps["shoot_V"] = abs(eval_cost(problem.cost, triple.x, triple.u, problem.eta) - V)
     gaps["shoot_lam0"] = abs(triple.lam.values[0, 0] - lam0_oracle)
 
     worst = max(gaps.values())
@@ -222,10 +222,11 @@ def _perturbed_initial(xi, seed):
 
 
 def test_criterion_7_maximum_principle_certificate(criterion):
-    model, grid, cost, xi, truth, eta = _twin_setup(seed=42)
+    problem, xi, truth = _twin_setup(seed=42)
+    grid = problem.eta.grid
     x0 = _perturbed_initial(xi, 42)
-    res = minimize(model, cost, eta, x0, SampledPath.zeros(grid, 3),
-                   ControlSetSpec(), OptimizerConfig(grad_tol=0.02, max_iters=400))
+    res = minimize(problem, x0, SampledPath.zeros(grid, 3),
+                   OptimizerConfig(grad_tol=0.02, max_iters=400))
     trace = np.array(res.cost_trace)
     monotone = bool(np.all(np.diff(trace) <= 1e-12))
     A = abs(res.final_cost)
@@ -235,7 +236,7 @@ def test_criterion_7_maximum_principle_certificate(criterion):
     for i in range(grid.n_nodes):
         t = grid.times[i]
         ustar = pointwise_hamiltonian_minimizer(
-            cost, model, t, res.triple.x.values[i], res.triple.lam.values[i], ControlSetSpec()
+            problem, t, res.triple.x.values[i], res.triple.lam.values[i]
         )
         worst_u = max(worst_u, float(np.max(np.abs(res.triple.u.values[i] - ustar))))
     u_ok = worst_u < 1e-3
@@ -249,11 +250,12 @@ def test_criterion_8_twin_experiment_skill(criterion):
     wins = 0
     details = []
     for seed in range(10):
-        model, grid, cost, xi, truth, eta = _twin_setup(seed)
+        problem, xi, truth = _twin_setup(seed)
+        grid = problem.eta.grid
         x0 = _perturbed_initial(xi, seed)
-        free = integrate_state(model, SampledPath.zeros(grid, 3), x0, grid)
-        res = minimize(model, cost, eta, x0, SampledPath.zeros(grid, 3),
-                       ControlSetSpec(), OptimizerConfig(grad_tol=0.02, max_iters=400))
+        free = integrate_state(problem.model, SampledPath.zeros(grid, 3), x0, grid)
+        res = minimize(problem, x0, SampledPath.zeros(grid, 3),
+                       OptimizerConfig(grad_tol=0.02, max_iters=400))
         rmse_est = float(np.sqrt(np.mean(np.sum((res.triple.x.values - truth.values) ** 2, axis=1))))
         rmse_free = float(np.sqrt(np.mean(np.sum((free.values - truth.values) ** 2, axis=1))))
         if rmse_est < rmse_free:
@@ -265,18 +267,17 @@ def test_criterion_8_twin_experiment_skill(criterion):
 def test_criterion_9_value_function_probe(criterion):
     # scalar LQ
     a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 2048
-    model, cost = scalar_lq(a, q, r)
-    out = value_probe(model, cost, zero_eta(TimeGrid(T, n)), np.array([1.3]), h=1e-4)
+    out = value_probe(scalar_lq(TimeGrid(T, n), a, q, r), np.array([1.3]), h=1e-4)
     lq_gap = out["max_abs_gap"]
     lq_ok = lq_gap < 1e-3
     # Lorenz'63 short horizon, 3 seeds
     lorenz_ok = True
     lorenz_gaps = []
     for seed in range(3):
-        model, grid, cost, xi, truth, eta = make_lorenz_twin(
+        problem, xi, truth = make_lorenz_twin(
             seed=seed, n_steps=256, T=0.5, noise=0.1
         )
-        probe = value_probe(model, cost, eta, xi, h=1e-4, solver="shoot")
+        probe = value_probe(problem, xi, h=1e-4, solver="shoot")
         limit = 1e-2 * (1.0 + float(np.linalg.norm(probe["lambda0"])))
         lorenz_gaps.append(probe["max_abs_gap"])
         lorenz_ok = lorenz_ok and probe["max_abs_gap"] < limit

@@ -6,6 +6,7 @@ import pytest
 from roughassim.adjoint import (
     OptimalTriple,
     control_gradient,
+    costate_sweep,
     duality_check,
     hamiltonian,
     max_principle_residual,
@@ -14,9 +15,14 @@ from roughassim.adjoint import (
 )
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
 from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
-from roughassim.errors import GridMismatchError, InvalidParameterError, UnsupportedCostError
+from roughassim.errors import (
+    GridMismatchError,
+    InvalidParameterError,
+    InvalidSpecError,
+    UnsupportedCostError,
+)
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.optimizer import ControlSetSpec
+from roughassim.problem import AssimilationProblem
 from roughassim.roughpath import sample_wiener
 
 from conftest import zero_eta
@@ -41,14 +47,28 @@ class TestSolveCostate:
         )
         u = SampledPath.zeros(grid, 3)
         x = integrate_state(model, u, np.array([1.0, 1.0, 25.0]), grid)
-        lam = solve_costate(model, cost, x, u, zero_eta(grid, 3))
+        lam = solve_costate(AssimilationProblem(model, cost, zero_eta(grid, 3)), x, u)
         assert np.max(np.abs(lam.values)) == 0.0
 
     def test_terminal_condition(self, lorenz_twin):
-        model, grid, cost, xi, truth, eta = lorenz_twin
-        u = SampledPath.zeros(grid, 3)
-        lam = solve_costate(model, cost, truth, u, eta)
+        problem, xi, truth = lorenz_twin
+        u = SampledPath.zeros(problem.eta.grid, 3)
+        lam = solve_costate(problem, truth, u)
         assert np.allclose(lam.values[-1], 0.0)
+
+    def test_state_and_control_widths_checked(self, lorenz_twin):
+        # No built-in model reads u in the sweep, so a 2-component control
+        # went through unnoticed, and a 2-component state failed in numpy.
+        problem, xi, truth = lorenz_twin
+        grid = problem.eta.grid
+        u, narrow_u = SampledPath.zeros(grid, 3), SampledPath.zeros(grid, 2)
+        narrow_x = SampledPath(grid, truth.values[:, :2])
+        for x, u, name in ((truth, narrow_u, "control"), (narrow_x, u, "state")):
+            message = f"{name} has 2 components, not 3"
+            with pytest.raises(InvalidSpecError, match=message):
+                solve_costate(problem, x, u)
+            with pytest.raises(InvalidSpecError, match=message):
+                costate_sweep(problem, np.stack([x.values] * 2), np.stack([u.values] * 2))
 
     def test_scalar_linear_closed_form(self):
         # Frozen state x = c with drift matrix a = -1 and eta = 0 gives
@@ -59,7 +79,7 @@ class TestSolveCostate:
         cost = scalar_cost()
         x = SampledPath(grid, np.full((grid.n_nodes, 1), c))
         u = SampledPath.zeros(grid, 1)
-        lam = solve_costate(model, cost, x, u, zero_eta(grid))
+        lam = solve_costate(AssimilationProblem(model, cost, zero_eta(grid)), x, u)
         exact = c * (1.0 - np.exp(grid.times - T))
         assert np.max(np.abs(lam.values[:, 0] - exact)) < 1e-6
 
@@ -72,7 +92,7 @@ class TestSolveCostate:
         x = SampledPath.zeros(grid, 1)
         u = SampledPath.zeros(grid, 1)
         w = sample_wiener(grid, 1, seed=2)
-        lam = solve_costate(model, cost, x, u, w)
+        lam = solve_costate(AssimilationProblem(model, cost, w), x, u)
         exact = -(w.values[-1, 0] - w.values[:, 0])
         assert np.max(np.abs(lam.values[:, 0] - exact)) < 1e-12
 
@@ -81,28 +101,32 @@ class TestSolveCostate:
         cost = scalar_cost()
         x = SampledPath.zeros(TimeGrid(1.0, 8), 1)
         u = SampledPath.zeros(TimeGrid(1.0, 16), 1)
+        problem = AssimilationProblem(model, cost, zero_eta(TimeGrid(1.0, 8)))
         with pytest.raises(GridMismatchError):
-            solve_costate(model, cost, x, u, zero_eta(TimeGrid(1.0, 8)))
+            solve_costate(problem, x, u)
+
+
+def pointwise_problem(model, cost, d=1):
+    """A problem for the pointwise functions, which read no observation."""
+    return AssimilationProblem(model, cost, zero_eta(TimeGrid(1.0, 4), d))
 
 
 class TestHamiltonianPieces:
     def test_hamiltonian_value(self):
-        model = linear_model([[-1.0]])
-        cost = scalar_cost()
+        problem = pointwise_problem(linear_model([[-1.0]]), scalar_cost())
         x, lam, v = np.array([2.0]), np.array([3.0]), np.array([0.5])
         # phi = 2 + 0.125, drift = -2 + 0.5
-        assert hamiltonian(cost, model, 0.0, x, lam, v) == pytest.approx(
+        assert hamiltonian(problem, 0.0, x, lam, v) == pytest.approx(
             2.125 + 3.0 * (-1.5)
         )
 
     def test_control_gradient_formula(self):
-        model = linear_model([[-1.0]])
-        grid = TimeGrid(1.0, 4)
-        cost = scalar_cost(S=2.0)
+        problem = pointwise_problem(linear_model([[-1.0]]), scalar_cost(S=2.0))
+        grid = problem.eta.grid
         x = SampledPath(grid, np.ones((grid.n_nodes, 1)))
         u = SampledPath(grid, 0.5 * np.ones((grid.n_nodes, 1)))
         lam = SampledPath(grid, 3.0 * np.ones((grid.n_nodes, 1)))
-        G = control_gradient(model, cost, x, u, lam)
+        G = control_gradient(problem, x, u, lam)
         # D3phi = S u = 1.0; lambda g = 3.0 (g = I)
         assert np.allclose(G.values, 4.0)
 
@@ -114,7 +138,7 @@ class TestHamiltonianPieces:
         ))
         rng = np.random.default_rng(0)
         x, lam = rng.normal(size=3), rng.normal(size=3)
-        ustar = pointwise_hamiltonian_minimizer(cost, model, 0.0, x, lam, ControlSetSpec())
+        ustar = pointwise_hamiltonian_minimizer(pointwise_problem(model, cost, 3), 0.0, x, lam)
         grad = cost.D3phi(0.0, x, ustar) + lam @ model.g(0.0, x)
         assert np.max(np.abs(grad)) < 1e-12
 
@@ -128,11 +152,9 @@ class TestHamiltonianPieces:
             psi=lambda t, x: np.zeros(1),
             D2psi=lambda t, x: np.zeros((1, 1)),
         )
-        model = linear_model([[0.0]])
+        problem = pointwise_problem(linear_model([[0.0]]), cost)
         with pytest.raises(UnsupportedCostError):
-            pointwise_hamiltonian_minimizer(
-                cost, model, 0.0, np.zeros(1), np.zeros(1), ControlSetSpec()
-            )
+            pointwise_hamiltonian_minimizer(problem, 0.0, np.zeros(1), np.zeros(1))
 
 
 class TestMaxPrincipleResidual:
@@ -144,33 +166,31 @@ class TestMaxPrincipleResidual:
 
     def test_exact_minimizer_has_zero_residual(self):
         # With S = s, g = I: u* = -lam/s makes the residual exactly 0.
-        model = linear_model([[-1.0]])
-        cost = scalar_cost(S=2.0)
         grid = TimeGrid(1.0, 8)
+        problem = AssimilationProblem(linear_model([[-1.0]]), scalar_cost(S=2.0), zero_eta(grid))
         triple = self._triple(grid, uval=-1.5, lamval=3.0)
-        residual = max_principle_residual(triple, cost, model, ControlSetSpec())
+        residual = max_principle_residual(triple, problem)
         assert residual == pytest.approx(0.0, abs=1e-14)
 
     def test_perturbed_control_residual_quadratic_in_offset(self):
         # H(u* + d) - H(u*) = s d^2 / 2 exactly for the quadratic family.
-        model = linear_model([[-1.0]])
         s = 2.0
-        cost = scalar_cost(S=s)
         grid = TimeGrid(1.0, 8)
+        problem = AssimilationProblem(linear_model([[-1.0]]), scalar_cost(S=s), zero_eta(grid))
         for d in (0.1, 0.5, 2.0):
             triple = self._triple(grid, uval=-1.5 + d, lamval=3.0)
-            assert max_principle_residual(triple, cost, model, ControlSetSpec()) == pytest.approx(
+            assert max_principle_residual(triple, problem) == pytest.approx(
                 0.5 * s * d * d, abs=1e-12
             )
 
     def test_sampled_probe_bounded_by_closed_form(self):
         # Without cost.quad the minimum is probed by MP_PROBE_SAMPLES samples.
-        model = linear_model([[-1.0]])
-        cost = scalar_cost(S=2.0)
         grid = TimeGrid(1.0, 8)
+        cost = scalar_cost(S=2.0)
+        problem = AssimilationProblem(linear_model([[-1.0]]), cost, zero_eta(grid))
         triple = self._triple(grid, uval=0.0, lamval=3.0)
-        exact = max_principle_residual(triple, cost, model, ControlSetSpec())
-        sampled = max_principle_residual(triple, replace(cost, quad=None), model, ControlSetSpec())
+        exact = max_principle_residual(triple, problem)
+        sampled = max_principle_residual(triple, replace(problem, cost=replace(cost, quad=None)))
         assert sampled <= exact + 1e-12
         assert sampled >= 0.5 * exact  # sampling finds most of the gap
 
@@ -213,16 +233,15 @@ class TestDualityCheck:
 class TestGradientFdGap:
     def test_smooth_problem_small_gap(self):
         # Decoupled-from-observation scalar problem: gap is pure quadrature.
-        model = linear_model([[-1.0]])
         grid = TimeGrid(0.5, 2048)
-        cost = scalar_cost()
+        problem = AssimilationProblem(linear_model([[-1.0]]), scalar_cost(), zero_eta(grid))
         rng = np.random.default_rng(6)
         u = SampledPath(grid, rng.normal(size=(grid.n_nodes, 1)))
-        xi, eta, node = np.array([1.0]), zero_eta(grid), grid.n_steps // 2
-        fd = cost_central_difference(model, cost, u, xi, eta, node, 0, 1e-5)
-        x = integrate_state(model, u, xi, grid)
-        lam = solve_costate(model, cost, x, u, eta)
-        adjoint = grid.dt * control_gradient(model, cost, x, u, lam).values[node, 0]
+        xi, node = np.array([1.0]), grid.n_steps // 2
+        fd = cost_central_difference(problem, u, xi, node, 0, 1e-5)
+        x = integrate_state(problem.model, u, xi, grid)
+        lam = solve_costate(problem, x, u)
+        adjoint = grid.dt * control_gradient(problem, x, u, lam).values[node, 0]
         rel_gap = abs(fd - adjoint) / max(abs(fd), abs(adjoint), 1e-12)
         assert rel_gap < 1e-2
         assert np.sign(fd) == np.sign(adjoint)

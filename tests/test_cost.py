@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from roughassim.adjoint import costate_sweep, solve_costate
 from roughassim.cost import (
     QuadraticCostSpec,
     build_minimum_energy,
@@ -13,9 +12,8 @@ from roughassim.cost import (
 from roughassim.dynamics import ModelSpec, integrate_state, linear_model, lorenz63_model
 from roughassim.errors import InvalidSpecError, UnsupportedCostError
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize
+from roughassim.problem import AssimilationProblem
 from roughassim.roughpath import sample_wiener
-from roughassim.shooting import hamiltonian_sweep, integrate_hamiltonian, shoot, value_probe
 
 from conftest import make_lorenz_twin
 
@@ -150,9 +148,10 @@ class TestEvalCost:
 
     def test_smooth_observation_quadrature_oracle(self):
         # noise 0: stochastic part == -int h'R zeta_dot dt within quadrature error.
-        model, grid, cost, xi, truth, eta = make_lorenz_twin(noise=0.0)
+        problem, xi, truth = make_lorenz_twin(noise=0.0)
+        cost, grid = problem.cost, problem.eta.grid
         u = SampledPath.zeros(grid, 3)
-        got = eval_cost(cost, truth, u, eta)
+        got = eval_cost(cost, truth, u, problem.eta)
         times = grid.times
         phis = np.array([cost.phi(times[i], truth.values[i], u.values[i])
                          for i in range(grid.n_nodes)])
@@ -165,36 +164,17 @@ class TestEvalCost:
     def test_observation_dimension_must_match_psi(self):
         # One column of eta against Lorenz'63's three observed components
         # would broadcast into a wrong index in eval_cost, and fail in a
-        # numpy contraction in the sweeps; every entry point that pairs psi
-        # with eta names both dimensions instead, before it sweeps.
-        model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=64, T=0.25)
-        one_column = SampledPath(grid, eta.values[:, :1])
-        u = SampledPath.zeros(grid, 3)
-        solves = {
-            "eval_cost": lambda: eval_cost(cost, truth, u, one_column),
-            "eval_cost_by_parts": lambda: eval_cost_by_parts(cost, model, truth, u, one_column),
-            "minimize": lambda: minimize(
-                model, cost, one_column, xi, u, ControlSetSpec(), OptimizerConfig()
-            ),
-            "solve_costate": lambda: solve_costate(model, cost, truth, u, one_column),
-            "costate_sweep": lambda: costate_sweep(
-                model, cost, np.stack([truth.values] * 2), np.stack([u.values] * 2), one_column
-            ),
-            "integrate_hamiltonian": lambda: integrate_hamiltonian(
-                model, cost, one_column, xi, np.zeros(3)
-            ),
-            "hamiltonian_sweep": lambda: hamiltonian_sweep(
-                model, cost, one_column, np.stack([xi] * 2), np.zeros(3)
-            ),
-            "shoot": lambda: shoot(model, cost, one_column, xi),
-            "value_probe": lambda: value_probe(model, cost, one_column, xi, h=1e-4),
-            "value_probe-gradient": lambda: value_probe(
-                model, cost, one_column, xi, h=1e-4, solver="gradient"
-            ),
-        }
-        for solve in solves.values():
-            with pytest.raises(InvalidSpecError, match="eta has 1 components, the cost observes 3"):
-                solve()
+        # numpy contraction in the sweeps; eval_cost and the problem's
+        # constructor, which every solver's problem passed, name both
+        # dimensions instead.
+        problem, _, truth = make_lorenz_twin(n_steps=64, T=0.25)
+        one_column = SampledPath(problem.eta.grid, problem.eta.values[:, :1])
+        u = SampledPath.zeros(one_column.grid, 3)
+        message = "eta has 1 components, the cost observes 3"
+        with pytest.raises(InvalidSpecError, match=message):
+            eval_cost(problem.cost, truth, u, one_column)
+        with pytest.raises(InvalidSpecError, match=message):
+            AssimilationProblem(problem.model, problem.cost, one_column)
 
 
 class TestByParts:
@@ -208,18 +188,17 @@ class TestByParts:
         u = SampledPath(grid, 0.3 * np.ones((grid.n_nodes, 1)))
         x = integrate_state(model, u, np.array([1.0]), grid)
         eta = self._eta(grid)
-        assert eval_cost_by_parts(cost, model, x, u, eta) == pytest.approx(
+        assert eval_cost_by_parts(AssimilationProblem(model, cost, eta), x, u) == pytest.approx(
             eval_cost(cost, x, u, eta), abs=1e-12
         )
 
     def test_agreement_improves_under_refinement(self):
-        model = lorenz63_model()
         gaps = []
         for n in (256, 512):
-            m, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=n, seed=11)
-            u = SampledPath.zeros(grid, 3)
-            gaps.append(abs(eval_cost(cost, truth, u, eta)
-                            - eval_cost_by_parts(cost, m, truth, u, eta)))
+            problem, xi, truth = make_lorenz_twin(n_steps=n, seed=11)
+            u = SampledPath.zeros(problem.eta.grid, 3)
+            gaps.append(abs(eval_cost(problem.cost, truth, u, problem.eta)
+                            - eval_cost_by_parts(problem, truth, u)))
         assert gaps[1] <= 0.75 * gaps[0]
 
     def test_missing_D1psi_raises(self):
@@ -236,7 +215,7 @@ class TestByParts:
         grid = TimeGrid(1.0, 4)
         z = SampledPath.zeros(grid, 1)
         with pytest.raises(UnsupportedCostError):
-            eval_cost_by_parts(cost, model, z, z, z)
+            eval_cost_by_parts(AssimilationProblem(model, cost, z), z, z)
 
 
 class TestOnsagerMachlup:

@@ -6,14 +6,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import energy_diagnostic, lorenz63_quadratic_part
 from roughassim.dynamics import (
     ModelSpec,
-    energy_diagnostic,
     integrate_state,
     linear_model,
     lorenz63_drift,
     lorenz63_model,
-    lorenz63_quadratic_part,
     lorenz96_model,
     rk4_sweep,
 )
@@ -109,8 +108,22 @@ class TestLorenz96:
         assert np.trace(model.D2f(0.0, x)) == pytest.approx(-12.0)
 
     def test_minimum_size(self):
+        # An integral float or a boolean is not a count of variables either.
+        for n in (3, 4.5, np.float64(8.0), 8.0, True):
+            with pytest.raises(InvalidSpecError):
+                lorenz96_model(n=n)
+        assert lorenz96_model(n=np.int64(8)).state_dim == 8
+
+
+def test_linear_model_invalid_matrices():
+    for A, B in (
+        ([[np.nan]], None),
+        ([[1.0]], [[np.inf]]),
+        ([[1.0, 2.0]], None),
+        ([[1.0]], [[1.0], [2.0]]),
+    ):
         with pytest.raises(InvalidSpecError):
-            lorenz96_model(n=3)
+            linear_model(A, B)
 
 
 def test_linearization_matches_finite_differences():

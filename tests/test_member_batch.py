@@ -7,6 +7,8 @@ comparison here is bit for bit, against the one-member path or against the
 per-step costate loop the sweep replaced.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,8 @@ from roughassim.experiments import (
     simulate_truth,
 )
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.optimizer import ControlSetSpec, OptimizerConfig, minimize, minimize_batch
+from roughassim.optimizer import OptimizerConfig, minimize, minimize_batch
+from roughassim.problem import AssimilationProblem, ControlSetSpec
 from roughassim.shooting import (
     hamiltonian_sweep,
     integrate_hamiltonian,
@@ -80,9 +83,10 @@ def assert_same_result(a, b):
     assert (a.iterations, a.status, a.mp_residual) == (b.iterations, b.status, b.mp_residual)
 
 
-def costate_reference(model, cost, x, u, eta):
+def costate_reference(problem, x, u):
     """The per-step backward Heun loop, one node at a time, raising at the
     first non-finite costate; the sweep must reproduce it bit for bit."""
+    model, cost, eta = problem.model, problem.cost, problem.eta
     grid = eta.grid
     dt, times = grid.dt, grid.times
     xv, uv, deta = x.values, u.values, eta.increments()
@@ -108,11 +112,11 @@ def costate_reference(model, cost, x, u, eta):
 def test_multistart_batch_equals_serial_starts(raw):
     config = load_config(raw)
     _, eta = simulate_truth(config)
-    model, cost, xi = config.model, build_cost(config), config.assim_initial_state
+    problem = AssimilationProblem(config.model, build_cost(config), eta, config.control_set)
+    xi, opt = config.assim_initial_state, config.optimizer
     starts = list(_multistart_initials(config))
-    tail = (config.control_set, config.optimizer)
-    serial = [minimize(model, cost, eta, xi, u0, *tail) for u0 in starts]
-    batch = minimize_batch(model, cost, eta, [(xi, u0) for u0 in starts], *tail)
+    serial = [minimize(problem, xi, u0, opt) for u0 in starts]
+    batch = minimize_batch(problem, [(xi, u0) for u0 in starts], opt)
     assert len(batch) == len(serial) == 4
     for a, b in zip(batch, serial):
         assert_same_result(a, b)
@@ -131,17 +135,18 @@ def riccati_model():
     )
 
 
-def riccati_problem():
+def riccati_problem(slope=2.0):
     h, h_jac = coordinate_observation([0], 1)
     cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(1)))
     grid = TimeGrid(1.0, 64)
     # A rising observation path rewards large x, so long trial steps blow up.
-    eta = SampledPath(grid, 2.0 * grid.times)
-    return riccati_model(), cost, grid, eta
+    eta = SampledPath(grid, slope * grid.times)
+    return AssimilationProblem(riccati_model(), cost, eta)
 
 
 def test_trial_blow_up_shrinks_only_its_own_step(monkeypatch):
-    model, cost, grid, eta = riccati_problem()
+    problem = riccati_problem()
+    grid = problem.eta.grid
     xi = np.array([0.5])
     starts = [SampledPath(grid, np.full((grid.n_nodes, 1), c)) for c in (0.0, -1.0, -5.0)]
     config = OptimizerConfig(grad_tol=1e-3, max_iters=200)
@@ -154,31 +159,30 @@ def test_trial_blow_up_shrinks_only_its_own_step(monkeypatch):
         return values, blown
 
     monkeypatch.setattr(optimizer, "rk4_sweep", spy)
-    batch = minimize_batch(model, cost, eta, [(xi, u0) for u0 in starts], ControlSetSpec(),
-                           config)
+    batch = minimize_batch(problem, [(xi, u0) for u0 in starts], config)
     # Some batched round had a member blow up beside a member that did not.
     assert any((r >= 0).any() and (r < 0).any() for r in rounds)
     monkeypatch.undo()
     for u0, result in zip(starts, batch):
-        assert_same_result(result, minimize(model, cost, eta, xi, u0, ControlSetSpec(), config))
+        assert_same_result(result, minimize(problem, xi, u0, config))
 
 
 def test_overflowing_trial_cost_shrinks_the_step():
     # eta = 20 t rewards large x so strongly that long trial steps leave the
     # state finite but overflow its running cost; such a trial is a blow-up
     # (the step shrinks), not a RuntimeWarning escaping minimize.
-    model, cost, grid, _ = riccati_problem()
-    eta = SampledPath(grid, 20.0 * grid.times)
+    problem = riccati_problem(slope=20.0)
+    grid = problem.eta.grid
     huge = SampledPath(grid, np.full((grid.n_nodes, 1), 1e200))
     with pytest.raises(BlowUpError):
-        eval_cost(cost, huge, SampledPath.zeros(grid, 1), eta)
-    result = minimize(model, cost, eta, np.array([0.5]), SampledPath.zeros(grid, 1),
-                      ControlSetSpec(), OptimizerConfig())
+        eval_cost(problem.cost, huge, SampledPath.zeros(grid, 1), problem.eta)
+    result = minimize(problem, np.array([0.5]), SampledPath.zeros(grid, 1), OptimizerConfig())
     assert result.iterations >= 1 and np.all(np.diff(result.cost_trace) < 0)
 
 
 def test_first_forward_blow_up_raises_the_serial_error():
-    model, cost, grid, eta = riccati_problem()
+    problem = riccati_problem()
+    model, grid = problem.model, problem.eta.grid
     xi = np.array([0.5])
     # Start 1 blows up on its first forward solve; start 2 blows up earlier
     # in the grid, but the serial order never reaches it.
@@ -193,9 +197,9 @@ def test_first_forward_blow_up_raises_the_serial_error():
     assert node_of(starts[2]) < node_of(starts[1])
     with pytest.raises(BlowUpError) as serial:
         for u0 in starts:
-            minimize(model, cost, eta, xi, u0, ControlSetSpec(), config)
+            minimize(problem, xi, u0, config)
     with pytest.raises(BlowUpError) as batch:
-        minimize_batch(model, cost, eta, [(xi, u0) for u0 in starts], ControlSetSpec(), config)
+        minimize_batch(problem, [(xi, u0) for u0 in starts], config)
     assert batch.value.node_index == serial.value.node_index == node_of(starts[1])
     assert str(batch.value) == str(serial.value)
 
@@ -253,22 +257,23 @@ def d2g_problem():
     u = SampledPath(grid, 0.3 * rng.normal(size=(grid.n_nodes, 2)))
     x = integrate_state(model, u, np.array([0.4, -0.3]), grid)
     eta = SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, 1)), 0))
-    return model, cost, x, u, eta
+    return AssimilationProblem(model, cost, eta), x, u
 
 
 @pytest.mark.parametrize("block_bytes", [adjoint.COSTATE_BLOCK_BYTES, 1, 8 * 9 * 9 * 37])
 def test_costate_sweep_equals_the_per_step_loop(monkeypatch, block_bytes):
     # One block, one node per block, and blocks that do not divide the grid.
     monkeypatch.setattr(adjoint, "COSTATE_BLOCK_BYTES", block_bytes)
-    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=200)
+    problem, xi, truth = make_lorenz_twin(n_steps=200)
+    grid = problem.eta.grid
     u = SampledPath(grid, np.random.default_rng(1).normal(size=(grid.n_nodes, 3)))
-    ref = costate_reference(model, cost, truth, u, eta)
-    assert np.array_equal(solve_costate(model, cost, truth, u, eta).values, ref)
+    ref = costate_reference(problem, truth, u)
+    assert np.array_equal(solve_costate(problem, truth, u).values, ref)
     # With D2g the linearization is contracted with the control; the stacked
     # contraction may move the last bit.
-    model, cost, x, u, eta = d2g_problem()
-    lam = solve_costate(model, cost, x, u, eta).values
-    ref = costate_reference(model, cost, x, u, eta)
+    problem, x, u = d2g_problem()
+    lam = solve_costate(problem, x, u).values
+    ref = costate_reference(problem, x, u)
     np.testing.assert_allclose(lam, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -279,12 +284,13 @@ def test_costate_sweep_members_equal_one_member_sweeps():
     h, h_jac = coordinate_observation(range(0, 9, 2), 9)
     cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(5), S=np.eye(9)))
     eta = SampledPath(grid, rng.normal(size=(grid.n_nodes, 5)))
+    problem = AssimilationProblem(model, cost, eta)
     X = 8.0 + rng.normal(size=(3, grid.n_nodes, 9))
     X[1] *= 1e120  # its costate overflows
     U = rng.normal(size=(3, grid.n_nodes, 9))
-    lam, blown = costate_sweep(model, cost, X, U, eta)
+    lam, blown = costate_sweep(problem, X, U)
     for b in range(3):
-        alone, node = costate_sweep(model, cost, X[b], U[b], eta)
+        alone, node = costate_sweep(problem, X[b], U[b])
         assert node == blown[b]
         if node < 0:
             assert np.array_equal(lam[b], alone)
@@ -294,17 +300,16 @@ def test_costate_sweep_members_equal_one_member_sweeps():
 def test_costate_blow_up_reports_the_per_step_node():
     # A huge drift matrix on a coarse grid: the backward sweep overflows
     # after some steps, at the node where the per-step check stopped.
-    model, cost = scalar_lq(a=1e4)
     grid = TimeGrid(100.0, 40)
+    problem = scalar_lq(grid, a=1e4)
     x = SampledPath(grid, np.ones((grid.n_nodes, 1)))
     u = SampledPath.zeros(grid, 1)
-    eta = zero_eta(grid)
     with pytest.raises(BlowUpError) as ref:
-        costate_reference(model, cost, x, u, eta)
+        costate_reference(problem, x, u)
     with pytest.raises(BlowUpError) as err:
-        solve_costate(model, cost, x, u, eta)
+        solve_costate(problem, x, u)
     assert 0 < err.value.node_index == ref.value.node_index < grid.n_steps - 1
-    _, blown = costate_sweep(model, cost, np.stack([x.values] * 2), np.stack([u.values] * 2), eta)
+    _, blown = costate_sweep(problem, np.stack([x.values] * 2), np.stack([u.values] * 2))
     assert list(blown) == [ref.value.node_index] * 2
 
 
@@ -315,16 +320,16 @@ def test_single_start_runs_without_member_axis(monkeypatch):
 
     monkeypatch.setattr(optimizer, "rk4_sweep", forbidden)
     monkeypatch.setattr(optimizer, "costate_sweep", forbidden)
-    model, cost = scalar_lq()
     grid = TimeGrid(1.0, 64)
-    result = minimize(model, cost, zero_eta(grid), np.array([1.0]), SampledPath.zeros(grid, 1),
-                      ControlSetSpec(), OptimizerConfig(grad_tol=1e-3))
+    result = minimize(scalar_lq(grid), np.array([1.0]), SampledPath.zeros(grid, 1),
+                      OptimizerConfig(grad_tol=1e-3))
     assert result.status == "converged"
 
 
-def hamiltonian_reference(model, cost, eta, xi, lambda0, control_set=ControlSetSpec()):
+def hamiltonian_reference(problem, xi, lambda0):
     """The per-step Hamiltonian loop the sweep replaced, raising at the first
     node where x or lambda turns non-finite."""
+    model, cost, eta = problem.model, problem.cost, problem.eta
     grid = eta.grid
     dt, times, deta = grid.dt, grid.times, eta.increments()
     xs = np.empty((grid.n_nodes, model.state_dim))
@@ -333,7 +338,7 @@ def hamiltonian_reference(model, cost, eta, xi, lambda0, control_set=ControlSetS
     xs[0], ls[0] = xi, lambda0
 
     def upoint(t, xv, lv):
-        return pointwise_hamiltonian_minimizer(cost, model, t, xv, lv, control_set)
+        return pointwise_hamiltonian_minimizer(problem, t, xv, lv)
 
     def d2m(t, xv, lv, uv):
         return cost.D2phi(t, xv, uv) + lv @ model.linearization(t, xv, uv)
@@ -365,7 +370,7 @@ def riccati2_problem():
                       lambda t, x: 2.0 * x[..., None] * np.eye(2))
     h, h_jac = coordinate_observation([0, 1], 2)
     cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(2), S=np.eye(2)))
-    return model, cost, zero_eta(TimeGrid(1.0, 64), 2)
+    return AssimilationProblem(model, cost, zero_eta(TimeGrid(1.0, 64), 2))
 
 
 def assert_same_triple(a, b):
@@ -374,64 +379,65 @@ def assert_same_triple(a, b):
 
 
 def test_hamiltonian_sweep_members_equal_one_member_runs():
-    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.5)
+    unconstrained, xi, truth = make_lorenz_twin(n_steps=256, T=0.5)
     rng = np.random.default_rng(5)
     xis = xi + rng.normal(size=(4, 3))
     lams = rng.normal(size=(4, 3))
     lams[2] = 1e200  # this member's control overflows the state
-    unconstrained = ControlSetSpec()
-    box = ControlSetSpec(kind="box", lo=-np.full(3, 5.0), hi=np.full(3, 5.0))
-    for control_set in (unconstrained, box):
-        xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xis, lams, control_set)
+    box = replace(
+        unconstrained,
+        control_set=ControlSetSpec(kind="box", lo=-np.full(3, 5.0), hi=np.full(3, 5.0)),
+    )
+    for problem in (unconstrained, box):
+        xs, ls, us, blown = hamiltonian_sweep(problem, xis, lams)
         for b in range(4):
-            if b == 2 and control_set is unconstrained:
+            if b == 2 and problem is unconstrained:
                 with pytest.raises(BlowUpError) as err:
-                    integrate_hamiltonian(model, cost, eta, xis[b], lams[b], control_set)
+                    integrate_hamiltonian(problem, xis[b], lams[b])
                 assert blown[b] == err.value.node_index > 0
                 continue
-            alone = integrate_hamiltonian(model, cost, eta, xis[b], lams[b], control_set)
+            alone = integrate_hamiltonian(problem, xis[b], lams[b])
             assert blown[b] == -1
             for batched, path in zip((xs[b], ls[b], us[b]), alone):
                 assert np.array_equal(batched, path.values)
-            ref = hamiltonian_reference(model, cost, eta, xis[b], lams[b], control_set)
+            ref = hamiltonian_reference(problem, xis[b], lams[b])
             for batched, loop in zip((xs[b], ls[b], us[b]), ref):
                 assert np.array_equal(batched, loop)
     # One shared initial costate broadcasts against the members' states.
-    xs, ls, us, blown = hamiltonian_sweep(model, cost, eta, xis, lams[0])
-    alone = integrate_hamiltonian(model, cost, eta, xis[3], lams[0])
+    xs, ls, us, blown = hamiltonian_sweep(unconstrained, xis, lams[0])
+    alone = integrate_hamiltonian(unconstrained, xis[3], lams[0])
     assert np.array_equal(ls[3], alone[1].values) and (blown == -1).all()
 
 
 def test_hamiltonian_blow_up_reports_the_per_step_node():
-    model, cost, eta = riccati2_problem()
+    problem = riccati2_problem()
     xi, lam0 = np.array([0.3, 1.3]), np.zeros(2)
     with pytest.raises(BlowUpError) as ref:
-        hamiltonian_reference(model, cost, eta, xi, lam0)
+        hamiltonian_reference(problem, xi, lam0)
     with pytest.raises(BlowUpError) as err:
-        integrate_hamiltonian(model, cost, eta, xi, lam0)
-    assert 0 < err.value.node_index == ref.value.node_index < eta.grid.n_steps
+        integrate_hamiltonian(problem, xi, lam0)
+    assert 0 < err.value.node_index == ref.value.node_index < problem.eta.grid.n_steps
 
 
-@pytest.mark.parametrize("problem", ["scalar_lq", "lorenz63"])
-def test_shoot_batch_equals_per_start_shoot(monkeypatch, problem):
-    if problem == "scalar_lq":
-        model, cost = scalar_lq()
-        eta = zero_eta(TimeGrid(1.0, 1024))
+@pytest.mark.parametrize("case", ["scalar_lq", "lorenz63"])
+def test_shoot_batch_equals_per_start_shoot(monkeypatch, case):
+    if case == "scalar_lq":
+        problem = scalar_lq(TimeGrid(1.0, 1024))
         starts = [np.array([1.3]), np.array([-0.4]), np.array([2.0])]
     else:  # criterion 9's Lorenz'63 window
-        model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
+        problem, xi, truth = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
         starts = [xi, xi + np.array([1e-4, 0.0, 0.0]), xi - np.array([0.0, 0.0, 1e-4])]
     sweeps = []
     sweep = shooting.hamiltonian_sweep
 
-    def spy(model, cost, eta, xi, lambda0, control_set):
+    def spy(problem, xi, lambda0):
         sweeps.append(np.ndim(lambda0))
-        return sweep(model, cost, eta, xi, lambda0, control_set)
+        return sweep(problem, xi, lambda0)
 
     monkeypatch.setattr(shooting, "hamiltonian_sweep", spy)
-    batch = shoot_batch(model, cost, eta, starts)
+    batch = shoot_batch(problem, starts)
     batched_sweeps = len(sweeps)
-    serial = [shoot(model, cost, eta, xi) for xi in starts]
+    serial = [shoot(problem, xi) for xi in starts]
     # The starts shared their sweeps: fewer of them, several with members.
     assert batched_sweeps < len(sweeps) - batched_sweeps
     assert 2 in sweeps[:batched_sweeps]
@@ -442,7 +448,7 @@ def test_shoot_batch_equals_per_start_shoot(monkeypatch, problem):
 
 @pytest.mark.parametrize("solver", ["shoot", "gradient"])
 def test_value_probe_raises_the_first_failing_points_error(solver):
-    model, cost, eta = riccati2_problem()
+    problem = riccati2_problem()
     xi = np.array([0.3, 0.5])
     h = 0.8 if solver == "shoot" else 0.4
     config = OptimizerConfig(grad_tol=1e-3, max_iters=8)
@@ -451,12 +457,11 @@ def test_value_probe_raises_the_first_failing_points_error(solver):
     for k, z in enumerate(points):
         if solver == "shoot":
             try:
-                shoot(model, cost, eta, z)
+                shoot(problem, z)
             except NoConvergenceError as err:
                 failures[k] = (str(err), err.best_residual)
             continue
-        result = minimize(model, cost, eta, z, SampledPath.zeros(eta.grid, 2), ControlSetSpec(),
-                          config)
+        result = minimize(problem, z, SampledPath.zeros(problem.eta.grid, 2), config)
         if result.status != "converged":
             message = f"gradient solve did not converge: {result.status}"
             failures[k] = (message, result.grad_norm_trace[-1])
@@ -466,12 +471,12 @@ def test_value_probe_raises_the_first_failing_points_error(solver):
     assert sorted(failures) == ([1, 3] if solver == "shoot" else [1, 3, 4])
     assert failures[1] != failures[3]
     with pytest.raises(NoConvergenceError) as probe:
-        value_probe(model, cost, eta, xi, h=h, solver=solver, opt_config=config)
+        value_probe(problem, xi, h=h, solver=solver, opt_config=config)
     assert (str(probe.value), probe.value.best_residual) == failures[1]
 
 
 def test_gradient_value_probe_is_one_batch_equal_to_serial_solves(monkeypatch):
-    model, grid, cost, xi, truth, eta = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
+    problem, xi, truth = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
     h, config = 1e-4, OptimizerConfig(grad_tol=1e-3, max_iters=200)
     initial_states = []
     sweep = optimizer.rk4_sweep
@@ -481,15 +486,15 @@ def test_gradient_value_probe_is_one_batch_equal_to_serial_solves(monkeypatch):
         return sweep(model, uv, xi, grid)
 
     monkeypatch.setattr(optimizer, "rk4_sweep", spy)
-    probe = value_probe(model, cost, eta, xi, h=h, solver="gradient", opt_config=config)
+    probe = value_probe(problem, xi, h=h, solver="gradient", opt_config=config)
     monkeypatch.undo()
     # The forward solves ran as member sweeps, each member from its own point.
     assert initial_states[0] == (7, 3) and all(len(s) == 2 for s in initial_states)
     points = [xi]
     for e in h * np.eye(3):
         points.extend([xi + e, xi - e])
-    serial = [minimize(model, cost, eta, z, SampledPath.zeros(grid, 3), ControlSetSpec(), config)
-              for z in points]
+    grid = problem.eta.grid
+    serial = [minimize(problem, z, SampledPath.zeros(grid, 3), config) for z in points]
     assert all(r.status == "converged" for r in serial)
     values = [r.final_cost for r in serial]
     dv = np.array([(values[1 + 2 * i] - values[2 + 2 * i]) / (2.0 * h) for i in range(3)])

@@ -1,21 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import riccati_lq
-from roughassim.adjoint import OptimalTriple, max_principle_residual
+from oracles import contains, riccati_lq
 from roughassim.errors import InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.optimizer import (
-    AssimilationResult,
-    ControlSetSpec,
-    OptimizerConfig,
-    minimize,
-    project_control,
-)
+from roughassim.optimizer import AssimilationResult, OptimizerConfig, minimize
+from roughassim.problem import AssimilationProblem, ControlSetSpec
 
-from roughassim.shooting import shoot
-
-from conftest import make_lorenz_twin, scalar_lq, zero_eta
+from conftest import make_lorenz_twin, scalar_lq
 
 
 FREE = ControlSetSpec()
@@ -27,8 +19,8 @@ class TestControlSetSpec:
         vals = np.array([[5.0, -3.0], [0.5, 1.0]])
         out = box.project_values(vals)
         assert np.allclose(out, [[1.0, 0.0], [0.5, 1.0]])
-        assert box.contains(out)
-        assert not box.contains(vals)
+        assert contains(box, out)
+        assert not contains(box, vals)
 
     def test_ball_projection_hand_values(self):
         ball = ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0)
@@ -110,7 +102,7 @@ class TestControlSetSpec:
         grid = TimeGrid(1.0, 4)
         u = SampledPath(grid, 5.0 * np.ones((grid.n_nodes, 1)))
         box = ControlSetSpec(kind="box", lo=np.array([-1.0]), hi=np.array([1.0]))
-        assert np.allclose(project_control(u, box).values, 1.0)
+        assert np.allclose(box.project_values(u.values), 1.0)
 
 
 MISFIT_SETS = [
@@ -121,17 +113,13 @@ MISFIT_SETS = [
 
 @pytest.mark.parametrize("control_set", MISFIT_SETS, ids=["box", "ball"])
 def test_two_component_set_rejected_on_lorenz63(control_set):
-    """A (2,) set against three controls is an InvalidSpecError at every door,
-    not numpy's broadcast ValueError."""
-    model, grid, cost, xi, _, eta = make_lorenz_twin(n_steps=32, T=0.05)
-    u0 = SampledPath.zeros(grid, 3)
-    with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
-        minimize(model, cost, eta, xi, u0, control_set, OptimizerConfig(max_iters=2))
-    with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
-        shoot(model, cost, eta, xi, control_set=control_set)
-    triple = OptimalTriple(x=SampledPath.zeros(grid, 3), u=u0, lam=SampledPath.zeros(grid, 3))
-    with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
-        max_principle_residual(triple, cost, model, control_set)
+    """A (2,) set against three controls is an InvalidSpecError when the
+    problem is built, so minimize, shoot and max_principle_residual, which
+    take only a built problem, never meet numpy's broadcast ValueError."""
+    problem, _, _ = make_lorenz_twin(n_steps=32, T=0.05)
+    message = f"the {control_set.kind} control set does not fit 3 controls"
+    with pytest.raises(InvalidSpecError, match=message):
+        AssimilationProblem(problem.model, problem.cost, problem.eta, control_set)
 
 
 class TestOptimizerConfig:
@@ -146,38 +134,32 @@ class TestOptimizerConfig:
 class TestMinimizeDecoupled:
     def test_pure_control_energy_goes_to_zero(self):
         # No observation term: J = int |u|^2/2, minimum u = 0, J = 0.
-        model, cost = scalar_lq(q=0.0)
         grid = TimeGrid(1.0, 64)
         u0 = SampledPath(grid, np.ones((grid.n_nodes, 1)))
-        res = minimize(model, cost, zero_eta(grid), np.array([0.0]), u0, FREE,
-                       OptimizerConfig(grad_tol=1e-7))
+        res = minimize(scalar_lq(grid, q=0.0), np.array([0.0]), u0, OptimizerConfig(grad_tol=1e-7))
         assert res.status == "converged"
         assert res.final_cost < 1e-8
         assert np.max(np.abs(res.triple.u.values)) < 1e-6
 
     def test_cost_trace_monotone(self):
-        model, cost = scalar_lq()
         grid = TimeGrid(1.0, 128)
         u0 = SampledPath(grid, 2.0 * np.ones((grid.n_nodes, 1)))
-        res = minimize(model, cost, zero_eta(grid), np.array([1.0]), u0, FREE,
-                       OptimizerConfig(grad_tol=1e-4))
+        res = minimize(scalar_lq(grid), np.array([1.0]), u0, OptimizerConfig(grad_tol=1e-4))
         trace = np.array(res.cost_trace)
         assert np.all(np.diff(trace) <= 1e-14)
 
     def test_feasibility_maintained_with_box(self):
-        model, cost = scalar_lq()
         grid = TimeGrid(1.0, 64)
         box = ControlSetSpec(kind="box", lo=np.array([-0.1]), hi=np.array([0.1]))
         u0 = SampledPath(grid, np.ones((grid.n_nodes, 1)))
-        res = minimize(model, cost, zero_eta(grid), np.array([2.0]), u0, box,
+        res = minimize(scalar_lq(grid, control_set=box), np.array([2.0]), u0,
                        OptimizerConfig(grad_tol=1e-5, max_iters=100))
-        assert box.contains(res.triple.u.values, tol=1e-10)
+        assert contains(box, res.triple.u.values, tol=1e-10)
 
     def test_max_iters_status(self):
-        model, cost = scalar_lq()
         grid = TimeGrid(1.0, 64)
         u0 = SampledPath(grid, 2.0 * np.ones((grid.n_nodes, 1)))
-        res = minimize(model, cost, zero_eta(grid), np.array([1.0]), u0, FREE,
+        res = minimize(scalar_lq(grid), np.array([1.0]), u0,
                        OptimizerConfig(grad_tol=1e-12, max_iters=2))
         assert res.status == "max_iters"
         assert res.iterations == 2
@@ -188,11 +170,10 @@ class TestMinimizeAgainstRiccati:
         # eta = 0 keeps the observation pairing off, so the discrete problem
         # is the classical LQ regulator; the Riccati solution is the oracle.
         a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 1024
-        model, cost = scalar_lq(a, q, r)
         grid = TimeGrid(T, n)
         xi = np.array([1.3])
         u0 = SampledPath.zeros(grid, 1)
-        res = minimize(model, cost, zero_eta(grid), xi, u0, FREE,
+        res = minimize(scalar_lq(grid, a, q, r), xi, u0,
                        OptimizerConfig(grad_tol=1e-4, max_iters=2000))
         P = riccati_lq(a, q, r, T, n)
         V = 0.5 * P[0] * xi[0] ** 2
@@ -205,20 +186,16 @@ class TestMinimizeAgainstRiccati:
         assert res.mp_residual < 1e-6
 
     def test_grad_norm_trace_recorded(self):
-        model, cost = scalar_lq()
         grid = TimeGrid(1.0, 64)
         u0 = SampledPath.zeros(grid, 1)
-        res = minimize(model, cost, zero_eta(grid), np.array([1.0]), u0, FREE,
-                       OptimizerConfig(grad_tol=1e-3))
+        res = minimize(scalar_lq(grid), np.array([1.0]), u0, OptimizerConfig(grad_tol=1e-3))
         assert res.status == "converged"
         assert len(res.grad_norm_trace) == res.iterations
         assert res.grad_norm_trace[-1] < 1e-3
 
     def test_result_final_cost_property(self):
-        model, cost = scalar_lq()
         grid = TimeGrid(1.0, 32)
         u0 = SampledPath.zeros(grid, 1)
-        res = minimize(model, cost, zero_eta(grid), np.array([1.0]), u0, FREE,
-                       OptimizerConfig(grad_tol=1e-3))
+        res = minimize(scalar_lq(grid), np.array([1.0]), u0, OptimizerConfig(grad_tol=1e-3))
         assert isinstance(res, AssimilationResult)
         assert res.final_cost == res.cost_trace[-1]

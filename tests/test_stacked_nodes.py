@@ -19,7 +19,8 @@ from roughassim.cost import (
     coordinate_observation,
 )
 from roughassim.dynamics import ModelSpec, linear_model, lorenz63_model, lorenz96_model
-from roughassim.optimizer import ControlSetSpec
+from roughassim.grid import SampledPath, TimeGrid
+from roughassim.problem import AssimilationProblem, ControlSetSpec
 
 N_NODES = 50
 
@@ -150,7 +151,9 @@ CONTROL_SETS = {
 def test_hamiltonian_and_minimizer_stack(name, family, observed, control_set):
     model = MODELS[name]()
     cost, _, _ = build(model, family, observed)
-    cset = CONTROL_SETS[control_set](model.control_dim)
+    # The pointwise functions read no observation; eta only has to fit.
+    eta = SampledPath.zeros(TimeGrid(1.0, 4), cost.quad.obs_dim)
+    problem = AssimilationProblem(model, cost, eta, CONTROL_SETS[control_set](model.control_dim))
     t, x, lam, u = nodes(model)
-    assert_stacks(lambda *a: hamiltonian(cost, model, *a), t, x, lam, u)
-    assert_stacks(lambda *a: pointwise_hamiltonian_minimizer(cost, model, *a, cset), t, x, lam)
+    assert_stacks(lambda *a: hamiltonian(problem, *a), t, x, lam, u)
+    assert_stacks(lambda *a: pointwise_hamiltonian_minimizer(problem, *a), t, x, lam)
