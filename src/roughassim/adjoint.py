@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import first_nonfinite
-from .errors import BlowUpError, InvalidParameterError, InvalidSpecError, UnsupportedCostError
+from .errors import BlowUpError, GridMismatchError, InvalidParameterError, UnsupportedCostError
 from .grid import SampledPath, require_same_grid
 from .problem import AssimilationProblem
 from .roughpath import wiener_rng
@@ -53,14 +53,16 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
     Returns the costate values, (..., n_nodes, n), and per member the node
     where the sweep first met a non-finite costate, or -1.  Raises
     :class:`InvalidSpecError` for a state without n components or a control
-    without m.
+    without m, and :class:`GridMismatchError` for either on another number
+    of nodes than eta's grid.
     """
     model, cost, eta = problem.model, problem.cost, problem.eta
     n = model.state_dim
-    for name, values, k in (("state", xv, n), ("control", uv, model.control_dim)):
-        if values.shape[-1] != k:
-            raise InvalidSpecError(f"{name} has {values.shape[-1]} components, not {k}")
+    problem.check_widths(state=xv, control=uv)
     grid = eta.grid
+    for name, values in (("state", xv), ("control", uv)):
+        if values.shape[-2] != grid.n_nodes:
+            raise GridMismatchError(f"{name} has {values.shape[-2]} nodes, the grid {grid.n_nodes}")
     dt = grid.dt
     members = xv.shape[:-2]
     times = np.broadcast_to(grid.times, xv.shape[:-1])
@@ -120,8 +122,12 @@ def hamiltonian(problem: AssimilationProblem, t, x, lam, v):
 def control_gradient(
     problem: AssimilationProblem, x: SampledPath, u: SampledPath, lam: SampledPath
 ) -> SampledPath:
-    """Pointwise Hamiltonian u-gradient G(t_i) = D3 phi + lambda g."""
+    """Pointwise Hamiltonian u-gradient G(t_i) = D3 phi + lambda g.
+
+    Raises :class:`InvalidSpecError` unless x and lam have n components and u m.
+    """
     grid = require_same_grid(x, u, lam)
+    problem.check_widths(state=x.values, control=u.values, costate=lam.values)
     t = grid.times
     cost, model = problem.cost, problem.model
     G = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.g(t, x.values))
@@ -131,14 +137,14 @@ def control_gradient(
 def pointwise_hamiltonian_minimizer(problem: AssimilationProblem, t, x, lam):
     """Closed-form arg min over v of H for the quadratic family.
 
-    u* = Proj_U(-S(t)^{-1} g(t, x)' lambda') with U the problem's control
+    u* = Proj_U(-S^{-1} g(t, x)' lambda') with U the problem's control
     set; requires a quadratic-family cost (``cost.quad``).
     """
     quad = problem.cost.quad
     if quad is None:
         raise UnsupportedCostError("closed-form minimizer needs a quadratic cost")
     # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
-    raw = -np.linalg.solve(quad.S(t), np.vecmat(lam, problem.model.g(t, x))[..., None])[..., 0]
+    raw = -np.linalg.solve(quad.S, np.vecmat(lam, problem.model.g(t, x))[..., None])[..., 0]
     return problem.control_set.project_values(raw)
 
 
@@ -152,10 +158,12 @@ def max_principle_residual(triple: OptimalTriple, problem: AssimilationProblem) 
     The minimum is in closed form when ``cost.quad`` is set; otherwise it
     is probed by ``MP_PROBE_SAMPLES`` seeded uniform draws, each covering
     every node, of the control set within a ball of radius 10 (1 + |u(t)|)
-    (heuristic residual only).
+    (heuristic residual only).  Raises :class:`InvalidSpecError` unless the
+    triple's state and costate have n components and its control m.
     """
     grid = require_same_grid(triple.x, triple.u, triple.lam)
     t, x, lam, u = grid.times, triple.x.values, triple.lam.values, triple.u.values
+    problem.check_widths(state=x, control=u, costate=lam)
     h_at_u = hamiltonian(problem, t, x, lam, u)
     if problem.cost.quad is not None:
         vstar = pointwise_hamiltonian_minimizer(problem, t, x, lam)

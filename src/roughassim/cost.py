@@ -4,9 +4,10 @@ The index is  A(x, u) = int phi(t, x, u) dt + int psi(t, x) d eta,  with the
 deterministic part integrated by the trapezoid rule (control left-sampled,
 exact for piecewise-constant controls) and the stochastic part as a
 left-tag Young sum against the observation increments.  The quadratic
-family  phi = h'Rh/2 + u'Su/2, psi = -h'R  covers minimum-energy (weak
-4D-VAR) estimation; the Onsager-Machlup variant adds a -div f correction
-for constant g, where the curvature term vanishes identically.
+family  phi = h'Rh/2 + u'Su/2, psi = -h'R, with R and S constant
+matrices, covers minimum-energy (weak 4D-VAR) estimation; the
+Onsager-Machlup variant adds a -div f correction for constant g, where the
+curvature term vanishes identically.
 
 Every node-wise product is an ``np.matvec``, ``np.vecmat`` or ``np.vecdot``,
 which computes each of a stack of nodes exactly as the one-node ``@`` does;
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dynamics import ModelSpec
 from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, require_same_grid
+from .grid import SampledPath, frozen_array, require_same_grid
 
 if TYPE_CHECKING:  # problem.py imports this module
     from .problem import AssimilationProblem
@@ -40,7 +41,7 @@ class CostSpec:
 
     Every callable also takes stacked nodes as :class:`ModelSpec` does,
     with a leading node axis on each result; so do a
-    :class:`QuadraticCostSpec`'s h, h_jac, R and S.
+    :class:`QuadraticCostSpec`'s h and h_jac.
     """
 
     phi: Callable
@@ -52,60 +53,54 @@ class CostSpec:
     quad: Optional["QuadraticCostSpec"] = None
 
 
-def _as_matrix_callable(value):
-    if callable(value):
-        return value
-    M = np.asarray(value, dtype=float)
-
-    def const(t):
-        return M
-
-    return const
-
-
 @dataclass(frozen=True)
 class QuadraticCostSpec:
-    """Observation operator h with Jacobian, plus weights R(t), S(t).
+    """Observation operator h with Jacobian, plus constant weight matrices R and S.
 
-    R must be symmetric nonnegative definite and S uniformly positive
-    definite, both nonempty.  Constant matrices may be passed directly; they
-    are wrapped as callables of t.  The observation and control dimensions
-    are the sizes of R(0) and S(0).  ``h_dt`` and ``R_dt`` are time derivatives
+    R must be symmetric nonnegative definite and S symmetric positive
+    definite, both nonempty square matrices of finite numbers; anything
+    else, a callable included, raises :class:`InvalidSpecError`.  The
+    constructor checks and keeps read-only float copies, so a caller's later
+    write to its array changes nothing.  The observation and control
+    dimensions are the sizes of R and S.  ``h_dt`` is h's time derivative
     (None means identically zero), needed only by the integration-by-parts
     cross-evaluator.
     """
 
     h: Callable
     h_jac: Callable
-    R: Callable
-    S: Callable
+    R: np.ndarray
+    S: np.ndarray
     h_dt: Optional[Callable] = None
-    R_dt: Optional[Callable] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "R", _as_matrix_callable(self.R))
-        object.__setattr__(self, "S", _as_matrix_callable(self.S))
-        R0, S0 = self.R(0.0), self.S(0.0)
-        for label, M in (("R", R0), ("S", S0)):
-            if np.ndim(M) != 2 or not 0 < M.shape[0] == M.shape[1]:
-                raise InvalidSpecError(f"{label} must be a nonempty square matrix: {np.shape(M)}")
-        if not np.allclose(S0, S0.T):
+        for label in ("R", "S"):
+            message = f"{label} must be a nonempty square matrix of finite numbers"
+            try:
+                M = frozen_array(getattr(self, label))
+            except (TypeError, ValueError):  # a callable, a string, a ragged list
+                raise InvalidSpecError(message) from None
+            if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1] or not np.all(np.isfinite(M)):
+                raise InvalidSpecError(f"{message}: shape {M.shape}")
+            object.__setattr__(self, label, M)
+        R, S = self.R, self.S
+        if not np.allclose(S, S.T):
             raise InvalidSpecError("S must be symmetric")
-        if not np.allclose(R0, R0.T):
+        if not np.allclose(R, R.T):
             raise InvalidSpecError("R must be symmetric")
-        s_min = float(np.min(np.linalg.eigvalsh(S0)))
+        s_min = float(np.min(np.linalg.eigvalsh(S)))
         if s_min <= 0:
             raise InvalidSpecError(f"S must be positive definite, min eigenvalue {s_min}")
-        if float(np.min(np.linalg.eigvalsh(R0))) < -1e-12:
+        if float(np.min(np.linalg.eigvalsh(R))) < -1e-12:
             raise InvalidSpecError("R must be nonnegative definite")
 
     @property
     def obs_dim(self) -> int:
-        return self.R(0.0).shape[0]
+        return self.R.shape[0]
 
     @property
     def control_dim(self) -> int:
-        return self.S(0.0).shape[0]
+        return self.S.shape[0]
 
 
 def coordinate_observation(indices, state_dim: int):
@@ -130,27 +125,25 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
 
     def phi(t, x, u):
         hv = q.h(t, x)
-        hR, uS = np.vecmat(hv, q.R(t)), np.vecmat(u, q.S(t))
+        hR, uS = np.vecmat(hv, q.R), np.vecmat(u, q.S)
         return 0.5 * np.vecdot(hR, hv) + 0.5 * np.vecdot(uS, u)
 
     def D2phi(t, x, u):
-        return np.vecmat(np.matvec(q.R(t), q.h(t, x)), q.h_jac(t, x))
+        return np.vecmat(np.matvec(q.R, q.h(t, x)), q.h_jac(t, x))
 
     def D3phi(t, x, u):
-        return np.matvec(q.S(t), u)
+        return np.matvec(q.S, u)
 
     def psi(t, x):
-        return -np.vecmat(q.h(t, x), q.R(t))
+        return -np.vecmat(q.h(t, x), q.R)
 
     def D2psi(t, x):
-        return -(q.R(t).T @ q.h_jac(t, x))
+        return -(q.R.T @ q.h_jac(t, x))
 
     def D1psi(t, x):
         out = np.zeros(np.shape(x)[:-1] + (q.obs_dim,))
         if q.h_dt is not None:
-            out -= np.vecmat(q.h_dt(t, x), q.R(t))
-        if q.R_dt is not None:
-            out -= np.vecmat(q.h(t, x), q.R_dt(t))
+            out -= np.vecmat(q.h_dt(t, x), q.R)
         return out
 
     return CostSpec(
@@ -236,12 +229,32 @@ def check_observation(cost: CostSpec, eta: SampledPath, x0) -> None:
         raise InvalidSpecError(f"eta has {eta.dim} components, the cost observes {observed}")
 
 
+def check_widths(n: int, m: int, *, state=None, control=None, costate=None) -> None:
+    """Raise :class:`InvalidSpecError` unless the state and the costate have n
+    components and the control m.
+
+    Each array is one node or stacked nodes, with the components on its
+    last axis; None skips it.  :meth:`AssimilationProblem.check_widths`
+    applies it with the model's n and m, and :func:`eval_cost` with the
+    quadratic cost's.
+    """
+    for name, values, k in (("state", state, n), ("control", control, m), ("costate", costate, n)):
+        if values is not None and values.shape[-1] != k:
+            raise InvalidSpecError(f"{name} has {values.shape[-1]} components, not {k}")
+
+
 def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) -> float:
     """A(x, u): trapezoid deterministic part + left-tag Young stochastic part.
 
-    Raises :class:`InvalidSpecError` when eta's dimension is not psi's.
+    Raises :class:`InvalidSpecError` when eta's dimension is not psi's and,
+    for a quadratic-family cost, when x has not as many components as h's
+    Jacobian has columns or u not as many as S has rows.
     """
     grid = require_same_grid(x, u, eta)
+    quad = cost.quad
+    if quad is not None:
+        n = np.shape(quad.h_jac(grid.times[0], x.values[0]))[-1]
+        check_widths(n, quad.control_dim, state=x.values, control=u.values)
     check_observation(cost, eta, x.values[0])
     # A finite but huge state may overflow phi; that is a blow-up, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,12 +272,14 @@ def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledP
 
     Running cost  phi - {D1 psi + D2 psi (f + g u)} . eta(t)  plus the
     boundary term psi(T, x(T)) . eta(T) - psi(0, x(0)) . eta(0); agrees
-    with :func:`eval_cost` under grid refinement for smooth psi.
+    with :func:`eval_cost` under grid refinement for smooth psi.  Raises
+    :class:`InvalidSpecError` unless x has n components and u m.
     """
     cost, model, eta = problem.cost, problem.model, problem.eta
     if cost.D1psi is None:
         raise UnsupportedCostError("eval_cost_by_parts needs the time derivative of psi")
     grid = require_same_grid(x, u, eta)
+    problem.check_widths(state=x.values, control=u.values)
     times = grid.times
     etav = eta.values
     xv, uv = x.values, u.values

@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, InvalidSpecError
-from .grid import SampledPath, TimeGrid
+from .grid import SampledPath, TimeGrid, frozen_array
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,15 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
 
 
 def linear_model(A, B=None) -> ModelSpec:
-    """xdot = A x + B u with constant matrices (B defaults to identity)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    """xdot = A x + B u with constant matrices (B defaults to identity).
+
+    A and B are checked and kept as read-only float copies.
+    """
+    A = np.atleast_2d(frozen_array(A))
     n = A.shape[0]
     if A.shape != (n, n):
         raise InvalidSpecError("A must be square")
-    B = np.eye(n) if B is None else np.atleast_2d(np.asarray(B, dtype=float))
+    B = np.atleast_2d(frozen_array(np.eye(n) if B is None else B))
     if B.shape[0] != n or B.shape[1] == 0:
         raise InvalidSpecError("B must have n rows and at least one column")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):

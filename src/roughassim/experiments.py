@@ -115,6 +115,29 @@ _COERCE = {
 }
 
 
+# The keys of the config and of each section that is not a constructor call;
+# a constructor rejects a key that is no keyword of its own.
+_KEYS = {
+    "config": ("model", "grid", "truth", "observation", "assimilation", "cost", "control_set",
+               "optimizer"),
+    "model": ("name", "params"),
+    "truth": ("initial_state", "control"),
+    "observation": ("h_indices", "R", "noise_scale", "seed"),
+    "assimilation": ("initial_state",),
+    "cost": ("kind", "S"),
+}
+
+
+def _section(section, label: str) -> dict:
+    """``section``, checked to be an object that holds only the keys ``_KEYS[label]``."""
+    if not isinstance(section, dict):
+        raise InvalidSpecError(f"{label} must be an object, got {section!r}")
+    unknown = [key for key in section if key not in _KEYS[label]]
+    if unknown:
+        raise InvalidSpecError(f"unknown key {unknown[0]!r} in {label}")
+    return section
+
+
 def _construct(constructor, section: dict):
     """``constructor`` called with a config section's keys as its keywords."""
     return constructor(**{k: _COERCE.get(k, _number)(v, k) for k, v in section.items()})
@@ -122,7 +145,7 @@ def _construct(constructor, section: dict):
 
 def _build_model(section: dict) -> ModelSpec:
     models = {"lorenz63": lorenz63_model, "lorenz96": lorenz96_model, "linear": linear_model}
-    name = section.get("name")
+    name = _section(section, "model").get("name")
     if name not in models:
         raise InvalidSpecError(f"unknown model name {name!r}")
     return _construct(models[name], section.get("params", {}))
@@ -142,23 +165,24 @@ def load_config(source) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise InvalidSpecError(f"unreadable experiment config: {err}") from err
     try:
+        _section(raw, "config")
         model = _build_model(raw["model"])
         grid = _construct(TimeGrid, raw["grid"])
-        truth = raw["truth"]
+        truth = _section(raw["truth"], "truth")
         truth_x0 = _array(truth["initial_state"], "initial_state")
         truth_u = truth.get("control")
         if truth_u is not None:
             truth_u = _array(truth_u, "truth control")
-        obs = raw["observation"]
+        obs = _section(raw["observation"], "observation")
         h_indices = obs.get("h_indices", "full")
         if h_indices == "full":
             h_indices = list(range(model.state_dim))
         h_indices = [_integer(i, "h_indices entry") for i in h_indices]
         R = _matrix_from_config(obs.get("R", 1.0), len(h_indices), "R")
-        cost_section = raw.get("cost", {})
+        cost_section = _section(raw.get("cost", {}), "cost")
         S = _matrix_from_config(cost_section.get("S", 1.0), model.control_dim, "S")
         quad = QuadraticCostSpec(*coordinate_observation(h_indices, model.state_dim), R, S)
-        assim = raw.get("assimilation", {})
+        assim = _section(raw.get("assimilation", {}), "assimilation")
         assim_x0 = _array(assim.get("initial_state", truth["initial_state"]), "initial_state")
         control_set = _construct(ControlSetSpec, raw.get("control_set", {}))
         control_set.check(model.control_dim)

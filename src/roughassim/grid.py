@@ -29,7 +29,11 @@ class TimeGrid:
     def __post_init__(self):
         if not (0.0 < self.T < np.inf):
             raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
+        if (
+            isinstance(self.n_steps, (bool, np.bool_))
+            or int(self.n_steps) != self.n_steps
+            or self.n_steps < 1
+        ):
             raise InvalidParameterError(f"n_steps must be a positive integer, got {self.n_steps}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
@@ -52,6 +56,13 @@ class TimeGrid:
         )
 
 
+def frozen_array(values) -> np.ndarray:
+    """A read-only float copy of ``values``: what a spec checks is what it keeps."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 class SampledPath:
     """Values of a d-vector valued function at the nodes of a uniform grid.
 
@@ -63,7 +74,7 @@ class SampledPath:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: TimeGrid, values):
-        values = np.array(values, dtype=float)
+        values = frozen_array(values)
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:
@@ -74,7 +85,6 @@ class SampledPath:
             )
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError("path values must be finite")
-        values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 

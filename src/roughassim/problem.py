@@ -15,15 +15,18 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import CostSpec, check_observation
+from .cost import CostSpec, check_observation, check_widths
 from .dynamics import ModelSpec
 from .errors import InvalidSpecError
-from .grid import SampledPath
+from .grid import SampledPath, frozen_array
 
 
 @dataclass(frozen=True)
 class ControlSetSpec:
-    """Closed convex control set: all of E, a box, or a ball (about 0 by default)."""
+    """Closed convex control set: all of E, a box, or a ball (about 0 by default).
+
+    Bounds and a center are checked and kept as read-only float copies.
+    """
 
     kind: str = "all_space"
     lo: Optional[np.ndarray] = None
@@ -35,15 +38,14 @@ class ControlSetSpec:
         if self.kind == "all_space":
             return
         if self.kind == "box":
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
+            lo, hi = frozen_array(self.lo), frozen_array(self.hi)
             # Bounds of one shape, or one of them a single number; NaN fails lo <= hi.
             if not ((lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)):
                 raise InvalidSpecError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
         elif self.kind == "ball":
-            center = np.asarray(self.center, dtype=float)  # a None center reads as NaN
+            center = frozen_array(self.center)  # a None center reads as NaN
             r = self.radius
             if not (r is not None and 0 < r < np.inf and np.all(np.isfinite(center))):
                 raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
@@ -104,3 +106,8 @@ class AssimilationProblem:
                 raise InvalidSpecError(f"S is {s}x{s}, but the model has {m} controls")
         check_observation(self.cost, self.eta, x0)
         self.control_set.check(m)
+
+    def check_widths(self, **arrays) -> None:
+        """:func:`~roughassim.cost.check_widths` with the model's n and m:
+        ``state``, ``control`` and ``costate`` arrays, one node or stacked."""
+        check_widths(self.model.state_dim, self.model.control_dim, **arrays)

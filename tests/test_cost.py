@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughassim.adjoint import pointwise_hamiltonian_minimizer
 from roughassim.cost import (
     QuadraticCostSpec,
     build_minimum_energy,
@@ -35,10 +36,32 @@ class TestQuadraticCostSpec:
         with pytest.raises(InvalidSpecError):
             QuadraticCostSpec(h=h, h_jac=h_jac, R=-np.eye(1), S=np.eye(1))
 
-    def test_constant_matrices_wrapped_as_callables(self):
-        q = quad_spec(obs_dim=2, control_dim=2, R=3.0, S=2.0, state_dim=2)
-        assert np.allclose(q.R(0.7), 3.0 * np.eye(2))
-        assert np.allclose(q.S(0.7), 2.0 * np.eye(2))
+    def test_weights_kept_as_read_only_float_copies(self):
+        R, S = 3 * np.eye(2, dtype=int), 2.0 * np.eye(2)
+        h, h_jac = coordinate_observation([0, 1], 2)
+        q = QuadraticCostSpec(h=h, h_jac=h_jac, R=R, S=S)
+        assert q.R.dtype == float and np.array_equal(q.R, R) and np.array_equal(q.S, S)
+        assert q.R is not R and q.S is not S
+        for M in (q.R, q.S):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = -4.0
+
+    def test_weight_mutated_after_construction_changes_nothing(self):
+        # phi at S = I stays positive; the caller's S set to -4 would make it negative.
+        h, h_jac = coordinate_observation([0, 2], 3)
+        R, S = np.eye(2), np.eye(3)
+        problem = AssimilationProblem(
+            lorenz63_model(), build_minimum_energy(QuadraticCostSpec(h, h_jac, R, S)),
+            SampledPath.zeros(TimeGrid(1.0, 4), 2),
+        )
+        t, x = np.linspace(0.0, 1.0, 5), np.ones((5, 3))
+        u, lam = np.full((5, 3), 0.5), np.full((5, 3), 2.0)
+        before = (problem.cost.phi(t, x, u), pointwise_hamiltonian_minimizer(problem, t, x, lam))
+        R[...], S[...] = 0.0, -4.0
+        after = (problem.cost.phi(t, x, u), pointwise_hamiltonian_minimizer(problem, t, x, lam))
+        assert np.all(before[0] > 0)
+        for b, a in zip(before, after):
+            assert np.array_equal(a, b)
 
     def test_dimensions_are_the_sizes_of_R_and_S(self):
         q = quad_spec(obs_dim=2, control_dim=3, state_dim=3)
@@ -49,6 +72,10 @@ class TestQuadraticCostSpec:
         pytest.param(np.eye(1), np.ones((2, 1)), id="S-2x1"),
         pytest.param(1.0, np.eye(1), id="R-scalar"),
         pytest.param(np.eye(1), lambda t: np.ones(2), id="S-callable-vector"),
+        pytest.param(lambda t: np.eye(1), np.eye(1), id="R-callable"),
+        pytest.param(np.eye(1), [[1.0], [1.0, 2.0]], id="S-ragged"),
+        pytest.param([[np.nan]], np.eye(1), id="R-nan"),
+        pytest.param(np.eye(1), [[np.inf]], id="S-inf"),
     ])
     def test_validates_R_and_S_square(self, R, S):
         h, h_jac = coordinate_observation([0], 1)
@@ -270,4 +297,4 @@ class TestOnsagerMachlup:
         model = linear_model(-np.eye(2), B)
         q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
         om = build_onsager_machlup(q, model)
-        assert np.allclose(om.quad.S(0.0), np.linalg.inv(B @ B.T))
+        assert np.allclose(om.quad.S, np.linalg.inv(B @ B.T))

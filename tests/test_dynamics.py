@@ -126,6 +126,16 @@ def test_linear_model_invalid_matrices():
             linear_model(A, B)
 
 
+def test_linear_model_keeps_what_it_checked():
+    A, B = np.array([[-1.0, 2.0], [0.0, -3.0]]), np.array([[1.0], [0.5]])
+    model = linear_model(A, B)
+    t, x = 0.0, np.array([1.0, 2.0])
+    before = (model.f(t, x), model.D2f(t, x), model.g(t, x))
+    A[0, 0], B[0, 0] = np.nan, np.nan
+    for b, a in zip(before, (model.f(t, x), model.D2f(t, x), model.g(t, x))):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_linearization_matches_finite_differences():
     # A state-dependent g = (1 + x0^2) I pins the convention
     # D2g[i, j, k] = d g[i, j] / d x[k]; the built-in models leave D2g out.

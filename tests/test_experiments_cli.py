@@ -564,6 +564,11 @@ def fuzz_dir(tmp_path_factory):
 @example((("control_set", "centre"), 0.0))
 @example((("control_set",), {"kind": "box", "lo": [-1.0, -1.0], "hi": 1.0}))
 @example((("observation", "seed"), 2**1100))
+@example((("cost",), {"knd": "onsager_machlup"}))
+@example((("observation", "noise"), 0.1))
+@example((("truth", "initial_stat"), [1.0, 1.0, 25.0]))
+@example((("assimilation", "initial_stat"), [1.5, 0.5, 24.0]))
+@example((("optimiser",), {"grad_tol": 0.02}))
 def test_config_fuzz_exits_3(sim_dir, fuzz_dir, field_and_value):
     """simulate, assimilate (on a valid eta) and value-probe reject the config
     alike: exit 3, one line on stderr, nothing written."""

@@ -19,7 +19,8 @@ def test_grid_basic_properties():
 
 
 @pytest.mark.parametrize("bad", [dict(T=0.0, n_steps=4), dict(T=-1.0, n_steps=4),
-                                 dict(T=1.0, n_steps=0)])
+                                 dict(T=1.0, n_steps=0), dict(T=1.0, n_steps=True),
+                                 dict(T=1.0, n_steps=np.True_)])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(InvalidParameterError):
         TimeGrid(**bad)

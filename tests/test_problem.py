@@ -4,14 +4,23 @@ index, the observation path and the control set fit together."""
 import numpy as np
 import pytest
 
+from roughassim.adjoint import (
+    OptimalTriple,
+    control_gradient,
+    costate_sweep,
+    max_principle_residual,
+    solve_costate,
+)
 from roughassim.cost import (
     QuadraticCostSpec,
     build_minimum_energy,
     coordinate_observation,
+    eval_cost,
+    eval_cost_by_parts,
 )
-from roughassim.errors import InvalidSpecError
+from roughassim.errors import GridMismatchError, InvalidSpecError
 from roughassim.grid import SampledPath
-from roughassim.problem import AssimilationProblem
+from roughassim.problem import AssimilationProblem, ControlSetSpec
 
 from conftest import make_lorenz_twin
 
@@ -47,3 +56,58 @@ def test_misfits_rejected_by_the_constructor():
         with pytest.raises(InvalidSpecError, match=message):
             AssimilationProblem(*args)
 
+
+
+@pytest.fixture(scope="module")
+def door_twin():
+    """The 32-step twin, the truth, a zero control, its costate, and a
+    function keeping the first two components of a path."""
+    problem, _, truth = make_lorenz_twin(n_steps=32, T=0.05)
+    grid = problem.eta.grid
+    u = SampledPath.zeros(grid, 3)
+    lam = solve_costate(problem, truth, u)
+    return problem, truth, u, lam, lambda path: SampledPath(grid, path.values[:, :2])
+
+
+# Without the width and node checks each door fails in numpy, not with a package error.
+DOORS = {
+    "eval_cost-state": (
+        lambda p, x, u, lam, two: eval_cost(p.cost, two(x), u, p.eta),
+        InvalidSpecError, "state has 2 components, not 3"),
+    "eval_cost-control": (
+        lambda p, x, u, lam, two: eval_cost(p.cost, x, two(u), p.eta),
+        InvalidSpecError, "control has 2 components, not 3"),
+    "eval_cost_by_parts-control": (
+        lambda p, x, u, lam, two: eval_cost_by_parts(p, x, two(u)),
+        InvalidSpecError, "control has 2 components, not 3"),
+    "control_gradient-control": (
+        lambda p, x, u, lam, two: control_gradient(p, x, two(u), lam),
+        InvalidSpecError, "control has 2 components, not 3"),
+    "max_principle_residual-control": (
+        lambda p, x, u, lam, two: max_principle_residual(OptimalTriple(x, two(u), lam), p),
+        InvalidSpecError, "control has 2 components, not 3"),
+    "max_principle_residual-costate": (
+        lambda p, x, u, lam, two: max_principle_residual(OptimalTriple(x, u, two(lam)), p),
+        InvalidSpecError, "costate has 2 components, not 3"),
+    "costate_sweep-nodes": (
+        lambda p, x, u, lam, two: costate_sweep(p, x.values[:-1], u.values[:-1]),
+        GridMismatchError, "state has 32 nodes, the grid 33"),
+}
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_solver_doors_reject_paths_of_the_wrong_width_or_node_count(door_twin, door):
+    call, error, message = DOORS[door]
+    with pytest.raises(error, match=message):
+        call(*door_twin)
+
+
+def test_control_set_keeps_what_it_checked():
+    lo, hi, center = -np.ones(2), np.ones(2), np.zeros(2)
+    box = ControlSetSpec(kind="box", lo=lo, hi=hi)
+    ball = ControlSetSpec(kind="ball", center=center, radius=1.0)
+    lo[0], center[0] = 5.0, np.nan
+    np.testing.assert_array_equal(box.project_values(np.zeros(2)), [0.0, 0.0])
+    np.testing.assert_array_equal(ball.project_values(np.array([3.0, 0.0])), [1.0, 0.0])
+    for kept in (box.lo, box.hi, ball.center):
+        assert not kept.flags.writeable

@@ -67,10 +67,8 @@ def build(model, family, observed):
     indices = range(n) if observed == "full" else range(0, n, 2)
     h, h_jac = coordinate_observation(indices, n)
     d = len(indices)
-    R_dot = spd(rng, d)
     quad = QuadraticCostSpec(
-        h=h, h_jac=h_jac, R=spd(rng, d), S=spd(rng, model.control_dim), h_dt=h,
-        R_dt=lambda t: R_dot,
+        h=h, h_jac=h_jac, R=spd(rng, d), S=spd(rng, model.control_dim), h_dt=h
     )
     if family == "minimum_energy":
         return build_minimum_energy(quad), h, h_jac
