@@ -63,7 +63,7 @@ from .roughpath import (
     young_bound_check,
     young_integral,
 )
-from .shooting import integrate_hamiltonian, shoot, shoot_batch, value_probe
+from .shooting import hamiltonian_sweep, shoot, shoot_batch, value_probe
 
 __all__ = [
     "__version__",
@@ -93,7 +93,7 @@ __all__ = [
     "eval_cost",
     "eval_cost_by_parts",
     "hamiltonian",
-    "integrate_hamiltonian",
+    "hamiltonian_sweep",
     "integrate_state",
     "linear_model",
     "lorenz63_model",

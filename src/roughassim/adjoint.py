@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import first_nonfinite
-from .errors import BlowUpError, GridMismatchError, InvalidParameterError, UnsupportedCostError
+from .errors import BlowUpError, InvalidParameterError, UnsupportedCostError
 from .grid import SampledPath, require_same_grid
 from .problem import AssimilationProblem
 from .roughpath import wiener_rng
@@ -51,20 +51,14 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
     ``xv`` (n_nodes, n) and ``uv`` (n_nodes, m) may carry a leading member
     axis (B, ...), as in :func:`rk4_sweep`; the problem's eta is shared.
     Returns the costate values, (..., n_nodes, n), and per member the node
-    where the sweep first met a non-finite costate, or -1.  Raises
-    :class:`InvalidSpecError` for a state without n components or a control
-    without m, and :class:`GridMismatchError` for either on another number
-    of nodes than eta's grid.
+    where the sweep first met a non-finite costate, or -1.  The arrays are
+    checked by :meth:`AssimilationProblem.check_paths`.
     """
     model, cost, eta = problem.model, problem.cost, problem.eta
     n = model.state_dim
-    problem.check_widths(state=xv, control=uv)
+    members = problem.check_paths(state=xv, control=uv)
     grid = eta.grid
-    for name, values in (("state", xv), ("control", uv)):
-        if values.shape[-2] != grid.n_nodes:
-            raise GridMismatchError(f"{name} has {values.shape[-2]} nodes, the grid {grid.n_nodes}")
     dt = grid.dt
-    members = xv.shape[:-2]
     times = np.broadcast_to(grid.times, xv.shape[:-1])
     deta = eta.increments()
     lam = np.zeros(members + (grid.n_nodes, n))
@@ -124,10 +118,10 @@ def control_gradient(
 ) -> SampledPath:
     """Pointwise Hamiltonian u-gradient G(t_i) = D3 phi + lambda g.
 
-    Raises :class:`InvalidSpecError` unless x and lam have n components and u m.
+    The paths are checked by :meth:`AssimilationProblem.check_paths`.
     """
     grid = require_same_grid(x, u, lam)
-    problem.check_widths(state=x.values, control=u.values, costate=lam.values)
+    problem.check_paths(state=x.values, control=u.values, costate=lam.values)
     t = grid.times
     cost, model = problem.cost, problem.model
     G = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.g(t, x.values))
@@ -158,12 +152,12 @@ def max_principle_residual(triple: OptimalTriple, problem: AssimilationProblem) 
     The minimum is in closed form when ``cost.quad`` is set; otherwise it
     is probed by ``MP_PROBE_SAMPLES`` seeded uniform draws, each covering
     every node, of the control set within a ball of radius 10 (1 + |u(t)|)
-    (heuristic residual only).  Raises :class:`InvalidSpecError` unless the
-    triple's state and costate have n components and its control m.
+    (heuristic residual only).  The triple's paths are checked by
+    :meth:`AssimilationProblem.check_paths`.
     """
     grid = require_same_grid(triple.x, triple.u, triple.lam)
     t, x, lam, u = grid.times, triple.x.values, triple.lam.values, triple.u.values
-    problem.check_widths(state=x, control=u, costate=lam)
+    problem.check_paths(state=x, control=u, costate=lam)
     h_at_u = hamiltonian(problem, t, x, lam, u)
     if problem.cost.quad is not None:
         vstar = pointwise_hamiltonian_minimizer(problem, t, x, lam)

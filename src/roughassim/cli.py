@@ -105,7 +105,7 @@ def assimilate(config_path, eta_file, outdir, truth_file, timings):
 @click.option("-o", "--outdir", type=click.Path(), default=".", show_default=True)
 def check(suite, seed, outdir):
     """Run the named diagnostic suite and write report.json."""
-    check_outdir(outdir)  # before the suite, which can take a minute
+    check_outdir(outdir, ("report.json",))  # before the suite, which can take a minute
     report = run_suite(suite, seed)
     out = make_outdir(outdir)
     _write_json(out / "report.json", report)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .dynamics import ModelSpec
+from .dynamics import ModelSpec, check_paths
 from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
 from .grid import SampledPath, frozen_array, require_same_grid
 
@@ -229,20 +229,6 @@ def check_observation(cost: CostSpec, eta: SampledPath, x0) -> None:
         raise InvalidSpecError(f"eta has {eta.dim} components, the cost observes {observed}")
 
 
-def check_widths(n: int, m: int, *, state=None, control=None, costate=None) -> None:
-    """Raise :class:`InvalidSpecError` unless the state and the costate have n
-    components and the control m.
-
-    Each array is one node or stacked nodes, with the components on its
-    last axis; None skips it.  :meth:`AssimilationProblem.check_widths`
-    applies it with the model's n and m, and :func:`eval_cost` with the
-    quadratic cost's.
-    """
-    for name, values, k in (("state", state, n), ("control", control, m), ("costate", costate, n)):
-        if values is not None and values.shape[-1] != k:
-            raise InvalidSpecError(f"{name} has {values.shape[-1]} components, not {k}")
-
-
 def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) -> float:
     """A(x, u): trapezoid deterministic part + left-tag Young stochastic part.
 
@@ -254,7 +240,7 @@ def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) 
     quad = cost.quad
     if quad is not None:
         n = np.shape(quad.h_jac(grid.times[0], x.values[0]))[-1]
-        check_widths(n, quad.control_dim, state=x.values, control=u.values)
+        check_paths(n, quad.control_dim, state=x.values, control=u.values)
     check_observation(cost, eta, x.values[0])
     # A finite but huge state may overflow phi; that is a blow-up, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,7 +265,7 @@ def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledP
     if cost.D1psi is None:
         raise UnsupportedCostError("eval_cost_by_parts needs the time derivative of psi")
     grid = require_same_grid(x, u, eta)
-    problem.check_widths(state=x.values, control=u.values)
+    problem.check_paths(state=x.values, control=u.values)
     times = grid.times
     etav = eta.values
     xv, uv = x.values, u.values

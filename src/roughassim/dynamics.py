@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, InvalidSpecError
-from .grid import SampledPath, TimeGrid, frozen_array
+from .grid import SampledPath, TimeGrid, _number, frozen_array
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,7 @@ def lorenz63_drift(state, sigma=10.0, r=28.0, b=8.0 / 3.0) -> np.ndarray:
 
 def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
     """Lorenz'63 in the shifted form of :func:`lorenz63_drift`, controlled in every state."""
+    sigma, r, b = _number(sigma, "sigma"), _number(r, "r"), _number(b, "b")
     if not all(0 < p < np.inf for p in (sigma, r, b)):  # NaN fails too
         raise InvalidSpecError("Lorenz'63 parameters must be positive and finite")
     s, brs = sigma, b * (r + sigma)
@@ -121,7 +122,7 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
     # A boolean or an integral float is not a count of variables.
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 4:
         raise InvalidSpecError(f"Lorenz'96 needs an integer number of variables >= 4, got {n!r}")
-    if not np.isfinite(forcing):
+    if not np.isfinite(_number(forcing, "forcing")):
         raise InvalidSpecError(f"Lorenz'96 forcing must be finite, got {forcing!r}")
     # Cyclic neighbours, gathered along the last axis (np.roll would mix nodes).
     idx = np.arange(n)
@@ -185,14 +186,39 @@ def first_nonfinite(values, backward: bool = False):
 
 
 def initial_state(model: ModelSpec, xi, members: tuple = (), name: str = "initial state"):
-    """``xi`` as floats of shape (n,), shared by every member of a sweep, or of
-    shape ``members + (n,)``, one row per member."""
-    xi = np.asarray(xi, dtype=float)
+    """``xi`` as finite floats of shape (n,), shared by every member of a sweep,
+    or ``members + (n,)``, one row per member: the one rule for a start."""
+    xi = frozen_array(xi)
     n = (model.state_dim,)
     if xi.shape not in (n, members + n):
         shapes = " or ".join(str(s) for s in dict.fromkeys((n, members + n)))
         raise InvalidSpecError(f"{name} must have shape {shapes}")
+    if not np.all(np.isfinite(xi)):
+        raise InvalidSpecError(f"{name} must be finite")
     return xi
+
+
+def check_paths(n: int, m: int, n_nodes=None, *, state=None, control=None, costate=None):
+    """The member shape that a sweep's paths, each (..., n_nodes, k) or None, share.
+
+    Raises :class:`InvalidSpecError` unless the state and the costate have
+    n components, the control m, and all one member shape, and
+    :class:`GridMismatchError` unless each has ``n_nodes`` nodes (None
+    skips that check): the one rule for a batch of paths.
+    """
+    members = None
+    for name, values, k in (("state", state, n), ("control", control, m), ("costate", costate, n)):
+        if values is None:
+            continue
+        if values.shape[-1] != k:
+            raise InvalidSpecError(f"{name} has {values.shape[-1]} components, not {k}")
+        if n_nodes is not None and values.shape[-2] != n_nodes:
+            raise GridMismatchError(f"{name} has {values.shape[-2]} nodes, the grid {n_nodes}")
+        if members is None:
+            members = values.shape[:-2]
+        elif values.shape[:-2] != members:
+            raise InvalidSpecError(f"{name} has member shape {values.shape[:-2]}, not {members}")
+    return members
 
 
 def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
@@ -211,11 +237,8 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     (:func:`_float_sweep`), with the same states up to the first
     non-finite node.
     """
-    xi = initial_state(model, xi, uv.shape[:-2])
-    if uv.shape[-2] != grid.n_nodes:
-        raise GridMismatchError(f"control has {uv.shape[-2]} nodes, the grid {grid.n_nodes}")
-    if uv.shape[-1] != model.control_dim:
-        raise InvalidSpecError(f"control has {uv.shape[-1]} components, not {model.control_dim}")
+    members = check_paths(model.state_dim, model.control_dim, grid.n_nodes, control=uv)
+    xi = initial_state(model, xi, members)
     if model.rates is not None and uv.ndim == 2:
         out = _float_sweep(model.rates, uv, xi, grid)
         return out, first_nonfinite(out)

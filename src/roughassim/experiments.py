@@ -39,7 +39,7 @@ from .dynamics import (
     lorenz96_model,
 )
 from .errors import InvalidParameterError, InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, TimeGrid, read_path_csv, write_path_csv
+from .grid import SampledPath, TimeGrid, _number, read_path_csv, write_path_csv
 from .optimizer import AssimilationResult, OptimizerConfig, minimize_batch
 from .problem import AssimilationProblem, ControlSetSpec
 from .roughpath import build_observation, wiener_rng
@@ -78,13 +78,6 @@ def _matrix_from_config(value, dim, label):
     return M
 
 
-def _number(value, label: str) -> float:
-    """A JSON number as a float; a string or a boolean is an error, not a coercion."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidSpecError(f"{label} must be a number, got {value!r}")
-    return float(value)  # OverflowError for an integer beyond the float range
-
-
 def _integer(value, label: str) -> int:
     """An integral JSON number as an int; 2.5 is an error, not a truncation."""
     if not _number(value, label).is_integer():
@@ -109,7 +102,7 @@ def _array(value, label: str) -> np.ndarray:
 # read as a number, and the constructor rejects it if it is no keyword.
 _COERCE = {
     "kind": lambda value, label: value,
-    **dict.fromkeys(("n", "n_steps"), _integer),
+    **dict.fromkeys(("n", "n_steps", "max_iters", "multistart"), _integer),
     **dict.fromkeys(("A", "lo", "hi", "center"), _array),
     "B": lambda value, label: None if value is None else _array(value, label),
 }
@@ -186,7 +179,7 @@ def load_config(source) -> ExperimentConfig:
         assim_x0 = _array(assim.get("initial_state", truth["initial_state"]), "initial_state")
         control_set = _construct(ControlSetSpec, raw.get("control_set", {}))
         control_set.check(model.control_dim)
-        optimizer = OptimizerConfig(**raw.get("optimizer", {}))
+        optimizer = _construct(OptimizerConfig, raw.get("optimizer", {}))
         cfg = ExperimentConfig(
             model=model,
             grid=grid,
@@ -201,7 +194,7 @@ def load_config(source) -> ExperimentConfig:
             optimizer=optimizer,
             raw=raw,
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         if isinstance(err, InvalidSpecError):
             raise
         raise InvalidSpecError(f"malformed experiment config: {err}") from err
@@ -277,10 +270,11 @@ def _write_json(path: Path, payload: dict) -> None:
         raise InvalidSpecError(f"cannot write {str(path)!r}: {err}") from err
 
 
-def check_outdir(outdir) -> None:
+def check_outdir(outdir, artifacts=()) -> Path:
     """Reject, creating nothing, an output directory ``make_outdir`` could
     not make: a path naming a non-directory, or one whose nearest existing
-    ancestor is not a directory."""
+    ancestor is not a directory; and reject an ``artifacts`` name in it that
+    is a directory."""
     outdir = Path(outdir)
     try:
         existing = next(p for p in (outdir, *outdir.parents) if p.exists())
@@ -290,19 +284,20 @@ def check_outdir(outdir) -> None:
         raise InvalidSpecError(
             f"cannot use {str(outdir)!r} as output directory: {str(existing)!r} is not a directory"
         )
+    for name in artifacts:
+        if (outdir / name).is_dir():
+            raise InvalidSpecError(f"cannot write {str(outdir / name)!r}: it is a directory")
+    return outdir
 
 
 def make_outdir(outdir, artifacts=()) -> Path:
-    """Create an output directory; a path that cannot be one is an invalid input, and
-    so is an ``artifacts`` name in it that is a directory, checked before any write."""
-    outdir = Path(outdir)
+    """Create an output directory after :func:`check_outdir` accepts it and
+    its ``artifacts``; a path that cannot be one is an invalid input."""
+    outdir = check_outdir(outdir, artifacts)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise InvalidSpecError(f"cannot use {str(outdir)!r} as output directory: {err}") from err
-    for name in artifacts:
-        if (outdir / name).is_dir():
-            raise InvalidSpecError(f"cannot write {str(outdir / name)!r}: it is a directory")
     return outdir
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError
+from .errors import GridMismatchError, InvalidParameterError, InvalidSpecError
 
 #: Relative tolerance used when validating uniform node spacing on read.
 SPACING_RTOL = 1e-9
@@ -27,6 +28,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        object.__setattr__(self, "T", _number(self.T, "T"))
         if not (0.0 < self.T < np.inf):
             raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
         if (
@@ -56,9 +58,25 @@ class TimeGrid:
         )
 
 
+def _number(value, label: str) -> float:
+    """``value`` as a float: the one rule for a real scalar, which each door
+    follows with its own range check.  A boolean, a string or an integer
+    beyond the float range raises :class:`InvalidSpecError`."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidSpecError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidSpecError(f"{label} is beyond the float range") from None
+
+
 def frozen_array(values) -> np.ndarray:
-    """A read-only float copy of ``values``: what a spec checks is what it keeps."""
-    out = np.array(values, dtype=float)
+    """A read-only float copy of ``values``, integers or floats (anything else
+    raises :class:`InvalidSpecError`): what a spec checks is what it keeps."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise InvalidSpecError(f"expected an array of numbers, got dtype {values.dtype}")
+    out = values.astype(float)
     out.flags.writeable = False
     return out
 

@@ -14,7 +14,6 @@ and a control, so the starts need not share their initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import List
 
 import numpy as np
@@ -29,7 +28,7 @@ from .adjoint import (
 from .cost import eval_cost
 from .dynamics import initial_state, integrate_state, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
-from .grid import SampledPath, TimeGrid, require_same_grid
+from .grid import SampledPath, TimeGrid, _number, require_same_grid
 from .problem import AssimilationProblem
 
 
@@ -41,11 +40,6 @@ ARMIJO_SHRINK = 0.5
 MIN_STEP = 1e-12
 
 
-def positive_finite(value) -> bool:
-    """A real number in (0, inf); a boolean, a string or a NaN is not one."""
-    return isinstance(value, Real) and not isinstance(value, bool) and 0 < value < np.inf
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 500
@@ -53,7 +47,7 @@ class OptimizerConfig:
     multistart: int = 1
 
     def __post_init__(self):
-        if not positive_finite(self.grad_tol):
+        if not 0 < _number(self.grad_tol, "grad_tol") < np.inf:
             raise InvalidSpecError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         # ``type(k) is int`` because a boolean is not a count.
         if not all(type(k) is int and k >= 1 for k in (self.max_iters, self.multistart)):

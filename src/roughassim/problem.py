@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import CostSpec, check_observation, check_widths
-from .dynamics import ModelSpec
+from .cost import CostSpec, check_observation
+from .dynamics import ModelSpec, check_paths
 from .errors import InvalidSpecError
-from .grid import SampledPath, frozen_array
+from .grid import SampledPath, _number, frozen_array
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class ControlSetSpec:
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
         elif self.kind == "ball":
-            center = frozen_array(self.center)  # a None center reads as NaN
-            r = self.radius
-            if not (r is not None and 0 < r < np.inf and np.all(np.isfinite(center))):
+            center, r = frozen_array(self.center), _number(self.radius, "radius")
+            if not (0 < r < np.inf and np.all(np.isfinite(center))):
                 raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
             object.__setattr__(self, "center", center)
+            object.__setattr__(self, "radius", r)
         else:
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
 
@@ -107,7 +107,8 @@ class AssimilationProblem:
         check_observation(self.cost, self.eta, x0)
         self.control_set.check(m)
 
-    def check_widths(self, **arrays) -> None:
-        """:func:`~roughassim.cost.check_widths` with the model's n and m:
-        ``state``, ``control`` and ``costate`` arrays, one node or stacked."""
-        check_widths(self.model.state_dim, self.model.control_dim, **arrays)
+    def check_paths(self, **paths) -> tuple:
+        """:func:`~roughassim.dynamics.check_paths` with the model's n and m
+        and eta's node count; returns the paths' member shape."""
+        model = self.model
+        return check_paths(model.state_dim, model.control_dim, self.eta.grid.n_nodes, **paths)

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import SampledPath, TimeGrid, require_same_grid
+from .grid import SampledPath, TimeGrid, _number, require_same_grid
 
 #: Node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
@@ -101,7 +101,7 @@ def p_variation(path: SampledPath, p: float) -> float:
     ``MAX_PVAR_NODES`` nodes (counted before that reduction) to keep the
     diagnostic affordable.
     """
-    if not 1 <= p < np.inf:  # NaN fails too
+    if not 1 <= _number(p, "p") < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
     values = path.values
     if values.shape[0] > MAX_PVAR_NODES:
@@ -119,7 +119,7 @@ def p_variation_bruteforce(path: SampledPath, p: float) -> float:
     their terms are gathered and each row is summed.  Shares only the
     distance kernel with :func:`p_variation`, not its dynamic program.
     """
-    if not 1 <= p < np.inf:  # NaN fails too
+    if not 1 <= _number(p, "p") < np.inf:  # NaN fails too
         raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
     values = path.values
     n = values.shape[0]
@@ -235,7 +235,7 @@ def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> Sampl
 
 def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> SampledPath:
     """Observation path eta(t_i) = zeta(t_i) + noise_scale * W(t_i), W on stream 0."""
-    if noise_scale < 0:
-        raise InvalidParameterError("noise_scale must be nonnegative")
+    if not 0 <= _number(noise_scale, "noise_scale") < np.inf:
+        raise InvalidParameterError("noise_scale must be finite and nonnegative")
     w = sample_wiener(zeta.grid, zeta.dim, seed)
     return SampledPath(zeta.grid, zeta.values + noise_scale * w.values)

@@ -3,13 +3,15 @@
 The maximum principle turns the assimilation problem into a coupled
 forward system for (x, lambda) once the control is eliminated through its
 closed-form pointwise minimizer; shooting then root-finds the unknown
-initial costate so that lambda(T) = 0.  Long chaotic horizons break the
-Newton iteration (sensitivities explode); the projected-gradient path
-covers those, and shooting demos default to short windows.  Several starts
-shoot in lockstep: each round, the terminal costates they ask for share one
-Hamiltonian sweep along a leading member axis, each member from its own
-initial state.  The value probe's 2n+1 solves run as one such batch, or,
-with the gradient solver, as one :func:`minimize_batch`.
+initial costate so that lambda(T) = 0.  :func:`hamiltonian_sweep`
+integrates that system, one member or a batch along a leading member
+axis.  Long chaotic horizons break the Newton iteration (sensitivities
+explode); the projected-gradient path covers those, and shooting demos
+default to short windows.  Several starts shoot in lockstep: each round,
+the terminal costates they ask for share one :func:`hamiltonian_sweep`,
+each member from its own initial state.  The value probe's 2n+1 solves
+run as one such batch, or, with the gradient solver, as one
+:func:`minimize_batch`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
 from .cost import eval_cost
 from .dynamics import first_nonfinite, initial_state
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
-from .grid import SampledPath
-from .optimizer import OptimizerConfig, lockstep, minimize_batch, positive_finite
+from .grid import SampledPath, _number
+from .optimizer import OptimizerConfig, lockstep, minimize_batch
 from .problem import AssimilationProblem
 
 #: Step of the forward-difference Jacobian of lambda0 -> lambda(T).
@@ -89,20 +91,6 @@ def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
     # after the start is where a per-step check stops.
     blown = first_nonfinite(np.concatenate(out[:2], axis=-1)[..., 1:, :])
     return *out, np.where(blown >= 0, blown + 1, -1)
-
-
-def integrate_hamiltonian(problem: AssimilationProblem, xi, lambda0):
-    """The (x, lambda, u) paths of one :func:`hamiltonian_sweep`.
-
-    ``xi`` and ``lambda0`` are (n,).  Raises :class:`BlowUpError` at the
-    first node where x or lambda turns non-finite.
-    """
-    xi = initial_state(problem.model, xi)
-    lambda0 = initial_state(problem.model, lambda0, name="initial costate")
-    xs, ls, us, blown = hamiltonian_sweep(problem, xi, lambda0)
-    if blown >= 0:
-        raise BlowUpError(int(blown))
-    return tuple(SampledPath(problem.eta.grid, v) for v in (xs, ls, us))
 
 
 def _damped_newton(grid, n: int):
@@ -218,7 +206,7 @@ def value_probe(
     point's when several raise; failing that, a gradient solve that did not
     converge raises :class:`NoConvergenceError`, again the first point's.
     """
-    if not positive_finite(h):
+    if not 0 < _number(h, "h") < np.inf:
         raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
     if solver not in ("gradient", "shoot"):
         raise InvalidSpecError(f"unknown solver {solver!r}")

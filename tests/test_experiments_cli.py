@@ -154,6 +154,9 @@ class TestLoadConfig:
         params = {"sigma": 7.5, "r": 31.0, "b": 2.5}
         l63 = load_config(lorenz_config(model={"name": "lorenz63", "params": params}))
         assert l63.model.f(0.0, x).tobytes() == lorenz63_drift(x, **params).tobytes()
+        # An integral JSON float is a count, as for n_steps.
+        counts = load_config(lorenz_config(optimizer={"max_iters": 400.0, "multistart": 2.0}))
+        assert (counts.optimizer.max_iters, counts.optimizer.multistart) == (400, 2)
 
     def test_hash_is_content_addressed(self):
         a = load_config(lorenz_config())
@@ -455,16 +458,18 @@ class TestCliErrors:
         assert [p.name for p in out.iterdir()] == [artifact]
         assert not any((out / artifact).iterdir())
 
-    @pytest.mark.parametrize("outdir", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("outdir", ["taken", "taken/sub", "blocked"])
     def test_check_rejects_outdir_before_the_suite(self, tmp_path, monkeypatch, outdir):
         def no_suite(*args):
             raise AssertionError("run_suite called")
 
         monkeypatch.setattr(cli, "run_suite", no_suite)
         (tmp_path / "taken").write_text("")
+        (tmp_path / "blocked" / "report.json").mkdir(parents=True)
         result = CliRunner().invoke(main, ["check", "-o", str(tmp_path / outdir)])
         assert_clean_exit(result, 3)
-        assert "not a directory" in result.stderr
+        expected = "it is a directory" if outdir == "blocked" else "not a directory"
+        assert expected in result.stderr
 
     def test_check_failing_suite_leaves_no_outdir(self, tmp_path):
         out = tmp_path / "fresh" / "out"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from roughassim.errors import GridMismatchError, InvalidParameterError
+from roughassim.cost import QuadraticCostSpec, coordinate_observation
+from roughassim.dynamics import linear_model, lorenz63_model, lorenz96_model
+from roughassim.errors import GridMismatchError, InvalidParameterError, InvalidSpecError
 from roughassim.grid import (
     SampledPath,
     TimeGrid,
@@ -9,6 +11,12 @@ from roughassim.grid import (
     require_same_grid,
     write_path_csv,
 )
+from roughassim.optimizer import OptimizerConfig
+from roughassim.problem import ControlSetSpec
+from roughassim.roughpath import build_observation, p_variation, p_variation_bruteforce
+from roughassim.shooting import value_probe
+
+from conftest import scalar_lq
 
 
 def test_grid_basic_properties():
@@ -99,3 +107,58 @@ def test_csv_rejects_nonuniform_spacing(tmp_path):
     f.write_text("t,v0\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
     with pytest.raises(InvalidParameterError):
         read_path_csv(f)
+
+
+
+PATH = SampledPath(TimeGrid(1.0, 4), [0.0, 1.0, 0.0, 1.0, 0.0])
+
+# Every library door that takes a real scalar, as a function of that scalar.
+REAL_NUMBER_DOORS = {
+    "TimeGrid-T": lambda v: TimeGrid(v, 4),
+    "ControlSetSpec-radius": lambda v: ControlSetSpec(kind="ball", radius=v),
+    "lorenz63_model-sigma": lambda v: lorenz63_model(sigma=v),
+    "lorenz63_model-r": lambda v: lorenz63_model(r=v),
+    "lorenz63_model-b": lambda v: lorenz63_model(b=v),
+    "lorenz96_model-forcing": lambda v: lorenz96_model(8, forcing=v),
+    "p_variation-p": lambda v: p_variation(PATH, v),
+    "p_variation_bruteforce-p": lambda v: p_variation_bruteforce(PATH, v),
+    "build_observation-noise_scale": lambda v: build_observation(PATH, v, 0),
+    "OptimizerConfig-grad_tol": lambda v: OptimizerConfig(grad_tol=v),
+    "value_probe-h": lambda v: value_probe(scalar_lq(TimeGrid(0.5, 16)), np.ones(1), h=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("door", REAL_NUMBER_DOORS)
+def test_real_scalars_are_numbers_at_every_door(door, value):
+    # Without the rule a boolean reads as 1, a string fails in a comparison
+    # with a TypeError, and grad_tol and h call a boolean not positive.
+    with pytest.raises(InvalidSpecError, match="must be a number"):
+        REAL_NUMBER_DOORS[door](value)
+
+
+def test_noise_scale_must_be_finite():
+    # Without the finite check a NaN passes the sign check and fails later
+    # as a non-finite path.
+    with pytest.raises(InvalidParameterError, match="noise_scale must be finite"):
+        build_observation(PATH, np.nan, 0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: linear_model([["1"]]), id="linear_model-A"),
+    pytest.param(lambda: linear_model([[-1.0]], [[True]]), id="linear_model-B"),
+    pytest.param(lambda: SampledPath(TimeGrid(1.0, 4), ["0", "1", "2", "3", "4"]),
+                 id="SampledPath"),
+    pytest.param(lambda: QuadraticCostSpec(*coordinate_observation([0], 1), R=[["1"]], S=[[1.0]]),
+                 id="QuadraticCostSpec-R"),
+    pytest.param(lambda: QuadraticCostSpec(*coordinate_observation([0], 1), R=[[1.0]], S=[[True]]),
+                 id="QuadraticCostSpec-S"),
+    pytest.param(lambda: ControlSetSpec(kind="box", lo=["-1"], hi=[1.0]), id="box-lo"),
+    pytest.param(lambda: ControlSetSpec(kind="box", lo=[-1.0], hi=[True]), id="box-hi"),
+    pytest.param(lambda: ControlSetSpec(kind="ball", center=["0"], radius=1.0), id="ball-center"),
+])
+def test_library_arrays_hold_numbers(build):
+    # Without the dtype check each is converted to floats, which the config
+    # parser never allows.
+    with pytest.raises(InvalidSpecError):
+        build()

@@ -46,7 +46,6 @@ from roughassim.optimizer import OptimizerConfig, minimize, minimize_batch
 from roughassim.problem import AssimilationProblem, ControlSetSpec
 from roughassim.shooting import (
     hamiltonian_sweep,
-    integrate_hamiltonian,
     shoot,
     shoot_batch,
     value_probe,
@@ -391,22 +390,21 @@ def test_hamiltonian_sweep_members_equal_one_member_runs():
     for problem in (unconstrained, box):
         xs, ls, us, blown = hamiltonian_sweep(problem, xis, lams)
         for b in range(4):
+            *alone, alone_blown = hamiltonian_sweep(problem, xis[b], lams[b])
+            assert blown[b] == alone_blown
             if b == 2 and problem is unconstrained:
-                with pytest.raises(BlowUpError) as err:
-                    integrate_hamiltonian(problem, xis[b], lams[b])
-                assert blown[b] == err.value.node_index > 0
+                assert alone_blown > 0
                 continue
-            alone = integrate_hamiltonian(problem, xis[b], lams[b])
             assert blown[b] == -1
-            for batched, path in zip((xs[b], ls[b], us[b]), alone):
-                assert np.array_equal(batched, path.values)
+            for batched, values in zip((xs[b], ls[b], us[b]), alone):
+                assert np.array_equal(batched, values)
             ref = hamiltonian_reference(problem, xis[b], lams[b])
             for batched, loop in zip((xs[b], ls[b], us[b]), ref):
                 assert np.array_equal(batched, loop)
     # One shared initial costate broadcasts against the members' states.
     xs, ls, us, blown = hamiltonian_sweep(unconstrained, xis, lams[0])
-    alone = integrate_hamiltonian(unconstrained, xis[3], lams[0])
-    assert np.array_equal(ls[3], alone[1].values) and (blown == -1).all()
+    alone = hamiltonian_sweep(unconstrained, xis[3], lams[0])
+    assert np.array_equal(ls[3], alone[1]) and (blown == -1).all()
 
 
 def test_hamiltonian_blow_up_reports_the_per_step_node():
@@ -414,9 +412,8 @@ def test_hamiltonian_blow_up_reports_the_per_step_node():
     xi, lam0 = np.array([0.3, 1.3]), np.zeros(2)
     with pytest.raises(BlowUpError) as ref:
         hamiltonian_reference(problem, xi, lam0)
-    with pytest.raises(BlowUpError) as err:
-        integrate_hamiltonian(problem, xi, lam0)
-    assert 0 < err.value.node_index == ref.value.node_index < problem.eta.grid.n_steps
+    blown = hamiltonian_sweep(problem, xi, lam0)[-1]
+    assert 0 < blown == ref.value.node_index < problem.eta.grid.n_steps
 
 
 @pytest.mark.parametrize("case", ["scalar_lq", "lorenz63"])

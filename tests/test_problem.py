@@ -69,7 +69,8 @@ def door_twin():
     return problem, truth, u, lam, lambda path: SampledPath(grid, path.values[:, :2])
 
 
-# Without the width and node checks each door fails in numpy, not with a package error.
+# Without the width and node checks each door fails in numpy, not with a
+# package error; without the member check costate_sweep returns.
 DOORS = {
     "eval_cost-state": (
         lambda p, x, u, lam, two: eval_cost(p.cost, two(x), u, p.eta),
@@ -92,6 +93,10 @@ DOORS = {
     "costate_sweep-nodes": (
         lambda p, x, u, lam, two: costate_sweep(p, x.values[:-1], u.values[:-1]),
         GridMismatchError, "state has 32 nodes, the grid 33"),
+    "costate_sweep-members": (
+        lambda p, x, u, lam, two: costate_sweep(p, np.stack([x.values] * 2),
+                                                np.stack([u.values] * 3)),
+        InvalidSpecError, r"control has member shape \(3,\), not \(2,\)"),
 }
 
 

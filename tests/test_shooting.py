@@ -8,7 +8,7 @@ from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import OptimizerConfig, minimize, minimize_batch
 from roughassim.problem import ControlSetSpec
 from roughassim import shooting
-from roughassim.shooting import hamiltonian_sweep, integrate_hamiltonian, shoot, value_probe
+from roughassim.shooting import hamiltonian_sweep, shoot, value_probe
 
 from conftest import make_lorenz_twin, scalar_lq
 
@@ -21,29 +21,30 @@ class TestIntegrateHamiltonian:
         xi = np.array([1.0])
         ends = []
         for l0 in (0.0, 1.0, 2.0):
-            _, ls, _ = integrate_hamiltonian(problem, xi, np.array([l0]))
-            ends.append(ls.values[-1, 0])
+            _, ls, _, _ = hamiltonian_sweep(problem, xi, np.array([l0]))
+            ends.append(ls[-1, 0])
         assert ends[2] - ends[1] == pytest.approx(ends[1] - ends[0], abs=1e-6)
 
     def test_control_is_closed_form_minimizer(self):
         problem = scalar_lq(TimeGrid(0.5, 128), r=2.0)
-        xs, ls, us = integrate_hamiltonian(problem, np.array([1.0]), np.array([0.3]))
-        assert np.allclose(us.values, -ls.values / 2.0)
+        xs, ls, us, _ = hamiltonian_sweep(problem, np.array([1.0]), np.array([0.3]))
+        assert np.allclose(us, -ls / 2.0)
 
     def test_control_set_projection_applied(self):
         box = ControlSetSpec(kind="box", lo=np.array([-0.05]), hi=np.array([0.05]))
         problem = scalar_lq(TimeGrid(0.5, 64), control_set=box)
-        _, _, us = integrate_hamiltonian(problem, np.array([1.0]), np.array([2.0]))
-        assert contains(box, us.values, tol=1e-12)
+        _, _, us, _ = hamiltonian_sweep(problem, np.array([1.0]), np.array([2.0]))
+        assert contains(box, us, tol=1e-12)
 
     def test_state_uses_the_integrate_state_stepper(self):
         # Replaying the eliminated control through integrate_state must
         # reproduce the Hamiltonian state bit for bit: one RK4 step for both.
         problem, xi, truth = make_lorenz_twin(n_steps=256, T=0.25)
-        xs, _, us = integrate_hamiltonian(problem, xi, np.array([0.5, -0.2, 0.1]))
-        assert np.max(np.abs(us.values)) > 0.1
-        replay = integrate_state(problem.model, us, xi, problem.eta.grid)
-        assert np.array_equal(xs.values, replay.values)
+        xs, _, us, blown = hamiltonian_sweep(problem, xi, np.array([0.5, -0.2, 0.1]))
+        assert blown == -1 and np.max(np.abs(us)) > 0.1
+        grid = problem.eta.grid
+        replay = integrate_state(problem.model, SampledPath(grid, us), xi, grid)
+        assert np.array_equal(xs, replay.values)
 
 
 class TestShoot:
@@ -135,13 +136,12 @@ def minimize_second_start(problem, xi):
 @pytest.mark.parametrize("solve", [
     pytest.param(lambda p, xi: shoot(p, xi), id="shoot"),
     pytest.param(lambda p, xi: value_probe(p, xi, h=1e-4), id="value_probe"),
-    pytest.param(lambda p, xi: integrate_hamiltonian(p, xi, np.zeros(3)),
+    pytest.param(lambda p, xi: hamiltonian_sweep(p, xi, np.zeros(3)),
                  id="integrate_hamiltonian"),
-    pytest.param(lambda p, lam0: integrate_hamiltonian(p, np.ones(3), lam0),
+    pytest.param(lambda p, lam0: hamiltonian_sweep(p, np.ones(3), lam0),
                  id="integrate_hamiltonian-costate"),
     pytest.param(minimize_second_start, id="minimize_batch"),
-    # Two initial states are a member axis: it must be the sweep's, and a
-    # one-path function has none.
+    # Two initial states are a member axis: it must be the sweep's.
     pytest.param(lambda p, xi: rk4_sweep(
         p.model, np.zeros((4, p.eta.grid.n_nodes, 3)), np.ones((2, 3)), p.eta.grid
     ), id="rk4_sweep-members"),
@@ -150,8 +150,6 @@ def minimize_second_start(problem, xi):
     pytest.param(lambda p, xi: integrate_state(
         p.model, SampledPath.zeros(p.eta.grid, 3), np.ones((2, 3)), p.eta.grid
     ), id="integrate_state-members"),
-    pytest.param(lambda p, xi: integrate_hamiltonian(p, np.ones((2, 3)), np.zeros(3)),
-                 id="integrate_hamiltonian-members"),
 ])
 def test_initial_state_shape_checked(solve):
     # A 2-vector start (or initial costate) for Lorenz'63 is a spec error, as
@@ -160,3 +158,25 @@ def test_initial_state_shape_checked(solve):
     problem, xi, truth = make_lorenz_twin(n_steps=16, T=0.1)
     with pytest.raises(InvalidSpecError, match=r"initial (state|costate) must have shape \(3,\)"):
         solve(problem, np.array([1.0, 25.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda p, xi: rk4_sweep(p.model, np.zeros((p.eta.grid.n_nodes, 3)), xi,
+                                         p.eta.grid), id="rk4_sweep"),
+    pytest.param(lambda p, xi: integrate_state(p.model, SampledPath.zeros(p.eta.grid, 3), xi,
+                                               p.eta.grid), id="integrate_state"),
+    pytest.param(lambda p, xi: minimize(p, xi, SampledPath.zeros(p.eta.grid, 3),
+                                        OptimizerConfig()), id="minimize"),
+    pytest.param(lambda p, xi: hamiltonian_sweep(p, xi, np.zeros(3)), id="hamiltonian_sweep"),
+    pytest.param(lambda p, lam0: hamiltonian_sweep(p, np.ones(3), lam0),
+                 id="hamiltonian_sweep-costate"),
+    pytest.param(lambda p, xi: shoot(p, xi), id="shoot"),
+    pytest.param(lambda p, xi: value_probe(p, xi, h=1e-4), id="value_probe"),
+])
+def test_initial_state_must_be_finite(solve, bad):
+    # A non-finite start is an invalid input, not a blow-up at node 0 or 1
+    # or a shooting failure at the initial guess.
+    problem, xi, truth = make_lorenz_twin(n_steps=16, T=0.1)
+    with pytest.raises(InvalidSpecError, match=r"initial (state|costate) must be finite"):
+        solve(problem, np.array([1.0, bad, 25.0]))
