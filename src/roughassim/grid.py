@@ -31,13 +31,14 @@ class TimeGrid:
         object.__setattr__(self, "T", _number(self.T, "T"))
         if not (0.0 < self.T < np.inf):
             raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
-        if (
-            isinstance(self.n_steps, (bool, np.bool_))
-            or int(self.n_steps) != self.n_steps
-            or self.n_steps < 1
-        ):
-            raise InvalidParameterError(f"n_steps must be a positive integer, got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        n = self.n_steps
+        try:  # a whole real number, 8 or 8.0; numpy's booleans are not Real
+            whole = isinstance(n, Real) and not isinstance(n, bool) and int(n) == n
+        except (ValueError, OverflowError):  # NaN or an infinity
+            whole = False
+        if not whole or n < 1:
+            raise InvalidParameterError(f"n_steps must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n_steps", int(n))
 
     @property
     def dt(self) -> float:
@@ -71,9 +72,13 @@ def _number(value, label: str) -> float:
 
 
 def frozen_array(values) -> np.ndarray:
-    """A read-only float copy of ``values``, integers or floats (anything else
-    raises :class:`InvalidSpecError`): what a spec checks is what it keeps."""
-    values = np.asarray(values)
+    """A read-only float copy of ``values``, integers or floats (anything else,
+    a ragged nesting too, raises :class:`InvalidSpecError`): what a spec
+    checks is what it keeps."""
+    try:
+        values = np.asarray(values)
+    except ValueError as err:  # a ragged nested sequence
+        raise InvalidSpecError("expected a rectangular array of numbers, got a ragged one") from err
     if values.dtype.kind not in "iuf":
         raise InvalidSpecError(f"expected an array of numbers, got dtype {values.dtype}")
     out = values.astype(float)

@@ -3,9 +3,11 @@
 The p-variation is the supremum over dissections of the sum of
 |increment|^p, raised to 1/p.  For sampled data the supremum is taken over
 dissections through grid nodes only, computed exactly by an O(N^2) dynamic
-program (over the turning points alone for a scalar path and p > 1).  The
-program, its brute-force oracle and the oscillation read their node
-distances from one blocked kernel, :func:`_distances`.
+program.  For a scalar path and p > 1 it runs over the turning points
+alone and reads, of the earlier nodes, only the suffix records, about
+O(N^1.5) distances on a random walk.  The program, its brute-force oracle
+and the oscillation read their node distances from one blocked kernel,
+:func:`_distances`.
 Young integrals are evaluated as tagged Riemann sums with a left, right or
 midpoint tag; the cost and the costate form their own left-tag sums against
 the observation increments.
@@ -29,18 +31,22 @@ MAX_PVAR_NODES = 4097
 PVAR_BLOCK = 64
 
 
-def _distances(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """|v_j - v_i| for rows j in [lo, hi) against columns i < hi.
+def _distances(values: np.ndarray, lo: int, hi: int, cols=None) -> np.ndarray:
+    """|v_j - v_i| for rows j in [lo, hi) against columns i in ``cols``, an
+    index array, or every i < hi when None.
 
-    Row j is bit for bit ``np.linalg.norm(values[:hi] - values[j], axis=1)``.
+    Row j is bit for bit ``np.linalg.norm(values[cols] - values[j], axis=1)``.
     """
+    if cols is None:
+        cols = slice(hi)
     if values.shape[1] >= 8:
         # numpy sums 8 or more terms pairwise, so only norm's own reduce matches.
-        return np.stack([np.linalg.norm(values[:hi] - values[j], axis=1) for j in range(lo, hi)])
+        picked = values[cols]
+        return np.stack([np.linalg.norm(picked - values[j], axis=1) for j in range(lo, hi)])
     # Below 8 terms norm's reduce adds left to right, as these column sums do.
     sq = None
     for c in values.T:
-        diff = c[None, :hi] - c[lo:hi, None]
+        diff = c[None, cols] - c[lo:hi, None]
         sq = diff * diff if sq is None else np.add(sq, diff * diff, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -53,6 +59,14 @@ def _turning_points(v: np.ndarray) -> np.ndarray:
     keep = np.ones(v.shape[0], dtype=bool)
     keep[1:-1] = ~((up[:-1] & up[1:]) | (down[:-1] & down[1:]))
     return keep
+
+
+def _suffix_records(v: np.ndarray, lo: int) -> np.ndarray:
+    """Indices i < lo with v_i <= min(v[i:lo]) or v_i >= max(v[i:lo]), ties kept."""
+    head = v[lo - 1 :: -1]  # v[:lo] reversed
+    low = np.minimum.accumulate(head)[::-1]
+    high = np.maximum.accumulate(head)[::-1]
+    return np.flatnonzero((v[:lo] <= low) | (v[:lo] >= high))
 
 
 def _max_dissection_sum(values: np.ndarray, p: float) -> float:
@@ -71,19 +85,30 @@ def _max_dissection_sum(values: np.ndarray, p: float) -> float:
     the block adds the candidates from inside it.  Each candidate is the
     same sum best[i] + |v_j - v_i|^p, and max is exact, so best is bit for
     bit the row-by-row program's.
+
+    The same scalar case reads, of the earlier blocks, only the suffix
+    records of v[:lo] (:func:`_suffix_records`).  The last segment (i, j)
+    of an optimal dissection ending at j spans the range of v[i..j]: a node
+    y between them outside that range, inserted, makes one increment
+    strictly longer and the sum larger, for any p > 0.  The same holds of
+    the float candidates, so a column that is not a record never holds a
+    row's max.  A random walk of K nodes has O(sqrt(K)) records, so the
+    program costs O(K^1.5) distances instead of O(K^2).
     """
     n = values.shape[0]
     if n < 2:
         return 0.0
-    if values.shape[1] == 1 and p > 1:
+    scalar = values.shape[1] == 1 and p > 1
+    if scalar:
         values = values[_turning_points(values[:, 0])]
         n = values.shape[0]
     best = np.zeros(n)
     for lo in range(1, n, PVAR_BLOCK):
         hi = min(lo + PVAR_BLOCK, n)
-        terms = _distances(values, lo, hi) ** p
-        reach = np.max(best[:lo] + terms[:, :lo], axis=1)
-        inside = terms[:, lo:].T.copy()  # inside[k]: terms from node lo + k
+        earlier = _suffix_records(values[:, 0], lo) if scalar else np.arange(lo)
+        terms = _distances(values, lo, hi, np.concatenate([earlier, np.arange(lo, hi)])) ** p
+        reach = np.max(best[earlier] + terms[:, : earlier.size], axis=1)
+        inside = terms[:, earlier.size :].T.copy()  # inside[k]: terms from node lo + k
         for k in range(hi - lo):
             best[lo + k] = reach[k]
             # Rows up to k are final already; what this writes there is unread.
@@ -96,8 +121,10 @@ def p_variation(path: SampledPath, p: float) -> float:
 
     O(K^2) time in the K nodes the dynamic program keeps: every node of a
     vector path or at p = 1, only the turning points of a scalar path
-    with p > 1.  Memory is O(``PVAR_BLOCK`` * K): the program fills its
-    rows a block at a time.  Refuses paths with more than
+    with p > 1, whose rows then read only the suffix-record columns,
+    O(sqrt(K)) of them on a random walk, so O(K^1.5) time.  Memory is
+    O(``PVAR_BLOCK`` * K): the program fills its rows a block at a time.
+    Refuses paths with more than
     ``MAX_PVAR_NODES`` nodes (counted before that reduction) to keep the
     diagnostic affordable.
     """

@@ -7,11 +7,13 @@ initial costate so that lambda(T) = 0.  :func:`hamiltonian_sweep`
 integrates that system, one member or a batch along a leading member
 axis.  Long chaotic horizons break the Newton iteration (sensitivities
 explode); the projected-gradient path covers those, and shooting demos
-default to short windows.  Several starts shoot in lockstep: each round,
-the terminal costates they ask for share one :func:`hamiltonian_sweep`,
-each member from its own initial state.  The value probe's 2n+1 solves
-run as one such batch, or, with the gradient solver, as one
-:func:`minimize_batch`.
+default to short windows.  Each point a Newton iteration asks for is
+swept together with its n forward-difference Jacobian columns, so a step
+whose first trial is accepted takes one sweep.  Several starts shoot in
+lockstep: each round, the points they ask for share one
+:func:`hamiltonian_sweep`, each member from its own initial state.  The
+value probe's 2n+1 solves run as one such batch, or, with the gradient
+solver, as one :func:`minimize_batch`.
 """
 
 from __future__ import annotations
@@ -93,18 +95,29 @@ def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
     return *out, np.where(blown >= 0, blown + 1, -1)
 
 
+def _with_fd_columns(lam0: np.ndarray) -> list:
+    """``lam0`` and its n FD columns ``lam0 + FD_STEP e_k``, one sweep's request."""
+    points = [lam0]
+    for k in range(lam0.shape[0]):
+        probe = lam0.copy()
+        probe[k] += FD_STEP
+        points.append(probe)
+    return points
+
+
 def _damped_newton(grid, n: int):
     """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, as a
     generator.
 
-    Each yield is a list of initial costates: first F's point, then per
-    Newton step the n FD columns together and the line-search trials one
-    at a time.  It is sent, per point, the sweep's (x, lambda, u) arrays
-    or its :class:`BlowUpError`, and returns the optimal triple of the
+    Each yield is a point with its n FD columns (:func:`_with_fd_columns`):
+    first lambda0 = 0, then each line-search trial.  An accepted trial's
+    columns give the next Jacobian; a rejected or converged point's are
+    dropped.  It is sent, per point, the sweep's (x, lambda, u) arrays or
+    its :class:`BlowUpError`, and returns the optimal triple of the
     accepted sweep, so a converged solve is not integrated again.
     """
     lam0 = np.zeros(n)
-    (sol,) = yield [lam0]
+    sol, *columns = yield _with_fd_columns(lam0)
     if isinstance(sol, BlowUpError):
         raise NoConvergenceError(np.inf, f"shooting blew up at the initial guess: {sol}")
     F = sol[1][-1]
@@ -115,10 +128,6 @@ def _damped_newton(grid, n: int):
         if res < NEWTON_TOL:
             xs, ls, us = (SampledPath(grid, v) for v in sol)
             return OptimalTriple(x=xs, u=us, lam=ls)
-        probes = [lam0.copy() for _ in range(n)]
-        for k, probe in enumerate(probes):
-            probe[k] += FD_STEP
-        columns = yield probes
         jac = np.empty((n, n))
         try:
             for k, col in enumerate(columns):
@@ -131,14 +140,14 @@ def _damped_newton(grid, n: int):
         step = 1.0
         accepted = False
         for _ in range(8):
-            (trial,) = yield [lam0 - step * delta]
+            trial, *trial_columns = yield _with_fd_columns(lam0 - step * delta)
             if isinstance(trial, BlowUpError):
                 step *= 0.5
                 continue
             F_new = trial[1][-1]
             if np.linalg.norm(F_new) < res:
                 lam0 = lam0 - step * delta
-                F, sol = F_new, trial
+                F, sol, columns = F_new, trial, trial_columns
                 accepted = True
                 break
             step *= 0.5
@@ -159,12 +168,12 @@ def shoot(problem: AssimilationProblem, xi) -> OptimalTriple:
 def shoot_batch(problem: AssimilationProblem, starts) -> list:
     """:func:`shoot` from each initial state in ``starts``, in one lockstep batch.
 
-    Each start's Newton iteration is a generator; each round, the terminal
-    costates every unfinished start asks for (its FD columns included)
-    share one :func:`hamiltonian_sweep`, one request alone runs with no
-    member axis.  Each start solves its own Newton system and its result
-    equals :func:`shoot` from it bit for bit.  When a start raises, the
-    starts after it stop and the first raiser's error is raised.
+    Each start's Newton iteration is a generator; each round, the points
+    every unfinished start asks for, each with its FD columns, share one
+    :func:`hamiltonian_sweep`.  Each start solves its own Newton system
+    and its result equals :func:`shoot` from it bit for bit.  When a start
+    raises, the starts after it stop and the first raiser's error is
+    raised.
     """
     model = problem.model
     xis = [initial_state(model, xi) for xi in starts]
@@ -174,12 +183,8 @@ def shoot_batch(problem: AssimilationProblem, starts) -> list:
         points = [(k, lam) for k, lams in requests.items() for lam in lams]
         xi = np.stack([xis[k] for k, _ in points])
         lam0 = np.stack([lam for _, lam in points])
-        if len(points) == 1:  # no member axis, which is faster
-            swept = [a[None] for a in hamiltonian_sweep(problem, xi[0], lam0[0])]
-        else:
-            swept = hamiltonian_sweep(problem, xi, lam0)
         answers = {k: [] for k in requests}
-        for (k, _), x, lam, u, node in zip(points, *swept):
+        for (k, _), x, lam, u, node in zip(points, *hamiltonian_sweep(problem, xi, lam0)):
             answers[k].append(BlowUpError(int(node)) if node >= 0 else (x, lam, u))
         return answers
 

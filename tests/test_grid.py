@@ -28,7 +28,9 @@ def test_grid_basic_properties():
 
 @pytest.mark.parametrize("bad", [dict(T=0.0, n_steps=4), dict(T=-1.0, n_steps=4),
                                  dict(T=1.0, n_steps=0), dict(T=1.0, n_steps=True),
-                                 dict(T=1.0, n_steps=np.True_)])
+                                 dict(T=1.0, n_steps=np.True_), dict(T=1.0, n_steps=None),
+                                 dict(T=1.0, n_steps=[4]), dict(T=1.0, n_steps="4"),
+                                 dict(T=1.0, n_steps=np.nan), dict(T=1.0, n_steps=np.inf)])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(InvalidParameterError):
         TimeGrid(**bad)
@@ -156,9 +158,15 @@ def test_noise_scale_must_be_finite():
     pytest.param(lambda: ControlSetSpec(kind="box", lo=["-1"], hi=[1.0]), id="box-lo"),
     pytest.param(lambda: ControlSetSpec(kind="box", lo=[-1.0], hi=[True]), id="box-hi"),
     pytest.param(lambda: ControlSetSpec(kind="ball", center=["0"], radius=1.0), id="ball-center"),
+    pytest.param(lambda: linear_model([[1.0], [1.0, 2.0]]), id="linear_model-ragged"),
+    pytest.param(lambda: ControlSetSpec(kind="box", lo=[[-1.0], [1.0, 2.0]], hi=1.0),
+                 id="box-ragged"),
+    pytest.param(lambda: SampledPath(TimeGrid(1.0, 1), [[0.0], [1.0, 2.0]]),
+                 id="SampledPath-ragged"),
 ])
 def test_library_arrays_hold_numbers(build):
     # Without the dtype check each is converted to floats, which the config
-    # parser never allows.
+    # parser never allows; a ragged nesting fails in numpy with its own
+    # ValueError.
     with pytest.raises(InvalidSpecError):
         build()

@@ -16,6 +16,7 @@ from roughassim.errors import InvalidParameterError
 from roughassim import roughpath
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.roughpath import (
+    _suffix_records,
     _turning_points,
     build_observation,
     oscillation,
@@ -260,6 +261,50 @@ class TestDistanceKernel:
         assert np.array_equal(np.add.reduce(sq, axis=1), in_order)
         assert all(np.add.reduce(row) == total for row, total in zip(sq[:64], in_order))
         assert np.array_equal(np.linalg.norm(x, axis=1), np.sqrt(in_order))
+
+
+@st.composite
+def long_scalar_paths(draw):
+    """Long scalar paths of three kinds: the roughpath suite's 4097-node
+    Wiener streams, integer walks with plateaus, and a rising zigzag, where
+    every earlier low is a suffix record (the most columns per block)."""
+    kind = draw(st.sampled_from(["wiener", "integer", "zigzag"]))
+    if kind == "wiener":
+        stream = 1500 + draw(st.integers(min_value=0, max_value=19))
+        return sample_wiener(TimeGrid(1.0, 4096), 1, 42, stream=stream)
+    n = draw(st.integers(min_value=2, max_value=2000))
+    if kind == "integer":
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+        values = _walk(rng.integers(-2, 3, size=n - 1).astype(float))
+    else:
+        rise = draw(st.sampled_from([0.25, 1.0, 3.0]))
+        values = rise * np.arange(n) + np.where(np.arange(n) % 2, 2.0, -2.0)
+    return SampledPath(TimeGrid(1.0, n - 1), values)
+
+
+class TestRecordColumns:
+    """A scalar path with p > 1 reads, of the earlier blocks, only the
+    suffix records; the result must equal the full program's bit for bit."""
+
+    @given(long_scalar_paths(), st.sampled_from([1.0001, 1.5, 2.0, 2.5, 4.0]),
+           st.sampled_from([1, 3, 64]))
+    @settings(deadline=None, derandomize=True)
+    def test_record_columns_equal_full_dp(self, path, p, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roughpath, "PVAR_BLOCK", block)
+            assert p_variation(path, p) == pvar_full_dp(path.values, p)
+
+    def test_record_columns(self):
+        v = np.array([0.0, 3.0, 1.0, 2.0, 2.0, -1.0, 1.0, 0.5])
+        # Nodes 0 and 2 lie strictly inside the range of the nodes after
+        # them; node 3 ties node 4 for the maximum and stays.
+        assert _suffix_records(v, 8).tolist() == [1, 3, 4, 5, 6, 7]
+        assert _suffix_records(v, 5).tolist() == [0, 1, 2, 3, 4]
+        assert _suffix_records(v, 1).tolist() == [0]
+        # A rising zigzag keeps every low, a monotone path every node.
+        zigzag = np.arange(8.0) + np.where(np.arange(8) % 2, 2.0, -2.0)
+        assert _suffix_records(zigzag, 8).tolist() == [0, 2, 4, 6, 7]
+        assert _suffix_records(np.arange(6.0), 6).tolist() == list(range(6))
 
 
 class TestYoungIntegral:

@@ -8,6 +8,7 @@ from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import OptimizerConfig, minimize, minimize_batch
 from roughassim.problem import ControlSetSpec
 from roughassim import shooting
+from roughassim.checks import suite_valueprobe
 from roughassim.shooting import hamiltonian_sweep, shoot, value_probe
 
 from conftest import make_lorenz_twin, scalar_lq
@@ -77,6 +78,14 @@ class TestShoot:
         # initial costates agree across the two formulations
         assert np.max(np.abs(triple.lam.values[0] - res.triple.lam.values[0])) < 5e-2
 
+    def test_each_sweep_carries_its_points_fd_columns(self, monkeypatch):
+        # A point and its n FD columns share a sweep: on the scalar LQ every
+        # sweep has n + 1 = 2 members.
+        sweeps = spy_on_sweeps(monkeypatch)
+        triple = shoot(scalar_lq(TimeGrid(1.0, 256)), np.array([1.3]))
+        assert len(sweeps) >= 2 and all(shape == (2, 1) for shape in sweeps)
+        assert abs(triple.lam.values[-1, 0]) < 1e-9
+
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
         problem = scalar_lq(TimeGrid(6.0, 512), a=3.0)  # unstable drift over a long window
         monkeypatch.setattr(shooting, "NEWTON_MAX_ITERS", 2)
@@ -86,7 +95,27 @@ class TestShoot:
         assert err.value.best_residual >= 0.0 or np.isinf(err.value.best_residual)
 
 
+def spy_on_sweeps(monkeypatch) -> list:
+    """Record the initial-costate shape of every Hamiltonian sweep."""
+    sweeps = []
+    sweep = shooting.hamiltonian_sweep
+
+    def spy(problem, xi, lambda0):
+        sweeps.append(np.shape(lambda0))
+        return sweep(problem, xi, lambda0)
+
+    monkeypatch.setattr(shooting, "hamiltonian_sweep", spy)
+    return sweeps
+
+
 class TestValueProbe:
+    def test_suite_valueprobe_runs_three_sweeps(self, monkeypatch):
+        # Three starts, xi and xi +/- h, each send a point and its one FD
+        # column per round: three sweeps, the last after one start converged.
+        sweeps = spy_on_sweeps(monkeypatch)
+        suite_valueprobe(42)
+        assert [shape[0] for shape in sweeps] == [6, 6, 4]
+
     def test_zero_cost_problem_has_zero_gradient(self):
         # q = 0 and eta = 0: the optimum is u = 0 with V(xi) = 0 for all xi.
         out = value_probe(scalar_lq(TimeGrid(1.0, 128), q=0.0), np.array([1.0]), h=1e-3)
