@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import ModelSpec, check_paths
 from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, frozen_array, require_same_grid
+from .grid import SampledPath, _count, frozen_array, require_same_grid
 
 if TYPE_CHECKING:  # problem.py imports this module
     from .problem import AssimilationProblem
@@ -77,8 +77,8 @@ class QuadraticCostSpec:
         for label in ("R", "S"):
             message = f"{label} must be a nonempty square matrix of finite numbers"
             try:
-                M = frozen_array(getattr(self, label))
-            except (TypeError, ValueError):  # a callable, a string, a ragged list
+                M = frozen_array(getattr(self, label), label)
+            except InvalidSpecError:  # a callable, a string, a ragged list
                 raise InvalidSpecError(message) from None
             if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1] or not np.all(np.isfinite(M)):
                 raise InvalidSpecError(f"{message}: shape {M.shape}")
@@ -105,8 +105,9 @@ class QuadraticCostSpec:
 
 def coordinate_observation(indices, state_dim: int):
     """h projecting onto the listed state coordinates, with its Jacobian."""
-    indices = list(indices)
-    if any(i < 0 or i >= state_dim for i in indices):
+    state_dim = _count(state_dim, "state_dim")
+    indices = [_count(i, "an observation index") for i in indices]
+    if any(not 0 <= i < state_dim for i in indices):
         raise InvalidSpecError(f"observation indices out of range for n={state_dim}")
     P = np.zeros((len(indices), state_dim))
     P[np.arange(len(indices)), indices] = 1.0

@@ -16,12 +16,11 @@ numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, InvalidSpecError
-from .grid import SampledPath, TimeGrid, _number, frozen_array
+from .grid import SampledPath, TimeGrid, _count, _number, frozen_array
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,9 @@ def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
     """Cyclic Lorenz'96: dx_i = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + F."""
-    # A boolean or an integral float is not a count of variables.
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 4:
-        raise InvalidSpecError(f"Lorenz'96 needs an integer number of variables >= 4, got {n!r}")
+    n = _count(n, "n")
+    if n < 4:
+        raise InvalidSpecError(f"Lorenz'96 needs n >= 4 variables, got {n}")
     if not np.isfinite(_number(forcing, "forcing")):
         raise InvalidSpecError(f"Lorenz'96 forcing must be finite, got {forcing!r}")
     # Cyclic neighbours, gathered along the last axis (np.roll would mix nodes).
@@ -146,11 +145,11 @@ def linear_model(A, B=None) -> ModelSpec:
 
     A and B are checked and kept as read-only float copies.
     """
-    A = np.atleast_2d(frozen_array(A))
+    A = np.atleast_2d(frozen_array(A, "A"))
     n = A.shape[0]
     if A.shape != (n, n):
         raise InvalidSpecError("A must be square")
-    B = np.atleast_2d(frozen_array(np.eye(n) if B is None else B))
+    B = np.atleast_2d(frozen_array(np.eye(n) if B is None else B, "B"))
     if B.shape[0] != n or B.shape[1] == 0:
         raise InvalidSpecError("B must have n rows and at least one column")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
@@ -188,7 +187,7 @@ def first_nonfinite(values, backward: bool = False):
 def initial_state(model: ModelSpec, xi, members: tuple = (), name: str = "initial state"):
     """``xi`` as finite floats of shape (n,), shared by every member of a sweep,
     or ``members + (n,)``, one row per member: the one rule for a start."""
-    xi = frozen_array(xi)
+    xi = frozen_array(xi, name)
     n = (model.state_dim,)
     if xi.shape not in (n, members + n):
         shapes = " or ".join(str(s) for s in dict.fromkeys((n, members + n)))

@@ -39,7 +39,8 @@ from .dynamics import (
     lorenz96_model,
 )
 from .errors import InvalidParameterError, InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, TimeGrid, _number, read_path_csv, write_path_csv
+from .grid import SampledPath, TimeGrid, _count, _number, frozen_array
+from .grid import read_path_csv, write_path_csv
 from .optimizer import AssimilationResult, OptimizerConfig, minimize_batch
 from .problem import AssimilationProblem, ControlSetSpec
 from .roughpath import build_observation, wiener_rng
@@ -70,42 +71,13 @@ class ExperimentConfig:
 
 
 def _matrix_from_config(value, dim, label):
-    if np.isscalar(value):
-        return _number(value, label) * np.eye(dim)
-    M = _array(value, label)
+    """A weight: a number times the identity, or a ``dim`` x ``dim`` array."""
+    M = frozen_array(value, label)
+    if M.ndim == 0:
+        return float(M) * np.eye(dim)
     if M.shape != (dim, dim):
         raise InvalidSpecError(f"{label} must be {dim}x{dim}, got {M.shape}")
     return M
-
-
-def _integer(value, label: str) -> int:
-    """An integral JSON number as an int; 2.5 is an error, not a truncation."""
-    if not _number(value, label).is_integer():
-        raise InvalidSpecError(f"{label} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _array(value, label: str) -> np.ndarray:
-    """A JSON number or nested list of numbers as a float array.
-
-    As in :func:`_number`, a string or a boolean entry is an error; so is a
-    NaN or an infinite one.
-    """
-    entries = np.asarray(value, dtype=object)
-    out = np.array([_number(v, f"{label} entry") for v in entries.flat]).reshape(entries.shape)
-    if not np.all(np.isfinite(out)):
-        raise InvalidSpecError(f"{label} must be finite, got {value!r}")
-    return out
-
-
-# How a constructor-shaped config section reads each key; any other key is
-# read as a number, and the constructor rejects it if it is no keyword.
-_COERCE = {
-    "kind": lambda value, label: value,
-    **dict.fromkeys(("n", "n_steps", "max_iters", "multistart"), _integer),
-    **dict.fromkeys(("A", "lo", "hi", "center"), _array),
-    "B": lambda value, label: None if value is None else _array(value, label),
-}
 
 
 # The keys of the config and of each section that is not a constructor call;
@@ -131,17 +103,12 @@ def _section(section, label: str) -> dict:
     return section
 
 
-def _construct(constructor, section: dict):
-    """``constructor`` called with a config section's keys as its keywords."""
-    return constructor(**{k: _COERCE.get(k, _number)(v, k) for k, v in section.items()})
-
-
 def _build_model(section: dict) -> ModelSpec:
     models = {"lorenz63": lorenz63_model, "lorenz96": lorenz96_model, "linear": linear_model}
     name = _section(section, "model").get("name")
     if name not in models:
         raise InvalidSpecError(f"unknown model name {name!r}")
-    return _construct(models[name], section.get("params", {}))
+    return models[name](**section.get("params", {}))
 
 
 def load_config(source) -> ExperimentConfig:
@@ -160,26 +127,28 @@ def load_config(source) -> ExperimentConfig:
     try:
         _section(raw, "config")
         model = _build_model(raw["model"])
-        grid = _construct(TimeGrid, raw["grid"])
+        grid = TimeGrid(**raw["grid"])
         truth = _section(raw["truth"], "truth")
-        truth_x0 = _array(truth["initial_state"], "initial_state")
+        truth_x0 = initial_state(model, truth["initial_state"], name="truth initial state")
         truth_u = truth.get("control")
         if truth_u is not None:
-            truth_u = _array(truth_u, "truth control")
+            truth_u = frozen_array(truth_u, "truth control")
+            if truth_u.shape != (model.control_dim,) or not np.all(np.isfinite(truth_u)):
+                raise InvalidSpecError("truth control must be one finite number per model control")
         obs = _section(raw["observation"], "observation")
         h_indices = obs.get("h_indices", "full")
         if h_indices == "full":
-            h_indices = list(range(model.state_dim))
-        h_indices = [_integer(i, "h_indices entry") for i in h_indices]
+            h_indices = range(model.state_dim)
         R = _matrix_from_config(obs.get("R", 1.0), len(h_indices), "R")
         cost_section = _section(raw.get("cost", {}), "cost")
         S = _matrix_from_config(cost_section.get("S", 1.0), model.control_dim, "S")
         quad = QuadraticCostSpec(*coordinate_observation(h_indices, model.state_dim), R, S)
         assim = _section(raw.get("assimilation", {}), "assimilation")
-        assim_x0 = _array(assim.get("initial_state", truth["initial_state"]), "initial_state")
-        control_set = _construct(ControlSetSpec, raw.get("control_set", {}))
+        assim_x0 = initial_state(model, assim.get("initial_state", truth["initial_state"]),
+                                 name="assimilation initial state")
+        control_set = ControlSetSpec(**raw.get("control_set", {}))
         control_set.check(model.control_dim)
-        optimizer = _construct(OptimizerConfig, raw.get("optimizer", {}))
+        optimizer = OptimizerConfig(**raw.get("optimizer", {}))
         cfg = ExperimentConfig(
             model=model,
             grid=grid,
@@ -187,7 +156,7 @@ def load_config(source) -> ExperimentConfig:
             truth_control=truth_u,
             quad=quad,
             noise_scale=_number(obs.get("noise_scale", 0.1), "noise_scale"),
-            seed=_integer(obs.get("seed", 0), "seed"),
+            seed=_count(obs.get("seed", 0), "seed"),
             cost_kind=cost_section.get("kind", "minimum_energy"),
             assim_initial_state=assim_x0,
             control_set=control_set,
@@ -198,10 +167,6 @@ def load_config(source) -> ExperimentConfig:
         if isinstance(err, InvalidSpecError):
             raise
         raise InvalidSpecError(f"malformed experiment config: {err}") from err
-    initial_state(model, truth_x0, name="truth initial state")
-    initial_state(model, assim_x0, name="assimilation initial state")
-    if truth_u is not None and truth_u.shape != (model.control_dim,):
-        raise InvalidSpecError("truth control must match the model control dimension")
     if not (0.0 <= cfg.noise_scale < np.inf):
         raise InvalidSpecError(f"noise_scale must be finite and nonnegative, got {cfg.noise_scale}")
     # The generator key is seed + stream * 2**64: a larger seed would draw

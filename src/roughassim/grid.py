@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,14 +31,10 @@ class TimeGrid:
         object.__setattr__(self, "T", _number(self.T, "T"))
         if not (0.0 < self.T < np.inf):
             raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
-        n = self.n_steps
-        try:  # a whole real number, 8 or 8.0; numpy's booleans are not Real
-            whole = isinstance(n, Real) and not isinstance(n, bool) and int(n) == n
-        except (ValueError, OverflowError):  # NaN or an infinity
-            whole = False
-        if not whole or n < 1:
-            raise InvalidParameterError(f"n_steps must be a positive integer, got {n!r}")
-        object.__setattr__(self, "n_steps", int(n))
+        n = _count(self.n_steps, "n_steps")
+        if n < 1:
+            raise InvalidParameterError(f"n_steps must be a positive integer, got {n}")
+        object.__setattr__(self, "n_steps", n)
 
     @property
     def dt(self) -> float:
@@ -71,16 +67,34 @@ def _number(value, label: str) -> float:
         raise InvalidSpecError(f"{label} is beyond the float range") from None
 
 
-def frozen_array(values) -> np.ndarray:
-    """A read-only float copy of ``values``, integers or floats (anything else,
-    a ragged nesting too, raises :class:`InvalidSpecError`): what a spec
-    checks is what it keeps."""
+def _count(value, label: str) -> int:
+    """``value`` as an int: the one rule for a count (a size, an index, a
+    seed), which each door follows with its own range check.  A Python or
+    numpy integer passes; a boolean, a float (8.0 too), a string or an
+    integer beyond the float range raises :class:`InvalidSpecError`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidSpecError(f"{label} must be an integer, got {value!r}")
     try:
-        values = np.asarray(values)
-    except ValueError as err:  # a ragged nested sequence
-        raise InvalidSpecError("expected a rectangular array of numbers, got a ragged one") from err
-    if values.dtype.kind not in "iuf":
-        raise InvalidSpecError(f"expected an array of numbers, got dtype {values.dtype}")
+        float(value)
+    except OverflowError:
+        raise InvalidSpecError(f"{label} must be an integer within the float range") from None
+    return int(value)
+
+
+def frozen_array(values, label: str) -> np.ndarray:
+    """A read-only float copy of ``values``: the one rule for an array, which
+    each door follows with its own shape and range checks.  An integer or
+    float ndarray passes as it is; anything else passes only if each entry is
+    a number by :func:`_number`, so a boolean or a string anywhere in it, or
+    a ragged nesting, raises :class:`InvalidSpecError`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        try:
+            entries = np.asarray(values, dtype=object)
+        except ValueError as err:  # nested arrays of unequal shapes
+            raise InvalidSpecError(f"{label} must be a rectangular array of numbers") from err
+        # Entry by entry: numpy reads a boolean among numbers as 1.0.
+        values = np.array([_number(v, f"{label} entry") for v in entries.flat])
+        values = values.reshape(entries.shape)
     out = values.astype(float)
     out.flags.writeable = False
     return out
@@ -97,7 +111,7 @@ class SampledPath:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: TimeGrid, values):
-        values = frozen_array(values)
+        values = frozen_array(values, "path values")
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2:
@@ -132,7 +146,7 @@ class SampledPath:
 
     @classmethod
     def zeros(cls, grid: TimeGrid, d: int) -> "SampledPath":
-        return cls(grid, np.zeros((grid.n_nodes, d)))
+        return cls(grid, np.zeros((grid.n_nodes, _count(d, "d"))))
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "SampledPath":
@@ -142,8 +156,9 @@ class SampledPath:
 
     def restrict(self, stride: int) -> "SampledPath":
         """Keep every ``stride``-th node (nested coarsening of the grid)."""
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-            raise InvalidParameterError(f"stride must be a positive integer, got {stride!r}")
+        stride = _count(stride, "stride")
+        if stride < 1:
+            raise InvalidParameterError(f"stride must be a positive integer, got {stride}")
         if self.grid.n_steps % stride != 0:
             raise InvalidParameterError("stride must divide n_steps")
         coarse = TimeGrid(self.grid.T, self.grid.n_steps // stride)

@@ -28,7 +28,7 @@ from .adjoint import (
 from .cost import eval_cost
 from .dynamics import initial_state, integrate_state, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
-from .grid import SampledPath, TimeGrid, _number, require_same_grid
+from .grid import SampledPath, TimeGrid, _count, _number, require_same_grid
 from .problem import AssimilationProblem
 
 
@@ -49,9 +49,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < _number(self.grad_tol, "grad_tol") < np.inf:
             raise InvalidSpecError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
-        # ``type(k) is int`` because a boolean is not a count.
-        if not all(type(k) is int and k >= 1 for k in (self.max_iters, self.multistart)):
-            raise InvalidSpecError("max_iters and multistart must be positive integers")
+        for label in ("max_iters", "multistart"):
+            k = _count(getattr(self, label), label)
+            if k < 1:
+                raise InvalidSpecError(f"{label} must be positive, got {k}")
+            object.__setattr__(self, label, k)
 
 
 @dataclass

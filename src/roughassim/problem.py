@@ -25,33 +25,38 @@ from .grid import SampledPath, _number, frozen_array
 class ControlSetSpec:
     """Closed convex control set: all of E, a box, or a ball (about 0 by default).
 
-    Bounds and a center are checked and kept as read-only float copies.
+    A box needs ``lo`` and ``hi``, a ball a ``radius``.  The center, and
+    each bound given, is checked to be finite and kept as a read-only float
+    copy, and a radius given to be a number, whichever of them the kind
+    reads; a bound or radius of None is one not given.
     """
 
     kind: str = "all_space"
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
-    center: Optional[np.ndarray] = 0.0
+    center: np.ndarray = 0.0
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "all_space":
-            return
-        if self.kind == "box":
-            lo, hi = frozen_array(self.lo), frozen_array(self.hi)
-            # Bounds of one shape, or one of them a single number; NaN fails lo <= hi.
-            if not ((lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)):
-                raise InvalidSpecError("box bounds need lo <= hi componentwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-        elif self.kind == "ball":
-            center, r = frozen_array(self.center), _number(self.radius, "radius")
-            if not (0 < r < np.inf and np.all(np.isfinite(center))):
-                raise InvalidSpecError("a ball needs a finite center and a positive finite radius")
-            object.__setattr__(self, "center", center)
-            object.__setattr__(self, "radius", r)
-        else:
+        if self.kind not in ("all_space", "box", "ball"):
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
+        for label in ("lo", "hi", "center"):
+            value = getattr(self, label)
+            if value is not None or label == "center" or self.kind == "box":
+                value = frozen_array(value, label)
+                if not np.all(np.isfinite(value)):
+                    raise InvalidSpecError(f"the control set's {label} must be finite")
+                object.__setattr__(self, label, value)
+        if self.radius is not None or self.kind == "ball":
+            object.__setattr__(self, "radius", _number(self.radius, "radius"))
+        lo, hi = self.lo, self.hi
+        # Bounds of one shape, or one of them a single number.
+        if self.kind == "box" and not (
+            (lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)
+        ):
+            raise InvalidSpecError("box bounds need lo <= hi componentwise")
+        if self.kind == "ball" and not 0 < self.radius < np.inf:
+            raise InvalidSpecError(f"a ball needs a positive finite radius, got {self.radius}")
 
     def check(self, m: int) -> None:
         """Reject bounds or a center that do not broadcast to m controls."""

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import SampledPath, TimeGrid, _number, require_same_grid
+from .grid import SampledPath, TimeGrid, _count, _number, require_same_grid
 
 #: Node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
@@ -244,7 +244,7 @@ def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:
     generator is pinned by (seed, stream) alone.  The Philox key is
     seed + stream * 2**64 and must lie in [0, 2**128).
     """
-    key = int(seed) + (int(stream) << 64)
+    key = _count(seed, "seed") + (_count(stream, "stream") << 64)
     if not 0 <= key < 1 << 128:
         raise InvalidParameterError(
             f"seed {seed} with stream {stream} gives a generator key outside [0, 2**128)"
@@ -254,6 +254,7 @@ def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> SampledPath:
     """Standard Wiener sample on the grid: W(0)=0, Gaussian increments of variance dt."""
+    dim = _count(dim, "dim")
     rng = wiener_rng(seed, stream)
     dW = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim))
     values = np.vstack([np.zeros((1, dim)), np.cumsum(dW, axis=0)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughassim.cost import QuadraticCostSpec, coordinate_observation
-from roughassim.dynamics import linear_model, lorenz63_model, lorenz96_model
+from roughassim.dynamics import initial_state, linear_model, lorenz63_model, lorenz96_model
 from roughassim.errors import GridMismatchError, InvalidParameterError, InvalidSpecError
 from roughassim.grid import (
     SampledPath,
@@ -13,7 +13,13 @@ from roughassim.grid import (
 )
 from roughassim.optimizer import OptimizerConfig
 from roughassim.problem import ControlSetSpec
-from roughassim.roughpath import build_observation, p_variation, p_variation_bruteforce
+from roughassim.roughpath import (
+    build_observation,
+    p_variation,
+    p_variation_bruteforce,
+    sample_wiener,
+    wiener_rng,
+)
 from roughassim.shooting import value_probe
 
 from conftest import scalar_lq
@@ -32,14 +38,11 @@ def test_grid_basic_properties():
                                  dict(T=1.0, n_steps=[4]), dict(T=1.0, n_steps="4"),
                                  dict(T=1.0, n_steps=np.nan), dict(T=1.0, n_steps=np.inf)])
 def test_grid_rejects_bad_parameters(bad):
-    with pytest.raises(InvalidParameterError):
+    # A count that is no integer is malformed, as a T that is no number is;
+    # an integer count below 1 is out of range.
+    error = InvalidParameterError if type(bad["n_steps"]) is int else InvalidSpecError
+    with pytest.raises(error):
         TimeGrid(**bad)
-
-
-def test_integral_float_n_steps_stored_as_int():
-    g = TimeGrid(1.0, 8.0)
-    assert type(g.n_steps) is int and g == TimeGrid(1.0, 8)
-    assert SampledPath.zeros(g, 1).values.shape == (9, 1)
 
 
 def test_path_is_immutable_and_copies_input():
@@ -78,8 +81,11 @@ def test_increments_and_restrict():
     coarse = p.restrict(2)
     assert coarse.grid.n_steps == 2
     assert np.allclose(coarse.values[:, 0], [0.0, 3.0, 10.0])
-    for stride in (3, 0, -2, 2.0, True):
+    for stride in (3, 0, -2):
         with pytest.raises(InvalidParameterError):
+            p.restrict(stride)
+    for stride in (2.0, True):
+        with pytest.raises(InvalidSpecError):
             p.restrict(stride)
 
 
@@ -163,10 +169,58 @@ def test_noise_scale_must_be_finite():
                  id="box-ragged"),
     pytest.param(lambda: SampledPath(TimeGrid(1.0, 1), [[0.0], [1.0, 2.0]]),
                  id="SampledPath-ragged"),
+    pytest.param(lambda: ControlSetSpec(kind="box", lo=[-1.0, True], hi=2.0),
+                 id="box-lo-mixed-bool"),
+    pytest.param(lambda: ControlSetSpec(kind="ball", center=[np.True_, 0.5], radius=1.0),
+                 id="ball-center-mixed-bool"),
+    pytest.param(lambda: SampledPath(TimeGrid(1.0, 1), [[0.0], [True]]),
+                 id="SampledPath-mixed-bool"),
+    pytest.param(lambda: initial_state(lorenz63_model(), [1.0, True, 25.0]),
+                 id="initial_state-mixed-bool"),
+    pytest.param(lambda: linear_model([[-1.0, 0.0], [False, -1.0]]),
+                 id="linear_model-mixed-bool"),
 ])
 def test_library_arrays_hold_numbers(build):
-    # Without the dtype check each is converted to floats, which the config
-    # parser never allows; a ragged nesting fails in numpy with its own
-    # ValueError.
+    # Without the entry check each is converted to floats, a boolean among
+    # numbers to 1.0 or 0.0, which the config parser never allows; a ragged
+    # nesting fails in numpy with its own ValueError.
     with pytest.raises(InvalidSpecError):
         build()
+
+
+# Every library door that takes a count, as a function of that count; each
+# accepts 4.
+COUNT_DOORS = {
+    "TimeGrid-n_steps": lambda v: TimeGrid(1.0, v),
+    "SampledPath.zeros-d": lambda v: SampledPath.zeros(TimeGrid(1.0, 4), v),
+    "restrict-stride": lambda v: PATH.restrict(v),
+    "lorenz96_model-n": lambda v: lorenz96_model(v),
+    "OptimizerConfig-max_iters": lambda v: OptimizerConfig(max_iters=v),
+    "OptimizerConfig-multistart": lambda v: OptimizerConfig(multistart=v),
+    "wiener_rng-seed": lambda v: wiener_rng(v),
+    "wiener_rng-stream": lambda v: wiener_rng(0, stream=v),
+    "sample_wiener-dim": lambda v: sample_wiener(TimeGrid(1.0, 4), v, 0),
+    "build_observation-seed": lambda v: build_observation(PATH, 0.1, v),
+    "coordinate_observation-index": lambda v: coordinate_observation([v], 5),
+    "coordinate_observation-state_dim": lambda v: coordinate_observation([0], v),
+}
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(8.0, id="8.0"), pytest.param(2.5, id="2.5"), pytest.param(True, id="True"),
+    pytest.param(np.True_, id="np.True_"), pytest.param(np.nan, id="nan"),
+    pytest.param(np.inf, id="inf"), pytest.param("4", id="str"), pytest.param(None, id="None"),
+    pytest.param([4], id="list"), pytest.param(10**400, id="1e400"),
+])
+@pytest.mark.parametrize("door", COUNT_DOORS)
+def test_library_counts_are_integers(door, value):
+    # Without the rule an integral float counts at some doors and not at
+    # others, a seed is truncated (1.5 draws seed 1's stream), and a string
+    # or a list fails with numpy's TypeError or IndexError.
+    with pytest.raises(InvalidSpecError, match="must be an integer"):
+        COUNT_DOORS[door](value)
+
+
+@pytest.mark.parametrize("door", COUNT_DOORS)
+def test_numpy_integer_counts_are_counts(door):
+    COUNT_DOORS[door](np.int64(4))

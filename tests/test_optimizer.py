@@ -63,6 +63,21 @@ class TestControlSetSpec:
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="ball", center=None, radius=1.0)
 
+    @pytest.mark.parametrize("fields", [
+        pytest.param(dict(kind="box", lo=-np.inf, hi=1.0), id="box-lo-inf"),
+        pytest.param(dict(kind="box", lo=-1.0, hi=[1.0, np.inf]), id="box-hi-inf"),
+        pytest.param(dict(kind="all_space", lo="-1"), id="all_space-lo-string"),
+        pytest.param(dict(kind="all_space", center=np.nan), id="all_space-center-nan"),
+        pytest.param(dict(kind="box", lo=-1.0, hi=1.0, radius=True), id="box-radius-bool"),
+        pytest.param(dict(kind="ball", radius=1.0, hi=[True]), id="ball-hi-bool"),
+        pytest.param(dict(kind="box", lo=-1.0, hi=1.0, center=None), id="box-center-none"),
+    ])
+    def test_every_field_given_is_checked(self, fields):
+        # Bounds are finite, as a center is; a field the kind does not read
+        # is checked as if it did, as the config parser has always done.
+        with pytest.raises(InvalidSpecError):
+            ControlSetSpec(**fields)
+
     def test_ball_without_center_is_the_origin_ball(self):
         vals = np.random.default_rng(1).normal(size=(50, 3)) * 2
         vals[:3] = [[-0.0, 0.0, -0.0], [-3.0, -0.0, 4.0], [0.1, -0.0, -0.2]]
