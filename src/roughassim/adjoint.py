@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import first_nonfinite
 from .errors import BlowUpError, InvalidParameterError, UnsupportedCostError
-from .grid import SampledPath, require_same_grid
+from .grid import SampledPath, frozen_array, require_same_grid
 from .problem import AssimilationProblem
 from .roughpath import wiener_rng
 
@@ -224,10 +224,19 @@ def duality_check(M, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
     |lambda(T) zeta(T) - lambda(0) zeta(0) - int zeta db - int lambda da|.
     The pairing integrals use the midpoint tag, which makes the identity
     exact to rounding when M = 0.  :func:`duality_sweep` runs it on arrays.
-    M is an array, one n x n matrix per node of a's and b's grid.
+    M is an array, one n x n matrix per node of a's and b's grid, where a
+    and b have n components, and zeta0 and lambdaT are n-vectors.
     """
     grid = require_same_grid(a, b)
-    shape = (grid.n_nodes, a.dim, a.dim)
-    if np.shape(M) != shape:
-        raise InvalidParameterError(f"M must have shape {shape}, got {np.shape(M)}")
+    n = a.dim
+    if b.dim != n:
+        raise InvalidParameterError(f"a has {n} components, b {b.dim}")
+    checked = []
+    for label, value, shape in (("M", M, (grid.n_nodes, n, n)), ("zeta0", zeta0, (n,)),
+                                ("lambdaT", lambdaT, (n,))):
+        value = frozen_array(value, label)
+        if value.shape != shape:
+            raise InvalidParameterError(f"{label} must have shape {shape}, got {value.shape}")
+        checked.append(value)
+    M, zeta0, lambdaT = checked
     return float(duality_sweep(grid, M, a.values, b.values, zeta0, lambdaT))

@@ -106,7 +106,12 @@ class QuadraticCostSpec:
 def coordinate_observation(indices, state_dim: int):
     """h projecting onto the listed state coordinates, with its Jacobian."""
     state_dim = _count(state_dim, "state_dim")
-    indices = [_count(i, "an observation index") for i in indices]
+    if state_dim < 1:
+        raise InvalidSpecError(f"state_dim must be at least 1, got {state_dim}")
+    try:
+        indices = [_count(i, "an observation index") for i in indices]
+    except TypeError:  # not iterable
+        raise InvalidSpecError(f"observation indices must be a list, got {indices!r}") from None
     if any(not 0 <= i < state_dim for i in indices):
         raise InvalidSpecError(f"observation indices out of range for n={state_dim}")
     P = np.zeros((len(indices), state_dim))

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class ExperimentConfig:
     model: ModelSpec
     grid: TimeGrid
     truth_initial_state: np.ndarray
-    truth_control: Optional[np.ndarray]
     quad: QuadraticCostSpec
     noise_scale: float
     seed: int
@@ -86,7 +85,7 @@ _KEYS = {
     "config": ("model", "grid", "truth", "observation", "assimilation", "cost", "control_set",
                "optimizer"),
     "model": ("name", "params"),
-    "truth": ("initial_state", "control"),
+    "truth": ("initial_state",),
     "observation": ("h_indices", "R", "noise_scale", "seed"),
     "assimilation": ("initial_state",),
     "cost": ("kind", "S"),
@@ -111,7 +110,7 @@ def _build_model(section: dict) -> ModelSpec:
     return models[name](**section.get("params", {}))
 
 
-def load_config(source) -> ExperimentConfig:
+def load_config(source: dict | str | os.PathLike) -> ExperimentConfig:
     """Parse an experiment config from a dict or the path of a UTF-8 JSON file.
 
     Every rule is checked here, the weights' and the cost's included, so
@@ -119,6 +118,8 @@ def load_config(source) -> ExperimentConfig:
     """
     if isinstance(source, dict):
         raw = source
+    elif not isinstance(source, (str, os.PathLike)):
+        raise InvalidSpecError(f"a config is a dict or a path, got {source!r}")
     else:
         try:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -130,11 +131,6 @@ def load_config(source) -> ExperimentConfig:
         grid = TimeGrid(**raw["grid"])
         truth = _section(raw["truth"], "truth")
         truth_x0 = initial_state(model, truth["initial_state"], name="truth initial state")
-        truth_u = truth.get("control")
-        if truth_u is not None:
-            truth_u = frozen_array(truth_u, "truth control")
-            if truth_u.shape != (model.control_dim,) or not np.all(np.isfinite(truth_u)):
-                raise InvalidSpecError("truth control must be one finite number per model control")
         obs = _section(raw["observation"], "observation")
         h_indices = obs.get("h_indices", "full")
         if h_indices == "full":
@@ -153,7 +149,6 @@ def load_config(source) -> ExperimentConfig:
             model=model,
             grid=grid,
             truth_initial_state=truth_x0,
-            truth_control=truth_u,
             quad=quad,
             noise_scale=_number(obs.get("noise_scale", 0.1), "noise_scale"),
             seed=_count(obs.get("seed", 0), "seed"),
@@ -191,20 +186,13 @@ def build_cost(config: ExperimentConfig) -> CostSpec:
     raise InvalidSpecError(f"unknown cost kind {config.cost_kind!r}")
 
 
-def _truth_control_path(config: ExperimentConfig) -> SampledPath:
-    if config.truth_control is None:
-        return SampledPath.zeros(config.grid, config.model.control_dim)
-    vals = np.tile(config.truth_control, (config.grid.n_nodes, 1))
-    return SampledPath(config.grid, vals)
-
-
 def simulate_truth(config: ExperimentConfig):
-    """Integrate the truth and manufacture the observation path.
+    """Integrate the uncontrolled truth and manufacture the observation path.
 
     zeta is the cumulative trapezoid of h(t, x_truth(t)) (integrated
     observations); eta adds noise_scale times a Wiener sample.
     """
-    u_truth = _truth_control_path(config)
+    u_truth = SampledPath.zeros(config.grid, config.model.control_dim)
     truth = integrate_state(config.model, u_truth, config.truth_initial_state, config.grid)
     hv = config.quad.h(config.grid.times, truth.values)
     zeta_vals = np.zeros_like(hv)

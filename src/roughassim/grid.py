@@ -8,6 +8,7 @@ paths without mutating them.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -103,9 +104,9 @@ def frozen_array(values, label: str) -> np.ndarray:
 class SampledPath:
     """Values of a d-vector valued function at the nodes of a uniform grid.
 
-    ``values`` has shape ``(n_nodes, d)``: 1-D values are a path with d = 1,
-    and any other number of axes is rejected.  The array is copied and
-    frozen on construction.
+    ``values`` has shape ``(n_nodes, d)`` with d >= 1: 1-D values are a path
+    with d = 1, and any other number of axes is rejected.  The array is
+    copied and frozen on construction.
     """
 
     __slots__ = ("grid", "values")
@@ -114,8 +115,8 @@ class SampledPath:
         values = frozen_array(values, "path values")
         if values.ndim == 1:
             values = values[:, None]
-        if values.ndim != 2:
-            raise InvalidParameterError(f"path values must be (n_nodes, d), got {values.shape}")
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise InvalidParameterError(f"path values must be (n_nodes, d >= 1): {values.shape}")
         if values.shape[0] != grid.n_nodes:
             raise InvalidParameterError(
                 f"expected {grid.n_nodes} rows of values, got {values.shape[0]}"
@@ -146,13 +147,10 @@ class SampledPath:
 
     @classmethod
     def zeros(cls, grid: TimeGrid, d: int) -> "SampledPath":
-        return cls(grid, np.zeros((grid.n_nodes, _count(d, "d"))))
-
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "SampledPath":
-        """Sample ``fn(t)`` at every grid node."""
-        vals = np.array([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.times])
-        return cls(grid, vals)
+        d = _count(d, "d")
+        if d < 1:
+            raise InvalidParameterError(f"a path has at least one component, got d={d}")
+        return cls(grid, np.zeros((grid.n_nodes, d)))
 
     def restrict(self, stride: int) -> "SampledPath":
         """Keep every ``stride``-th node (nested coarsening of the grid)."""
@@ -186,8 +184,11 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_path_csv(path: SampledPath, filename) -> None:
-    """Write a path as ``t,v0,...,v{d-1}`` rows; an unwritable file is an invalid input."""
+def write_path_csv(path: SampledPath, filename: str | os.PathLike) -> None:
+    """Write a path as ``t,v0,...,v{d-1}`` rows to the file ``filename`` names;
+    an unwritable file is an invalid input, and so is anything but a path."""
+    if not isinstance(filename, (str, os.PathLike)):
+        raise InvalidSpecError(f"a path file is named by a path, got {filename!r}")
     header = "t," + ",".join(f"v{k}" for k in range(path.dim))
     lines = [header]
     for t, row in zip(path.times, path.values):
@@ -199,8 +200,11 @@ def write_path_csv(path: SampledPath, filename) -> None:
         raise InvalidParameterError(f"cannot write path file: {err}") from err
 
 
-def read_path_csv(filename) -> SampledPath:
-    """Read a path written by :func:`write_path_csv`, validating uniform spacing."""
+def read_path_csv(filename: str | os.PathLike) -> SampledPath:
+    """Read a path written by :func:`write_path_csv` from the file ``filename``
+    names, validating uniform spacing; anything but a path is an invalid input."""
+    if not isinstance(filename, (str, os.PathLike)):
+        raise InvalidSpecError(f"a path file is named by a path, got {filename!r}")
     try:
         with warnings.catch_warnings():
             # An empty file fails the node-count check below, not as a warning.

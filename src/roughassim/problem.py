@@ -23,26 +23,25 @@ from .grid import SampledPath, _number, frozen_array
 
 @dataclass(frozen=True)
 class ControlSetSpec:
-    """Closed convex control set: all of E, a box, or a ball (about 0 by default).
+    """Closed convex control set: all of E, a box, or a ball about the origin.
 
-    A box needs ``lo`` and ``hi``, a ball a ``radius``.  The center, and
-    each bound given, is checked to be finite and kept as a read-only float
-    copy, and a radius given to be a number, whichever of them the kind
-    reads; a bound or radius of None is one not given.
+    A box needs ``lo`` and ``hi``, a ball a ``radius``.  Each bound given
+    is checked to be finite and kept as a read-only float copy, and a
+    radius given to be a number, whichever of them the kind reads; a bound
+    or radius of None is one not given.
     """
 
     kind: str = "all_space"
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
-    center: np.ndarray = 0.0
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("all_space", "box", "ball"):
+        if not (isinstance(self.kind, str) and self.kind in ("all_space", "box", "ball")):
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
-        for label in ("lo", "hi", "center"):
+        for label in ("lo", "hi"):
             value = getattr(self, label)
-            if value is not None or label == "center" or self.kind == "box":
+            if value is not None or self.kind == "box":
                 value = frozen_array(value, label)
                 if not np.all(np.isfinite(value)):
                     raise InvalidSpecError(f"the control set's {label} must be finite")
@@ -59,10 +58,11 @@ class ControlSetSpec:
             raise InvalidSpecError(f"a ball needs a positive finite radius, got {self.radius}")
 
     def check(self, m: int) -> None:
-        """Reject bounds or a center that do not broadcast to m controls."""
-        read = {"box": (self.lo, self.hi), "ball": (self.center,)}.get(self.kind, ())
-        if any(np.shape(v) not in ((), (1,), (m,)) for v in read):
-            raise InvalidSpecError(f"the {self.kind} control set does not fit {m} controls")
+        """Reject box bounds that do not broadcast to m controls."""
+        if self.kind == "box" and any(
+            np.shape(v) not in ((), (1,), (m,)) for v in (self.lo, self.hi)
+        ):
+            raise InvalidSpecError(f"the box control set does not fit {m} controls")
 
     def project_values(self, values: np.ndarray) -> np.ndarray:
         """Pointwise Euclidean projection of one control (m,) or stacked (..., m)."""
@@ -70,10 +70,9 @@ class ControlSetSpec:
             return values
         if self.kind == "box":
             return np.clip(values, self.lo, self.hi)
-        offset = values - self.center
-        norms = np.linalg.norm(offset, axis=-1, keepdims=True)
+        norms = np.linalg.norm(values, axis=-1, keepdims=True)
         scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
-        return self.center + offset * scale
+        return values * scale
 
 
 @dataclass(frozen=True)

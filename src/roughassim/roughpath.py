@@ -8,7 +8,7 @@ alone and reads, of the earlier nodes, only the suffix records, about
 O(N^1.5) distances on a random walk.  The program, its brute-force oracle
 and the oscillation read their node distances from one blocked kernel,
 :func:`_distances`.
-Young integrals are evaluated as tagged Riemann sums with a left, right or
+Young integrals are evaluated as tagged Riemann sums with a left or
 midpoint tag; the cost and the costate form their own left-tag sums against
 the observation increments.
 """
@@ -178,42 +178,24 @@ def oscillation(path: SampledPath) -> float:
     return float(max(np.max(_distances(values, lo, min(lo + PVAR_BLOCK, n))) for lo in blocks))
 
 
-def _apply_steps(xv: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Apply per-step integrand values xv (N, k) to increments dy (N, d).
+def young_integral(x: SampledPath, y: SampledPath, tag: str = "left") -> float:
+    """Tagged Riemann sum  sum_i <x(tau_i), y(t_{i+1}) - y(t_i)>.
 
-    k = d pairs them as covectors, (N,) terms; k = 1 scales them, (N, d)
-    terms; any other k raises :class:`InvalidParameterError`.
-    """
-    k, d = xv.shape[1], dy.shape[1]
-    if k == d:
-        return np.einsum("nd,nd->n", xv, dy)
-    if k == 1:
-        return xv * dy
-    raise InvalidParameterError(f"a {k}-component integrand cannot act on {d} components")
-
-
-def young_integral(x: SampledPath, y: SampledPath, tag: str = "left"):
-    """Tagged Riemann sum  sum_i x(tau_i) (y(t_{i+1}) - y(t_i)).
-
-    ``tag`` places tau_i at the left node, right node, or midpoint (the
-    midpoint value is the average of the two endpoint samples, matching the
-    piecewise-linear reading of the stored path).  An x with y's d
-    components gives a float, a 1-component x a d-vector (see
-    :func:`_apply_steps`).
+    x and y have the same d components; x pairs with y's increments as a
+    covector.  ``tag`` places tau_i at the left node or at the midpoint
+    (the average of the two endpoint samples, matching the piecewise-linear
+    reading of the stored path).
     """
     require_same_grid(x, y)
-    if tag not in ("left", "right", "midpoint"):
-        raise InvalidParameterError(f"unknown tag {tag!r}")
+    if not (isinstance(tag, str) and tag in ("left", "midpoint")):
+        raise InvalidParameterError(f"unknown tag {tag!r}; choose 'left' or 'midpoint'")
+    if x.dim != y.dim:
+        raise InvalidParameterError(
+            f"a {x.dim}-component integrand cannot act on {y.dim} components"
+        )
     xv = x.values
-    if tag == "left":
-        xt = xv[:-1]
-    elif tag == "right":
-        xt = xv[1:]
-    else:
-        xt = 0.5 * (xv[:-1] + xv[1:])
-    terms = _apply_steps(xt, y.increments())
-    total = terms.sum(axis=0)
-    return float(total) if np.ndim(total) == 0 else total
+    xt = xv[:-1] if tag == "left" else 0.5 * (xv[:-1] + xv[1:])
+    return float(np.einsum("nd,nd->n", xt, y.increments()).sum())
 
 
 def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dict:
@@ -221,16 +203,17 @@ def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dic
 
     lhs = |int x dy - x(0)(y(T)-y(0))|, rhs = (1 - 2^(1-theta))^-1
     Var_p(x) Var_q(y) with theta = 1/p + 1/q; the caller asserts lhs <= rhs.
+    p and q are p-variation exponents, each in [1, inf).
     """
+    for label, v in (("p", p), ("q", q)):
+        if not 1 <= _number(v, label) < np.inf:  # NaN fails too
+            raise InvalidParameterError(f"the Young bound requires 1 <= {label} < inf, got {v}")
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise InvalidParameterError(f"need 1/p + 1/q > 1, got theta={theta}")
-    require_same_grid(x, y)
     integral = young_integral(x, y, tag="left")
-    x0 = x.values[0]
     dy = y.values[-1] - y.values[0]
-    first_term = _apply_steps(x0[None], dy[None])[0]
-    lhs = float(np.linalg.norm(np.atleast_1d(integral - first_term)))
+    lhs = abs(integral - float(x.values[0] @ dy))
     rhs = float(p_variation(x, p) * p_variation(y, q) / (1.0 - 2.0 ** (1.0 - theta)))
     return {"lhs": lhs, "rhs": rhs}
 
@@ -255,6 +238,8 @@ def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> SampledPath:
     """Standard Wiener sample on the grid: W(0)=0, Gaussian increments of variance dt."""
     dim = _count(dim, "dim")
+    if dim < 1:
+        raise InvalidParameterError(f"a path has at least one component, got dim={dim}")
     rng = wiener_rng(seed, stream)
     dW = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim))
     values = np.vstack([np.zeros((1, dim)), np.cumsum(dW, axis=0)])

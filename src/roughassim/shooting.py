@@ -24,7 +24,7 @@ from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
 from .cost import eval_cost
 from .dynamics import first_nonfinite, initial_state
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
-from .grid import SampledPath, _number
+from .grid import SampledPath, _number, frozen_array
 from .optimizer import OptimizerConfig, lockstep, minimize_batch
 from .problem import AssimilationProblem
 
@@ -59,8 +59,9 @@ def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
     dt = grid.dt
     times = grid.times
     deta = eta.increments()
+    xi, lambda0 = frozen_array(xi, "initial state"), frozen_array(lambda0, "initial costate")
     # The members are those of whichever initial value has a member axis.
-    members = np.shape(xi)[:-1] or np.shape(lambda0)[:-1]
+    members = xi.shape[:-1] or lambda0.shape[:-1]
     xi = initial_state(model, xi, members)
     lambda0 = initial_state(model, lambda0, members, name="initial costate")
     n, m = model.state_dim, model.control_dim
@@ -176,7 +177,11 @@ def shoot_batch(problem: AssimilationProblem, starts) -> list:
     raised.
     """
     model = problem.model
-    xis = [initial_state(model, xi) for xi in starts]
+    try:
+        xis = [initial_state(model, xi) for xi in starts]
+    except TypeError:  # not iterable
+        message = f"starts must be a list of initial states, got {starts!r}"
+        raise InvalidSpecError(message) from None
     solvers = [_damped_newton(problem.eta.grid, model.state_dim) for _ in xis]
 
     def answer(requests):
@@ -213,7 +218,7 @@ def value_probe(
     """
     if not 0 < _number(h, "h") < np.inf:
         raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
-    if solver not in ("gradient", "shoot"):
+    if not (isinstance(solver, str) and solver in ("gradient", "shoot")):
         raise InvalidSpecError(f"unknown solver {solver!r}")
     model, cost, eta = problem.model, problem.cost, problem.eta
     xi = initial_state(model, xi)

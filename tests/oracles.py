@@ -131,8 +131,6 @@ def young_sum_reference(x_vals, y_vals, tag: str) -> float:
     for i in range(n):
         if tag == "left":
             xv = x_vals[i]
-        elif tag == "right":
-            xv = x_vals[i + 1]
         else:
             xv = 0.5 * (x_vals[i] + x_vals[i + 1])
         total += float(xv @ (y_vals[i + 1] - y_vals[i]))

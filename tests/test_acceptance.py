@@ -77,7 +77,7 @@ def test_criterion_2_young_integral_contracts(criterion):
     for seed in range(20):
         fine = TimeGrid(1.0, 1024)
         w = sample_wiener(fine, 1, seed=seed)
-        x = SampledPath.from_function(fine, lambda t: np.sin(3.0 * t))
+        x = SampledPath(fine, np.sin(3.0 * fine.times))
         defects = []
         for stride in (2, 1):
             xs, ws = x.restrict(stride), w.restrict(stride)

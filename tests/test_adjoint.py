@@ -209,8 +209,8 @@ class TestDualityCheck:
         for n in (128, 256):
             grid = TimeGrid(1.0, n)
             M = (0.5 * np.sin(2 * np.pi * grid.times)).reshape(-1, 1, 1)
-            a = SampledPath.from_function(grid, lambda t: np.sin(3 * t))
-            b = SampledPath.from_function(grid, lambda t: np.cos(2 * t))
+            a = SampledPath(grid, np.sin(3 * grid.times))
+            b = SampledPath(grid, np.cos(2 * grid.times))
             residuals.append(duality_check(M, a, b, np.array([1.0]), np.array([0.5])))
         assert residuals[1] < 0.5 * residuals[0]
 

@@ -103,10 +103,10 @@ class TestLoadConfig:
         {"optimizer": {"grad_tol": 0.02, "max_iters": True}},
         {"truth": {"initial_state": ["1", "1", "25"]}},
         {"truth": {"initial_state": [True, 1, 25]}},
-        {"truth": {"initial_state": [1.0, 1.0, 25.0], "control": [0.0, "0", 0.0]}},
+        {"truth": {"initial_state": [1.0, 1.0, 25.0], "control": [0.0, 0.0, 0.0]}},
         {"control_set": {"kind": "box", "lo": "-1", "hi": True}},
         {"control_set": {"kind": "box", "lo": [-1.0, -1.0, False], "hi": 1.0}},
-        {"control_set": {"kind": "ball", "center": ["0", 0, 0], "radius": 1.0}},
+        {"control_set": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}},
         {"observation": {"R": [["1", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
         {"cost": {"S": [[1.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 1.0]]}},
         {"model": {"name": "linear", "params": {"A": [["1"]]}},
@@ -151,7 +151,7 @@ class TestLoadConfig:
 
     def test_sections_are_their_constructors_keywords(self):
         # Each spelling the parser took before still loads: a null B, scalar
-        # and vector bounds, a ball with no center, explicit Lorenz parameters.
+        # and vector bounds, a ball, explicit Lorenz parameters.
         cfg = load_config(lorenz_config(
             model={"name": "linear", "params": {"A": NEGATIVE_I3, "B": None}},
             control_set={"kind": "box", "lo": -1.0, "hi": [1.0, 2.0, 3.0]}))
@@ -531,7 +531,6 @@ BAD_FIELDS = {
     ("truth", "initial_state"): st.lists(
         st.floats(allow_nan=False, allow_infinity=False), max_size=5).filter(
         lambda xs: len(xs) != 3),
-    ("truth", "control"): st.just([1.0, 2.0]),
     ("assimilation", "initial_state"): st.just([1.0, np.nan, 24.0]),
     ("observation",): st.just("full"),
     ("observation", "h_indices"): st.one_of(
@@ -586,6 +585,8 @@ def fuzz_dir(tmp_path_factory):
 @example((("optimizer", "max_iters"), 400.0))
 @example((("observation", "seed"), 7.0))
 @example((("control_set",), {"kind": "box", "lo": -np.inf, "hi": 1.0}))
+@example((("control_set", "center"), 0.0))
+@example((("truth", "control"), [0.0, 0.0, 0.0]))
 def test_config_fuzz_exits_3(sim_dir, fuzz_dir, field_and_value):
     """simulate, assimilate (on a valid eta) and value-probe reject the config
     alike: exit 3, one line on stderr, nothing written."""

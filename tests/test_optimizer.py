@@ -23,23 +23,18 @@ class TestControlSetSpec:
         assert not contains(box, vals)
 
     def test_ball_projection_hand_values(self):
-        ball = ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0)
+        ball = ControlSetSpec(kind="ball", radius=1.0)
         out = ball.project_values(np.array([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8])
         inside = np.array([0.1, -0.2])
         assert np.allclose(ball.project_values(inside), inside)
-
-    def test_ball_projection_off_center(self):
-        ball = ControlSetSpec(kind="ball", center=np.array([1.0, 0.0]), radius=2.0)
-        out = ball.project_values(np.array([6.0, 0.0]))
-        assert np.allclose(out, [3.0, 0.0])
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(0)
         for spec in (
             FREE,
             ControlSetSpec(kind="box", lo=-np.ones(3), hi=np.ones(3)),
-            ControlSetSpec(kind="ball", center=np.zeros(3), radius=0.7),
+            ControlSetSpec(kind="ball", radius=0.7),
         ):
             vals = rng.normal(size=(20, 3)) * 3
             once = spec.project_values(vals)
@@ -49,7 +44,7 @@ class TestControlSetSpec:
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="box", lo=np.array([1.0]), hi=np.array([0.0]))
         with pytest.raises(InvalidSpecError):
-            ControlSetSpec(kind="ball", center=np.zeros(1), radius=0.0)
+            ControlSetSpec(kind="ball", radius=0.0)
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="simplex")
         with pytest.raises(InvalidSpecError):
@@ -57,33 +52,33 @@ class TestControlSetSpec:
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="box", lo=np.array([0.0]), hi=np.array([np.nan]))
         with pytest.raises(InvalidSpecError):
-            ControlSetSpec(kind="ball", center=np.zeros(1), radius=np.nan)
+            ControlSetSpec(kind="ball", radius=np.nan)
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(kind="box", lo=np.zeros(2), hi=np.ones(3))
-        with pytest.raises(InvalidSpecError):
-            ControlSetSpec(kind="ball", center=None, radius=1.0)
 
     @pytest.mark.parametrize("fields", [
         pytest.param(dict(kind="box", lo=-np.inf, hi=1.0), id="box-lo-inf"),
         pytest.param(dict(kind="box", lo=-1.0, hi=[1.0, np.inf]), id="box-hi-inf"),
         pytest.param(dict(kind="all_space", lo="-1"), id="all_space-lo-string"),
-        pytest.param(dict(kind="all_space", center=np.nan), id="all_space-center-nan"),
         pytest.param(dict(kind="box", lo=-1.0, hi=1.0, radius=True), id="box-radius-bool"),
         pytest.param(dict(kind="ball", radius=1.0, hi=[True]), id="ball-hi-bool"),
-        pytest.param(dict(kind="box", lo=-1.0, hi=1.0, center=None), id="box-center-none"),
     ])
     def test_every_field_given_is_checked(self, fields):
-        # Bounds are finite, as a center is; a field the kind does not read
-        # is checked as if it did, as the config parser has always done.
+        # Bounds are finite; a field the kind does not read is checked as if
+        # it did, as the config parser has always done.
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(**fields)
 
     def test_ball_without_center_is_the_origin_ball(self):
         vals = np.random.default_rng(1).normal(size=(50, 3)) * 2
         vals[:3] = [[-0.0, 0.0, -0.0], [-3.0, -0.0, 4.0], [0.1, -0.0, -0.2]]
-        ball = ControlSetSpec(kind="ball", radius=0.8)
-        origin = ControlSetSpec(kind="ball", center=np.zeros(3), radius=0.8)
-        assert ball.project_values(vals).tobytes() == origin.project_values(vals).tobytes()
+        out = ControlSetSpec(kind="ball", radius=0.8).project_values(vals)
+        norms = np.linalg.norm(vals, axis=-1)
+        inside = norms <= 0.8
+        # A control inside is kept bit for bit, -0.0 included; one outside
+        # moves along its ray from the origin onto the sphere.
+        assert out[inside].tobytes() == vals[inside].tobytes()
+        np.testing.assert_allclose(out[~inside], vals[~inside] * (0.8 / norms[~inside, None]))
 
     def test_scalar_bounds_project_as_m_vectors(self):
         vals = np.random.default_rng(2).normal(size=(50, 3)) * 2
@@ -94,21 +89,19 @@ class TestControlSetSpec:
              ControlSetSpec(kind="box", lo=np.full(3, -0.5), hi=hi)),
             (ControlSetSpec(kind="box", lo=[-1.0], hi=1.0),
              ControlSetSpec(kind="box", lo=-np.ones(3), hi=np.ones(3))),
-            (ControlSetSpec(kind="ball", center=0.3, radius=0.7),
-             ControlSetSpec(kind="ball", center=np.full(3, 0.3), radius=0.7)),
         ):
             short.check(3)
             assert short.project_values(vals).tobytes() == full.project_values(vals).tobytes()
 
     def test_check_rejects_sets_that_do_not_fit_m(self):
+        # A ball about the origin fits any number of controls.
         for spec in (ControlSetSpec(), ControlSetSpec(kind="box", lo=-1.0, hi=np.ones(3)),
-                     ControlSetSpec(kind="ball", center=[0.5], radius=1.0)):
+                     ControlSetSpec(kind="ball", radius=1.0)):
             spec.check(3)
         for spec in (
             ControlSetSpec(kind="box", lo=-np.ones(2), hi=np.ones(2)),
             ControlSetSpec(kind="box", lo=-1.0, hi=np.ones(2)),
             ControlSetSpec(kind="box", lo=-np.ones((3, 3)), hi=np.ones((3, 3))),
-            ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0),
         ):
             with pytest.raises(InvalidSpecError, match="does not fit 3 controls"):
                 spec.check(3)
@@ -122,11 +115,10 @@ class TestControlSetSpec:
 
 MISFIT_SETS = [
     ControlSetSpec(kind="box", lo=-np.ones(2), hi=np.ones(2)),
-    ControlSetSpec(kind="ball", center=np.zeros(2), radius=1.0),
 ]
 
 
-@pytest.mark.parametrize("control_set", MISFIT_SETS, ids=["box", "ball"])
+@pytest.mark.parametrize("control_set", MISFIT_SETS, ids=["box"])
 def test_two_component_set_rejected_on_lorenz63(control_set):
     """A (2,) set against three controls is an InvalidSpecError when the
     problem is built, so minimize, shoot and max_principle_residual, which

@@ -108,11 +108,9 @@ def test_solver_doors_reject_paths_of_the_wrong_width_or_node_count(door_twin, d
 
 
 def test_control_set_keeps_what_it_checked():
-    lo, hi, center = -np.ones(2), np.ones(2), np.zeros(2)
+    lo, hi = -np.ones(2), np.ones(2)
     box = ControlSetSpec(kind="box", lo=lo, hi=hi)
-    ball = ControlSetSpec(kind="ball", center=center, radius=1.0)
-    lo[0], center[0] = 5.0, np.nan
+    lo[0] = 5.0
     np.testing.assert_array_equal(box.project_values(np.zeros(2)), [0.0, 0.0])
-    np.testing.assert_array_equal(ball.project_values(np.array([3.0, 0.0])), [1.0, 0.0])
-    for kept in (box.lo, box.hi, ball.center):
+    for kept in (box.lo, box.hi):
         assert not kept.flags.writeable

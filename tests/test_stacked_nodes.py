@@ -139,7 +139,7 @@ def test_cost_callables_stack(name, family, observed):
 CONTROL_SETS = {
     "free": lambda m: ControlSetSpec(),
     "box": lambda m: ControlSetSpec(kind="box", lo=-0.5 * np.ones(m), hi=0.5 * np.ones(m)),
-    "ball": lambda m: ControlSetSpec(kind="ball", center=0.1 * np.ones(m), radius=0.7),
+    "ball": lambda m: ControlSetSpec(kind="ball", radius=0.7),
 }
 
 
