@@ -3,7 +3,7 @@
 The costate solves the backward integral equation driven by a Lebesgue
 term (Heun-corrected) and a left-tag Young term against the observation
 increments, with lambda(T) = 0.  The pointwise Hamiltonian gradient
-D3 phi + lambda g is the L2 gradient of the discretized index with respect
+D3 phi + lambda G is the L2 gradient of the discretized index with respect
 to the piecewise-constant control values, up to the dt weight.
 """
 
@@ -42,11 +42,11 @@ COSTATE_BLOCK_BYTES = 1 << 24
 def costate_sweep(problem: AssimilationProblem, xv, uv):
     """Backward Heun recursion for the costate with lambda(T) = 0, on arrays.
 
-    Per step: predictor/corrector on lambda' = -(lambda M + D2 phi) with
-    M = D2f + (D2g) u (control frozen at the interval's left value), plus
-    the Young increment D2 psi(t_i, x_i) (eta_{i+1} - eta_i).  The node
-    terms are evaluated in stacked calls, a block of nodes at a time, so
-    the step loop does only the Heun arithmetic.
+    Per step: predictor/corrector on lambda' = -(lambda D2f + D2 phi)
+    (control frozen at the interval's left value), plus the Young
+    increment D2 psi(t_i, x_i) (eta_{i+1} - eta_i).  The node terms are
+    evaluated in stacked calls, a block of nodes at a time, so the step
+    loop does only the Heun arithmetic.
 
     ``xv`` (n_nodes, n) and ``uv`` (n_nodes, m) may carry a leading member
     axis (B, ...), as in :func:`rk4_sweep`; the problem's eta is shared.
@@ -64,7 +64,7 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
     lam = np.zeros(members + (grid.n_nodes, n))
     out = np.moveaxis(lam, -2, 0)
     cur = out[-1]
-    node_bytes = 8 * n * n * math.prod(members) * (1 if model.D2g is None else 2)
+    node_bytes = 8 * n * n * math.prod(members)
     block = max(1, COSTATE_BLOCK_BYTES // node_bytes)
     with np.errstate(over="ignore", invalid="ignore"):
         for hi in range(grid.n_steps, 0, -block):
@@ -72,24 +72,19 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
             t0, x0, u0 = times[..., lo:hi], xv[..., lo:hi, :], uv[..., lo:hi, :]
             t1, x1 = times[..., lo + 1 : hi + 1], xv[..., lo + 1 : hi + 1, :]
             vectors = x0.shape  # a constant result comes back unstacked
-            matrices = vectors + (n,)
-            if model.D2g is None:  # one Jacobian per node serves both steps it bounds
-                nodes = xv[..., lo : hi + 1, :]
-                M = np.broadcast_to(model.D2f(times[..., lo : hi + 1], nodes), nodes.shape + (n,))
-                M0, M1 = M[..., :-1, :, :], M[..., 1:, :, :]
-            else:
-                M0 = np.broadcast_to(model.linearization(t0, x0, u0), matrices)
-                M1 = np.broadcast_to(model.linearization(t1, x1, u0), matrices)
+            # One Jacobian per node serves both steps it bounds.
+            nodes = xv[..., lo : hi + 1, :]
+            M = np.broadcast_to(model.D2f(times[..., lo : hi + 1], nodes), nodes.shape + (n,))
             P0 = np.broadcast_to(cost.D2phi(t0, x0, u0), vectors)
             P1 = np.broadcast_to(cost.D2phi(t1, x1, u0), vectors)
             young = np.broadcast_to(np.vecmat(deta[lo:hi], cost.D2psi(t0, x0)), vectors)
             # Node-major views: node k of every member is row k.
-            M0, M1 = np.moveaxis(M0, -3, 0), np.moveaxis(M1, -3, 0)
+            M = np.moveaxis(M, -3, 0)
             P0, P1, young = (np.moveaxis(a, -2, 0) for a in (P0, P1, young))
             for k in range(hi - lo - 1, -1, -1):
-                r1 = np.vecmat(cur, M1[k]) + P1[k]
+                r1 = np.vecmat(cur, M[k + 1]) + P1[k]
                 pred = cur + dt * r1
-                r0 = np.vecmat(pred, M0[k]) + P0[k]
+                r0 = np.vecmat(pred, M[k]) + P0[k]
                 cur = cur + 0.5 * dt * (r1 + r0) + young[k]
                 out[lo + k] = cur
     return lam, first_nonfinite(lam, backward=True)
@@ -109,14 +104,14 @@ def solve_costate(problem: AssimilationProblem, x: SampledPath, u: SampledPath) 
 
 
 def hamiltonian(problem: AssimilationProblem, t, x, lam, v):
-    """H(t, x, lambda, v) = phi(t, x, v) + lambda . (f(t, x) + g(t, x) v)."""
+    """H(t, x, lambda, v) = phi(t, x, v) + lambda . (f(t, x) + G v)."""
     return problem.cost.phi(t, x, v) + np.vecdot(lam, problem.model.drift(t, x, v))
 
 
 def control_gradient(
     problem: AssimilationProblem, x: SampledPath, u: SampledPath, lam: SampledPath
 ) -> SampledPath:
-    """Pointwise Hamiltonian u-gradient G(t_i) = D3 phi + lambda g.
+    """Pointwise Hamiltonian u-gradient D3 phi + lambda G at every node.
 
     The paths are checked by :meth:`AssimilationProblem.check_paths`.
     """
@@ -124,21 +119,21 @@ def control_gradient(
     problem.check_paths(state=x.values, control=u.values, costate=lam.values)
     t = grid.times
     cost, model = problem.cost, problem.model
-    G = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.g(t, x.values))
-    return SampledPath(grid, G)
+    grad = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.G)
+    return SampledPath(grid, grad)
 
 
 def pointwise_hamiltonian_minimizer(problem: AssimilationProblem, t, x, lam):
     """Closed-form arg min over v of H for the quadratic family.
 
-    u* = Proj_U(-S^{-1} g(t, x)' lambda') with U the problem's control
+    u* = Proj_U(-S^{-1} G' lambda') with U the problem's control
     set; requires a quadratic-family cost (``cost.quad``).
     """
     quad = problem.cost.quad
     if quad is None:
         raise UnsupportedCostError("closed-form minimizer needs a quadratic cost")
     # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
-    raw = -np.linalg.solve(quad.S, np.vecmat(lam, problem.model.g(t, x))[..., None])[..., 0]
+    raw = -np.linalg.solve(quad.S, np.vecmat(lam, problem.model.G)[..., None])[..., 0]
     return problem.control_set.project_values(raw)
 
 

@@ -6,8 +6,8 @@ exact for piecewise-constant controls) and the stochastic part as a
 left-tag Young sum against the observation increments.  The quadratic
 family  phi = h'Rh/2 + u'Su/2, psi = -h'R, with R and S constant
 matrices, covers minimum-energy (weak 4D-VAR) estimation; the
-Onsager-Machlup variant adds a -div f correction for constant g, where the
-curvature term vanishes identically.
+Onsager-Machlup variant adds a -div f correction, and the model's constant
+control matrix G makes the curvature term vanish identically.
 
 Every node-wise product is an ``np.matvec``, ``np.vecmat`` or ``np.vecdot``,
 which computes each of a stack of nodes exactly as the one-node ``@`` does;
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import ModelSpec, check_paths
 from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, _count, frozen_array, require_same_grid
+from .grid import SampledPath, _count, frozen_matrix, require_same_grid
 
 if TYPE_CHECKING:  # problem.py imports this module
     from .problem import AssimilationProblem
@@ -75,13 +75,7 @@ class QuadraticCostSpec:
 
     def __post_init__(self):
         for label in ("R", "S"):
-            message = f"{label} must be a nonempty square matrix of finite numbers"
-            try:
-                M = frozen_array(getattr(self, label), label)
-            except InvalidSpecError:  # a callable, a string, a ragged list
-                raise InvalidSpecError(message) from None
-            if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1] or not np.all(np.isfinite(M)):
-                raise InvalidSpecError(f"{message}: shape {M.shape}")
+            M = frozen_matrix(getattr(self, label), label, square=True)
             object.__setattr__(self, label, M)
         R, S = self.R, self.S
         if not np.allclose(S, S.T):
@@ -166,42 +160,39 @@ def build_minimum_energy(q: QuadraticCostSpec) -> CostSpec:
 MAX_METRIC_CONDITION = 1e8
 
 
-def _constant_g_and_divergence(model: ModelSpec):
-    """g and the drift divergence at (0, 0), checked constant at seeded points."""
+def _constant_divergence(model: ModelSpec) -> float:
+    """The drift divergence, the trace of D2f, at (0, 0), checked constant
+    at seeded points."""
     rng = np.random.default_rng(0)
-    x0 = np.zeros(model.state_dim)
-    g0 = np.asarray(model.g(0.0, x0), dtype=float)
-    div0 = model.divergence(0.0, x0)
+    div0 = float(np.trace(model.D2f(0.0, np.zeros(model.state_dim))))
     for _ in range(8):
         t = float(rng.uniform(0.0, 1.0))
         x = rng.normal(size=model.state_dim)
-        if not np.allclose(np.asarray(model.g(t, x), dtype=float), g0):
-            raise UnsupportedCostError("Onsager-Machlup variant requires constant g")
-        if not np.isclose(model.divergence(t, x), div0):
+        if not np.isclose(float(np.trace(model.D2f(t, x))), div0):
             raise UnsupportedCostError(
                 "Onsager-Machlup variant requires a constant drift divergence"
             )
-    return g0, div0
+    return div0
 
 
 def build_onsager_machlup(base: QuadraticCostSpec, model: ModelSpec) -> CostSpec:
-    """phi = h'Rh/2 + u'Gamma u/2 - div f with Gamma = (g g')^{-1}.
+    """phi = h'Rh/2 + u'Gamma u/2 - div f with Gamma = (G G')^{-1}.
 
-    The base's S is replaced by Gamma.  g and the divergence of the drift f
-    are read off the model and must be constant (checked at seeded points):
-    the cost's state gradient ``D2phi`` is the base's, as for the quadratic
-    geophysical class, whose divergence is constant.  The curvature
-    correction of the trajectory MAP functional vanishes for constant g and
-    is omitted.
+    The base's S is replaced by Gamma, read off the model's G.  The
+    divergence of the drift f is the trace of D2f and must be constant
+    (checked at seeded points): the cost's state gradient ``D2phi`` is the
+    base's, as for the quadratic geophysical class, whose divergence is
+    constant.  The curvature correction of the trajectory MAP functional
+    vanishes for a constant G and is omitted.
     """
-    g0, div = _constant_g_and_divergence(model)
-    gg = g0 @ g0.T
+    div = _constant_divergence(model)
+    gg = model.G @ model.G.T
     if np.linalg.cond(gg) >= MAX_METRIC_CONDITION:
-        raise InvalidSpecError("g g' is ill-conditioned; metric inverse unreliable")
+        raise InvalidSpecError("G G' is ill-conditioned; metric inverse unreliable")
     m = model.control_dim
     if gg.shape != (m, m):
         raise InvalidSpecError(
-            f"the metric (g g')^-1 is {gg.shape[0]}x{gg.shape[0]}, "
+            f"the metric (G G')^-1 is {gg.shape[0]}x{gg.shape[0]}, "
             f"but the model has {m} controls"
         )
     gamma = np.linalg.inv(gg)
@@ -262,7 +253,7 @@ def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) 
 def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledPath) -> float:
     """A(x, u) via the classical reformulation after integration by parts.
 
-    Running cost  phi - {D1 psi + D2 psi (f + g u)} . eta(t)  plus the
+    Running cost  phi - {D1 psi + D2 psi (f + G u)} . eta(t)  plus the
     boundary term psi(T, x(T)) . eta(T) - psi(0, x(0)) . eta(0); agrees
     with :func:`eval_cost` under grid refinement for smooth psi.  Raises
     :class:`InvalidSpecError` unless x has n components and u m.

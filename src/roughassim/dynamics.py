@@ -1,10 +1,9 @@
-"""Controlled state equation xdot = f(t,x) + g(t,x) u and its linearization.
+"""Controlled state equation xdot = f(t, x) + G u with a constant matrix G.
 
-Models are plain callables bundled in a :class:`ModelSpec`; controls are
-piecewise constant on [t_i, t_{i+1}) using the left node value, which makes
-the classical RK4 step exact in the control.  The rank-3 Jacobian of g uses
-the convention ``D2g[i, j, k] = d g[i, j] / d x[k]``; every built-in model
-has a state-independent g and leaves it out.
+Models are plain callables bundled with G in a :class:`ModelSpec`;
+controls are piecewise constant on [t_i, t_{i+1}) using the left node
+value, which makes the classical RK4 step exact in the control.  G does not
+depend on x, so the variational equation's coefficient is D2f alone.
 
 A one-member forward sweep of a model that gives its drift in Python floats
 (``ModelSpec.rates``, set by Lorenz'63) steps in floats, not numpy arrays,
@@ -20,23 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, InvalidSpecError
-from .grid import SampledPath, TimeGrid, _count, _number, frozen_array
+from .grid import SampledPath, TimeGrid, _count, _number, frozen_array, frozen_matrix
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Dynamics f, g and their state Jacobians.
+    """Drift f with its state Jacobian, and the constant control matrix G.
 
-    f(t, x) -> (n,), g(t, x) -> (n, m), D2f(t, x) -> (n, n),
-    D2g(t, x) -> (n, m, n), or None (the default) when g does not depend
-    on x.
+    f(t, x) -> (n,), D2f(t, x) -> (n, n); G, checked by
+    :func:`~roughassim.grid.frozen_matrix` and kept as a read-only copy, is
+    (n, m), and the model's ``state_dim`` and ``control_dim`` are n and m.
 
-    Every callable, and :meth:`drift` and :meth:`linearization`, also
-    takes stacked nodes, x (..., n), u (..., m) and t a scalar or an array
-    of the leading shape, and returns row k equal to the call on node k (a
-    constant may come back unstacked).  The sweeps rely on it: the costate
-    evaluates its Jacobians for a block of nodes in one call, and a leading
-    member axis runs independent solves through one RK4 step.
+    f, D2f and :meth:`drift` also take stacked nodes, x (..., n), u
+    (..., m) and t a scalar or an array of the leading shape, and return
+    row k equal to the call on node k (a constant may come back unstacked).
+    The sweeps rely on it: the costate evaluates its Jacobians for a block
+    of nodes in one call, and a leading member axis runs independent solves
+    through one RK4 step.
 
     ``rates(t, x, u)`` is optional: the drift at one node in Python floats.
     It takes x and u as lists of floats and returns a sequence of n floats
@@ -45,27 +44,24 @@ class ModelSpec:
     calls it (see :func:`rk4_sweep`); None, the default, is always correct.
     """
 
-    state_dim: int
-    control_dim: int
     f: callable
-    g: callable
+    G: np.ndarray
     D2f: callable
-    D2g: callable | None = None
     rates: callable | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "G", frozen_matrix(self.G, "G"))
+
+    @property
+    def state_dim(self) -> int:
+        return self.G.shape[0]
+
+    @property
+    def control_dim(self) -> int:
+        return self.G.shape[1]
+
     def drift(self, t, x, u):
-        return self.f(t, x) + np.matvec(self.g(t, x), u)
-
-    def linearization(self, t, x, u):
-        """M(t) = D2f + (D2g) u, the coefficient of the variational equation."""
-        if self.D2g is None:
-            return self.D2f(t, x)
-        # sum_j D2g[..., i, j, k] u[..., j], one row i at a time.
-        return self.D2f(t, x) + np.vecmat(np.expand_dims(u, -2), self.D2g(t, x))
-
-    def divergence(self, t, x) -> float:
-        """Divergence of the drift f: the trace of its state Jacobian."""
-        return float(np.trace(self.D2f(t, x)))
+        return self.f(t, x) + np.matvec(self.G, u)
 
     def rk4_step(self, t, x, u, dt):
         """One classical RK4 step from (t, x) with the control frozen at u."""
@@ -113,7 +109,7 @@ def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
             -b * z - brs + x * y + (u[2] + 0.0),
         ]
 
-    return ModelSpec(3, 3, f, _constant_g(3), D2f, rates=rates)
+    return ModelSpec(f, np.eye(3), D2f, rates=rates)
 
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
@@ -137,34 +133,21 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
         jac[..., idx, im1] += x[..., ip1] - x[..., im2]
         return jac
 
-    return ModelSpec(n, n, f, _constant_g(n), D2f)
+    return ModelSpec(f, np.eye(n), D2f)
 
 
 def linear_model(A, B=None) -> ModelSpec:
     """xdot = A x + B u with constant matrices (B defaults to identity).
 
-    A and B are checked and kept as read-only float copies.
+    A and B are checked and kept as read-only float copies; B is the
+    model's G.
     """
-    A = np.atleast_2d(frozen_array(A, "A"))
+    A = frozen_matrix(np.atleast_2d(frozen_array(A, "A")), "A", square=True)
     n = A.shape[0]
-    if A.shape != (n, n):
-        raise InvalidSpecError("A must be square")
     B = np.atleast_2d(frozen_array(np.eye(n) if B is None else B, "B"))
-    if B.shape[0] != n or B.shape[1] == 0:
-        raise InvalidSpecError("B must have n rows and at least one column")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise InvalidSpecError("A and B must be finite")
-    m = B.shape[1]
-    return ModelSpec(n, m, lambda t, x: np.matvec(A, x), lambda t, x: B, lambda t, x: A)
-
-
-def _constant_g(n):
-    G = np.eye(n)
-
-    def g(t, x):
-        return G
-
-    return g
+    if B.shape[0] != n:
+        raise InvalidSpecError(f"B must have {n} rows, got {B.shape[0]}")
+    return ModelSpec(lambda t, x: np.matvec(A, x), B, lambda t, x: A)
 
 
 def first_nonfinite(values, backward: bool = False):

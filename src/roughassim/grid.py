@@ -101,6 +101,22 @@ def frozen_array(values, label: str) -> np.ndarray:
     return out
 
 
+def frozen_matrix(values, label: str, square: bool = False) -> np.ndarray:
+    """:func:`frozen_array` for a nonempty 2-D matrix of finite numbers,
+    square if asked: anything else, a callable included, raises
+    :class:`InvalidSpecError`."""
+    kind = "square" if square else "2-D"
+    message = f"{label} must be a nonempty {kind} matrix of finite numbers"
+    try:
+        M = frozen_array(values, label)
+    except InvalidSpecError:  # a callable, a string, a ragged list
+        raise InvalidSpecError(message) from None
+    rows, cols = M.shape if M.ndim == 2 else (0, 0)
+    if not (rows and cols and (rows == cols or not square) and np.all(np.isfinite(M))):
+        raise InvalidSpecError(f"{message}: shape {M.shape}")
+    return M
+
+
 class SampledPath:
     """Values of a d-vector valued function at the nodes of a uniform grid.
 

@@ -212,9 +212,17 @@ def minimize_batch(
     step blows up shrinks only its own step, and one that converges or
     stalls leaves the batch.  When a start raises, the starts after it
     stop, and the error of the first start to raise is raised, as a serial
-    loop would.
+    loop would.  Starts that are not such pairs, each control a
+    :class:`SampledPath`, raise :class:`InvalidSpecError`.
     """
-    solvers = [_projected_gradient(problem, xi, u0, config) for xi, u0 in starts]
+    try:
+        pairs = [tuple(start) for start in starts]
+    except TypeError:  # not iterable
+        pairs = [()]
+    if any(len(pair) != 2 or not isinstance(pair[1], SampledPath) for pair in pairs):
+        message = f"starts must be a list of (initial state, control path) pairs, got {starts!r}"
+        raise InvalidSpecError(message)
+    solvers = [_projected_gradient(problem, xi, u0, config) for xi, u0 in pairs]
 
     def answer(requests):
         answers = {}

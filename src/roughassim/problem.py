@@ -1,7 +1,7 @@
 """The assimilation problem: dynamics, index, observation path and control set.
 
 The problem is fixed by four pieces of data: the controlled dynamics
-(f, g), the performance index (phi, psi), the observation path eta and the
+(f, G), the performance index (phi, psi), the observation path eta and the
 closed convex control set U.  :class:`AssimilationProblem` holds them
 together, and its constructor is the one place that decides whether they
 fit; the solvers take a problem and check nothing more about how its

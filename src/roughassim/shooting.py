@@ -39,11 +39,11 @@ NEWTON_TOL = 1e-9
 def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
     """Forward integration of the coupled state/costate system, on arrays.
 
-    The control is eliminated pointwise via u = Proj_U(-S^{-1} g' lambda');
+    The control is eliminated pointwise via u = Proj_U(-S^{-1} G' lambda');
     x advances by the RK4 step of ``integrate_state`` with the control
-    frozen per step, lambda by a Heun predictor/corrector on -D2m plus the
-    left-tag Young increment.  For an arbitrary lambda0 the terminal
-    costate is generally nonzero.
+    frozen per step, lambda by a Heun predictor/corrector on
+    -(D2 phi + lambda D2f) plus the left-tag Young increment.  For an
+    arbitrary lambda0 the terminal costate is generally nonzero.
 
     ``xi`` and ``lambda0`` are each (n,), shared by every member, or
     (B, n), one row per member, as ``xi`` in :func:`rk4_sweep`; two member
@@ -74,7 +74,7 @@ def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
         return pointwise_hamiltonian_minimizer(problem, t, xv, lv)
 
     def d2m(t, xv, lv, uv):
-        return cost.D2phi(t, xv, uv) + np.vecmat(lv, model.linearization(t, xv, uv))
+        return cost.D2phi(t, xv, uv) + np.vecmat(lv, model.D2f(t, xv))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps):
@@ -106,6 +106,11 @@ def _with_fd_columns(lam0: np.ndarray) -> list:
     return points
 
 
+def _norm(v) -> float:
+    with np.errstate(over="ignore"):  # a huge finite v has an infinite norm
+        return float(np.linalg.norm(v))
+
+
 def _damped_newton(grid, n: int):
     """Damped Newton on F(lambda0) = lambda(T; lambda0) from lambda0 = 0, as a
     generator.
@@ -124,7 +129,7 @@ def _damped_newton(grid, n: int):
     F = sol[1][-1]
     best = np.inf
     for _ in range(NEWTON_MAX_ITERS):
-        res = float(np.linalg.norm(F))
+        res = _norm(F)
         best = min(best, res)
         if res < NEWTON_TOL:
             xs, ls, us = (SampledPath(grid, v) for v in sol)
@@ -146,7 +151,7 @@ def _damped_newton(grid, n: int):
                 step *= 0.5
                 continue
             F_new = trial[1][-1]
-            if np.linalg.norm(F_new) < res:
+            if _norm(F_new) < res:
                 lam0 = lam0 - step * delta
                 F, sol, columns = F_new, trial, trial_columns
                 accepted = True

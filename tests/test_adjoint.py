@@ -127,7 +127,7 @@ class TestHamiltonianPieces:
         u = SampledPath(grid, 0.5 * np.ones((grid.n_nodes, 1)))
         lam = SampledPath(grid, 3.0 * np.ones((grid.n_nodes, 1)))
         G = control_gradient(problem, x, u, lam)
-        # D3phi = S u = 1.0; lambda g = 3.0 (g = I)
+        # D3phi = S u = 1.0; lambda G = 3.0 (G = I)
         assert np.allclose(G.values, 4.0)
 
     def test_closed_form_minimizer_zeroes_gradient(self):
@@ -139,7 +139,7 @@ class TestHamiltonianPieces:
         rng = np.random.default_rng(0)
         x, lam = rng.normal(size=3), rng.normal(size=3)
         ustar = pointwise_hamiltonian_minimizer(pointwise_problem(model, cost, 3), 0.0, x, lam)
-        grad = cost.D3phi(0.0, x, ustar) + lam @ model.g(0.0, x)
+        grad = cost.D3phi(0.0, x, ustar) + lam @ model.G
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_minimizer_requires_quadratic_structure(self):

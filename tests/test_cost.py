@@ -83,7 +83,7 @@ class TestQuadraticCostSpec:
             QuadraticCostSpec(h=h, h_jac=h_jac, R=R, S=S)
 
     def test_onsager_machlup_metric_must_match_the_controls(self):
-        # A 1x2 g: (g g')^-1 is 1x1, but the model has two controls.
+        # A 1x2 G: (G G')^-1 is 1x1, but the model has two controls.
         model = linear_model([[-1.0]], [[1.0, 1.0]])
         q = quad_spec(control_dim=2)
         with pytest.raises(InvalidSpecError, match="2 controls"):
@@ -268,18 +268,6 @@ class TestOnsagerMachlup:
         x, u = np.array([1.0, 2.0]), np.array([0.1, 0.2])
         assert om.phi(0.0, x, u) == pytest.approx(me.phi(0.0, x, u))
 
-    def test_nonconstant_g_rejected(self):
-        n = 2
-
-        def g(t, x):
-            return np.eye(n) * (1.0 + x[0] ** 2)
-
-        model = ModelSpec(n, n, lambda t, x: -x, g,
-                          lambda t, x: -np.eye(n), lambda t, x: np.zeros((n, n, n)))
-        q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
-        with pytest.raises(UnsupportedCostError):
-            build_onsager_machlup(q, model)
-
     def test_state_dependent_divergence_rejected(self):
         # xdot = -x^3 + u: the divergence -3 |x|^2 is 0 only at the origin.
         n = 2
@@ -287,7 +275,7 @@ class TestOnsagerMachlup:
         def D2f(t, x):
             return -3.0 * np.expand_dims(x**2, -1) * np.eye(n)
 
-        model = ModelSpec(n, n, lambda t, x: -(x**3), lambda t, x: np.eye(n), D2f)
+        model = ModelSpec(lambda t, x: -(x**3), np.eye(n), D2f)
         q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
         with pytest.raises(UnsupportedCostError, match="divergence"):
             build_onsager_machlup(q, model)

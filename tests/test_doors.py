@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from roughassim import (
     ControlSetSpec,
+    ModelSpec,
     OptimizerConfig,
     QuadraticCostSpec,
     SampledPath,
@@ -32,6 +33,7 @@ from roughassim import (
     lorenz63_model,
     lorenz96_model,
     minimize,
+    minimize_batch,
     p_variation,
     p_variation_bruteforce,
     read_path_csv,
@@ -90,6 +92,7 @@ DOORS = [
          ("R", "S")),
     Door("coordinate_observation", coordinate_observation, dict(indices=[0, 2], state_dim=3),
          ("indices", "state_dim")),
+    Door("ModelSpec", ModelSpec, dict(f=LQ.model.f, G=[[1.0]], D2f=LQ.model.D2f), ("G",)),
     Door("linear_model", linear_model, dict(A=[[-1.0]], B=[[1.0]]), ("A", "B")),
     Door("lorenz63_model", lorenz63_model, dict(sigma=10.0, r=28.0, b=2.5), ("sigma", "r", "b")),
     Door("lorenz96_model", lorenz96_model, dict(n=4, forcing=8.0), ("n", "forcing")),
@@ -97,6 +100,9 @@ DOORS = [
          ("xi",)),
     Door("minimize", minimize,
          dict(problem=LQ, xi=[1.0], u0=U, config=OptimizerConfig(max_iters=3)), ("xi",)),
+    Door("minimize_batch", minimize_batch,
+         dict(problem=LQ, starts=[([1.0], U)], config=OptimizerConfig(max_iters=3)),
+         ("starts",)),
     Door("shoot", shoot, dict(problem=LQ, xi=[1.0]), ("xi",)),
     Door("shoot_batch", shoot_batch, dict(problem=LQ, starts=[[1.0], [0.5]]), ("starts",)),
     Door("hamiltonian_sweep", hamiltonian_sweep, dict(problem=LQ, xi=[1.0], lambda0=[0.0]),
@@ -126,8 +132,6 @@ EXEMPT = {
     "AssimilationResult": "a record of library objects that the solvers build",
     "OptimalTriple": "a record of three paths, which it checks to share a grid",
     "CostSpec": "a record of the cost's callables, which nothing can check without calling",
-    "ModelSpec": "a record of the model's callables; lorenz63_model, lorenz96_model and "
-                 "linear_model are the doors for the model's values",
     "build_minimum_energy": _LIBRARY_OBJECTS,
     "build_onsager_machlup": _LIBRARY_OBJECTS,
     "control_gradient": _LIBRARY_OBJECTS,
@@ -137,8 +141,6 @@ EXEMPT = {
     "oscillation": _LIBRARY_OBJECTS,
     "require_same_grid": _LIBRARY_OBJECTS,
     "solve_costate": _LIBRARY_OBJECTS,
-    "minimize_batch": "each start pairs an initial state with a control path, a library "
-                      "object; minimize probes the same initial-state door",
     "hamiltonian": "a pointwise evaluator, like the model's callables: hamiltonian_sweep "
                    "calls it on its own node arrays at every step",
     "pointwise_hamiltonian_minimizer": "a pointwise evaluator, like the model's callables: "

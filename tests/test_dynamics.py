@@ -130,45 +130,24 @@ def test_linear_model_keeps_what_it_checked():
     A, B = np.array([[-1.0, 2.0], [0.0, -3.0]]), np.array([[1.0], [0.5]])
     model = linear_model(A, B)
     t, x = 0.0, np.array([1.0, 2.0])
-    before = (model.f(t, x), model.D2f(t, x), model.g(t, x))
+    before = (model.f(t, x), model.D2f(t, x), model.G.copy())
     A[0, 0], B[0, 0] = np.nan, np.nan
-    for b, a in zip(before, (model.f(t, x), model.D2f(t, x), model.g(t, x))):
+    for b, a in zip(before, (model.f(t, x), model.D2f(t, x), model.G)):
         np.testing.assert_array_equal(a, b)
+    assert (model.state_dim, model.control_dim) == (2, 1)
+    assert not model.G.flags.writeable
 
 
-def test_linearization_matches_finite_differences():
-    # A state-dependent g = (1 + x0^2) I pins the convention
-    # D2g[i, j, k] = d g[i, j] / d x[k]; the built-in models leave D2g out.
-    n = 2
-    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
-
-    def g(t, x):
-        return (1.0 + x[0] ** 2) * np.eye(n)
-
-    def D2g(t, x):
-        out = np.zeros((n, n, n))
-        out[:, :, 0] = 2.0 * x[0] * np.eye(n)
-        return out
-
-    model = ModelSpec(n, n, lambda t, x: A @ x, g, lambda t, x: A, D2g)
-    x, u = np.array([0.7, -1.2]), np.array([0.3, -0.8])
-    h = 1e-6
-    fd = np.column_stack([
-        (model.drift(0.0, x + h * e, u) - model.drift(0.0, x - h * e, u)) / (2 * h)
-        for e in np.eye(n)
-    ])
-    assert np.allclose(model.linearization(0.0, x, u), fd, rtol=0.0, atol=1e-8)
-
-
-def test_state_independent_g_needs_no_D2g():
-    # D2g left out means g does not depend on x: M is D2f, bit for bit.
-    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
-    B = np.array([[1.0], [0.5]])
-    model = ModelSpec(2, 1, lambda t, x: A @ x, lambda t, x: B, lambda t, x: A)
-    x, u = np.array([0.7, -1.2]), np.array([0.3])
-    assert np.array_equal(model.linearization(0.0, x, u), model.D2f(0.0, x))
-    for built_in in (lorenz63_model(), lorenz96_model(), linear_model(A, B)):
-        assert built_in.D2g is None
+@pytest.mark.parametrize("G", [
+    pytest.param(lambda t, x: np.eye(2), id="callable"),
+    pytest.param([1.0, 0.5], id="vector"),
+    pytest.param(np.empty((2, 0)), id="no-columns"),
+    pytest.param([[1.0, np.nan], [0.0, 1.0]], id="nan"),
+])
+def test_control_matrix_is_a_finite_matrix(G):
+    # The old callable g(t, x) is refused by name, not called later.
+    with pytest.raises(InvalidSpecError, match="G must be"):
+        ModelSpec(lambda t, x: -x, G, lambda t, x: -np.eye(2))
 
 
 class TestIntegrateState:

@@ -149,6 +149,29 @@ class TestLoadConfig:
             load_config(cfg)
         assert err.type.__name__ in ("InvalidSpecError", "InvalidParameterError")
 
+    @pytest.mark.parametrize("n, B, m", [
+        (1, 1.0, 1),
+        (1, [1.0], 1),
+        (1, [[1.0, 0.0]], 2),
+        (2, [1.0, 0.5], None),  # read as one row, not the two the states need
+        (2, [[1.0], [0.5]], 1),
+        (2, [[float("inf")], [0.5]], None),
+        (1, [[]], None),
+        (2, None, 2),
+    ])
+    def test_linear_control_matrix_verdicts(self, n, B, m):
+        # m is the control count of an accepted B; None marks a refused one.
+        start = [1.0] * n
+        cfg = lorenz_config(model={"name": "linear", "params": {"A": (-np.eye(n)).tolist(),
+                                                                "B": B}},
+                            truth={"initial_state": start},
+                            assimilation={"initial_state": start})
+        if m is None:
+            with pytest.raises(InvalidSpecError):
+                load_config(cfg)
+        else:
+            assert load_config(cfg).model.control_dim == m
+
     def test_sections_are_their_constructors_keywords(self):
         # Each spelling the parser took before still loads: a null B, scalar
         # and vector bounds, a ball, explicit Lorenz parameters.

@@ -93,13 +93,11 @@ def costate_reference(problem, x, u):
     cur = np.zeros(model.state_dim)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps - 1, -1, -1):
-            r1 = cur @ model.linearization(times[i + 1], xv[i + 1], uv[i]) + cost.D2phi(
+            r1 = cur @ model.D2f(times[i + 1], xv[i + 1]) + cost.D2phi(
                 times[i + 1], xv[i + 1], uv[i]
             )
             pred = cur + dt * r1
-            r0 = pred @ model.linearization(times[i], xv[i], uv[i]) + cost.D2phi(
-                times[i], xv[i], uv[i]
-            )
+            r0 = pred @ model.D2f(times[i], xv[i]) + cost.D2phi(times[i], xv[i], uv[i])
             cur = cur + 0.5 * dt * (r1 + r0) + deta[i] @ cost.D2psi(times[i], xv[i])
             if not np.all(np.isfinite(cur)):
                 raise BlowUpError(i)
@@ -128,10 +126,7 @@ def test_multistart_batch_equals_serial_starts(raw):
 
 def riccati_model():
     """xdot = x^2 + u: blows up in finite time once the control pushes x up."""
-    return ModelSpec(
-        1, 1, lambda t, x: x * x, lambda t, x: np.ones(np.shape(x) + (1,)),
-        lambda t, x: 2.0 * x[..., None],
-    )
+    return ModelSpec(lambda t, x: x * x, [[1.0]], lambda t, x: 2.0 * x[..., None])
 
 
 def riccati_problem(slope=2.0):
@@ -230,35 +225,6 @@ def test_rk4_sweep_members_equal_one_member_sweeps(model):
         assert blown[3] > 0 and (np.delete(blown, 3) == -1).all()
 
 
-def state_dependent_g_model():
-    """g = (1 + x0^2) I, the D2g convention of test_dynamics, in stacked form."""
-    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
-
-    def g(t, x):
-        return (1.0 + x[..., 0, None, None] ** 2) * np.eye(2)
-
-    def D2g(t, x):
-        out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-        out[..., :, :, 0] = 2.0 * x[..., 0, None, None] * np.eye(2)
-        return out
-
-    return ModelSpec(2, 2, lambda t, x: np.matvec(A, x), g, lambda t, x: A, D2g)
-
-
-def d2g_problem():
-    model = state_dependent_g_model()
-    h, h_jac = coordinate_observation([0], 2)
-    cost = build_minimum_energy(
-        QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(1), S=np.eye(2))
-    )
-    grid = TimeGrid(1.0, 256)
-    rng = np.random.default_rng(8)
-    u = SampledPath(grid, 0.3 * rng.normal(size=(grid.n_nodes, 2)))
-    x = integrate_state(model, u, np.array([0.4, -0.3]), grid)
-    eta = SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, 1)), 0))
-    return AssimilationProblem(model, cost, eta), x, u
-
-
 @pytest.mark.parametrize("block_bytes", [adjoint.COSTATE_BLOCK_BYTES, 1, 8 * 9 * 9 * 37])
 def test_costate_sweep_equals_the_per_step_loop(monkeypatch, block_bytes):
     # One block, one node per block, and blocks that do not divide the grid.
@@ -268,12 +234,6 @@ def test_costate_sweep_equals_the_per_step_loop(monkeypatch, block_bytes):
     u = SampledPath(grid, np.random.default_rng(1).normal(size=(grid.n_nodes, 3)))
     ref = costate_reference(problem, truth, u)
     assert np.array_equal(solve_costate(problem, truth, u).values, ref)
-    # With D2g the linearization is contracted with the control; the stacked
-    # contraction may move the last bit.
-    problem, x, u = d2g_problem()
-    lam = solve_costate(problem, x, u).values
-    ref = costate_reference(problem, x, u)
-    np.testing.assert_allclose(lam, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_costate_sweep_members_equal_one_member_sweeps():
@@ -340,7 +300,7 @@ def hamiltonian_reference(problem, xi, lambda0):
         return pointwise_hamiltonian_minimizer(problem, t, xv, lv)
 
     def d2m(t, xv, lv, uv):
-        return cost.D2phi(t, xv, uv) + lv @ model.linearization(t, xv, uv)
+        return cost.D2phi(t, xv, uv) + lv @ model.D2f(t, xv)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(grid.n_steps):
@@ -365,8 +325,7 @@ def riccati2_problem():
     From (0.3, 0.5) shooting converges; raising either coordinate by 0.8
     blows the free solve up, the second coordinate at an earlier node.
     """
-    model = ModelSpec(2, 2, lambda t, x: x * x, lambda t, x: np.eye(2),
-                      lambda t, x: 2.0 * x[..., None] * np.eye(2))
+    model = ModelSpec(lambda t, x: x * x, np.eye(2), lambda t, x: 2.0 * x[..., None] * np.eye(2))
     h, h_jac = coordinate_observation([0, 1], 2)
     cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(2), S=np.eye(2)))
     return AssimilationProblem(model, cost, zero_eta(TimeGrid(1.0, 64), 2))

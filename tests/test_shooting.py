@@ -209,3 +209,11 @@ def test_initial_state_must_be_finite(solve, bad):
     problem, xi, truth = make_lorenz_twin(n_steps=16, T=0.1)
     with pytest.raises(InvalidSpecError, match=r"initial (state|costate) must be finite"):
         solve(problem, np.array([1.0, bad, 25.0]))
+
+
+def test_huge_finite_start_fails_to_converge_without_a_warning():
+    # lambda(T) stays finite, but its squared norm overflows; the Newton
+    # residual is then inf, not a RuntimeWarning escaping shoot.
+    problem = scalar_lq(TimeGrid(0.5, 4))
+    with pytest.raises(NoConvergenceError):
+        shoot(problem, [1e200])

@@ -18,7 +18,7 @@ from roughassim.cost import (
     build_onsager_machlup,
     coordinate_observation,
 )
-from roughassim.dynamics import ModelSpec, linear_model, lorenz63_model, lorenz96_model
+from roughassim.dynamics import linear_model, lorenz63_model, lorenz96_model
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.problem import AssimilationProblem, ControlSetSpec
 
@@ -35,7 +35,7 @@ MODELS = {
         np.random.default_rng(1).normal(size=(3, 3)), np.random.default_rng(2).normal(size=(3, 2))
     ),
 }
-# The Onsager-Machlup metric (g g')^-1 needs as many controls as states.
+# The Onsager-Machlup metric (G G')^-1 needs as many controls as states.
 COSTS = [
     (name, family)
     for name in MODELS
@@ -79,7 +79,7 @@ def assert_stacks(fn, *args):
     """fn on the stacked args equals the stack of fn on each node's args."""
     stacked = fn(*args)
     rows = np.array([fn(*(a[k] for a in args)) for k in range(N_NODES)])
-    # A constant result (g, h_jac, D2psi) may come back unstacked.
+    # A constant result (h_jac, D2psi) may come back unstacked.
     assert np.array_equal(np.broadcast_to(stacked, rows.shape), rows)
 
 
@@ -88,7 +88,6 @@ def test_model_callables_stack(name):
     model = MODELS[name]()
     t, x, _, u = nodes(model)
     assert_stacks(model.f, t, x)
-    assert_stacks(model.g, t, x)
     assert_stacks(model.drift, t, x, u)
 
 
@@ -97,31 +96,6 @@ def test_model_jacobians_stack(name):
     model = MODELS[name]()
     t, x, _, u = nodes(model)
     assert_stacks(model.D2f, t, x)
-    assert_stacks(model.linearization, t, x, u)
-
-
-def test_linearization_with_D2g_stacks():
-    # The state-dependent g = (1 + x0^2) I of test_dynamics, written for
-    # stacked nodes.  Contracting D2g with u may move the last bit against
-    # a one-node einsum, so this compares to a tolerance.
-    n = 2
-    A = np.array([[-1.0, 2.0], [0.5, -3.0]])
-
-    def g(t, x):
-        return (1.0 + x[..., 0, None, None] ** 2) * np.eye(n)
-
-    def D2g(t, x):
-        out = np.zeros(np.shape(x)[:-1] + (n, n, n))
-        out[..., :, :, 0] = 2.0 * x[..., 0, None, None] * np.eye(n)
-        return out
-
-    model = ModelSpec(n, n, lambda t, x: np.matvec(A, x), g, lambda t, x: A, D2g)
-    t, x, _, u = nodes(model)
-    stacked = model.linearization(t, x, u)
-    rows = [model.linearization(t[k], x[k], u[k]) for k in range(N_NODES)]
-    einsum = [A + np.einsum("ijk,j->ik", D2g(t[k], x[k]), u[k]) for k in range(N_NODES)]
-    np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(stacked, einsum, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("observed", ["full", "partial"])
