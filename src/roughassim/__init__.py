@@ -37,12 +37,9 @@ from .dynamics import (
 )
 from .errors import (
     BlowUpError,
-    GridMismatchError,
-    InvalidParameterError,
     InvalidSpecError,
     NoConvergenceError,
     RoughAssimError,
-    UnsupportedCostError,
 )
 from .grid import (
     SampledPath,
@@ -72,8 +69,6 @@ __all__ = [
     "BlowUpError",
     "ControlSetSpec",
     "CostSpec",
-    "GridMismatchError",
-    "InvalidParameterError",
     "InvalidSpecError",
     "ModelSpec",
     "NoConvergenceError",
@@ -83,7 +78,6 @@ __all__ = [
     "RoughAssimError",
     "SampledPath",
     "TimeGrid",
-    "UnsupportedCostError",
     "build_minimum_energy",
     "build_observation",
     "build_onsager_machlup",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import first_nonfinite
-from .errors import BlowUpError, InvalidParameterError, UnsupportedCostError
+from .errors import BlowUpError, InvalidSpecError
 from .grid import SampledPath, frozen_array, require_same_grid
 from .problem import AssimilationProblem
 from .roughpath import wiener_rng
@@ -131,7 +131,7 @@ def pointwise_hamiltonian_minimizer(problem: AssimilationProblem, t, x, lam):
     """
     quad = problem.cost.quad
     if quad is None:
-        raise UnsupportedCostError("closed-form minimizer needs a quadratic cost")
+        raise InvalidSpecError("closed-form minimizer needs a quadratic cost")
     # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
     raw = -np.linalg.solve(quad.S, np.vecmat(lam, problem.model.G)[..., None])[..., 0]
     return problem.control_set.project_values(raw)
@@ -225,13 +225,13 @@ def duality_check(M, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
     grid = require_same_grid(a, b)
     n = a.dim
     if b.dim != n:
-        raise InvalidParameterError(f"a has {n} components, b {b.dim}")
+        raise InvalidSpecError(f"a has {n} components, b {b.dim}")
     checked = []
     for label, value, shape in (("M", M, (grid.n_nodes, n, n)), ("zeta0", zeta0, (n,)),
                                 ("lambdaT", lambdaT, (n,))):
         value = frozen_array(value, label)
         if value.shape != shape:
-            raise InvalidParameterError(f"{label} must have shape {shape}, got {value.shape}")
+            raise InvalidSpecError(f"{label} must have shape {shape}, got {value.shape}")
         checked.append(value)
     M, zeta0, lambdaT = checked
     return float(duality_sweep(grid, M, a.values, b.values, zeta0, lambdaT))

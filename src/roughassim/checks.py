@@ -20,9 +20,9 @@ from .adjoint import (
 )
 from .cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation, eval_cost
 from .dynamics import integrate_state, linear_model, rk4_sweep
-from .errors import BlowUpError, InvalidParameterError
+from .errors import BlowUpError, InvalidSpecError
 from .experiments import build_cost, load_config, simulate_truth
-from .grid import SampledPath, TimeGrid
+from .grid import SampledPath, TimeGrid, _seed
 from .problem import AssimilationProblem
 from .roughpath import (
     oscillation,
@@ -297,13 +297,12 @@ def suite_valueprobe(seed: int = 0) -> list:
 
 def run_suite(suite: str, seed: int = 0) -> dict:
     """Run one named suite (or "all") and return the report payload."""
+    _seed(seed, "seed")  # whether or not the suite draws from it
     names = SUITES if suite == "all" else (suite,)
     all_checks = []
     for name in names:
         if name not in SUITES:
-            raise InvalidParameterError(
-                f"unknown suite {name!r}; choose from {('all',) + SUITES}"
-            )
+            raise InvalidSpecError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
         # Looked up by name at call time, so a wrapper bound to the module
         # attribute (a profiler or tracer) sees the suite call.
         for rec in globals()[f"suite_{name}"](seed):

@@ -1,10 +1,10 @@
 """Command-line surface: simulate, assimilate, check, value-probe.
 
-Exit codes: 0 success, 1 check failure, 2 non-convergence or blow-up,
-3 invalid config, input file or command line.  Every error the package
-raises is typed (:class:`RoughAssimError`); :class:`_ExitCodes` turns it
-into a one-line message on stderr and its exit code, so no command handles
-errors itself.
+Exit codes: 0 success, 1 check failure, 2 non-convergence or blow-up
+(:class:`NoConvergenceError`, :class:`BlowUpError`), 3 invalid config,
+input file or command line (:class:`InvalidSpecError` or a usage error).
+:class:`_ExitCodes` turns each into a one-line message on stderr and its
+exit code, so no command handles errors itself.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .dynamics import ModelSpec, check_paths
-from .errors import BlowUpError, InvalidSpecError, UnsupportedCostError
-from .grid import SampledPath, _count, frozen_matrix, require_same_grid
+from .errors import BlowUpError, InvalidSpecError
+from .grid import SampledPath, _count, _positive_count, frozen_matrix, require_same_grid
 
 if TYPE_CHECKING:  # problem.py imports this module
     from .problem import AssimilationProblem
@@ -99,9 +99,7 @@ class QuadraticCostSpec:
 
 def coordinate_observation(indices, state_dim: int):
     """h projecting onto the listed state coordinates, with its Jacobian."""
-    state_dim = _count(state_dim, "state_dim")
-    if state_dim < 1:
-        raise InvalidSpecError(f"state_dim must be at least 1, got {state_dim}")
+    state_dim = _positive_count(state_dim, "state_dim")
     try:
         indices = [_count(i, "an observation index") for i in indices]
     except TypeError:  # not iterable
@@ -169,9 +167,7 @@ def _constant_divergence(model: ModelSpec) -> float:
         t = float(rng.uniform(0.0, 1.0))
         x = rng.normal(size=model.state_dim)
         if not np.isclose(float(np.trace(model.D2f(t, x))), div0):
-            raise UnsupportedCostError(
-                "Onsager-Machlup variant requires a constant drift divergence"
-            )
+            raise InvalidSpecError("Onsager-Machlup variant requires a constant drift divergence")
     return div0
 
 
@@ -256,11 +252,12 @@ def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledP
     Running cost  phi - {D1 psi + D2 psi (f + G u)} . eta(t)  plus the
     boundary term psi(T, x(T)) . eta(T) - psi(0, x(0)) . eta(0); agrees
     with :func:`eval_cost` under grid refinement for smooth psi.  Raises
-    :class:`InvalidSpecError` unless x has n components and u m.
+    :class:`InvalidSpecError` unless the cost has D1psi, x has n components
+    and u m.
     """
     cost, model, eta = problem.cost, problem.model, problem.eta
     if cost.D1psi is None:
-        raise UnsupportedCostError("eval_cost_by_parts needs the time derivative of psi")
+        raise InvalidSpecError("eval_cost_by_parts needs the time derivative of psi")
     grid = require_same_grid(x, u, eta)
     problem.check_paths(state=x.values, control=u.values)
     times = grid.times

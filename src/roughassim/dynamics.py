@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, GridMismatchError, InvalidSpecError
-from .grid import SampledPath, TimeGrid, _count, _number, frozen_array, frozen_matrix
+from .errors import BlowUpError, InvalidSpecError
+from .grid import SampledPath, TimeGrid, _count, _number, _positive_number, frozen_array
+from .grid import frozen_matrix
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,8 @@ def lorenz63_drift(state, sigma=10.0, r=28.0, b=8.0 / 3.0) -> np.ndarray:
 
 def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
     """Lorenz'63 in the shifted form of :func:`lorenz63_drift`, controlled in every state."""
-    sigma, r, b = _number(sigma, "sigma"), _number(r, "r"), _number(b, "b")
-    if not all(0 < p < np.inf for p in (sigma, r, b)):  # NaN fails too
-        raise InvalidSpecError("Lorenz'63 parameters must be positive and finite")
+    sigma = _positive_number(sigma, "sigma")
+    r, b = _positive_number(r, "r"), _positive_number(b, "b")
     s, brs = sigma, b * (r + sigma)
 
     def f(t, state):
@@ -184,9 +184,8 @@ def check_paths(n: int, m: int, n_nodes=None, *, state=None, control=None, costa
     """The member shape that a sweep's paths, each (..., n_nodes, k) or None, share.
 
     Raises :class:`InvalidSpecError` unless the state and the costate have
-    n components, the control m, and all one member shape, and
-    :class:`GridMismatchError` unless each has ``n_nodes`` nodes (None
-    skips that check): the one rule for a batch of paths.
+    n components, the control m, each ``n_nodes`` nodes (None skips that
+    check) and all one member shape: the one rule for a batch of paths.
     """
     members = None
     for name, values, k in (("state", state, n), ("control", control, m), ("costate", costate, n)):
@@ -195,7 +194,7 @@ def check_paths(n: int, m: int, n_nodes=None, *, state=None, control=None, costa
         if values.shape[-1] != k:
             raise InvalidSpecError(f"{name} has {values.shape[-1]} components, not {k}")
         if n_nodes is not None and values.shape[-2] != n_nodes:
-            raise GridMismatchError(f"{name} has {values.shape[-2]} nodes, the grid {n_nodes}")
+            raise InvalidSpecError(f"{name} has {values.shape[-2]} nodes, the grid {n_nodes}")
         if members is None:
             members = values.shape[:-2]
         elif values.shape[:-2] != members:
@@ -265,7 +264,7 @@ def integrate_state(model: ModelSpec, u: SampledPath, xi, grid: TimeGrid) -> Sam
     Raises :class:`BlowUpError` at the first non-finite node.
     """
     if not u.grid.matches(grid):
-        raise GridMismatchError(f"grids differ: {u.grid} vs {grid}")
+        raise InvalidSpecError(f"grids differ: {u.grid} vs {grid}")
     values, blown = rk4_sweep(model, u.values, xi, grid)
     if blown >= 0:
         raise BlowUpError(int(blown))

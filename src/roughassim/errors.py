@@ -5,20 +5,11 @@ class RoughAssimError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidParameterError(RoughAssimError, ValueError):
-    """A numeric argument is outside its admissible range."""
-
-
-class GridMismatchError(RoughAssimError, ValueError):
-    """Two paths do not live on the same time grid."""
-
-
 class InvalidSpecError(RoughAssimError, ValueError):
-    """A model or cost specification violates its invariants."""
-
-
-class UnsupportedCostError(RoughAssimError, ValueError):
-    """The cost specification lacks data required by the operation."""
+    """An input breaks a rule: a value of the wrong kind or out of its range,
+    paths on different grids or of the wrong shape, a model or cost that
+    violates its invariants or lacks what the operation needs, or a file
+    that cannot be read or written."""
 
 
 class BlowUpError(RoughAssimError, RuntimeError):

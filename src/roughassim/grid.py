@@ -15,7 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError, InvalidSpecError
+from .errors import InvalidSpecError
 
 #: Relative tolerance used when validating uniform node spacing on read.
 SPACING_RTOL = 1e-9
@@ -29,13 +29,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "T", _number(self.T, "T"))
-        if not (0.0 < self.T < np.inf):
-            raise InvalidParameterError(f"horizon must be positive and finite, got T={self.T}")
-        n = _count(self.n_steps, "n_steps")
-        if n < 1:
-            raise InvalidParameterError(f"n_steps must be a positive integer, got {n}")
-        object.__setattr__(self, "n_steps", n)
+        object.__setattr__(self, "T", _positive_number(self.T, "T"))
+        object.__setattr__(self, "n_steps", _positive_count(self.n_steps, "n_steps"))
 
     @property
     def dt(self) -> float:
@@ -58,8 +53,8 @@ class TimeGrid:
 
 def _number(value, label: str) -> float:
     """``value`` as a float: the one rule for a real scalar, which each door
-    follows with its own range check.  A boolean, a string or an integer
-    beyond the float range raises :class:`InvalidSpecError`."""
+    follows with a range rule below or its own.  A boolean, a string or an
+    integer beyond the float range raises :class:`InvalidSpecError`."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidSpecError(f"{label} must be a number, got {value!r}")
     try:
@@ -70,9 +65,9 @@ def _number(value, label: str) -> float:
 
 def _count(value, label: str) -> int:
     """``value`` as an int: the one rule for a count (a size, an index, a
-    seed), which each door follows with its own range check.  A Python or
-    numpy integer passes; a boolean, a float (8.0 too), a string or an
-    integer beyond the float range raises :class:`InvalidSpecError`."""
+    seed), which each door follows with a range rule below or its own.  A
+    Python or numpy integer passes; a boolean, a float (8.0 too), a string
+    or an integer beyond the float range raises :class:`InvalidSpecError`."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidSpecError(f"{label} must be an integer, got {value!r}")
     try:
@@ -80,6 +75,47 @@ def _count(value, label: str) -> int:
     except OverflowError:
         raise InvalidSpecError(f"{label} must be an integer within the float range") from None
     return int(value)
+
+
+def _positive_count(value, label: str) -> int:
+    """The positive-count rule: a count of at least 1."""
+    k = _count(value, label)
+    if k < 1:
+        raise InvalidSpecError(f"{label} must be a positive integer, got {k}")
+    return k
+
+
+def _positive_number(value, label: str) -> float:
+    """The positive-number rule: a number in (0, inf)."""
+    x = _number(value, label)
+    if not 0.0 < x < np.inf:  # NaN fails too
+        raise InvalidSpecError(f"{label} must be positive and finite, got {x}")
+    return x
+
+
+def _exponent(value, label: str) -> float:
+    """The p-variation exponent rule: a number in [1, inf)."""
+    x = _number(value, label)
+    if not 1.0 <= x < np.inf:  # NaN fails too
+        raise InvalidSpecError(f"{label} must be in [1, inf), got {x}")
+    return x
+
+
+def _noise_scale(value) -> float:
+    """The noise-scale rule: a number in [0, inf)."""
+    x = _number(value, "noise_scale")
+    if not 0.0 <= x < np.inf:  # NaN fails too
+        raise InvalidSpecError(f"noise_scale must be finite and nonnegative, got {x}")
+    return x
+
+
+def _seed(value, label: str) -> int:
+    """The seed rule: a count in [0, 2**64).  The Philox key is seed +
+    stream * 2**64, so a larger seed or stream would draw another's numbers."""
+    k = _count(value, label)
+    if not 0 <= k < 1 << 64:
+        raise InvalidSpecError(f"{label} must be in [0, 2**64), got {k}")
+    return k
 
 
 def frozen_array(values, label: str) -> np.ndarray:
@@ -132,13 +168,11 @@ class SampledPath:
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2 or values.shape[1] == 0:
-            raise InvalidParameterError(f"path values must be (n_nodes, d >= 1): {values.shape}")
+            raise InvalidSpecError(f"path values must be (n_nodes, d >= 1): {values.shape}")
         if values.shape[0] != grid.n_nodes:
-            raise InvalidParameterError(
-                f"expected {grid.n_nodes} rows of values, got {values.shape[0]}"
-            )
+            raise InvalidSpecError(f"expected {grid.n_nodes} rows of values, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
-            raise InvalidParameterError("path values must be finite")
+            raise InvalidSpecError("path values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -163,18 +197,13 @@ class SampledPath:
 
     @classmethod
     def zeros(cls, grid: TimeGrid, d: int) -> "SampledPath":
-        d = _count(d, "d")
-        if d < 1:
-            raise InvalidParameterError(f"a path has at least one component, got d={d}")
-        return cls(grid, np.zeros((grid.n_nodes, d)))
+        return cls(grid, np.zeros((grid.n_nodes, _positive_count(d, "d"))))
 
     def restrict(self, stride: int) -> "SampledPath":
         """Keep every ``stride``-th node (nested coarsening of the grid)."""
-        stride = _count(stride, "stride")
-        if stride < 1:
-            raise InvalidParameterError(f"stride must be a positive integer, got {stride}")
+        stride = _positive_count(stride, "stride")
         if self.grid.n_steps % stride != 0:
-            raise InvalidParameterError("stride must divide n_steps")
+            raise InvalidSpecError("stride must divide n_steps")
         coarse = TimeGrid(self.grid.T, self.grid.n_steps // stride)
         return SampledPath(coarse, self.values[::stride])
 
@@ -187,11 +216,11 @@ def ObservationPath(*, path: SampledPath, seed, noise_scale) -> SampledPath:
 
 
 def require_same_grid(*paths):
-    """Raise :class:`GridMismatchError` unless all paths share one grid."""
+    """Raise :class:`InvalidSpecError` unless all paths share one grid."""
     g0 = paths[0].grid
     for p in paths[1:]:
         if not g0.matches(p.grid):
-            raise GridMismatchError(f"grids differ: {g0} vs {p.grid}")
+            raise InvalidSpecError(f"grids differ: {g0} vs {p.grid}")
     return g0
 
 
@@ -213,7 +242,7 @@ def write_path_csv(path: SampledPath, filename: str | os.PathLike) -> None:
         with open(filename, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as err:
-        raise InvalidParameterError(f"cannot write path file: {err}") from err
+        raise InvalidSpecError(f"cannot write path file: {err}") from err
 
 
 def read_path_csv(filename: str | os.PathLike) -> SampledPath:
@@ -227,15 +256,15 @@ def read_path_csv(filename: str | os.PathLike) -> SampledPath:
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
     except (OSError, ValueError) as err:
-        raise InvalidParameterError(f"unreadable path file: {err}") from err
+        raise InvalidSpecError(f"unreadable path file: {err}") from err
     times, values = data[:, 0], data[:, 1:]
     if len(times) < 2:
-        raise InvalidParameterError("path file must contain at least two nodes")
+        raise InvalidSpecError("path file must contain at least two nodes")
     dts = np.diff(times)
     dt = dts[0]
     if dt <= 0 or not np.allclose(dts, dt, rtol=SPACING_RTOL, atol=0.0):
-        raise InvalidParameterError("node times are not uniformly spaced")
+        raise InvalidSpecError("node times are not uniformly spaced")
     if abs(times[0]) > SPACING_RTOL * abs(times[-1]):
-        raise InvalidParameterError("path must start at t = 0")
+        raise InvalidSpecError("path must start at t = 0")
     grid = TimeGrid(float(times[-1]), len(times) - 1)
     return SampledPath(grid, values)

@@ -28,7 +28,7 @@ from .adjoint import (
 from .cost import eval_cost
 from .dynamics import initial_state, integrate_state, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
-from .grid import SampledPath, TimeGrid, _count, _number, require_same_grid
+from .grid import SampledPath, TimeGrid, _positive_count, _positive_number, require_same_grid
 from .problem import AssimilationProblem
 
 
@@ -47,13 +47,9 @@ class OptimizerConfig:
     multistart: int = 1
 
     def __post_init__(self):
-        if not 0 < _number(self.grad_tol, "grad_tol") < np.inf:
-            raise InvalidSpecError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        _positive_number(self.grad_tol, "grad_tol")
         for label in ("max_iters", "multistart"):
-            k = _count(getattr(self, label), label)
-            if k < 1:
-                raise InvalidSpecError(f"{label} must be positive, got {k}")
-            object.__setattr__(self, label, k)
+            object.__setattr__(self, label, _positive_count(getattr(self, label), label))
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 from .cost import CostSpec, check_observation
 from .dynamics import ModelSpec, check_paths
 from .errors import InvalidSpecError
-from .grid import SampledPath, _number, frozen_array
+from .grid import SampledPath, _number, _positive_number, frozen_array
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,14 @@ class ControlSetSpec:
                     raise InvalidSpecError(f"the control set's {label} must be finite")
                 object.__setattr__(self, label, value)
         if self.radius is not None or self.kind == "ball":
-            object.__setattr__(self, "radius", _number(self.radius, "radius"))
+            rule = _positive_number if self.kind == "ball" else _number
+            object.__setattr__(self, "radius", rule(self.radius, "radius"))
         lo, hi = self.lo, self.hi
         # Bounds of one shape, or one of them a single number.
         if self.kind == "box" and not (
             (lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)
         ):
             raise InvalidSpecError("box bounds need lo <= hi componentwise")
-        if self.kind == "ball" and not 0 < self.radius < np.inf:
-            raise InvalidSpecError(f"a ball needs a positive finite radius, got {self.radius}")
 
     def check(self, m: int) -> None:
         """Reject box bounds that do not broadcast to m controls."""
@@ -79,12 +78,12 @@ class ControlSetSpec:
 class AssimilationProblem:
     """The dynamics, the index, the observation path and U, checked to fit.
 
-    With n states and m controls, the constructor raises
-    :class:`InvalidSpecError` unless, for a quadratic-family cost, h's
-    Jacobian has n columns, h gives as many components as R has rows and
-    S is m x m; unless eta has as many components as psi; and unless the
-    control set fits m controls.  The shapes are read off one evaluation
-    at the first node of eta's grid and the zero state.
+    With G n x m, the constructor raises :class:`InvalidSpecError` unless
+    f gives shape (n,) and D2f (n, n); unless, for a quadratic-family cost,
+    h's Jacobian has n columns, h gives as many components as R has rows
+    and S is m x m; unless eta has as many components as psi; and unless
+    the control set fits m controls.  The shapes are read off one
+    evaluation at the first node of eta's grid and the zero state.
     """
 
     model: ModelSpec
@@ -95,6 +94,9 @@ class AssimilationProblem:
     def __post_init__(self):
         n, m = self.model.state_dim, self.model.control_dim
         t0, x0 = self.eta.grid.times[0], np.zeros(n)
+        drift, jac = np.shape(self.model.f(t0, x0)), np.shape(self.model.D2f(t0, x0))
+        if (drift, jac) != ((n,), (n, n)):
+            raise InvalidSpecError(f"f gives shape {drift} and D2f {jac}, but G is {n}x{m}")
         quad = self.cost.quad
         if quad is not None:
             # The Jacobian first: an h built for another n fails when evaluated.

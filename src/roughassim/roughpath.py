@@ -20,8 +20,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .grid import SampledPath, TimeGrid, _count, _number, require_same_grid
+from .errors import InvalidSpecError
+from .grid import SampledPath, TimeGrid, _exponent, _noise_scale, _positive_count, _seed
+from .grid import require_same_grid
 
 #: Node cap for the O(N^2) variation dynamic program.
 MAX_PVAR_NODES = 4097
@@ -128,14 +129,11 @@ def p_variation(path: SampledPath, p: float) -> float:
     ``MAX_PVAR_NODES`` nodes (counted before that reduction) to keep the
     diagnostic affordable.
     """
-    if not 1 <= _number(p, "p") < np.inf:  # NaN fails too
-        raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
+    p = _exponent(p, "p")
     values = path.values
     if values.shape[0] > MAX_PVAR_NODES:
-        raise InvalidParameterError(
-            f"path has {values.shape[0]} nodes, above the cap of {MAX_PVAR_NODES}"
-        )
-    return _max_dissection_sum(values, float(p)) ** (1.0 / p)
+        raise InvalidSpecError(f"path has {len(values)} nodes, above the cap of {MAX_PVAR_NODES}")
+    return _max_dissection_sum(values, p) ** (1.0 / p)
 
 
 def p_variation_bruteforce(path: SampledPath, p: float) -> float:
@@ -146,14 +144,13 @@ def p_variation_bruteforce(path: SampledPath, p: float) -> float:
     their terms are gathered and each row is summed.  Shares only the
     distance kernel with :func:`p_variation`, not its dynamic program.
     """
-    if not 1 <= _number(p, "p") < np.inf:  # NaN fails too
-        raise InvalidParameterError(f"p-variation requires 1 <= p < inf, got p={p}")
+    p = _exponent(p, "p")
     values = path.values
     n = values.shape[0]
     if n < 2:
         return 0.0
     if n > 22:
-        raise InvalidParameterError("brute force is exponential; use p_variation")
+        raise InvalidSpecError("brute force is exponential; use p_variation")
     terms = _distances(values, 0, n) ** p
     best = 0.0
     for k in range(n - 1):
@@ -188,9 +185,9 @@ def young_integral(x: SampledPath, y: SampledPath, tag: str = "left") -> float:
     """
     require_same_grid(x, y)
     if not (isinstance(tag, str) and tag in ("left", "midpoint")):
-        raise InvalidParameterError(f"unknown tag {tag!r}; choose 'left' or 'midpoint'")
+        raise InvalidSpecError(f"unknown tag {tag!r}; choose 'left' or 'midpoint'")
     if x.dim != y.dim:
-        raise InvalidParameterError(
+        raise InvalidSpecError(
             f"a {x.dim}-component integrand cannot act on {y.dim} components"
         )
     xv = x.values
@@ -205,12 +202,10 @@ def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dic
     Var_p(x) Var_q(y) with theta = 1/p + 1/q; the caller asserts lhs <= rhs.
     p and q are p-variation exponents, each in [1, inf).
     """
-    for label, v in (("p", p), ("q", q)):
-        if not 1 <= _number(v, label) < np.inf:  # NaN fails too
-            raise InvalidParameterError(f"the Young bound requires 1 <= {label} < inf, got {v}")
+    p, q = _exponent(p, "p"), _exponent(q, "q")
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
-        raise InvalidParameterError(f"need 1/p + 1/q > 1, got theta={theta}")
+        raise InvalidSpecError(f"need 1/p + 1/q > 1, got theta={theta}")
     integral = young_integral(x, y, tag="left")
     dy = y.values[-1] - y.values[0]
     lhs = abs(integral - float(x.values[0] @ dy))
@@ -224,22 +219,16 @@ def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Streams with distinct indices are statistically independent, which is
     how replicate ensembles split randomness.  Gaussians come from numpy's
     ziggurat transform; cross-run determinism is what matters here, and the
-    generator is pinned by (seed, stream) alone.  The Philox key is
-    seed + stream * 2**64 and must lie in [0, 2**128).
+    generator is pinned by (seed, stream) alone: the Philox key is
+    seed + stream * 2**64, with seed and stream each in [0, 2**64).
     """
-    key = _count(seed, "seed") + (_count(stream, "stream") << 64)
-    if not 0 <= key < 1 << 128:
-        raise InvalidParameterError(
-            f"seed {seed} with stream {stream} gives a generator key outside [0, 2**128)"
-        )
+    key = _seed(seed, "seed") + (_seed(stream, "stream") << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> SampledPath:
     """Standard Wiener sample on the grid: W(0)=0, Gaussian increments of variance dt."""
-    dim = _count(dim, "dim")
-    if dim < 1:
-        raise InvalidParameterError(f"a path has at least one component, got dim={dim}")
+    dim = _positive_count(dim, "dim")
     rng = wiener_rng(seed, stream)
     dW = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim))
     values = np.vstack([np.zeros((1, dim)), np.cumsum(dW, axis=0)])
@@ -248,7 +237,6 @@ def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> Sampl
 
 def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> SampledPath:
     """Observation path eta(t_i) = zeta(t_i) + noise_scale * W(t_i), W on stream 0."""
-    if not 0 <= _number(noise_scale, "noise_scale") < np.inf:
-        raise InvalidParameterError("noise_scale must be finite and nonnegative")
+    noise_scale = _noise_scale(noise_scale)
     w = sample_wiener(zeta.grid, zeta.dim, seed)
     return SampledPath(zeta.grid, zeta.values + noise_scale * w.values)

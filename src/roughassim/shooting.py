@@ -23,8 +23,8 @@ import numpy as np
 from .adjoint import OptimalTriple, pointwise_hamiltonian_minimizer
 from .cost import eval_cost
 from .dynamics import first_nonfinite, initial_state
-from .errors import BlowUpError, InvalidSpecError, NoConvergenceError, UnsupportedCostError
-from .grid import SampledPath, _number, frozen_array
+from .errors import BlowUpError, InvalidSpecError, NoConvergenceError
+from .grid import SampledPath, _positive_number, frozen_array
 from .optimizer import OptimizerConfig, lockstep, minimize_batch
 from .problem import AssimilationProblem
 
@@ -50,11 +50,12 @@ def hamiltonian_sweep(problem: AssimilationProblem, xi, lambda0):
     axes must agree.  Returns the states, costates and controls,
     (..., n_nodes, n | n | m), and per member the first node where x or
     lambda is non-finite, or -1; each member equals its one-member sweep
-    bit for bit.  Raises :class:`InvalidSpecError` for any other shape.
+    bit for bit.  Raises :class:`InvalidSpecError` for any other shape, and
+    for a cost outside the quadratic family.
     """
     model, cost, eta = problem.model, problem.cost, problem.eta
     if cost.quad is None:
-        raise UnsupportedCostError("Hamiltonian integration needs a quadratic-family cost")
+        raise InvalidSpecError("Hamiltonian integration needs a quadratic-family cost")
     grid = eta.grid
     dt = grid.dt
     times = grid.times
@@ -221,8 +222,7 @@ def value_probe(
     point's when several raise; failing that, a gradient solve that did not
     converge raises :class:`NoConvergenceError`, again the first point's.
     """
-    if not 0 < _number(h, "h") < np.inf:
-        raise InvalidSpecError(f"h must be positive and finite, got {h!r}")
+    h = _positive_number(h, "h")
     if not (isinstance(solver, str) and solver in ("gradient", "shoot")):
         raise InvalidSpecError(f"unknown solver {solver!r}")
     model, cost, eta = problem.model, problem.cost, problem.eta

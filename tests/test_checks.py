@@ -1,7 +1,7 @@
 import pytest
 
 from roughassim.checks import SUITES, run_suite
-from roughassim.errors import InvalidParameterError
+from roughassim.errors import InvalidSpecError
 
 
 def test_suites_tuple_contents():
@@ -30,7 +30,7 @@ def test_run_suite_all_concatenates():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidSpecError):
         run_suite("nonsense", seed=0)
 
 

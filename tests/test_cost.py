@@ -11,7 +11,7 @@ from roughassim.cost import (
     eval_cost_by_parts,
 )
 from roughassim.dynamics import ModelSpec, integrate_state, linear_model, lorenz63_model
-from roughassim.errors import InvalidSpecError, UnsupportedCostError
+from roughassim.errors import InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.problem import AssimilationProblem
 from roughassim.roughpath import sample_wiener
@@ -241,7 +241,7 @@ class TestByParts:
         model = linear_model([[0.0]])
         grid = TimeGrid(1.0, 4)
         z = SampledPath.zeros(grid, 1)
-        with pytest.raises(UnsupportedCostError):
+        with pytest.raises(InvalidSpecError):
             eval_cost_by_parts(AssimilationProblem(model, cost, z), z, z)
 
 
@@ -277,7 +277,7 @@ class TestOnsagerMachlup:
 
         model = ModelSpec(lambda t, x: -(x**3), np.eye(n), D2f)
         q = quad_spec(obs_dim=2, control_dim=2, state_dim=2)
-        with pytest.raises(UnsupportedCostError, match="divergence"):
+        with pytest.raises(InvalidSpecError, match="divergence"):
             build_onsager_machlup(q, model)
 
     def test_gamma_is_metric_inverse(self):

@@ -146,12 +146,9 @@ EXEMPT = {
     "pointwise_hamiltonian_minimizer": "a pointwise evaluator, like the model's callables: "
                                        "hamiltonian_sweep calls it at every step",
     "BlowUpError": _EXCEPTION,
-    "GridMismatchError": _EXCEPTION,
-    "InvalidParameterError": _EXCEPTION,
     "InvalidSpecError": _EXCEPTION,
     "NoConvergenceError": _EXCEPTION,
     "RoughAssimError": _EXCEPTION,
-    "UnsupportedCostError": _EXCEPTION,
 }
 
 #: The malformed values every value position receives.

@@ -16,7 +16,7 @@ from roughassim.dynamics import (
     lorenz96_model,
     rk4_sweep,
 )
-from roughassim.errors import BlowUpError, GridMismatchError, InvalidSpecError
+from roughassim.errors import BlowUpError, InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
 
 # lorenz63_model's default parameters.
@@ -194,7 +194,7 @@ class TestIntegrateState:
         model = lorenz63_model()
         xi = np.array([1.0, 1.0, 25.0])
         for other in (TimeGrid(1.0, 8), TimeGrid(1.5, 4)):
-            with pytest.raises(GridMismatchError):
+            with pytest.raises(InvalidSpecError):
                 integrate_state(model, SampledPath.zeros(other, 3), xi, TimeGrid(1.0, 4))
 
 
@@ -287,7 +287,7 @@ class TestFloatSweep:
         xi = np.array([1.0, 1.0, 25.0])
         for m in (model, replace(model, rates=None)):
             for rows in (grid.n_nodes - 1, grid.n_nodes + 1):
-                with pytest.raises(GridMismatchError):
+                with pytest.raises(InvalidSpecError):
                     rk4_sweep(m, np.zeros((rows, 3)), xi, grid)
 
     def test_control_component_count_checked_on_both_paths(self):

@@ -145,9 +145,8 @@ class TestLoadConfig:
     ])
     def test_malformed_sections_rejected(self, breakage):
         cfg = lorenz_config(**breakage)
-        with pytest.raises(Exception) as err:
+        with pytest.raises(InvalidSpecError):
             load_config(cfg)
-        assert err.type.__name__ in ("InvalidSpecError", "InvalidParameterError")
 
     @pytest.mark.parametrize("n, B, m", [
         (1, 1.0, 1),
@@ -418,6 +417,8 @@ class TestCliErrors:
         pytest.param("simulate", {"observation": {"seed": 2**130}}, None, [], 3,
                      id="simulate-seed-2**130"),
         pytest.param("check", None, None, ["--seed", str(2**128)], 3, id="check-seed-2**128"),
+        pytest.param("check", None, None, ["--suite", "valueprobe", "--seed", str(2**64)], 3,
+                     id="check-seed-2**64"),
         pytest.param("assimilate", {}, "as_is", ["--truth", "{truth:every_other_node}"], 3,
                      id="assimilate-truth-other-grid"),
         pytest.param("assimilate", {}, "as_is", ["--truth", "{truth:wrong_columns}"], 3,

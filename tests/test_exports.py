@@ -1,4 +1,5 @@
 import roughassim
+from roughassim import errors
 
 from test_doors import DOORS, EXEMPT
 
@@ -18,3 +19,13 @@ def test_every_exported_callable_is_a_probed_door_or_exempt():
     # An exemption names an exported callable that the table leaves out.
     assert set(EXEMPT) - unprobed == set()
     assert all(reason for reason in EXEMPT.values())
+
+
+def test_errors_are_one_class_per_exit_code():
+    # InvalidSpecError exits 3; BlowUpError and NoConvergenceError exit 2.
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert defined == {"RoughAssimError", "InvalidSpecError", "BlowUpError",
+                       "NoConvergenceError"}
+    removed = {"InvalidParameterError", "GridMismatchError", "UnsupportedCostError"}
+    assert removed.isdisjoint(roughassim.__all__)

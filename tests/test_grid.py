@@ -3,7 +3,7 @@ import pytest
 
 from roughassim.cost import QuadraticCostSpec, coordinate_observation
 from roughassim.dynamics import initial_state, linear_model, lorenz63_model, lorenz96_model
-from roughassim.errors import GridMismatchError, InvalidParameterError, InvalidSpecError
+from roughassim.errors import InvalidSpecError
 from roughassim.grid import (
     SampledPath,
     TimeGrid,
@@ -38,10 +38,9 @@ def test_grid_basic_properties():
                                  dict(T=1.0, n_steps=[4]), dict(T=1.0, n_steps="4"),
                                  dict(T=1.0, n_steps=np.nan), dict(T=1.0, n_steps=np.inf)])
 def test_grid_rejects_bad_parameters(bad):
-    # A count that is no integer is malformed, as a T that is no number is;
-    # an integer count below 1 is out of range.
-    error = InvalidParameterError if type(bad["n_steps"]) is int else InvalidSpecError
-    with pytest.raises(error):
+    # A count that is no integer is malformed, as a T that is no number is,
+    # and an integer count below 1 is out of range: each is an invalid input.
+    with pytest.raises(InvalidSpecError):
         TimeGrid(**bad)
 
 
@@ -62,15 +61,15 @@ def test_path_promotes_1d_and_validates():
     p = SampledPath(g, [0.0, 1.0, 2.0, 3.0])
     assert p.dim == 1
     assert p.values.shape == (4, 1)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidSpecError):
         SampledPath(g, np.zeros(5))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidSpecError):
         SampledPath(g, [0.0, np.nan, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 1, 3), (), (4, 0)])
 def test_path_is_n_nodes_by_d(shape):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidSpecError):
         SampledPath(TimeGrid(1.0, 3), np.zeros(shape))
 
 
@@ -82,7 +81,7 @@ def test_increments_and_restrict():
     assert coarse.grid.n_steps == 2
     assert np.allclose(coarse.values[:, 0], [0.0, 3.0, 10.0])
     for stride in (3, 0, -2):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidSpecError):
             p.restrict(stride)
     for stride in (2.0, True):
         with pytest.raises(InvalidSpecError):
@@ -94,7 +93,7 @@ def test_require_same_grid():
     b = SampledPath.zeros(TimeGrid(1.0, 4), 2)
     c = SampledPath.zeros(TimeGrid(1.0, 5), 1)
     assert require_same_grid(a, b).n_steps == 4
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InvalidSpecError):
         require_same_grid(a, c)
 
 
@@ -113,7 +112,7 @@ def test_csv_roundtrip_is_exact(tmp_path):
 def test_csv_rejects_nonuniform_spacing(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,v0\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidSpecError):
         read_path_csv(f)
 
 
@@ -122,7 +121,7 @@ def test_csv_of_times_alone_rejected(tmp_path):
     # no path.
     f = tmp_path / "times.csv"
     f.write_text("t\n0.0\n0.5\n1.0\n")
-    with pytest.raises(InvalidParameterError, match="d >= 1"):
+    with pytest.raises(InvalidSpecError, match="d >= 1"):
         read_path_csv(f)
 
 
@@ -162,7 +161,7 @@ def test_real_scalars_are_numbers_at_every_door(door, value):
 def test_noise_scale_must_be_finite():
     # Without the finite check a NaN passes the sign check and fails later
     # as a non-finite path.
-    with pytest.raises(InvalidParameterError, match="noise_scale must be finite"):
+    with pytest.raises(InvalidSpecError, match="noise_scale must be finite"):
         build_observation(PATH, np.nan, 0)
 
 

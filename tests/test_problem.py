@@ -18,7 +18,8 @@ from roughassim.cost import (
     eval_cost,
     eval_cost_by_parts,
 )
-from roughassim.errors import GridMismatchError, InvalidSpecError
+from roughassim.dynamics import ModelSpec
+from roughassim.errors import InvalidSpecError
 from roughassim.grid import SampledPath
 from roughassim.problem import AssimilationProblem, ControlSetSpec
 
@@ -38,7 +39,18 @@ def test_misfits_rejected_by_the_constructor():
     problem, _, _ = make_lorenz_twin(n_steps=32, T=0.05)
     model, eta = problem.model, problem.eta
     two_columns = SampledPath(eta.grid, eta.values[:, :2])
+    cost_n2 = quadratic_cost([0, 1], 2, np.eye(2), np.eye(2))
     misfits = {
+        "f for n = 3": (
+            (ModelSpec(lambda t, x: np.zeros(3), np.eye(2), lambda t, x: -np.eye(2)), cost_n2,
+             two_columns),
+            r"f gives shape \(3,\) and D2f \(2, 2\), but G is 2x2",
+        ),
+        "D2f for n = 3": (
+            (ModelSpec(lambda t, x: -x, np.eye(2), lambda t, x: -np.eye(3)), cost_n2,
+             two_columns),
+            r"f gives shape \(2,\) and D2f \(3, 3\), but G is 2x2",
+        ),
         "S 2x2": (
             (model, quadratic_cost([0, 1, 2], 3, np.eye(3), np.eye(2)), eta),
             "S is 2x2, but the model has 3 controls",
@@ -92,7 +104,7 @@ DOORS = {
         InvalidSpecError, "costate has 2 components, not 3"),
     "costate_sweep-nodes": (
         lambda p, x, u, lam, two: costate_sweep(p, x.values[:-1], u.values[:-1]),
-        GridMismatchError, "state has 32 nodes, the grid 33"),
+        InvalidSpecError, "state has 32 nodes, the grid 33"),
     "costate_sweep-members": (
         lambda p, x, u, lam, two: costate_sweep(p, np.stack([x.values] * 2),
                                                 np.stack([u.values] * 3)),

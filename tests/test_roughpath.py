@@ -12,7 +12,7 @@ from oracles import (
     pvar_full_dp,
     young_sum_reference,
 )
-from roughassim.errors import InvalidParameterError
+from roughassim.errors import InvalidSpecError
 from roughassim import roughpath
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.roughpath import (
@@ -71,15 +71,15 @@ class TestPVariation:
     def test_invalid_p_rejected(self):
         p = random_path(4, 1, seed=0)
         for bad in (0.5, np.nan, np.inf):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidSpecError):
                 p_variation(p, bad)
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidSpecError):
                 p_variation_bruteforce(p, bad)
 
     def test_node_cap(self, monkeypatch):
         path = random_path(64, 1, seed=0)
         monkeypatch.setattr(roughpath, "MAX_PVAR_NODES", 32)
-        with pytest.raises(InvalidParameterError, match="cap of 32"):
+        with pytest.raises(InvalidSpecError, match="cap of 32"):
             p_variation(path, 2.0)
         monkeypatch.setattr(roughpath, "MAX_PVAR_NODES", 65)
         p_variation(path, 2.0)  # a path at or below the cap is accepted
@@ -339,7 +339,7 @@ class TestYoungIntegral:
     def test_integrand_of_another_dimension_rejected(self):
         g = TimeGrid(1.0, 16)
         x, y = sample_wiener(g, 2, seed=7), sample_wiener(g, 3, seed=8)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidSpecError):
             young_integral(x, y)
 
     def test_scalar_integrand_rejected_on_a_vector_integrator(self):
@@ -347,7 +347,7 @@ class TestYoungIntegral:
         # longer scales a 3-component y into a vector.
         g = TimeGrid(1.0, 16)
         x, y = SampledPath(g, g.times), sample_wiener(g, 3, seed=7)
-        with pytest.raises(InvalidParameterError, match="1-component integrand"):
+        with pytest.raises(InvalidSpecError, match="1-component integrand"):
             young_integral(x, y)
 
     def test_linearity_in_integrand(self):
@@ -360,13 +360,13 @@ class TestYoungIntegral:
     def test_bad_tag_rejected(self):
         g = TimeGrid(1.0, 4)
         x = SampledPath.zeros(g, 1)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidSpecError):
             young_integral(x, x, tag="trapezoid")
 
     def test_right_tag_rejected(self):
         g = TimeGrid(1.0, 4)
         x = SampledPath.zeros(g, 1)
-        with pytest.raises(InvalidParameterError, match="unknown tag 'right'"):
+        with pytest.raises(InvalidSpecError, match="unknown tag 'right'"):
             young_integral(x, x, tag="right")
 
 
@@ -389,7 +389,7 @@ class TestYoungBound:
 
     def test_theta_condition_enforced(self):
         x = random_path(8, 1, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidSpecError):
             young_bound_check(x, x, 2.0, 2.0)
 
 
@@ -417,7 +417,7 @@ class TestWienerSampling:
 
     def test_build_observation_rejects_negative_noise(self):
         zeta = SampledPath.zeros(TimeGrid(1.0, 8), 2)
-        with pytest.raises(InvalidParameterError, match="noise_scale"):
+        with pytest.raises(InvalidSpecError, match="noise_scale"):
             build_observation(zeta, -1.0, seed=4)
 
     def test_wiener_rng_reproducible(self):
