@@ -9,7 +9,6 @@ to the piecewise-constant control values, up to the dt weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,17 @@ class OptimalTriple:
         require_same_grid(self.x, self.u, self.lam)
 
 
-#: Bytes of state Jacobians the costate sweep holds at once.  A block of
-#: nodes is evaluated in one stacked call; the block shrinks as n^2 and the
-#: member count grow, so the sweep's memory does not grow with the grid.
+#: Bytes of state Jacobians the costate sweep holds at once for one member.
+#: A block of nodes is evaluated in one stacked call; the block shrinks as
+#: n^2 grows, so the sweep's memory does not grow with the grid.  It does
+#: not shrink with the member count, so a member's block, and with it its
+#: costate, is the one it gets alone.
 COSTATE_BLOCK_BYTES = 1 << 24
+
+#: Largest state dimension whose costate is composed by :func:`_affine_scan`;
+#: a larger state steps the Heun loop, which does O(n^2) work per step
+#: against the scan's O(n^3).
+COSTATE_SCAN_MAX_DIM = 10
 
 
 def costate_sweep(problem: AssimilationProblem, xv, uv):
@@ -45,11 +51,21 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
     Per step: predictor/corrector on lambda' = -(lambda D2f + D2 phi)
     (control frozen at the interval's left value), plus the Young
     increment D2 psi(t_i, x_i) (eta_{i+1} - eta_i).  The node terms are
-    evaluated in stacked calls, a block of nodes at a time, so the step
-    loop does only the Heun arithmetic.
+    evaluated in stacked calls, a block of nodes at a time.  The step is
+    affine in the costate, lambda_k = lambda_{k+1} A_k + c_k with
+
+        A_k = I + (dt/2) (M_k + M_{k+1} + dt M_{k+1} M_k),
+        c_k = (dt/2) (P0_k + P1_k + dt P1_k M_k) + young_k,
+
+    M the state Jacobians and P0, P1 the D2 phi terms, so up to
+    ``COSTATE_SCAN_MAX_DIM`` states a block is composed by
+    :func:`_affine_scan` from the costate at its top.  A larger state, or a
+    member whose scanned block holds a non-finite value, steps the Heun
+    loop, so a blow-up is met at the node the loop meets it.
 
     ``xv`` (n_nodes, n) and ``uv`` (n_nodes, m) may carry a leading member
     axis (B, ...), as in :func:`rk4_sweep`; the problem's eta is shared.
+    Each member's costate equals its own one-member sweep bit for bit.
     Returns the costate values, (..., n_nodes, n), and per member the node
     where the sweep first met a non-finite costate, or -1.  The arrays are
     checked by :meth:`AssimilationProblem.check_paths`.
@@ -59,13 +75,15 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
     members = problem.check_paths(state=xv, control=uv)
     grid = eta.grid
     dt = grid.dt
+    # One flat member axis, so a member whose scan blew up can be picked out.
+    xv = xv.reshape((-1,) + xv.shape[-2:])
+    uv = uv.reshape((-1,) + uv.shape[-2:])
     times = np.broadcast_to(grid.times, xv.shape[:-1])
     deta = eta.increments()
-    lam = np.zeros(members + (grid.n_nodes, n))
+    lam = np.zeros(xv.shape[:-1] + (n,))
     out = np.moveaxis(lam, -2, 0)
-    cur = out[-1]
-    node_bytes = 8 * n * n * math.prod(members)
-    block = max(1, COSTATE_BLOCK_BYTES // node_bytes)
+    scan = n <= COSTATE_SCAN_MAX_DIM
+    block = max(1, COSTATE_BLOCK_BYTES // (8 * n * n))
     with np.errstate(over="ignore", invalid="ignore"):
         for hi in range(grid.n_steps, 0, -block):
             lo = max(hi - block, 0)
@@ -81,13 +99,65 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
             # Node-major views: node k of every member is row k.
             M = np.moveaxis(M, -3, 0)
             P0, P1, young = (np.moveaxis(a, -2, 0) for a in (P0, P1, young))
-            for k in range(hi - lo - 1, -1, -1):
-                r1 = np.vecmat(cur, M[k + 1]) + P1[k]
-                pred = cur + dt * r1
-                r0 = np.vecmat(pred, M[k]) + P0[k]
-                cur = cur + 0.5 * dt * (r1 + r0) + young[k]
-                out[lo + k] = cur
+            span = out[lo : hi + 1]
+            if not scan:
+                _heun_steps(span, M, P0, P1, young, dt)
+                continue
+            A = np.eye(n) + 0.5 * dt * (M[:-1] + M[1:] + dt * np.matmul(M[1:], M[:-1]))
+            c = 0.5 * dt * (P0 + P1 + dt * np.vecmat(P1, M[:-1])) + young
+            span[:-1] = _affine_scan(A, c, span[-1])
+            blown = ~np.all(np.isfinite(span[:-1]), axis=(0, -1))
+            if np.any(blown):
+                redo = span[:, blown]
+                _heun_steps(redo, *(a[:, blown] for a in (M, P0, P1, young)), dt)
+                span[:, blown] = redo
+    lam = lam.reshape(members + lam.shape[-2:])
     return lam, first_nonfinite(lam, backward=True)
+
+
+def _heun_steps(lam, M, P0, P1, young, dt) -> None:
+    """The backward Heun steps on node-major arrays, one step at a time:
+    fills ``lam[:-1]`` down from ``lam[-1]``."""
+    cur = lam[-1]
+    for k in range(len(P0) - 1, -1, -1):
+        r1 = np.vecmat(cur, M[k + 1]) + P1[k]
+        pred = cur + dt * r1
+        r0 = np.vecmat(pred, M[k]) + P0[k]
+        cur = cur + 0.5 * dt * (r1 + r0) + young[k]
+        lam[k] = cur
+
+
+def _affine_scan(A, c, top):
+    """Every lambda_k of lambda_k = lambda_{k+1} A_k + c_k, k < K, from
+    lambda_K = ``top``, with A (K, ..., n, n) and c (K, ..., n) node-major.
+
+    Blelloch's work-efficient scan (CMU-CS-90-190): the up-sweep composes
+    neighbouring maps pairwise, K - 1 compositions in ceil(log2 K) stacked
+    levels; the down-sweep hands each composed map the costate at its top,
+    one vector-matrix product per map.
+    """
+    levels = [(A, c)]
+    while len(A) > 1:
+        pairs = len(A) // 2
+        lower, upper = slice(0, 2 * pairs, 2), slice(1, 2 * pairs, 2)
+        # Apply the upper map first: lambda A_up A_low + (c_up A_low + c_low).
+        pA = np.matmul(A[upper], A[lower])
+        pc = np.vecmat(c[upper], A[lower]) + c[lower]
+        if len(A) % 2:  # the top map has no partner on this level
+            pA, pc = np.concatenate([pA, A[-1:]]), np.concatenate([pc, c[-1:]])
+        A, c = pA, pc
+        levels.append((A, c))
+    tops = top[None]  # the costate at the top of each map on a level
+    for A, c in reversed(levels[:-1]):
+        pairs = len(A) // 2
+        lower, upper = slice(0, 2 * pairs, 2), slice(1, 2 * pairs, 2)
+        below = np.empty((len(A),) + tops.shape[1:])
+        below[upper] = tops[:pairs]  # an upper map starts at its pair's top
+        below[lower] = np.vecmat(tops[:pairs], A[upper]) + c[upper]
+        below[2 * pairs :] = tops[pairs:]  # the unpaired top map, if any
+        tops = below
+    A, c = levels[0]
+    return np.vecmat(tops, A) + c
 
 
 def solve_costate(problem: AssimilationProblem, x: SampledPath, u: SampledPath) -> SampledPath:

@@ -5,11 +5,11 @@ controls are piecewise constant on [t_i, t_{i+1}) using the left node
 value, which makes the classical RK4 step exact in the control.  G does not
 depend on x, so the variational equation's coefficient is D2f alone.
 
-A one-member forward sweep of a model that gives its drift in Python floats
-(``ModelSpec.rates``, set by Lorenz'63) steps in floats, not numpy arrays,
-whose call overhead is most of a step on a small state; its states are the
-array stepper's, bit for bit.  Member batches and every other model step
-numpy arrays.
+A one-member forward sweep of a model that gives its RK4 step in Python
+floats (``ModelSpec.float_step``, set by Lorenz'63) steps in floats, not
+numpy arrays, whose call overhead is most of a step on a small state; its
+states are the array stepper's, bit for bit.  Member batches and every
+other model step numpy arrays.
 """
 
 from __future__ import annotations
@@ -38,17 +38,17 @@ class ModelSpec:
     of nodes in one call, and a leading member axis runs independent solves
     through one RK4 step.
 
-    ``rates(t, x, u)`` is optional: the drift at one node in Python floats.
-    It takes x and u as lists of floats and returns a sequence of n floats
-    equal, bit for bit, to ``drift(t, x, u)`` at that node for every finite
-    control, the control term included.  Only a sweep with no member axis
-    calls it (see :func:`rk4_sweep`); None, the default, is always correct.
+    ``float_step(t, x, u, dt)`` is optional: one RK4 step in Python floats.
+    It takes x and u as lists of floats and returns a list of n floats
+    equal, bit for bit, to ``rk4_step(t, x, u, dt)`` for every finite
+    control.  Only a sweep with no member axis calls it (see
+    :func:`rk4_sweep`); None, the default, is always correct.
     """
 
     f: callable
     G: np.ndarray
     D2f: callable
-    rates: callable | None = None
+    float_step: callable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "G", frozen_matrix(self.G, "G"))
@@ -99,17 +99,35 @@ def lorenz63_model(sigma=10.0, r=28.0, b=8.0 / 3.0) -> ModelSpec:
         jac[..., 2, 1] = x
         return jac
 
-    def rates(t, state, u):
-        # lorenz63_drift's operations in its order.  np.matvec(eye(3), u)
-        # sums from +0.0, so its row i is u_i + 0.0: -0.0 becomes +0.0.
+    def float_step(t, state, u, dt):
+        # rk4_step on drift = lorenz63_drift + np.matvec(eye(3), u), one
+        # operation at a time in their order.  The matvec sums from +0.0, so
+        # its row i is u_i + 0.0: -0.0 becomes +0.0.
         x, y, z = state
+        u0, u1, u2 = u[0] + 0.0, u[1] + 0.0, u[2] + 0.0
+        half, sixth = 0.5 * dt, dt / 6.0
+        k1x = -s * x + s * y + u0
+        k1y = -s * x - y - x * z + u1
+        k1z = -b * z - brs + x * y + u2
+        px, py, pz = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x = -s * px + s * py + u0
+        k2y = -s * px - py - px * pz + u1
+        k2z = -b * pz - brs + px * py + u2
+        px, py, pz = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x = -s * px + s * py + u0
+        k3y = -s * px - py - px * pz + u1
+        k3z = -b * pz - brs + px * py + u2
+        px, py, pz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x = -s * px + s * py + u0
+        k4y = -s * px - py - px * pz + u1
+        k4z = -b * pz - brs + px * py + u2
         return [
-            -s * x + s * y + (u[0] + 0.0),
-            -s * x - y - x * z + (u[1] + 0.0),
-            -b * z - brs + x * y + (u[2] + 0.0),
+            x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
         ]
 
-    return ModelSpec(f, np.eye(3), D2f, rates=rates)
+    return ModelSpec(f, np.eye(3), D2f, float_step=float_step)
 
 
 def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
@@ -214,14 +232,14 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     others.  Each member's states equal its own one-member sweep bit for
     bit.
 
-    With no member axis, a model that sets ``rates`` steps in Python floats
-    (:func:`_float_sweep`), with the same states up to the first
+    With no member axis, a model that sets ``float_step`` steps in Python
+    floats (:func:`_float_sweep`), with the same states up to the first
     non-finite node.
     """
     members = check_paths(model.state_dim, model.control_dim, grid.n_nodes, control=uv)
     xi = initial_state(model, xi, members)
-    if model.rates is not None and uv.ndim == 2:
-        out = _float_sweep(model.rates, uv, xi, grid)
+    if model.float_step is not None and uv.ndim == 2:
+        out = _float_sweep(model.float_step, uv, xi, grid)
         return out, first_nonfinite(out)
     dt = grid.dt
     times = grid.times
@@ -237,23 +255,14 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     return out, first_nonfinite(out)
 
 
-def _float_sweep(rates, uv, xi, grid: TimeGrid) -> np.ndarray:
-    """One member's RK4 states, (n_nodes, n), stepped in Python floats:
-    :meth:`ModelSpec.rk4_step`'s operations in its order, one component at
-    a time, so each state equals the array stepper's bit for bit."""
+def _float_sweep(float_step, uv, xi, grid: TimeGrid) -> np.ndarray:
+    """One member's RK4 states, (n_nodes, n), from a model's
+    ``float_step``, so each state equals the array stepper's bit for bit."""
     dt = grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
     x = xi.tolist()
     rows = [x]
     for t, u in zip(grid.times.tolist(), uv[:-1].tolist()):
-        k1 = rates(t, x, u)
-        k2 = rates(t + half, [a + half * k for a, k in zip(x, k1)], u)
-        k3 = rates(t + half, [a + half * k for a, k in zip(x, k2)], u)
-        k4 = rates(t + dt, [a + dt * k for a, k in zip(x, k3)], u)
-        x = [
-            a + sixth * (p + 2.0 * q + 2.0 * r + w)
-            for a, p, q, r, w in zip(x, k1, k2, k3, k4)
-        ]
+        x = float_step(t, x, u, dt)
         rows.append(x)
     return np.array(rows)
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against a different method than
 the library (closed forms, exhaustive enumeration, classical quadrature,
-Riccati ODEs, finite differences) so that agreement is evidence, not tautology.
+Riccati ODEs, finite differences, one node at a time) so that agreement is
+evidence, not tautology.
 The last few are diagnostics only the tests read: set containment, the
 Lorenz'63 quadratic part and the energy ratios.
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 from roughassim.cost import eval_cost
 from roughassim.dynamics import integrate_state
+from roughassim.errors import BlowUpError
 from roughassim.grid import SampledPath, require_same_grid
 
 
@@ -56,6 +58,33 @@ def cost_central_difference(problem, u, xi, node, component, h) -> float:
         return eval_cost(problem.cost, x, up, problem.eta)
 
     return (cost_at(h) - cost_at(-h)) / (2.0 * h)
+
+
+def costate_reference(problem, x, u):
+    """The costate by the per-step backward Heun loop, one node at a time,
+    raising :class:`BlowUpError` at the first non-finite costate.
+
+    Reference for ``adjoint.costate_sweep``: its step loop must reproduce
+    it bit for bit, its affine scan to rounding and at the same blow-up node.
+    """
+    model, cost, eta = problem.model, problem.cost, problem.eta
+    grid = eta.grid
+    dt, times = grid.dt, grid.times
+    xv, uv, deta = x.values, u.values, eta.increments()
+    lam = np.zeros((grid.n_nodes, model.state_dim))
+    cur = np.zeros(model.state_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps - 1, -1, -1):
+            r1 = cur @ model.D2f(times[i + 1], xv[i + 1]) + cost.D2phi(
+                times[i + 1], xv[i + 1], uv[i]
+            )
+            pred = cur + dt * r1
+            r0 = pred @ model.D2f(times[i], xv[i]) + cost.D2phi(times[i], xv[i], uv[i])
+            cur = cur + 0.5 * dt * (r1 + r0) + deta[i] @ cost.D2psi(times[i], xv[i])
+            if not np.all(np.isfinite(cur)):
+                raise BlowUpError(i)
+            lam[i] = cur
+    return lam
 
 
 def pvar_exhaustive(values: np.ndarray, p: float) -> float:

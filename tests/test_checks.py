@@ -29,6 +29,15 @@ def test_run_suite_all_concatenates():
     assert suites_seen == set(SUITES)
 
 
+@pytest.mark.parametrize("suite", ["duality", "adjoint"])
+def test_the_largest_seed_runs(suite):
+    # Draw s takes seed + s wrapped below 2**64, so an accepted seed never
+    # turns into one the seed rule refuses halfway through the suite.
+    report = run_suite(suite, seed=2**64 - 1)
+    assert report["seed"] == 2**64 - 1
+    assert report["checks"]
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(InvalidSpecError):
         run_suite("nonsense", seed=0)

@@ -232,11 +232,11 @@ def sweep_outcome(model, U, xi, grid):
 
 
 class TestFloatSweep:
-    """A one-member sweep of a model that sets ``rates`` steps in Python
-    floats; ``replace(model, rates=None)`` reaches the array stepper.  The
-    two must agree in bytes (np.array_equal would let -0.0 pass for +0.0)."""
+    """A one-member sweep of a model that sets ``float_step`` steps in Python
+    floats; ``replace(model, float_step=None)`` reaches the array stepper.
+    The two must agree in bytes (np.array_equal would let -0.0 pass for +0.0)."""
 
-    def test_rates_equal_drift_node_by_node(self):
+    def test_float_step_equals_rk4_step_node_by_node(self):
         model = lorenz63_model(sigma=7.5, r=31.0, b=2.5)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(200, 3)) * 20.0
@@ -246,15 +246,21 @@ class TestFloatSweep:
                  [5e-324, -5e-324, -0.0], [1e300, -1e300, -0.0], [-1e-310, 0.0, 2.0],
                  [-0.0, -2.0, 3.0], [0.0, 0.0, 0.0]]
         X[:2] = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
-        for t, x, u in zip(np.linspace(0.0, 2.0, 200), X, U):
-            rates = np.array(model.rates(float(t), x.tolist(), u.tolist()))
-            assert rates.tobytes() == model.drift(t, x, u).tobytes()
+        for dt in (0.01, 1e-3, 0.37):
+            for t, x, u in zip(np.linspace(0.0, 2.0, 200), X, U):
+                step = np.array(model.float_step(float(t), x.tolist(), u.tolist(), dt))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = model.rk4_step(t, x, u, dt)
+                if np.all(np.isfinite(ref)):
+                    assert step.tobytes() == ref.tobytes()
+                else:  # a 1e300 control overflows; the NaNs may differ
+                    assert np.array_equal(np.isfinite(step), np.isfinite(ref))
 
     @given(lorenz63_sweeps())
     @settings(deadline=None, derandomize=True)
     def test_float_sweep_equals_array_sweep(self, case):
         model, grid, xi, U = case
-        array_model = replace(model, rates=None)
+        array_model = replace(model, float_step=None)
         floats, node = rk4_sweep(model, U, xi, grid)
         arrays_, array_node = rk4_sweep(array_model, U, xi, grid)
         event("blown up" if node >= 0 else "finite")
@@ -275,7 +281,7 @@ class TestFloatSweep:
             U = np.zeros((grid.n_nodes, 3))
             U[5, 1] = bad
             floats, node = rk4_sweep(model, U, xi, grid)
-            arrays_, array_node = rk4_sweep(replace(model, rates=None), U, xi, grid)
+            arrays_, array_node = rk4_sweep(replace(model, float_step=None), U, xi, grid)
             assert node == array_node == 6
             assert floats[:6].tobytes() == arrays_[:6].tobytes()
 
@@ -285,7 +291,7 @@ class TestFloatSweep:
         model = lorenz63_model()
         grid = TimeGrid(1.0, 8)
         xi = np.array([1.0, 1.0, 25.0])
-        for m in (model, replace(model, rates=None)):
+        for m in (model, replace(model, float_step=None)):
             for rows in (grid.n_nodes - 1, grid.n_nodes + 1):
                 with pytest.raises(InvalidSpecError):
                     rk4_sweep(m, np.zeros((rows, 3)), xi, grid)
@@ -296,17 +302,17 @@ class TestFloatSweep:
         model = lorenz63_model()
         grid = TimeGrid(1.0, 8)
         xi = np.array([1.0, 1.0, 25.0])
-        for m in (model, replace(model, rates=None)):
+        for m in (model, replace(model, float_step=None)):
             for width in (2, 4):
                 with pytest.raises(InvalidSpecError, match="components"):
                     rk4_sweep(m, np.zeros((grid.n_nodes, width)), xi, grid)
                 with pytest.raises(InvalidSpecError):
                     integrate_state(m, SampledPath.zeros(grid, width), xi, grid)
 
-    def test_only_lorenz63_sets_rates(self):
-        assert lorenz63_model().rates is not None
-        assert lorenz96_model().rates is None
-        assert linear_model(np.eye(3)).rates is None
+    def test_only_lorenz63_sets_float_step(self):
+        assert lorenz63_model().float_step is not None
+        assert lorenz96_model().float_step is None
+        assert linear_model(np.eye(3)).float_step is None
 
 
 def test_energy_diagnostic_bounded_over_controls():

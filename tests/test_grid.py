@@ -109,6 +109,33 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert f.read_text().splitlines()[0] == "t,v0,v1,v2"
 
 
+def test_grids_match_by_a_relative_rule():
+    # np.isclose's default atol of 1e-8 matched any two horizons below it.
+    small, other = TimeGrid(1e-9, 4), TimeGrid(5e-9, 4)
+    assert not small.matches(other) and not other.matches(small)
+    with pytest.raises(InvalidSpecError):
+        require_same_grid(SampledPath.zeros(small, 1), SampledPath.zeros(other, 1))
+    assert small.matches(TimeGrid(1e-9 * (1.0 + 1e-12), 4))
+    assert TimeGrid(1.0, 4).matches(TimeGrid(1.0 + 1e-10, 4))
+    assert not TimeGrid(1.0, 4).matches(TimeGrid(1.0 + 1e-8, 4))
+
+
+def test_csv_writes_each_value_as_its_repr(tmp_path):
+    # repr of a Python float is the shortest string that round-trips; the
+    # file holds exactly that, value by value, on signed zeros, subnormals
+    # and the extremes of the float range.
+    g = TimeGrid(3.0, 5)
+    values = np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e-310, -2.2e-308],
+                       [1e300, -1e300, 1e-300], [-1e-300, 0.1, -1.0 / 3.0],
+                       [1.7976931348623157e308, -1.7976931348623157e308, 123456789.0],
+                       [1.5e-323, 1e16, -1e-5]])
+    f = tmp_path / "p.csv"
+    write_path_csv(SampledPath(g, values), f)
+    rows = [",".join(repr(float(v)) for v in (t, *row)) for t, row in zip(g.times, values)]
+    assert f.read_text() == "\n".join(["t,v0,v1,v2"] + rows) + "\n"
+    assert read_path_csv(f).values.tobytes() == values.tobytes()
+
+
 def test_csv_rejects_nonuniform_spacing(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,v0\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")

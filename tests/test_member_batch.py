@@ -3,14 +3,18 @@ through the RK4, costate, Hamiltonian and duality sweeps, and the lockstep
 drivers of the multistart optimizer and of shooting.
 
 A member of a batch must give exactly what it gives alone, so every
-comparison here is bit for bit, against the one-member path or against the
-per-step costate loop the sweep replaced.
+comparison with the one-member path is bit for bit.  The costate's step
+loop equals the per-step oracle bit for bit; its affine scan, which
+reassociates the products, equals it to 1e-12 of the largest costate entry.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from roughassim import adjoint, optimizer, shooting
 from roughassim.adjoint import (
@@ -29,6 +33,7 @@ from roughassim.cost import (
 from roughassim.dynamics import (
     ModelSpec,
     integrate_state,
+    linear_model,
     lorenz63_model,
     lorenz96_model,
     rk4_sweep,
@@ -52,6 +57,7 @@ from roughassim.shooting import (
 )
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
+from oracles import costate_reference
 
 L63_ME = {
     "model": {"name": "lorenz63"},
@@ -80,29 +86,6 @@ def assert_same_result(a, b):
     assert a.cost_trace == b.cost_trace
     assert a.grad_norm_trace == b.grad_norm_trace
     assert (a.iterations, a.status, a.mp_residual) == (b.iterations, b.status, b.mp_residual)
-
-
-def costate_reference(problem, x, u):
-    """The per-step backward Heun loop, one node at a time, raising at the
-    first non-finite costate; the sweep must reproduce it bit for bit."""
-    model, cost, eta = problem.model, problem.cost, problem.eta
-    grid = eta.grid
-    dt, times = grid.dt, grid.times
-    xv, uv, deta = x.values, u.values, eta.increments()
-    lam = np.zeros((grid.n_nodes, model.state_dim))
-    cur = np.zeros(model.state_dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.n_steps - 1, -1, -1):
-            r1 = cur @ model.D2f(times[i + 1], xv[i + 1]) + cost.D2phi(
-                times[i + 1], xv[i + 1], uv[i]
-            )
-            pred = cur + dt * r1
-            r0 = pred @ model.D2f(times[i], xv[i]) + cost.D2phi(times[i], xv[i], uv[i])
-            cur = cur + 0.5 * dt * (r1 + r0) + deta[i] @ cost.D2psi(times[i], xv[i])
-            if not np.all(np.isfinite(cur)):
-                raise BlowUpError(i)
-            lam[i] = cur
-    return lam
 
 
 @pytest.mark.parametrize("raw", [L63_ME, L96_OM_BOX], ids=["lorenz63_me", "lorenz96_om_box"])
@@ -225,15 +208,85 @@ def test_rk4_sweep_members_equal_one_member_sweeps(model):
         assert blown[3] > 0 and (np.delete(blown, 3) == -1).all()
 
 
-@pytest.mark.parametrize("block_bytes", [adjoint.COSTATE_BLOCK_BYTES, 1, 8 * 9 * 9 * 37])
+def assert_scan_close(lam, ref):
+    """The scan's costate within 1e-12 of the oracle's largest entry."""
+    assert np.max(np.abs(lam - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+@pytest.mark.parametrize("block_bytes",
+                         [adjoint.COSTATE_BLOCK_BYTES, 1, 8 * 9 * 9 * 37, 8 * 9 * 37])
 def test_costate_sweep_equals_the_per_step_loop(monkeypatch, block_bytes):
-    # One block, one node per block, and blocks that do not divide the grid.
+    # One block, one node per block, and 37-node blocks that do not divide
+    # the grid: the scan to rounding, the step loop bit for bit.
     monkeypatch.setattr(adjoint, "COSTATE_BLOCK_BYTES", block_bytes)
     problem, xi, truth = make_lorenz_twin(n_steps=200)
     grid = problem.eta.grid
     u = SampledPath(grid, np.random.default_rng(1).normal(size=(grid.n_nodes, 3)))
     ref = costate_reference(problem, truth, u)
+    assert_scan_close(solve_costate(problem, truth, u).values, ref)
+    monkeypatch.setattr(adjoint, "COSTATE_SCAN_MAX_DIM", 2)
     assert np.array_equal(solve_costate(problem, truth, u).values, ref)
+
+
+@st.composite
+def costate_cases(draw):
+    """A problem of state dimension n on either side of the scan crossover,
+    B = 1 or 3 members (one of them possibly huge, so its costate blows
+    up), the sweep's crossover and its block in nodes."""
+    n = draw(st.sampled_from([1, 3, 4, 9, 12]))
+    if n == 1:
+        model = linear_model([[draw(st.floats(-3.0, 3.0))]])
+    else:
+        model = lorenz63_model() if n == 3 else lorenz96_model(n)
+    grid = TimeGrid(draw(st.floats(0.01, 1.0)), draw(st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observed = range(0, n, 2)
+    h, h_jac = coordinate_observation(observed, n)
+    d = len(observed)
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(d), S=np.eye(n)))
+    problem = AssimilationProblem(model, cost, SampledPath(grid, rng.normal(size=(grid.n_nodes, d))))
+    B = draw(st.sampled_from([1, 3]))
+    X = (1.0 if n == 3 else 8.0) + rng.normal(size=(B, grid.n_nodes, n))
+    X[draw(st.integers(0, B - 1))] *= draw(st.sampled_from([1.0, 1e120]))
+    U = rng.normal(size=(B, grid.n_nodes, n))
+    crossover = draw(st.sampled_from([adjoint.COSTATE_SCAN_MAX_DIM, 0, 100]))
+    block = draw(st.one_of(st.just(None), st.integers(1, 64)))
+    return problem, X, U, crossover, block
+
+
+class TestCostateScan:
+    """The costate sweep against :func:`oracles.costate_reference` on both
+    sides of the scan crossover, in one block and in many."""
+
+    @given(costate_cases())
+    @settings(deadline=None, derandomize=True)
+    def test_sweep_equals_the_oracle(self, case):
+        problem, X, U, crossover, block = case
+        n = problem.model.state_dim
+        block_bytes = adjoint.COSTATE_BLOCK_BYTES if block is None else 8 * n * n * block
+        scan = n <= crossover
+        event("scan" if scan else "loop")
+        with mock.patch.object(adjoint, "COSTATE_SCAN_MAX_DIM", crossover), \
+                mock.patch.object(adjoint, "COSTATE_BLOCK_BYTES", block_bytes):
+            lam, blown = costate_sweep(problem, X, U)
+            grid = problem.eta.grid
+            for b in range(len(X)):
+                x, u = SampledPath(grid, X[b]), SampledPath(grid, U[b])
+                try:
+                    ref = costate_reference(problem, x, u)
+                except BlowUpError as err:
+                    event("blown up")
+                    assert blown[b] == err.node_index
+                else:
+                    assert blown[b] == -1
+                    if scan:
+                        assert_scan_close(lam[b], ref)
+                    else:
+                        assert lam[b].tobytes() == ref.tobytes()
+                alone, node = costate_sweep(problem, X[b], U[b])
+                assert node == blown[b]
+                if node < 0:
+                    assert lam[b].tobytes() == alone.tobytes()
 
 
 def test_costate_sweep_members_equal_one_member_sweeps():
@@ -270,6 +323,18 @@ def test_costate_blow_up_reports_the_per_step_node():
     assert 0 < err.value.node_index == ref.value.node_index < grid.n_steps - 1
     _, blown = costate_sweep(problem, np.stack([x.values] * 2), np.stack([u.values] * 2))
     assert list(blown) == [ref.value.node_index] * 2
+
+
+def test_costate_stays_zero_under_an_overflowing_product():
+    # No forcing: the costate is zero however fast the backward dynamics
+    # grow.  The scan's products of 64 step maps overflow, and zero times
+    # inf is NaN, so the block must fall back to the step loop rather than
+    # report a blow-up the loop never meets.
+    grid = TimeGrid(100.0, 128)
+    problem = scalar_lq(grid, a=1e4)
+    x, u = SampledPath.zeros(grid, 1), SampledPath.zeros(grid, 1)
+    assert np.array_equal(costate_reference(problem, x, u), np.zeros((grid.n_nodes, 1)))
+    assert np.array_equal(solve_costate(problem, x, u).values, np.zeros((grid.n_nodes, 1)))
 
 
 def test_single_start_runs_without_member_axis(monkeypatch):
