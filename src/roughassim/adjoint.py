@@ -197,14 +197,13 @@ def pointwise_hamiltonian_minimizer(problem: AssimilationProblem, t, x, lam):
     """Closed-form arg min over v of H for the quadratic family.
 
     u* = Proj_U(-S^{-1} G' lambda') with U the problem's control
-    set; requires a quadratic-family cost (``cost.quad``).
+    set, the gain -S^{-1} G' read from
+    :attr:`AssimilationProblem.control_gain`; requires a quadratic-family
+    cost (``cost.quad``).
     """
-    quad = problem.cost.quad
-    if quad is None:
+    if problem.cost.quad is None:
         raise InvalidSpecError("closed-form minimizer needs a quadratic cost")
-    # One column per node: np.linalg.solve reads a 2-D right-hand side as a matrix.
-    raw = -np.linalg.solve(quad.S, np.vecmat(lam, problem.model.G)[..., None])[..., 0]
-    return problem.control_set.project_values(raw)
+    return problem.control_set.project_values(np.matvec(problem.control_gain, lam))
 
 
 #: Samples per node when the Hamiltonian minimum has no closed form.

@@ -66,10 +66,11 @@ class ModelSpec:
 
     def rk4_step(self, t, x, u, dt):
         """One classical RK4 step from (t, x) with the control frozen at u."""
-        k1 = self.drift(t, x, u)
-        k2 = self.drift(t + 0.5 * dt, x + 0.5 * dt * k1, u)
-        k3 = self.drift(t + 0.5 * dt, x + 0.5 * dt * k2, u)
-        k4 = self.drift(t + dt, x + dt * k3, u)
+        gu = np.matvec(self.G, u)  # the control term of all four stages
+        k1 = self.f(t, x) + gu
+        k2 = self.f(t + 0.5 * dt, x + 0.5 * dt * k1) + gu
+        k3 = self.f(t + 0.5 * dt, x + 0.5 * dt * k2) + gu
+        k4 = self.f(t + dt, x + dt * k3) + gu
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -142,13 +143,17 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
     ip1, im1, im2 = (idx + 1) % n, (idx - 1) % n, (idx - 2) % n
 
     def f(t, x):
-        return (x[..., ip1] - x[..., im2]) * x[..., im1] - x + forcing
+        # w[..., k] = x[..., k - 2]: one copy, then three slices, not three gathers.
+        w = np.concatenate((x[..., -2:], x, x[..., :1]), axis=-1)
+        return (w[..., 3:] - w[..., :-3]) * w[..., 1:-2] - x + forcing
 
     def D2f(t, x):
+        # The written entries of -eye(n) hold -0.0, and -0.0 + v is v.
         jac = np.broadcast_to(-np.eye(n), np.shape(x) + (n,)).copy()
-        jac[..., idx, ip1] += x[..., im1]
-        jac[..., idx, im2] += -x[..., im1]
-        jac[..., idx, im1] += x[..., ip1] - x[..., im2]
+        xm1 = x[..., im1]
+        jac[..., idx, ip1] = xm1
+        jac[..., idx, im2] = -xm1
+        jac[..., idx, im1] = x[..., ip1] - x[..., im2]
         return jac
 
     return ModelSpec(f, np.eye(n), D2f)

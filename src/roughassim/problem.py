@@ -11,6 +11,7 @@ pieces fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -112,6 +113,15 @@ class AssimilationProblem:
                 raise InvalidSpecError(f"S is {s}x{s}, but the model has {m} controls")
         check_observation(self.cost, self.eta, x0)
         self.control_set.check(m)
+
+    @cached_property
+    def control_gain(self) -> np.ndarray:
+        """-S^{-1} G', (m, n), solved once per problem for a quadratic-family
+        cost: the unconstrained Hamiltonian minimizer is its product with
+        lambda'."""
+        gain = -np.linalg.solve(self.cost.quad.S, self.model.G.T)
+        gain.flags.writeable = False
+        return gain
 
     def check_paths(self, **paths) -> tuple:
         """:func:`~roughassim.dynamics.check_paths` with the model's n and m

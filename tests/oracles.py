@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from roughassim.cost import eval_cost
-from roughassim.dynamics import integrate_state
+from roughassim.dynamics import ModelSpec, integrate_state
 from roughassim.errors import BlowUpError
 from roughassim.grid import SampledPath, require_same_grid
 
@@ -85,6 +85,42 @@ def costate_reference(problem, x, u):
                 raise BlowUpError(i)
             lam[i] = cur
     return lam
+
+
+def four_drift_step(model, t, x, u, dt):
+    """One RK4 step with G u formed inside each of its four ``drift`` calls.
+
+    Reference for ``ModelSpec.rk4_step``, which forms G u once per step and
+    must reproduce this bit for bit.
+    """
+    k1 = model.drift(t, x, u)
+    k2 = model.drift(t + 0.5 * dt, x + 0.5 * dt * k1, u)
+    k3 = model.drift(t + 0.5 * dt, x + 0.5 * dt * k2, u)
+    k4 = model.drift(t + dt, x + dt * k3, u)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def lorenz96_gathered(n: int, forcing: float = 8.0) -> ModelSpec:
+    """Lorenz'96 with its cyclic neighbours gathered by fancy indexing and
+    its Jacobian built by in-place adds onto -I.
+
+    Reference for ``dynamics.lorenz96_model``, whose slices and writes must
+    give the same bytes.
+    """
+    idx = np.arange(n)
+    ip1, im1, im2 = (idx + 1) % n, (idx - 1) % n, (idx - 2) % n
+
+    def f(t, x):
+        return (x[..., ip1] - x[..., im2]) * x[..., im1] - x + forcing
+
+    def D2f(t, x):
+        jac = np.broadcast_to(-np.eye(n), np.shape(x) + (n,)).copy()
+        jac[..., idx, ip1] += x[..., im1]
+        jac[..., idx, im2] += -x[..., im1]
+        jac[..., idx, im1] += x[..., ip1] - x[..., im2]
+        return jac
+
+    return ModelSpec(f, np.eye(n), D2f)
 
 
 def pvar_exhaustive(values: np.ndarray, p: float) -> float:

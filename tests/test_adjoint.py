@@ -17,7 +17,7 @@ from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_
 from roughassim.dynamics import integrate_state, linear_model, lorenz63_model
 from roughassim.errors import InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
-from roughassim.problem import AssimilationProblem
+from roughassim.problem import AssimilationProblem, ControlSetSpec
 from roughassim.roughpath import sample_wiener
 
 from conftest import zero_eta
@@ -152,6 +152,53 @@ class TestHamiltonianPieces:
             pointwise_hamiltonian_minimizer(problem, 0.0, np.zeros(1), np.zeros(1))
 
 
+# The CI ``matrix`` twin's control weight.
+MATRIX_S = [[50.0, 5.0, 0.0], [5.0, 40.0, 0.0], [0.0, 0.0, 60.0]]
+
+CONTROL_SETS = [
+    ControlSetSpec(),
+    ControlSetSpec(kind="box", lo=-0.05, hi=0.05),
+    ControlSetSpec(kind="ball", radius=0.1),
+]
+
+
+def matrix_problem(control_set, seed=3):
+    """Four states, three controls through a random G, the matrix S."""
+    rng = np.random.default_rng(seed)
+    model = linear_model(rng.normal(size=(4, 4)), rng.normal(size=(4, 3)))
+    h, h_jac = coordinate_observation([0, 2], 4)
+    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(2), S=MATRIX_S)
+    grid = TimeGrid(1.0, 63)
+    return AssimilationProblem(model, build_minimum_energy(quad), zero_eta(grid, 2), control_set)
+
+
+class TestControlGain:
+    """The minimizer applies one gain -S^{-1} G', solved once per problem."""
+
+    @pytest.mark.parametrize("control_set", CONTROL_SETS, ids=lambda c: c.kind)
+    def test_minimizer_matches_the_solve(self, control_set):
+        problem = matrix_problem(control_set)
+        lam = np.random.default_rng(4).normal(size=(64, 4)) * 10.0
+        raw = -np.linalg.solve(problem.cost.quad.S, (lam @ problem.model.G).T).T
+        ref = control_set.project_values(raw)
+        u = pointwise_hamiltonian_minimizer(problem, 0.0, np.zeros(4), lam)
+        gap = np.linalg.norm(u - ref, axis=1)
+        assert np.all(gap <= 1e-14 * np.linalg.norm(ref, axis=1))
+
+    def test_gain_is_solved_once(self, monkeypatch):
+        problem = matrix_problem(ControlSetSpec())
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        grid = problem.eta.grid
+        lam = np.ones((grid.n_nodes, 4))
+        for _ in range(3):
+            pointwise_hamiltonian_minimizer(problem, grid.times, np.zeros((grid.n_nodes, 4)), lam)
+        assert len(solves) == 1
+        assert problem.control_gain.shape == (3, 4)
+        assert not problem.control_gain.flags.writeable
+
+
 class TestMaxPrincipleResidual:
     def _triple(self, grid, uval, lamval):
         x = SampledPath.zeros(grid, 1)
@@ -166,6 +213,16 @@ class TestMaxPrincipleResidual:
         triple = self._triple(grid, uval=-1.5, lamval=3.0)
         residual = max_principle_residual(triple, problem)
         assert residual == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("control_set", CONTROL_SETS, ids=lambda c: c.kind)
+    def test_residual_at_the_minimizer_is_exactly_zero(self, control_set):
+        problem = matrix_problem(control_set)
+        grid = problem.eta.grid
+        rng = np.random.default_rng(5)
+        x, lam = (SampledPath(grid, rng.normal(size=(grid.n_nodes, 4))) for _ in range(2))
+        ustar = pointwise_hamiltonian_minimizer(problem, grid.times, x.values, lam.values)
+        triple = OptimalTriple(x=x, u=SampledPath(grid, ustar), lam=lam)
+        assert max_principle_residual(triple, problem) == 0.0
 
     def test_perturbed_control_residual_quadratic_in_offset(self):
         # H(u* + d) - H(u*) = s d^2 / 2 exactly for the quadratic family.

@@ -38,6 +38,13 @@ def test_the_largest_seed_runs(suite):
     assert report["checks"]
 
 
+def test_mp_residual_at_minimizer_is_exactly_zero():
+    # The control is the minimizer the residual's own minimum reads.
+    report = run_suite("adjoint", seed=42)
+    residual = {rec["name"]: rec["value"] for rec in report["checks"]}
+    assert residual["mp_residual_at_minimizer"] == 0.0
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(InvalidSpecError):
         run_suite("nonsense", seed=0)

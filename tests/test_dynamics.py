@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import energy_diagnostic, lorenz63_quadratic_part
+from oracles import energy_diagnostic, four_drift_step, lorenz63_quadratic_part, lorenz96_gathered
 from roughassim.dynamics import (
     ModelSpec,
     integrate_state,
@@ -113,6 +113,37 @@ class TestLorenz96:
             with pytest.raises(InvalidSpecError):
                 lorenz96_model(n=n)
         assert lorenz96_model(n=np.int64(8)).state_dim == 8
+
+
+class TestArrayStep:
+    """The array stepper forms G u once per step, and Lorenz'96 reads its
+    neighbours by slices; both must keep the bytes of the plain forms."""
+
+    @pytest.mark.parametrize("members", [(), (5,)])
+    def test_rk4_step_equals_four_drift_form(self, members):
+        rng = np.random.default_rng(11)
+        model = linear_model(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)))
+        for dt in (0.01, 0.37):
+            x = rng.normal(size=members + (3,)) * 10.0
+            u = rng.normal(size=members + (2,))
+            u[rng.random(u.shape) < 0.3] = -0.0
+            ref = four_drift_step(model, 0.5, x, u, dt)
+            assert model.rk4_step(0.5, x, u, dt).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_lorenz96_sweep_equals_gathered_form(self, n):
+        model, gathered = lorenz96_model(n), lorenz96_gathered(n)
+        grid = TimeGrid(0.5, 64)
+        rng = np.random.default_rng(n)
+        uv = rng.normal(size=(4, grid.n_nodes, n))
+        uv[rng.random(uv.shape) < 0.2] = -0.0
+        xi = 8.0 + rng.normal(size=(4, n))
+        for u, x0 in ((uv, xi), (uv[0], xi[0])):  # a member axis, and none
+            states, _ = rk4_sweep(model, u, x0, grid)
+            assert states.tobytes() == rk4_sweep(gathered, u, x0, grid)[0].tobytes()
+            x = states.copy()
+            x[..., ::3, 1] = -0.0
+            assert model.D2f(0.0, x).tobytes() == gathered.D2f(0.0, x).tobytes()
 
 
 def test_linear_model_invalid_matrices():

@@ -307,6 +307,68 @@ class TestRecordColumns:
         assert _suffix_records(np.arange(6.0), 6).tolist() == list(range(6))
 
 
+@st.composite
+def prune_cases(draw):
+    """Paths the column prune serves: up to 300 nodes in 1 to 9 components,
+    a vector path at any p, a scalar one at p = 1.  Integer steps make ties,
+    zero steps repeated nodes; the scales reach 1e+-150 and, at 10^(-315/p),
+    subnormal p-th powers."""
+    dim = draw(st.integers(min_value=1, max_value=9))
+    p = 1.0 if dim == 1 else draw(st.sampled_from([1.0, 1.3, 2.5, 4.0, 1e3]))
+    n = draw(st.integers(min_value=2, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    kind = draw(st.sampled_from(["gaussian", "integer", "repeated"]))
+    if kind == "integer":
+        steps = rng.integers(-2, 3, size=(n - 1, dim)).astype(float)
+    else:
+        steps = rng.normal(size=(n - 1, dim))
+        if kind == "repeated":
+            steps[rng.random(n - 1) < 0.4] = 0.0
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150, 10.0 ** (-315.0 / p)]))
+    return scale * np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)]), p
+
+
+class TestColumnPrune:
+    """A vector path, or one at p = 1, reads of the earlier blocks only the
+    columns a triangle-inequality bound keeps; the dynamic program must
+    equal the full one bit for bit, overflow and underflow included."""
+
+    @given(prune_cases(), st.sampled_from([1, 3, 64]))
+    @settings(deadline=None, derandomize=True)
+    def test_pruned_dp_equals_full_dp(self, case, block):
+        values, p = case
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(roughpath, "PVAR_BLOCK", block)
+            assert roughpath._max_dissection_sum(values, p) ** (1.0 / p) == pvar_full_dp(values, p)
+
+    def test_a_3d_walk_keeps_few_columns(self, monkeypatch):
+        kept, read = [], []
+        prune = roughpath._kept_columns
+
+        def spy(values, best, lo, hi, p):
+            columns = prune(values, best, lo, hi, p)
+            kept.append(columns.size)
+            read.append(lo)
+            return columns
+
+        monkeypatch.setattr(roughpath, "_kept_columns", spy)
+        path = sample_wiener(TimeGrid(1.0, 2048), 3, 42)
+        assert p_variation(path, 2.5) == pvar_full_dp(path.values, 2.5)
+        assert sum(kept) < 0.3 * sum(read)
+
+    def test_overflowing_powers_run_in_units_of_the_largest_distance(self):
+        # p-variation is 1-homogeneous; at p = 4 these powers overflow.
+        steps = wiener_rng(1, 0).normal(size=(64, 2))
+        path = SampledPath(TimeGrid(1.0, 64), np.vstack([np.zeros((1, 2)), np.cumsum(steps, 0)]))
+        for scale in (1e100, -1e200, 1e300):
+            big = SampledPath(path.grid, scale * path.values)
+            assert p_variation(big, 4.0) == pytest.approx(abs(scale) * p_variation(path, 4.0),
+                                                          rel=1e-14)
+        # A largest distance beyond the float range is an infinite variation.
+        wide = SampledPath(TimeGrid(1.0, 2), [[1e308], [-1e308], [0.0]])
+        assert p_variation(wide, 2.0) == np.inf
+
+
 class TestYoungIntegral:
     def test_polynomial_pair_left_tag_converges(self):
         # int_0^1 t d(t^2) = 2/3; left sums converge at first order.
