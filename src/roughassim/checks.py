@@ -25,6 +25,7 @@ from .experiments import build_cost, load_config, simulate_truth
 from .grid import SampledPath, TimeGrid, _seed
 from .problem import AssimilationProblem
 from .roughpath import (
+    _p_variations,
     oscillation,
     p_variation,
     p_variation_bruteforce,
@@ -56,6 +57,11 @@ def _random_walk(grid, dim, seed, stream):
     return SampledPath(grid, vals)
 
 
+def _pvars(paths, p) -> list:
+    """p-variations of equal-length paths of one dimension, one stack."""
+    return _p_variations(np.stack([path.values for path in paths]), p).tolist()
+
+
 def _smooth_random(grid, dim, seed, stream, n_modes=4):
     """Random trigonometric polynomial sampled on the grid (piecewise linear)."""
     rng = wiener_rng(seed, stream)
@@ -79,27 +85,29 @@ def suite_roughpath(seed: int = 0) -> list:
     checks.append(_record("pvariation_dp_vs_bruteforce", worst, 1e-12))
 
     # Variation inequalities on random walks.
+    grid, trials = TimeGrid(1.0, 64), range(100)
+    ys = [_random_walk(grid, 2, seed, 300 + trial) for trial in trials]
+    xs = [_random_walk(grid, 2, seed, 500 + trial) for trial in trials]
+    xys = [SampledPath(grid, x.values * y.values) for x, y in zip(xs, ys)]
+    scalars = [_random_walk(grid, 1, seed, 700 + trial) for trial in trials]
+    p, q, kappa = 2.5, 1.5, 0.5
+    psis = [SampledPath(grid, np.abs(s.values) ** kappa) for s in scalars]
+    vps, vqs, vxs, vxys = _pvars(ys, p), _pvars(ys, q), _pvars(xs, p), _pvars(xys, p)
+    v_kappa, v_psi = _pvars(scalars, kappa * p), _pvars(psis, p)
+    v_ac = [_pvars(scalars[r::4], 1.0 + r * 0.7) for r in range(4)]
     mono = interp = prod = chain = ac = 0.0
-    grid = TimeGrid(1.0, 64)
-    for trial in range(100):
-        y = _random_walk(grid, 2, seed, 300 + trial)
-        p, q = 2.5, 1.5
-        vp, vq = p_variation(y, p), p_variation(y, q)
+    for trial in trials:
+        y, x, vp, vq = ys[trial], xs[trial], vps[trial], vqs[trial]
         mono = max(mono, vp - vq)
         interp = max(interp, vp - vq ** (q / p) * oscillation(y) ** (1 - q / p))
-        x = _random_walk(grid, 2, seed, 500 + trial)
-        xy = SampledPath(grid, x.values * y.values)
-        bound = p_variation(x, p) * np.max(np.linalg.norm(y.values, axis=1)) + vp * np.max(
+        bound = vxs[trial] * np.max(np.linalg.norm(y.values, axis=1)) + vp * np.max(
             np.linalg.norm(x.values, axis=1)
         )
-        prod = max(prod, p_variation(xy, p) - bound)
-        kappa = 0.5
-        ys = _random_walk(grid, 1, seed, 700 + trial)
-        psi_y = SampledPath(grid, np.abs(ys.values) ** kappa)
-        chain_bound = p_variation(ys, kappa * p) ** kappa + grid.T**kappa
-        chain = max(chain, p_variation(psi_y, p) - chain_bound)
-        total_var = float(np.sum(np.abs(np.diff(ys.values, axis=0))))
-        ac = max(ac, p_variation(ys, 1.0 + (trial % 4) * 0.7) - total_var)
+        prod = max(prod, vxys[trial] - bound)
+        chain_bound = v_kappa[trial] ** kappa + grid.T**kappa
+        chain = max(chain, v_psi[trial] - chain_bound)
+        total_var = float(np.sum(np.abs(np.diff(scalars[trial].values, axis=0))))
+        ac = max(ac, v_ac[trial % 4][trial // 4] - total_var)
     checks.append(_record("variation_monotonicity", mono, 1e-12))
     checks.append(_record("variation_interpolation", interp, 1e-12))
     checks.append(_record("variation_product_rule", prod, 1e-12))
@@ -140,16 +148,12 @@ def suite_roughpath(seed: int = 0) -> list:
     checks.append(_record("young_tag_refinement_ratio", min_ratio, 1.3, larger_is_fail=False))
 
     # Wiener grid-variation dichotomy: stable at p=2.5, unbounded at p=1.5.
-    lo_25, hi_25, lo_15 = np.inf, 0.0, np.inf
-    for s in range(20):
-        fine = sample_wiener(TimeGrid(1.0, 4096), 1, seed, stream=1500 + s)
-        v128 = p_variation(fine.restrict(32), 1.5)
-        v4096 = p_variation(fine, 1.5)
-        lo_15 = min(lo_15, v4096 / v128)
-        v1024 = p_variation(fine.restrict(4), 2.5)
-        v2048 = p_variation(fine.restrict(2), 2.5)
-        lo_25 = min(lo_25, v2048 / v1024)
-        hi_25 = max(hi_25, v2048 / v1024)
+    fines = [sample_wiener(TimeGrid(1.0, 4096), 1, seed, stream=1500 + s) for s in range(20)]
+    v4096, v128 = _pvars(fines, 1.5), _pvars([w.restrict(32) for w in fines], 1.5)
+    v2048, v1024 = (_pvars([w.restrict(k) for w in fines], 2.5) for k in (2, 4))
+    lo_15 = min(a / b for a, b in zip(v4096, v128))
+    lo_25 = min(a / b for a, b in zip(v2048, v1024))
+    hi_25 = max(a / b for a, b in zip(v2048, v1024))
     checks.append(_record("wiener_pvar_stable_p2.5_low", lo_25, 0.8, larger_is_fail=False))
     checks.append(_record("wiener_pvar_stable_p2.5_high", hi_25, 1.25))
     checks.append(_record("wiener_pvar_grows_p1.5", lo_15, 1.3, larger_is_fail=False))
@@ -213,12 +217,12 @@ def suite_adjoint(seed: int = 0) -> list:
     )
 
     # Costate grid q-variation stabilizes under refinement for q = 2.5.
-    ratios = []
+    costates = []
     for s in range(3):
         problemf, _, truthf = _lorenz_setup((seed + s) % 2**64, n_steps=2048, T=1.0)
-        lamf = solve_costate(problemf, truthf, SampledPath.zeros(problemf.eta.grid, 3))
-        coarse = lamf.restrict(2)
-        ratios.append(p_variation(lamf, 2.5) / p_variation(coarse, 2.5))
+        costates.append(solve_costate(problemf, truthf, SampledPath.zeros(problemf.eta.grid, 3)))
+    fine, coarse = _pvars(costates, 2.5), _pvars([lam.restrict(2) for lam in costates], 2.5)
+    ratios = [a / b for a, b in zip(fine, coarse)]
     checks.append(_record("costate_qvar_ratio_high", max(ratios), 1.25))
     checks.append(_record("costate_qvar_ratio_low", min(ratios), 0.8, larger_is_fail=False))
     return checks

@@ -7,8 +7,10 @@ program.  For a scalar path and p > 1 it runs over the turning points
 alone and reads, of the earlier nodes, only the suffix records, about
 O(N^1.5) distances on a random walk; any other path reads only the
 earlier nodes that a triangle-inequality bound cannot rule out.  The
-program, its brute-force oracle and the oscillation read their node
-distances from one blocked kernel, :func:`_distances`.
+program runs on a stack of equal-length paths at one p, every member at
+once, and :func:`p_variation` is its one-member call.  The program, its
+brute-force oracle and the oscillation read their node distances from one
+blocked kernel, :func:`_distances`.
 Young integrals are evaluated as tagged Riemann sums with a left or
 midpoint tag; the cost and the costate form their own left-tag sums against
 the observation increments.
@@ -16,6 +18,7 @@ the observation increments.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, combinations
 from math import comb
 
@@ -33,67 +36,78 @@ MAX_PVAR_NODES = 4097
 PVAR_BLOCK = 64
 
 
-def _distances(values: np.ndarray, lo: int, hi: int, cols=None) -> np.ndarray:
-    """|v_j - v_i| for rows j in [lo, hi) against columns i in ``cols``, an
-    index array or a slice, or every i < hi when None.
+def _distances(values: np.ndarray, rows, cols) -> np.ndarray:
+    """|values[cols] - values[rows]|, Euclidean over the last axis; ``rows``
+    and ``cols`` index the leading axes and broadcast against each other.
 
-    Row j is bit for bit ``np.linalg.norm(values[cols] - values[j], axis=1)``.
+    Each entry is bit for bit ``np.linalg.norm`` of its difference vector.
     """
-    if cols is None:
-        cols = slice(hi)
-    if values.shape[1] >= 8:
+    if values.shape[-1] >= 8:
         # numpy sums 8 or more terms pairwise, so only norm's own reduce matches.
-        picked = values[cols]
-        return np.stack([np.linalg.norm(picked - values[j], axis=1) for j in range(lo, hi)])
+        return np.linalg.norm(values[cols] - values[rows], axis=-1)
     # Below 8 terms norm's reduce adds left to right, as these column sums do.
     sq = None
-    for c in values.T:
-        diff = c[None, cols] - c[lo:hi, None]
+    for c in range(values.shape[-1]):
+        diff = values[..., c][cols] - values[..., c][rows]
         sq = diff * diff if sq is None else np.add(sq, diff * diff, out=sq)
     return np.sqrt(sq, out=sq)
 
 
 def _turning_points(v: np.ndarray) -> np.ndarray:
-    """Mask of the endpoints and the nodes where a scalar path stops being
-    strictly monotone (a NaN neighbour counts as a turn)."""
-    d = np.diff(v)
+    """Mask of the endpoints and the nodes where a scalar path, each column
+    of v, stops being strictly monotone (a NaN neighbour counts as a turn)."""
+    d = v[1:] - v[:-1]
     up, down = d > 0, d < 0
-    keep = np.ones(v.shape[0], dtype=bool)
+    keep = np.ones(v.shape, dtype=bool)
     keep[1:-1] = ~((up[:-1] & up[1:]) | (down[:-1] & down[1:]))
     return keep
 
 
 def _suffix_records(v: np.ndarray, lo: int) -> np.ndarray:
-    """Indices i < lo with v_i <= min(v[i:lo]) or v_i >= max(v[i:lo]), ties kept."""
+    """Mask of the nodes i < lo with v_i <= min(v[i:lo]) or v_i >= max(v[i:lo]),
+    ties kept, in each column of v."""
     head = v[lo - 1 :: -1]  # v[:lo] reversed
-    low = np.minimum.accumulate(head)[::-1]
-    high = np.maximum.accumulate(head)[::-1]
-    return np.flatnonzero((v[:lo] <= low) | (v[:lo] >= high))
+    low = np.minimum.accumulate(head, axis=0)[::-1]
+    high = np.maximum.accumulate(head, axis=0)[::-1]
+    return (v[:lo] <= low) | (v[:lo] >= high)
 
 
 def _kept_columns(values, best, lo: int, hi: int, p: float) -> np.ndarray:
-    """Columns i < lo that may hold the max of a row in [lo, hi).
+    """Mask of the columns i < lo that may hold the max of a row in [lo, hi),
+    one column of the mask per member of the (n, B, d) stack.
 
     best is nondecreasing, so best[lo], taken here over every column, is a
     floor for each row of the block.  With R the largest |v_j - v_lo| there,
     |v_j - v_i| <= |v_lo - v_i| + R, and column i goes when best[i] plus
     that bound to the p is below the floor by a relative slack and by the
     smallest normal float, which covers the rounding of a subnormal power.
-    A NaN or an infinite bound keeps its column.
+    A NaN or an infinite bound keeps its column, and the floor's own column
+    always stays.
     """
     # The bound and the candidates it covers each round to about
     # (d + 8) p 2^-52; from a slack of 1 on nothing covers that.
-    slack = 2.0**-40 * (values.shape[1] + 8) * p
+    slack = 2.0**-40 * (values.shape[-1] + 8) * p
     if slack >= 1.0:
-        return np.arange(lo)
-    near = _distances(values, lo, lo + 1, slice(hi))[0]  # |v_i - v_lo| for i < hi
-    floor = np.max(best[:lo] + near[:lo] ** p)
-    bound = best[:lo] + (near[:lo] + np.max(near[lo:])) ** p
-    return np.flatnonzero(~(bound < floor * (1.0 - slack) - 2.0**-1022))
+        return np.ones(best[:lo].shape, dtype=bool)
+    near = _distances(values, lo, np.s_[:hi])  # |v_i - v_lo| for i < hi
+    floor = np.max(best[:lo] + near[:lo] ** p, axis=0)
+    bound = best[:lo] + (near[:lo] + np.max(near[lo:], axis=0)) ** p
+    return ~(bound < floor * (1.0 - slack) - 2.0**-1022)
 
 
-def _max_dissection_sum(values: np.ndarray, p: float) -> float:
-    """Max over grid dissections of sum |increment|^p (the 1/p root not taken).
+@cache
+def _block_pairs(m: int):
+    """The node pairs k < r of an m-row block, k-major, as index arrays
+    (tail k, head r), and the bounds [firsts[k], ends[k]) of the pairs from k.
+    Cached per block size and shared, so callers only read them."""
+    tail, head = np.triu_indices(m, 1)
+    ends = np.cumsum(np.arange(m - 1, 0, -1)).tolist()
+    return tail, head, [0] + ends[:-1], ends
+
+
+def _max_dissection_sums(values: np.ndarray, p: float) -> np.ndarray:
+    """Max over grid dissections of sum |increment|^p (the 1/p root not
+    taken) of each member of a stack (B, n, d) of paths, shape (B,).
 
     best[j] is the largest sum over dissections of nodes 0..j ending at j.
     A scalar path with p > 1 first drops the nodes strictly inside its
@@ -101,13 +115,18 @@ def _max_dissection_sum(values: np.ndarray, p: float) -> float:
     optimal dissection never stops there (Butkus and Norvaisa, Lith. Math.
     J. 58, 2018), and the program over the kept nodes adds the same terms
     in the same order.  At p = 1 dissections tie, and which one the float
-    sums favour would change, so that case keeps every node.
+    sums favour would change, so that case keeps every node.  Each member
+    keeps its own nodes, and the stack is padded to the longest member by
+    repeating each member's last node.  A repeated node adds a zero
+    increment, and best[i] + 0.0 is best[i], so each padded row holds its
+    member's sum bit for bit, and every sum is read at the last row.
 
     Rows are filled ``PVAR_BLOCK`` at a time from one block of terms: one
     max gives each row its best over the earlier blocks, and a sweep over
-    the block adds the candidates from inside it.  Each candidate is the
-    same sum best[i] + |v_j - v_i|^p, and max is exact, so best is bit for
-    bit the row-by-row program's.
+    the block adds the candidates from inside it, every member at once.
+    Each candidate is the same sum best[i] + |v_j - v_i|^p, and max is
+    exact, so each member's best is bit for bit the row-by-row program's
+    over that member alone.
 
     The same scalar case reads, of the earlier blocks, only the suffix
     records of v[:lo] (:func:`_suffix_records`).  The last segment (i, j)
@@ -122,36 +141,81 @@ def _max_dissection_sum(values: np.ndarray, p: float) -> float:
     block on only the columns :func:`_kept_columns` keeps.  A column it
     drops has each candidate below best[lo], which row lo reaches through
     its best column and every later row through column lo, so best stays
-    bit for bit.
+    bit for bit.  Each member's columns are gathered into one flat list,
+    and one ``np.maximum.reduceat`` takes each member's max over its own.
     """
-    n = values.shape[0]
+    size, n = values.shape[:2]
     if n < 2:
-        return 0.0
-    scalar = values.shape[1] == 1 and p > 1
+        return np.zeros(size)
+    members = np.arange(size)
+    values = values.transpose(1, 0, 2)  # (n, B, d): a node's members side by side
+    scalar = values.shape[2] == 1 and p > 1
     if scalar:
-        values = values[_turning_points(values[:, 0])]
+        keep = _turning_points(values[:, :, 0])
+        rank = np.cumsum(keep, axis=0) - 1  # a kept node's place among its member's
+        nodes = np.full((rank[-1].max() + 1, size), n - 1)
+        node, member = np.nonzero(keep)
+        nodes[rank[keep], member] = node
+        values = values[nodes, members]
         n = values.shape[0]
-    best = np.zeros(n)
+    best = np.zeros((n, size))
     for lo in range(1, n, PVAR_BLOCK):
         hi = min(lo + PVAR_BLOCK, n)
         if scalar:
-            earlier = _suffix_records(values[:, 0], lo)
+            kept = _suffix_records(values[:, :, 0], lo)
         elif lo >= PVAR_BLOCK:  # the first block has too few columns to prune
-            earlier = _kept_columns(values, best, lo, hi, p)
+            kept = _kept_columns(values, best, lo, hi, p)
         else:
-            earlier = np.arange(lo)
-        terms = _distances(values, lo, hi, np.concatenate([earlier, np.arange(lo, hi)])) ** p
-        reach = np.max(best[earlier] + terms[:, : earlier.size], axis=1)
-        inside = terms[:, earlier.size :].T.copy()  # inside[k]: terms from node lo + k
-        for k in range(hi - lo):
-            best[lo + k] = reach[k]
-            # Rows up to k are final already; what this writes there is unread.
-            np.maximum(reach, inside[k] + reach[k], out=reach)
-    return float(best[n - 1])
+            kept = np.ones((lo, size), dtype=bool)
+        # Member-major, one segment per member.  No segment is empty (reduceat
+        # would read the next one): the records hold lo - 1, and the prune
+        # keeps the floor's column.
+        owner, cols = np.nonzero(kept.T)
+        terms = _distances(values, np.s_[lo:hi, owner], (cols, owner)) ** p
+        starts = np.searchsorted(owner, members)
+        reach = np.maximum.reduceat(best[cols, owner] + terms, starts, axis=1)
+        tail, head, firsts, ends = _block_pairs(hi - lo)
+        inside = _distances(values[lo:hi], head, tail) ** p
+        for k, (start, end) in enumerate(zip(firsts, ends)):
+            later = reach[k + 1 :]
+            np.maximum(later, inside[start:end] + reach[k], out=later)
+        best[lo:hi] = reach
+    return best[n - 1]
+
+
+def _p_variations(values: np.ndarray, p: float) -> np.ndarray:
+    """Exact grid p-variations of a stack (B, n, d) of equal-length paths
+    at one p, shape (B,); member b equals ``p_variation`` of path b alone,
+    bit for bit.
+
+    The p-variation is 1-homogeneous, so a member whose p-th powers
+    overflow, or whose sum falls below the smallest normal float while the
+    member moves, runs again in units of its largest distance.
+    """
+    p = _exponent(p, "p")
+    if values.shape[1] > MAX_PVAR_NODES:
+        raise InvalidSpecError(
+            f"path has {values.shape[1]} nodes, above the cap of {MAX_PVAR_NODES}"
+        )
+    with np.errstate(over="ignore", under="ignore"):
+        totals = _max_dissection_sums(values, p)
+        # Python's float power, not numpy's vector one, which may round apart.
+        out = [t ** (1.0 / p) for t in totals.tolist()]
+        redo = ~((2.0**-1022 <= totals) & (totals < np.inf))
+        redo[redo] = np.any(values[redo] != values[redo, :1], axis=(1, 2))  # constant: 0
+        if redo.any():
+            top = np.max(np.abs(values[redo]), axis=(1, 2), keepdims=True)
+            unit = values[redo] / top
+            width = _widths(unit)[:, None, None]
+            again = _max_dissection_sums(unit / width, p).tolist()
+            for b, t, w, s in zip(np.flatnonzero(redo), top.flat, width.flat, again):
+                out[b] = float(t) * (float(w) * s ** (1.0 / p))
+    return np.array(out)
 
 
 def p_variation(path: SampledPath, p: float) -> float:
-    """Exact grid p-variation of a path, Euclidean norm on increments.
+    """Exact grid p-variation of a path, Euclidean norm on increments: the
+    one-member stack of :func:`_p_variations`.
 
     O(K^2) time at most in the K nodes the dynamic program keeps: every
     node of a vector path or at p = 1, only the turning points of a scalar
@@ -159,24 +223,14 @@ def p_variation(path: SampledPath, p: float) -> float:
     the suffix records of a scalar path, O(sqrt(K)) of them on a random
     walk, so O(K^1.5) time; those :func:`_kept_columns` keeps of any other
     path, from 1% to 30% of them on a 3-D random walk.  Memory is
-    O(``PVAR_BLOCK`` * K): the program fills its rows a block at a time.
-    A path whose p-th powers overflow runs again in units of its largest
-    distance, since the p-variation is 1-homogeneous.  Refuses paths with
-    more than ``MAX_PVAR_NODES`` nodes (counted before that reduction) to
-    keep the diagnostic affordable.
+    O(``PVAR_BLOCK`` * K), O(``PVAR_BLOCK`` * B * K) for a stack of B: the
+    program fills its rows a block at a time.
+    A path whose p-th powers overflow or underflow runs again in units of
+    its largest distance, since the p-variation is 1-homogeneous.  Refuses
+    paths with more than ``MAX_PVAR_NODES`` nodes (counted before that
+    reduction) to keep the diagnostic affordable.
     """
-    p = _exponent(p, "p")
-    values = path.values
-    if values.shape[0] > MAX_PVAR_NODES:
-        raise InvalidSpecError(f"path has {len(values)} nodes, above the cap of {MAX_PVAR_NODES}")
-    with np.errstate(over="ignore"):
-        total = _max_dissection_sum(values, p)
-        if total < np.inf:
-            return total ** (1.0 / p)
-        top = float(np.max(np.abs(values)))
-        unit = SampledPath(path.grid, values / top)
-        width = oscillation(unit)
-        return top * (width * _max_dissection_sum(unit.values / width, p) ** (1.0 / p))
+    return float(_p_variations(path.values[None], p)[0])
 
 
 def p_variation_bruteforce(path: SampledPath, p: float) -> float:
@@ -194,28 +248,38 @@ def p_variation_bruteforce(path: SampledPath, p: float) -> float:
         return 0.0
     if n > 22:
         raise InvalidSpecError("brute force is exponential; use p_variation")
-    terms = _distances(values, 0, n) ** p
+    terms = _distances(values, np.s_[:, None], np.s_[None, :]) ** p
     best = 0.0
     for k in range(n - 1):
         interior = chain.from_iterable(combinations(range(1, n - 1), k))
         count = comb(n - 2, k)
-        nodes = np.fromiter(interior, dtype=np.intp, count=count * k).reshape(count, k)
-        nodes = np.pad(nodes, ((0, 0), (1, 1)), constant_values=(0, n - 1))
+        nodes = np.empty((count, k + 2), dtype=np.intp)
+        nodes[:, 0], nodes[:, -1] = 0, n - 1
+        nodes[:, 1:-1] = np.fromiter(interior, dtype=np.intp, count=count * k).reshape(count, k)
         sums = np.sum(terms[nodes[:, 1:], nodes[:, :-1]], axis=1)
         best = max(best, float(np.max(sums)))
     return best ** (1.0 / p)
 
 
-def oscillation(path: SampledPath) -> float:
-    """sup over node pairs of |y(t) - y(s)|.
+def _widths(values: np.ndarray) -> np.ndarray:
+    """Largest node distance of each member of a stack (B, n, d), shape (B,).
 
     Reads the distances ``PVAR_BLOCK`` rows at a time, so memory is
-    O(``PVAR_BLOCK`` * n), never n^2.
+    O(``PVAR_BLOCK`` * B * n), never n^2.
     """
-    values = path.values
+    values = values.transpose(1, 0, 2)
     n = values.shape[0]
-    blocks = range(0, n, PVAR_BLOCK)
-    return float(max(np.max(_distances(values, lo, min(lo + PVAR_BLOCK, n))) for lo in blocks))
+    widths = np.zeros(values.shape[1])
+    for lo in range(0, n, PVAR_BLOCK):
+        hi = min(lo + PVAR_BLOCK, n)
+        block = _distances(values, np.s_[lo:hi, None], np.s_[None, :hi])
+        widths = np.maximum(widths, np.max(block, axis=(0, 1)))
+    return widths
+
+
+def oscillation(path: SampledPath) -> float:
+    """sup over node pairs of |y(t) - y(s)|: the one-member stack of :func:`_widths`."""
+    return float(_widths(path.values[None])[0])
 
 
 def young_integral(x: SampledPath, y: SampledPath, tag: str = "left") -> float:

@@ -13,7 +13,7 @@ from oracles import (
     young_sum_reference,
 )
 from roughassim.errors import InvalidSpecError
-from roughassim import roughpath
+from roughassim import checks, roughpath
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.roughpath import (
     _suffix_records,
@@ -27,6 +27,12 @@ from roughassim.roughpath import (
     young_bound_check,
     young_integral,
 )
+
+
+def dp_variation(values, p):
+    """The stacked dynamic program's p-variation of one path, without the
+    rescale that p_variation gives a sum that overflows or underflows."""
+    return float(roughpath._max_dissection_sums(values[None], p)[0]) ** (1.0 / p)
 
 
 def random_path(n_steps, dim, seed, scale=1.0):
@@ -155,7 +161,7 @@ class TestTurningPointPrefilter:
     @given(scalar_paths(), st.sampled_from([1.0001, 1.2, 1.5, 2.0, 2.5, 3.7]))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_prefiltered_equals_full_dp(self, path, p):
-        assert p_variation(path, p) == pvar_full_dp(path.values, p)
+        assert dp_variation(path.values, p) == pvar_full_dp(path.values, p)
 
     @given(scalar_paths(), st.sampled_from([1.0, 1.5, 2.5]))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -168,7 +174,7 @@ class TestTurningPointPrefilter:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_p_one_keeps_every_node(self, path):
         # At p = 1 dissections tie; the unfiltered program decides the bits.
-        assert p_variation(path, 1.0) == pvar_full_dp(path.values, 1.0)
+        assert dp_variation(path.values, 1.0) == pvar_full_dp(path.values, 1.0)
 
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 3]),
            st.sampled_from([1.0, 1.5, 2.5]))
@@ -298,13 +304,13 @@ class TestRecordColumns:
         v = np.array([0.0, 3.0, 1.0, 2.0, 2.0, -1.0, 1.0, 0.5])
         # Nodes 0 and 2 lie strictly inside the range of the nodes after
         # them; node 3 ties node 4 for the maximum and stays.
-        assert _suffix_records(v, 8).tolist() == [1, 3, 4, 5, 6, 7]
-        assert _suffix_records(v, 5).tolist() == [0, 1, 2, 3, 4]
-        assert _suffix_records(v, 1).tolist() == [0]
+        assert np.flatnonzero(_suffix_records(v, 8)).tolist() == [1, 3, 4, 5, 6, 7]
+        assert np.flatnonzero(_suffix_records(v, 5)).tolist() == [0, 1, 2, 3, 4]
+        assert np.flatnonzero(_suffix_records(v, 1)).tolist() == [0]
         # A rising zigzag keeps every low, a monotone path every node.
         zigzag = np.arange(8.0) + np.where(np.arange(8) % 2, 2.0, -2.0)
-        assert _suffix_records(zigzag, 8).tolist() == [0, 2, 4, 6, 7]
-        assert _suffix_records(np.arange(6.0), 6).tolist() == list(range(6))
+        assert np.flatnonzero(_suffix_records(zigzag, 8)).tolist() == [0, 2, 4, 6, 7]
+        assert np.flatnonzero(_suffix_records(np.arange(6.0), 6)).tolist() == list(range(6))
 
 
 @st.composite
@@ -339,7 +345,7 @@ class TestColumnPrune:
         values, p = case
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
             mp.setattr(roughpath, "PVAR_BLOCK", block)
-            assert roughpath._max_dissection_sum(values, p) ** (1.0 / p) == pvar_full_dp(values, p)
+            assert dp_variation(values, p) == pvar_full_dp(values, p)
 
     def test_a_3d_walk_keeps_few_columns(self, monkeypatch):
         kept, read = [], []
@@ -347,7 +353,7 @@ class TestColumnPrune:
 
         def spy(values, best, lo, hi, p):
             columns = prune(values, best, lo, hi, p)
-            kept.append(columns.size)
+            kept.append(np.count_nonzero(columns))
             read.append(lo)
             return columns
 
@@ -367,6 +373,76 @@ class TestColumnPrune:
         # A largest distance beyond the float range is an infinite variation.
         wide = SampledPath(TimeGrid(1.0, 2), [[1e308], [-1e308], [0.0]])
         assert p_variation(wide, 2.0) == np.inf
+
+    def test_underflowing_powers_run_in_units_of_the_largest_distance(self):
+        # At p = 4 these powers are subnormal (1e-80) or zero (1e-100, 1e-300).
+        steps = wiener_rng(1, 0).normal(size=(64, 2))
+        path = SampledPath(TimeGrid(1.0, 64), np.vstack([np.zeros((1, 2)), np.cumsum(steps, 0)]))
+        for scale in (1e-80, 1e-100, 1e-300):
+            small = SampledPath(path.grid, scale * path.values)
+            assert p_variation(small, 4.0) == pytest.approx(scale * p_variation(path, 4.0),
+                                                            rel=1e-15, abs=0.0)
+        # A constant path has nothing to rescale; its variation stays 0.
+        assert p_variation(SampledPath(path.grid, np.full((65, 2), 1e-300)), 4.0) == 0.0
+
+
+@st.composite
+def stacks(draw):
+    """A stack of 1 to 6 equal-length paths in 1 to 9 components and a p.
+    Members draw their own kind, so scalar members keep ragged turning-point
+    counts: Gaussian, integer (ties) or repeated-node steps, a monotone run
+    or a constant path.  From three members on, one member may overflow
+    and another underflow among ordinary ones."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    dim = draw(st.integers(min_value=1, max_value=9))
+    p = draw(st.sampled_from([1.0, 1.3, 2.5, 4.0, 1e3]))
+    n = draw(st.integers(min_value=2, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    kinds = ["gaussian", "integer", "repeated", "monotone", "constant"]
+    members = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=size, max_size=size)):
+        if kind == "integer":
+            steps = rng.integers(-2, 3, size=(n - 1, dim)).astype(float)
+        else:
+            steps = rng.normal(size=(n - 1, dim))
+            if kind == "repeated":
+                steps[rng.random(n - 1) < 0.4] = 0.0
+            elif kind == "monotone":
+                steps = np.abs(steps)
+            elif kind == "constant":
+                steps[:] = 0.0
+        members.append(np.vstack([rng.normal(size=(1, dim)), np.cumsum(steps, axis=0)]))
+    values = np.stack(members)
+    if size >= 3 and draw(st.booleans()):
+        values[0] *= 10.0 ** min(300.0, 310.0 / p)
+        values[1] *= 10.0 ** max(-300.0, -330.0 / p)
+    return values, p
+
+
+class TestStackedMembers:
+    """Every member of a stack equals its own one-path p-variation bit for
+    bit, whatever the block size, and a one-member stack is the full
+    dynamic program's."""
+
+    @given(stacks(), st.sampled_from([1, 3, 64]))
+    @settings(deadline=None, derandomize=True)
+    def test_members_equal_their_one_path_calls(self, case, block):
+        values, p = case
+        grid = TimeGrid(1.0, values.shape[1] - 1)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(roughpath, "PVAR_BLOCK", block)
+            stacked = roughpath._p_variations(values, p).tolist()
+            assert stacked == [p_variation(SampledPath(grid, member), p) for member in values]
+            if len(values) == 1:
+                assert dp_variation(values[0], p) == pvar_full_dp(values[0], p)
+
+    def test_the_suites_seed_42_stacks(self):
+        fines = [sample_wiener(TimeGrid(1.0, 4096), 1, 42, stream=1500 + s) for s in range(20)]
+        stacked = roughpath._p_variations(np.stack([w.values for w in fines]), 1.5)
+        assert stacked.tolist() == [p_variation(w, 1.5) for w in fines]
+        walks = [checks._random_walk(TimeGrid(1.0, 64), 2, 42, 300 + t) for t in range(100)]
+        stacked = roughpath._p_variations(np.stack([w.values for w in walks]), 2.5)
+        assert stacked.tolist() == [p_variation(w, 2.5) for w in walks]
 
 
 class TestYoungIntegral:
