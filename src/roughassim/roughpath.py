@@ -202,7 +202,8 @@ def _p_variations(values: np.ndarray, p: float) -> np.ndarray:
         # Python's float power, not numpy's vector one, which may round apart.
         out = [t ** (1.0 / p) for t in totals.tolist()]
         redo = ~((2.0**-1022 <= totals) & (totals < np.inf))
-        redo[redo] = np.any(values[redo] != values[redo, :1], axis=(1, 2))  # constant: 0
+        if redo.any():  # a constant member sums to 0 and stays
+            redo &= np.any(values != values[:, :1], axis=(1, 2))
         if redo.any():
             top = np.max(np.abs(values[redo]), axis=(1, 2), keepdims=True)
             unit = values[redo] / top
