@@ -63,13 +63,26 @@ def _turning_points(v: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _suffix_records(v: np.ndarray, lo: int) -> np.ndarray:
+def _suffix_records(v: np.ndarray, lo: int, marks=None, k: int = 0) -> np.ndarray:
     """Mask of the nodes i < lo with v_i <= min(v[i:lo]) or v_i >= max(v[i:lo]),
-    ties kept, in each column of v."""
-    head = v[lo - 1 :: -1]  # v[:lo] reversed
-    low = np.minimum.accumulate(head, axis=0)[::-1]
-    high = np.maximum.accumulate(head, axis=0)[::-1]
-    return (v[:lo] <= low) | (v[:lo] >= high)
+    ties kept, in each column of v.
+
+    ``marks``, (2,) + v.shape, may carry in its rows :k the low and the high
+    records of v[:k], from the call for k: they are carried to v[:lo] in
+    place, since an old record stays one exactly when it also bounds the
+    new nodes v[k:lo], which add their own suffix records.
+    """
+    if marks is None:
+        marks = np.empty((2,) + v.shape, dtype=bool)
+    low, high = marks
+    new = v[k:lo]
+    least = np.minimum.accumulate(new[::-1], axis=0)[::-1]
+    most = np.maximum.accumulate(new[::-1], axis=0)[::-1]
+    low[:k] &= v[:k] <= least[0]
+    high[:k] &= v[:k] >= most[0]
+    np.less_equal(new, least, out=low[k:lo])
+    np.greater_equal(new, most, out=high[k:lo])
+    return low[:lo] | high[:lo]
 
 
 def _kept_columns(values, best, lo: int, hi: int, p: float) -> np.ndarray:
@@ -129,7 +142,7 @@ def _max_dissection_sums(values: np.ndarray, p: float) -> np.ndarray:
     over that member alone.
 
     The same scalar case reads, of the earlier blocks, only the suffix
-    records of v[:lo] (:func:`_suffix_records`).  The last segment (i, j)
+    records of v[:lo] (:func:`_suffix_records`, carried from block to block).  The last segment (i, j)
     of an optimal dissection ending at j spans the range of v[i..j]: a node
     y between them outside that range, inserted, makes one increment
     strictly longer and the sum larger, for any p > 0.  The same holds of
@@ -158,11 +171,12 @@ def _max_dissection_sums(values: np.ndarray, p: float) -> np.ndarray:
         nodes[rank[keep], member] = node
         values = values[nodes, members]
         n = values.shape[0]
+        marks = np.empty((2, n, size), dtype=bool)  # the records, block to block
     best = np.zeros((n, size))
     for lo in range(1, n, PVAR_BLOCK):
         hi = min(lo + PVAR_BLOCK, n)
         if scalar:
-            kept = _suffix_records(values[:, :, 0], lo)
+            kept = _suffix_records(values[:, :, 0], lo, marks, max(lo - PVAR_BLOCK, 0))
         elif lo >= PVAR_BLOCK:  # the first block has too few columns to prune
             kept = _kept_columns(values, best, lo, hi, p)
         else:
@@ -314,11 +328,16 @@ def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dic
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise InvalidSpecError(f"need 1/p + 1/q > 1, got theta={theta}")
+    return _young_loeve_sides(x, y, p_variation(x, p), p_variation(y, q), theta)
+
+
+def _young_loeve_sides(x: SampledPath, y: SampledPath, var_x, var_y, theta: float) -> dict:
+    """Both sides of the Young-Loeve bound from Var_p(x) and Var_q(y), theta
+    = 1/p + 1/q > 1: the one place its constant (1 - 2^(1-theta))^-1 lives."""
     integral = young_integral(x, y, tag="left")
     dy = y.values[-1] - y.values[0]
     lhs = abs(integral - float(x.values[0] @ dy))
-    rhs = float(p_variation(x, p) * p_variation(y, q) / (1.0 - 2.0 ** (1.0 - theta)))
-    return {"lhs": lhs, "rhs": rhs}
+    return {"lhs": lhs, "rhs": float(var_x * var_y / (1.0 - 2.0 ** (1.0 - theta)))}
 
 
 def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -449,19 +449,20 @@ def test_shoot_batch_equals_per_start_shoot(monkeypatch, case):
         problem, xi, truth = make_lorenz_twin(n_steps=256, T=0.5, noise=0.1)
         starts = [xi, xi + np.array([1e-4, 0.0, 0.0]), xi - np.array([0.0, 0.0, 1e-4])]
     sweeps = []
-    sweep = shooting.hamiltonian_sweep
+    sweep = shooting._sweep
 
-    def spy(problem, xi, lambda0):
-        sweeps.append(np.ndim(lambda0))
-        return sweep(problem, xi, lambda0)
+    def spy(problem, xi, lambda0, first, steps):
+        sweeps.append(len(xi))
+        return sweep(problem, xi, lambda0, first, steps)
 
-    monkeypatch.setattr(shooting, "hamiltonian_sweep", spy)
+    monkeypatch.setattr(shooting, "_sweep", spy)
     batch = shoot_batch(problem, starts)
     batched_sweeps = len(sweeps)
     serial = [shoot(problem, xi) for xi in starts]
-    # The starts shared their sweeps: fewer of them, several with members.
+    # The starts shared their sweeps: fewer of them, some with several
+    # starts' members.
     assert batched_sweeps < len(sweeps) - batched_sweeps
-    assert 2 in sweeps[:batched_sweeps]
+    assert max(sweeps[:batched_sweeps]) > max(sweeps[batched_sweeps:])
     for a, b in zip(batch, serial):
         assert_same_triple(a, b)
         assert abs(a.lam.values[-1]).max() < 1e-9

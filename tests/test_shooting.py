@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import contains, riccati_lq
-from roughassim.dynamics import integrate_state, rk4_sweep
+from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
+from roughassim.dynamics import integrate_state, lorenz63_model, rk4_sweep
 from roughassim.errors import InvalidSpecError, NoConvergenceError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import OptimizerConfig, minimize, minimize_batch
-from roughassim.problem import ControlSetSpec
+from roughassim.problem import AssimilationProblem, ControlSetSpec
 from roughassim import shooting
 from roughassim.checks import suite_valueprobe
-from roughassim.shooting import hamiltonian_sweep, shoot, value_probe
+from roughassim.shooting import hamiltonian_sweep, shoot, shoot_batch, value_probe
 
 from conftest import make_lorenz_twin, scalar_lq
 
@@ -48,7 +51,55 @@ class TestIntegrateHamiltonian:
         assert np.array_equal(xs, replay.values)
 
 
+CONTROL_SETS = {
+    "all_space": ControlSetSpec(),
+    "box": ControlSetSpec(kind="box", lo=-0.5, hi=0.5),
+    "ball": ControlSetSpec(kind="ball", radius=0.5),
+}
+
+
+@st.composite
+def segment_cases(draw):
+    """Lorenz'63 on 1 to 100 steps of 0.002 under a rough eta, a control set
+    of each kind, 1 to 4 members' initial values and a segment length."""
+    n_steps = draw(st.integers(min_value=1, max_value=100))
+    length = draw(st.integers(min_value=1, max_value=n_steps))
+    members = draw(st.integers(min_value=1, max_value=4))
+    control_set = CONTROL_SETS[draw(st.sampled_from(sorted(CONTROL_SETS)))]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    grid = TimeGrid(0.002 * n_steps, n_steps)
+    eta = np.cumsum(rng.normal(scale=0.5, size=(grid.n_nodes, 3)), axis=0)
+    h, h_jac = coordinate_observation([0, 1, 2], 3)
+    cost = build_minimum_energy(QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(3), S=np.eye(3)))
+    problem = AssimilationProblem(lorenz63_model(), cost, SampledPath(grid, eta), control_set)
+    xi = np.array([1.0, 1.0, 25.0]) + rng.normal(size=(members, 3))
+    return problem, xi, rng.normal(size=(members, 3)), length
+
+
+class TestSegmentSweeps:
+    @given(segment_cases())
+    @settings(deadline=None, derandomize=True)
+    def test_segments_restarted_from_a_full_sweeps_nodes_reproduce_it(self, case):
+        # Each member restarts at every multiple of the length from the full
+        # sweep's own node; the last segment runs past the grid's end.
+        problem, xi, lam0, length = case
+        full = hamiltonian_sweep(problem, xi, lam0)
+        assert (full[-1] == -1).all()
+        last = problem.eta.grid.n_steps
+        starts = np.arange(0, last, length)
+        member, first = (a.ravel() for a in np.meshgrid(np.arange(len(xi)), starts, indexing="ij"))
+        *segments, blown = shooting._sweep(
+            problem, full[0][member, first], full[1][member, first], first, length
+        )
+        assert (blown == -1).all()
+        for b, s, *values in zip(member, first, *segments):
+            stop = min(s + length, last) + 1
+            for whole, segment in zip(full[:3], values):
+                assert np.array_equal(segment[: stop - s], whole[b, s:stop])
+
+
 class TestShoot:
+
     def test_matches_riccati_oracle(self):
         a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 1024
         grid = TimeGrid(T, n)
@@ -79,11 +130,14 @@ class TestShoot:
         assert np.max(np.abs(triple.lam.values[0] - res.triple.lam.values[0])) < 5e-2
 
     def test_each_sweep_carries_its_points_fd_columns(self, monkeypatch):
-        # A point and its n FD columns share a sweep: on the scalar LQ every
-        # sweep has n + 1 = 2 members.
+        # A point sweeps its K = 256 / 64 = 4 segments together with their FD
+        # columns, n for the first segment and 2n for each other: on the
+        # scalar LQ every sweep has (2n + 1) K - n = 11 members, each
+        # stepping 64 steps from its own segment's first node.
         sweeps = spy_on_sweeps(monkeypatch)
         triple = shoot(scalar_lq(TimeGrid(1.0, 256)), np.array([1.3]))
-        assert len(sweeps) >= 2 and all(shape == (2, 1) for shape in sweeps)
+        firsts = [0, 64, 128, 192, 0, 64, 64, 128, 128, 192, 192]
+        assert len(sweeps) >= 2 and all(sweep == (firsts, 64) for sweep in sweeps)
         assert abs(triple.lam.values[-1, 0]) < 1e-9
 
     def test_nonconvergence_raises_with_residual(self, monkeypatch):
@@ -95,26 +149,54 @@ class TestShoot:
         assert err.value.best_residual >= 0.0 or np.isinf(err.value.best_residual)
 
 
+    @pytest.mark.parametrize("case", ["scalar_lq", "lorenz63-0", "lorenz63-1", "lorenz63-2"])
+    def test_multiple_shooting_agrees_with_single_shooting(self, monkeypatch, case):
+        # Criterion 9's windows: N = 2048 is 32 segments, N = 256 four; one
+        # segment of N steps is single shooting.
+        if case == "scalar_lq":
+            problem, xi = scalar_lq(TimeGrid(1.0, 2048)), np.array([1.3])
+        else:
+            seed = int(case[-1])
+            problem, xi, truth = make_lorenz_twin(seed=seed, n_steps=256, T=0.5, noise=0.1)
+        points = [xi]
+        for e in 1e-4 * np.eye(len(xi)):
+            points.extend([xi + e, xi - e])
+        multiple = shoot_batch(problem, points)
+        monkeypatch.setattr(shooting, "SEGMENT_STEPS", problem.eta.grid.n_steps)
+        single = shoot_batch(problem, points)
+        for a, b in zip(multiple, single):
+            for field in ("x", "u", "lam"):
+                gap = np.max(np.abs(getattr(a, field).values - getattr(b, field).values))
+                assert gap < 1e-12
+
+
 def spy_on_sweeps(monkeypatch) -> list:
-    """Record the initial-costate shape of every Hamiltonian sweep."""
+    """Record the members' first nodes and the step count of every segment sweep."""
     sweeps = []
-    sweep = shooting.hamiltonian_sweep
+    sweep = shooting._sweep
 
-    def spy(problem, xi, lambda0):
-        sweeps.append(np.shape(lambda0))
-        return sweep(problem, xi, lambda0)
+    def spy(problem, xi, lambda0, first, steps):
+        sweeps.append((np.broadcast_to(first, xi.shape[:-1]).tolist(), steps))
+        return sweep(problem, xi, lambda0, first, steps)
 
-    monkeypatch.setattr(shooting, "hamiltonian_sweep", spy)
+    monkeypatch.setattr(shooting, "_sweep", spy)
     return sweeps
 
 
 class TestValueProbe:
-    def test_suite_valueprobe_runs_three_sweeps(self, monkeypatch):
-        # Three starts, xi and xi +/- h, each send a point and its one FD
-        # column per round: three sweeps, the last after one start converged.
+    def test_suite_valueprobe_sweeps_each_round_once(self, monkeypatch):
+        # Three starts, xi and xi +/- h, each send a point with its K = 2048
+        # / 64 = 32 segments and their FD columns, (2n + 1) K - n = 95
+        # members, per round, all in one sweep of N / K = 64 steps.  After
+        # reaching the tolerance each takes one more step; the last round
+        # is the one start that needed two steps to reach it.
         sweeps = spy_on_sweeps(monkeypatch)
         suite_valueprobe(42)
-        assert [shape[0] for shape in sweeps] == [6, 6, 4]
+        assert [len(firsts) for firsts, _ in sweeps] == [285, 285, 285, 95]
+        assert all(steps == 64 for _, steps in sweeps)
+        segments = np.arange(0, 2048, 64)
+        point = np.concatenate((segments, np.repeat(segments, 2)[1:]))
+        assert sweeps[0][0] == np.tile(point, 3).tolist()
 
     def test_zero_cost_problem_has_zero_gradient(self):
         # q = 0 and eta = 0: the optimum is u = 0 with V(xi) = 0 for all xi.
