@@ -142,7 +142,8 @@ def _max_dissection_sums(values: np.ndarray, p: float) -> np.ndarray:
     over that member alone.
 
     The same scalar case reads, of the earlier blocks, only the suffix
-    records of v[:lo] (:func:`_suffix_records`, carried from block to block).  The last segment (i, j)
+    records of v[:lo] (:func:`_suffix_records`, carried from block to
+    block).  The last segment (i, j)
     of an optimal dissection ending at j spans the range of v[i..j]: a node
     y between them outside that range, inserted, makes one increment
     strictly longer and the sum larger, for any p > 0.  The same holds of

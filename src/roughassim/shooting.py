@@ -263,10 +263,8 @@ def shoot_batch(problem: AssimilationProblem, starts) -> list:
 
     def answer(requests):
         first, xi, lam0 = (np.concatenate(parts) for parts in zip(*requests.values()))
-        sweeps = [
-            _sweep(problem, xi[lo : lo + chunk], lam0[lo : lo + chunk], first[lo : lo + chunk], steps)
-            for lo in range(0, len(first), chunk)
-        ]
+        cuts = [np.s_[lo : lo + chunk] for lo in range(0, len(first), chunk)]
+        sweeps = [_sweep(problem, xi[c], lam0[c], first[c], steps) for c in cuts]
         bounds = np.cumsum([len(request[0]) for request in requests.values()])[:-1]
         parts = [np.split(np.concatenate(arrays), bounds) for arrays in zip(*sweeps)]
         return {k: tuple(p[i] for p in parts) for i, k in enumerate(requests)}

@@ -144,7 +144,7 @@ EXEMPT = {
     "hamiltonian": "a pointwise evaluator, like the model's callables: hamiltonian_sweep "
                    "calls it on its own node arrays at every step",
     "pointwise_hamiltonian_minimizer": "a pointwise evaluator, like the model's callables: "
-                                       "hamiltonian_sweep calls it at every step",
+                                       "max_principle_residual calls it on its node arrays",
     "BlowUpError": _EXCEPTION,
     "InvalidSpecError": _EXCEPTION,
     "NoConvergenceError": _EXCEPTION,

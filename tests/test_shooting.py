@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import contains, riccati_lq
 from roughassim.cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation
-from roughassim.dynamics import integrate_state, lorenz63_model, rk4_sweep
+from roughassim.dynamics import ModelSpec, integrate_state, lorenz63_model, rk4_sweep
 from roughassim.errors import InvalidSpecError, NoConvergenceError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.optimizer import OptimizerConfig, minimize, minimize_batch
@@ -99,7 +99,6 @@ class TestSegmentSweeps:
 
 
 class TestShoot:
-
     def test_matches_riccati_oracle(self):
         a, q, r, T, n = -1.0, 1.0, 1.0, 1.0, 1024
         grid = TimeGrid(T, n)
@@ -148,13 +147,23 @@ class TestShoot:
             shoot(problem, np.array([1.0]))
         assert err.value.best_residual >= 0.0 or np.isinf(err.value.best_residual)
 
-
-    @pytest.mark.parametrize("case", ["scalar_lq", "lorenz63-0", "lorenz63-1", "lorenz63-2"])
+    @pytest.mark.parametrize("case", ["scalar_lq", "lorenz63-0", "lorenz63-1", "lorenz63-2",
+                                      "scalar_lq-100", "time_varying"])
     def test_multiple_shooting_agrees_with_single_shooting(self, monkeypatch, case):
         # Criterion 9's windows: N = 2048 is 32 segments, N = 256 four; one
-        # segment of N steps is single shooting.
-        if case == "scalar_lq":
-            problem, xi = scalar_lq(TimeGrid(1.0, 2048)), np.array([1.3])
+        # segment of N steps is single shooting.  N = 100 is segments of 64
+        # and 36 steps.  A drift that reads t needs each segment's own times.
+        if case.startswith("scalar_lq"):
+            n_steps = 100 if case.endswith("100") else 2048
+            problem, xi = scalar_lq(TimeGrid(1.0, n_steps)), np.array([1.3])
+        elif case == "time_varying":
+            def rate(t):
+                return (np.sin(2 * np.pi * np.asarray(t)) - 1.0)[..., None]
+
+            model = ModelSpec(lambda t, x: rate(t) * x, np.eye(1),
+                              lambda t, x: rate(t)[..., None] * np.eye(1))
+            lq = scalar_lq(TimeGrid(1.0, 256))
+            problem, xi = AssimilationProblem(model, lq.cost, lq.eta), np.array([1.3])
         else:
             seed = int(case[-1])
             problem, xi, truth = make_lorenz_twin(seed=seed, n_steps=256, T=0.5, noise=0.1)
@@ -168,6 +177,22 @@ class TestShoot:
             for field in ("x", "u", "lam"):
                 gap = np.max(np.abs(getattr(a, field).values - getattr(b, field).values))
                 assert gap < 1e-12
+
+    def test_byte_budget_lengthens_segments_and_chunks_sweeps(self, monkeypatch):
+        # 8 (2 n K)^2 bytes fit 1152 up to K = 2, so N = 256 takes two
+        # segments of 128 steps, and 1152 / (8 n^2) = 16 members fit one
+        # sweep step's Jacobians: the value probe's 7 x 11 members take five
+        # sweeps.  Chunks change no bit.
+        problem, xi, truth = make_lorenz_twin(n_steps=256, T=0.5)
+        sweeps = spy_on_sweeps(monkeypatch)
+        monkeypatch.setattr(shooting, "SHOOTING_BYTES", 1152)
+        chunked = value_probe(problem, xi, h=1e-4)
+        assert sweeps[0][1] == 128 and [len(f) for f, _ in sweeps[:5]] == [16, 16, 16, 16, 13]
+        monkeypatch.setattr(shooting, "SHOOTING_BYTES", 1 << 24)
+        monkeypatch.setattr(shooting, "SEGMENT_STEPS", 128)
+        whole = value_probe(problem, xi, h=1e-4)
+        for key in ("dV_fd", "lambda0", "max_abs_gap", "value"):
+            assert np.array_equal(chunked[key], whole[key])
 
 
 def spy_on_sweeps(monkeypatch) -> list:
