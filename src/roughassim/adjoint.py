@@ -103,7 +103,7 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
             if not scan:
                 _heun_steps(span, M, P0, P1, young, dt)
                 continue
-            A = np.eye(n) + 0.5 * dt * (M[:-1] + M[1:] + dt * np.matmul(M[1:], M[:-1]))
+            A = _heun_maps(M, dt)
             c = 0.5 * dt * (P0 + P1 + dt * np.vecmat(P1, M[:-1])) + young
             span[:-1] = _affine_scan(A, c, span[-1])
             blown = ~np.all(np.isfinite(span[:-1]), axis=(0, -1))
@@ -113,6 +113,12 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
                 span[:, blown] = redo
     lam = lam.reshape(members + lam.shape[-2:])
     return lam, first_nonfinite(lam, backward=True)
+
+
+def _heun_maps(M, dt):
+    """Every Heun step's map A_k = I + (dt/2) (M_k + M_{k+1} + dt M_{k+1} M_k),
+    from node-major Jacobians M (K + 1, ..., n, n)."""
+    return np.eye(M.shape[-1]) + 0.5 * dt * (M[:-1] + M[1:] + dt * np.matmul(M[1:], M[:-1]))
 
 
 def _heun_steps(lam, M, P0, P1, young, dt) -> None:
@@ -238,45 +244,33 @@ def max_principle_residual(triple: OptimalTriple, problem: AssimilationProblem) 
     return max(float(np.max(h_at_u - h_min)), 0.0)
 
 
-def _midpoint_sum(z: np.ndarray, dw: np.ndarray) -> float:
-    """sum of midpoint-tagged pairings <z, dw> over steps."""
-    mids = 0.5 * (z[:-1] + z[1:])
-    return float(np.sum(mids * dw))
-
-
 def duality_sweep(grid, Mv, av, bv, zeta0, lambdaT) -> np.ndarray:
     """Residuals of the forward/backward duality identity, on arrays.
 
     ``Mv`` (n_nodes, n, n), ``av`` and ``bv`` (n_nodes, n), ``zeta0`` and
     ``lambdaT`` (n,) may carry a leading member axis (B, ...); each member
-    runs the Heun steps of :func:`duality_check` and gets its residual, bit
-    for bit the one it gets alone.
+    gets its residual, bit for bit the one it gets alone.  The Heun steps
+    run the maps A_k of :func:`_heun_maps` on :func:`_affine_scan`:
+    lambda_k = lambda_{k+1} A_k + beta_k backward and, transposed,
+    zeta_{k+1}' = zeta_k' A_k' + alpha_k' from the last node down.
     """
     dt = grid.dt
-    # Node-major views: node i of every member is row i.
-    Ms = np.moveaxis(Mv, -3, 0)
-    As, Bs = np.moveaxis(av, -2, 0), np.moveaxis(bv, -2, 0)
     zeta, lam = np.empty(av.shape), np.empty(bv.shape)
-    zs, ls = np.moveaxis(zeta, -2, 0), np.moveaxis(lam, -2, 0)
-    zs[0] = zeta0
-    for i in range(grid.n_steps):
-        da = As[i + 1] - As[i]
-        Mz = np.matvec(Ms[i], zs[i])
-        pred = zs[i] + dt * Mz + da
-        zs[i + 1] = zs[i] + 0.5 * dt * (Mz + np.matvec(Ms[i + 1], pred)) + da
-    ls[-1] = lambdaT
-    for i in range(grid.n_steps - 1, -1, -1):
-        db = Bs[i] - Bs[i + 1]
-        lM = np.vecmat(ls[i + 1], Ms[i + 1])
-        pred = ls[i + 1] + dt * lM + db
-        ls[i] = ls[i + 1] + 0.5 * dt * (lM + np.vecmat(pred, Ms[i])) + db
-    out = np.empty(av.shape[:-2])
-    for k in np.ndindex(out.shape):  # one pairing sum per member, in node order
-        z, l, a, b = zeta[k], lam[k], av[k], bv[k]
-        lhs = float(l[-1] @ z[-1] - l[0] @ z[0])
-        rhs = _midpoint_sum(z, np.diff(b, axis=0)) + _midpoint_sum(l, np.diff(a, axis=0))
-        out[k] = abs(lhs - rhs)
-    return out
+    # Node-major views: node k of every member is row k.
+    M, zs, ls = np.moveaxis(Mv, -3, 0), np.moveaxis(zeta, -2, 0), np.moveaxis(lam, -2, 0)
+    da, db = np.diff(av, axis=-2), np.diff(bv, axis=-2)
+    dak, dbk = np.moveaxis(da, -2, 0), -np.moveaxis(db, -2, 0)  # dbk = b_k - b_{k+1}
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _heun_maps(M, dt)
+        alpha = dak + 0.5 * dt * np.matvec(M[1:], dak)
+        beta = dbk + 0.5 * dt * np.vecmat(dbk, M[:-1])
+        zs[0], ls[-1] = zeta0, lambdaT
+        zs[:0:-1] = _affine_scan(np.swapaxes(A, -1, -2)[::-1], alpha[::-1], zs[0])
+        ls[:-1] = _affine_scan(A, beta, ls[-1])
+        lhs = np.vecdot(ls[-1], zs[-1]) - np.vecdot(ls[0], zs[0])
+        mid_z, mid_l = (0.5 * (v[..., :-1, :] + v[..., 1:, :]) for v in (zeta, lam))
+        rhs = np.sum(mid_z * db, axis=(-2, -1)) + np.sum(mid_l * da, axis=(-2, -1))
+        return np.abs(lhs - rhs)
 
 
 def duality_check(M, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
@@ -288,8 +282,9 @@ def duality_check(M, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
     |lambda(T) zeta(T) - lambda(0) zeta(0) - int zeta db - int lambda da|.
     The pairing integrals use the midpoint tag, which makes the identity
     exact to rounding when M = 0.  :func:`duality_sweep` runs it on arrays.
-    M is an array, one n x n matrix per node of a's and b's grid, where a
-    and b have n components, and zeta0 and lambdaT are n-vectors.
+    M is an array of finite numbers, one n x n matrix per node of a's and
+    b's grid, where a and b have n components, and zeta0 and lambdaT are
+    finite n-vectors.
     """
     grid = require_same_grid(a, b)
     n = a.dim
@@ -301,6 +296,8 @@ def duality_check(M, a: SampledPath, b: SampledPath, zeta0, lambdaT) -> float:
         value = frozen_array(value, label)
         if value.shape != shape:
             raise InvalidSpecError(f"{label} must have shape {shape}, got {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise InvalidSpecError(f"{label} must be finite")
         checked.append(value)
     M, zeta0, lambdaT = checked
     return float(duality_sweep(grid, M, a.values, b.values, zeta0, lambdaT))

@@ -40,17 +40,19 @@ def _distances(values: np.ndarray, rows, cols) -> np.ndarray:
     """|values[cols] - values[rows]|, Euclidean over the last axis; ``rows``
     and ``cols`` index the leading axes and broadcast against each other.
 
-    Each entry is bit for bit ``np.linalg.norm`` of its difference vector.
+    Each entry is bit for bit ``np.linalg.norm`` of its difference vector;
+    a difference too large for a float reads inf.
     """
-    if values.shape[-1] >= 8:
-        # numpy sums 8 or more terms pairwise, so only norm's own reduce matches.
-        return np.linalg.norm(values[cols] - values[rows], axis=-1)
-    # Below 8 terms norm's reduce adds left to right, as these column sums do.
-    sq = None
-    for c in range(values.shape[-1]):
-        diff = values[..., c][cols] - values[..., c][rows]
-        sq = diff * diff if sq is None else np.add(sq, diff * diff, out=sq)
-    return np.sqrt(sq, out=sq)
+    with np.errstate(over="ignore"):
+        if values.shape[-1] >= 8:
+            # numpy sums 8 or more terms pairwise, so only norm's own reduce matches.
+            return np.linalg.norm(values[cols] - values[rows], axis=-1)
+        # Below 8 terms norm's reduce adds left to right, as these column sums do.
+        sq = None
+        for c in range(values.shape[-1]):
+            diff = values[..., c][cols] - values[..., c][rows]
+            sq = diff * diff if sq is None else np.add(sq, diff * diff, out=sq)
+        return np.sqrt(sq, out=sq)
 
 
 def _turning_points(v: np.ndarray) -> np.ndarray:
@@ -304,7 +306,8 @@ def young_integral(x: SampledPath, y: SampledPath, tag: str = "left") -> float:
     x and y have the same d components; x pairs with y's increments as a
     covector.  ``tag`` places tau_i at the left node or at the midpoint
     (the average of the two endpoint samples, matching the piecewise-linear
-    reading of the stored path).
+    reading of the stored path).  A sum too large for a float reads
+    non-finite.
     """
     require_same_grid(x, y)
     if not (isinstance(tag, str) and tag in ("left", "midpoint")):
@@ -314,8 +317,9 @@ def young_integral(x: SampledPath, y: SampledPath, tag: str = "left") -> float:
             f"a {x.dim}-component integrand cannot act on {y.dim} components"
         )
     xv = x.values
-    xt = xv[:-1] if tag == "left" else 0.5 * (xv[:-1] + xv[1:])
-    return float(np.einsum("nd,nd->n", xt, y.increments()).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        xt = xv[:-1] if tag == "left" else 0.5 * (xv[:-1] + xv[1:])
+        return float(np.einsum("nd,nd->n", xt, y.increments()).sum())
 
 
 def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dict:

@@ -87,6 +87,40 @@ def costate_reference(problem, x, u):
     return lam
 
 
+def _midpoint_sum(z: np.ndarray, dw: np.ndarray) -> float:
+    """sum of midpoint-tagged pairings <z, dw> over steps."""
+    mids = 0.5 * (z[:-1] + z[1:])
+    return float(np.sum(mids * dw))
+
+
+def duality_reference(grid, M, a, b, zeta0, lambdaT):
+    """The duality residual of one member by the forward and backward Heun
+    loops, one node at a time, and midpoint-tagged pairing sums: M
+    (n_nodes, n, n), a and b (n_nodes, n), zeta0 and lambdaT (n,).
+
+    Reference for ``adjoint.duality_sweep``, which composes the same steps
+    as affine maps on a prefix scan.  Returns the residual and the zeta and
+    lambda it pairs.
+    """
+    dt = grid.dt
+    zs, ls = np.empty(a.shape), np.empty(b.shape)
+    zs[0] = zeta0
+    for i in range(grid.n_steps):
+        da = a[i + 1] - a[i]
+        Mz = np.matvec(M[i], zs[i])
+        pred = zs[i] + dt * Mz + da
+        zs[i + 1] = zs[i] + 0.5 * dt * (Mz + np.matvec(M[i + 1], pred)) + da
+    ls[-1] = lambdaT
+    for i in range(grid.n_steps - 1, -1, -1):
+        db = b[i] - b[i + 1]
+        lM = np.vecmat(ls[i + 1], M[i + 1])
+        pred = ls[i + 1] + dt * lM + db
+        ls[i] = ls[i + 1] + 0.5 * dt * (lM + np.vecmat(pred, M[i])) + db
+    lhs = float(ls[-1] @ zs[-1] - ls[0] @ zs[0])
+    rhs = _midpoint_sum(zs, np.diff(b, axis=0)) + _midpoint_sum(ls, np.diff(a, axis=0))
+    return abs(lhs - rhs), zs, ls
+
+
 def four_drift_step(model, t, x, u, dt):
     """One RK4 step with G u formed inside each of its four ``drift`` calls.
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +273,15 @@ class TestDualityCheck:
         a = sample_wiener(grid, 1, seed=4)
         b = sample_wiener(grid, 1, seed=5)
         assert duality_check(M, a, b, np.array([1.0]), np.array([1.0])) < 5e-2
+
+    def test_overflowing_products_read_non_finite_without_warnings(self):
+        # A finite coefficient whose Heun products overflow a float.
+        grid = TimeGrid(1.0, 4)
+        a = SampledPath(grid, [0.0, 1.0, 0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = duality_check(np.full((5, 1, 1), 1e308), a, a, np.array([1.0]), np.array([1.0]))
+        assert not np.isfinite(res)
 
     @pytest.mark.parametrize("nodes", [64, 66])
     def test_coefficient_on_another_grid_rejected(self, nodes):

@@ -63,6 +63,15 @@ REFUSALS = {
     "restrict-stride-3": (lambda: PATH.restrict(3), "stride"),
     "duality_check-M": (
         lambda: duality_check(np.zeros((4, 1, 1)), PATH, PATH, [1.0], [1.0]), "M must"),
+    "duality_check-M-nan": (
+        lambda: duality_check(np.full((5, 1, 1), np.nan), PATH, PATH, [1.0], [1.0]),
+        "M must be finite"),
+    "duality_check-zeta0-inf": (
+        lambda: duality_check(np.zeros((5, 1, 1)), PATH, PATH, [np.inf], [1.0]),
+        "zeta0 must be finite"),
+    "duality_check-lambdaT-nan": (
+        lambda: duality_check(np.zeros((5, 1, 1)), PATH, PATH, [1.0], [np.nan]),
+        "lambdaT must be finite"),
     "shoot-no-quad": (lambda: shoot(_without_quad(), [1.0]), "cost"),
 }
 

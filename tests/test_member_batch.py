@@ -57,7 +57,7 @@ from roughassim.shooting import (
 )
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
-from oracles import costate_reference
+from oracles import costate_reference, duality_reference
 
 L63_ME = {
     "model": {"name": "lorenz63"},
@@ -287,6 +287,43 @@ class TestCostateScan:
                 assert node == blown[b]
                 if node < 0:
                     assert lam[b].tobytes() == alone.tobytes()
+
+
+@st.composite
+def duality_cases(draw):
+    """A duality problem in n = 1, 2 or 3 components on up to 512 steps for
+    B = 1 to 4 members: random-walk drivers and a coefficient that is zero
+    or a smooth random draw per member."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    grid = TimeGrid(draw(st.floats(0.1, 2.0)), draw(st.integers(1, 512)))
+    B = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wave = np.sin(2 * np.pi * grid.times)[:, None, None]
+    M = rng.normal(size=(B, 1, n, n)) + wave * rng.normal(size=(B, 1, n, n))
+    M *= draw(st.sampled_from([1.0, 0.0]))
+    a, b = np.cumsum(rng.normal(size=(2, B, grid.n_nodes, n)), axis=2)
+    return grid, M, a, b, rng.normal(size=(B, n)), rng.normal(size=(B, n))
+
+
+class TestDualityScan:
+    """The duality sweep against :func:`oracles.duality_reference`, whose
+    Heun loops it composes as affine maps on the scan."""
+
+    @given(duality_cases())
+    @settings(deadline=None, derandomize=True)
+    def test_sweep_equals_the_oracle(self, case):
+        grid, M, a, b, zeta0, lambdaT = case
+        resids = duality_sweep(grid, M, a, b, zeta0, lambdaT)
+        for k in range(len(M)):
+            ref, zeta, lam = duality_reference(grid, M[k], a[k], b[k], zeta0[k], lambdaT[k])
+            # The size of the pairings the residual is a difference of.
+            scale = np.max(np.abs(np.vecdot(lam, zeta)))
+            assert abs(resids[k] - ref) <= 1e-12 * scale
+            if not np.any(M[k]):
+                # The identity is exact in exact arithmetic: both read rounding.
+                event("M = 0")
+                rounding = 8 * grid.n_steps * np.finfo(float).eps * scale
+                assert max(resids[k], ref) <= rounding
 
 
 def test_costate_sweep_members_equal_one_member_sweeps():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,18 @@ class TestStackedMembers:
         walks = [checks._random_walk(TimeGrid(1.0, 64), 2, 42, 300 + t) for t in range(100)]
         stacked = roughpath._p_variations(np.stack([w.values for w in walks]), 2.5)
         assert stacked.tolist() == [p_variation(w, 2.5) for w in walks]
+
+
+@pytest.mark.parametrize("dim", [1, 9])
+def test_overflowing_increments_read_non_finite_without_warnings(dim):
+    # Finite values whose differences overflow a float, in both branches of
+    # the distance kernel (fewer than 8 components and 8 or more).
+    path = SampledPath(TimeGrid(1.0, 4), np.outer([0.0, 1e308, -1e308, 1e308, 0.0], np.ones(dim)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oscillation(path) == np.inf
+        assert p_variation_bruteforce(path, 2.0) == np.inf
+        assert not np.isfinite(young_integral(path, path))
 
 
 class TestYoungIntegral:
