@@ -235,15 +235,16 @@ def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) 
         n = np.shape(quad.h_jac(grid.times[0], x.values[0]))[-1]
         check_paths(n, quad.control_dim, state=x.values, control=u.values)
     check_observation(cost, eta, x.values[0])
-    # A finite but huge state may overflow phi; that is a blow-up, not a warning.
+    # A finite but huge state may overflow phi, a blow-up, and finite terms
+    # their sums, a non-finite cost; neither is a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         phis = cost.phi(grid.times, x.values, u.values)
         psis = cost.psi(grid.times[:-1], x.values[:-1])
-    deta = eta.increments()
-    bad = np.flatnonzero(~np.isfinite(phis))
-    if bad.size:
-        raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
-    return _trapezoid(phis, grid.dt) + float(np.sum(psis * deta))
+        deta = eta.increments()
+        bad = np.flatnonzero(~np.isfinite(phis))
+        if bad.size:
+            raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
+        return _trapezoid(phis, grid.dt) + float(np.sum(psis * deta))
 
 
 def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledPath) -> float:
@@ -263,9 +264,12 @@ def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledP
     times = grid.times
     etav = eta.values
     xv, uv = x.values, u.values
-    rate = cost.D1psi(times, xv) + np.matvec(cost.D2psi(times, xv), model.drift(times, xv, uv))
-    tilde = cost.phi(times, xv, uv) - np.vecdot(rate, etav)
-    if not np.all(np.isfinite(tilde)):
-        raise BlowUpError(int(np.flatnonzero(~np.isfinite(tilde))[0]))
-    ends = np.vecdot(cost.psi(times[[0, -1]], xv[[0, -1]]), etav[[0, -1]])
-    return _trapezoid(tilde, grid.dt) + float(ends[1] - ends[0])
+    # As in eval_cost: a non-finite running cost is a blow-up, a sum too
+    # large for a float a non-finite cost, and neither a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = cost.D1psi(times, xv) + np.matvec(cost.D2psi(times, xv), model.drift(times, xv, uv))
+        tilde = cost.phi(times, xv, uv) - np.vecdot(rate, etav)
+        if not np.all(np.isfinite(tilde)):
+            raise BlowUpError(int(np.flatnonzero(~np.isfinite(tilde))[0]))
+        ends = np.vecdot(cost.psi(times[[0, -1]], xv[[0, -1]]), etav[[0, -1]])
+        return _trapezoid(tilde, grid.dt) + float(ends[1] - ends[0])

@@ -5,15 +5,17 @@ controls are piecewise constant on [t_i, t_{i+1}) using the left node
 value, which makes the classical RK4 step exact in the control.  G does not
 depend on x, so the variational equation's coefficient is D2f alone.
 
-A one-member forward sweep of a model that gives its RK4 step in Python
-floats (``ModelSpec.float_step``, set by Lorenz'63) steps in floats, not
-numpy arrays, whose call overhead is most of a step on a small state; its
-states are the array stepper's, bit for bit.  Member batches and every
-other model step numpy arrays.
+A forward sweep of one member, with or without a member axis, of a model
+that gives its RK4 step in Python floats (``ModelSpec.float_step``, set by
+Lorenz'63) steps in floats, not numpy arrays, whose call overhead is most
+of a step on a small state; its states are the array stepper's, bit for
+bit.  Batches of two or more members and every other model step numpy
+arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,7 @@ class ModelSpec:
     ``float_step(t, x, u, dt)`` is optional: one RK4 step in Python floats.
     It takes x and u as lists of floats and returns a list of n floats
     equal, bit for bit, to ``rk4_step(t, x, u, dt)`` for every finite
-    control.  Only a sweep with no member axis calls it (see
+    control.  Only a sweep of one member calls it (see
     :func:`rk4_sweep`); None, the default, is always correct.
     """
 
@@ -237,14 +239,15 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     others.  Each member's states equal its own one-member sweep bit for
     bit.
 
-    With no member axis, a model that sets ``float_step`` steps in Python
-    floats (:func:`_float_sweep`), with the same states up to the first
-    non-finite node.
+    A sweep of one member, with or without a member axis, of a model that
+    sets ``float_step`` steps in Python floats (:func:`_float_sweep`), with
+    the same states up to the first non-finite node.
     """
     members = check_paths(model.state_dim, model.control_dim, grid.n_nodes, control=uv)
     xi = initial_state(model, xi, members)
-    if model.float_step is not None and uv.ndim == 2:
-        out = _float_sweep(model.float_step, uv, xi, grid)
+    if model.float_step is not None and math.prod(members) == 1:
+        out = _float_sweep(model.float_step, uv.reshape(uv.shape[-2:]), xi.reshape(-1), grid)
+        out = out.reshape(members + out.shape)
         return out, first_nonfinite(out)
     dt = grid.dt
     times = grid.times

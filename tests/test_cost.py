@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from roughassim.cost import (
     eval_cost_by_parts,
 )
 from roughassim.dynamics import ModelSpec, integrate_state, linear_model, lorenz63_model
-from roughassim.errors import InvalidSpecError
+from roughassim.errors import BlowUpError, InvalidSpecError
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.problem import AssimilationProblem
 from roughassim.roughpath import sample_wiener
@@ -202,6 +204,28 @@ class TestEvalCost:
             eval_cost(problem.cost, truth, u, one_column)
         with pytest.raises(InvalidSpecError, match=message):
             AssimilationProblem(problem.model, problem.cost, one_column)
+
+    def test_overflowing_sums_read_non_finite_without_warnings(self):
+        # Finite running costs of 5e307 whose sum overflows, and a Young
+        # term of 1e150 times increments of 1e200: a cost too large for a
+        # float is non-finite, and a non-finite running cost of the
+        # integrated-by-parts form a blow-up.
+        grid = TimeGrid(1.0, 8)
+        cost = build_minimum_energy(quad_spec())
+        u = SampledPath.zeros(grid, 1)
+        big = SampledPath(grid, np.full((grid.n_nodes, 1), 1e154))
+        huge = SampledPath(grid, np.full((grid.n_nodes, 1), 1e150))
+        flat = SampledPath.zeros(grid, 1)
+        jumps = SampledPath(grid, 1e200 * (np.arange(grid.n_nodes)[:, None] % 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_cost(cost, big, u, flat) == np.inf
+            assert not np.isfinite(eval_cost(cost, huge, u, jumps))
+            problem = AssimilationProblem(linear_model([[0.0]]), cost, flat)
+            assert eval_cost_by_parts(problem, big, u) == np.inf
+            problem = AssimilationProblem(linear_model([[1.0]]), cost, jumps)
+            with pytest.raises(BlowUpError):
+                eval_cost_by_parts(problem, huge, u)
 
 
 class TestByParts:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import energy_diagnostic, four_drift_step, lorenz63_quadratic_part, lorenz96_gathered
+from roughassim import dynamics
 from roughassim.dynamics import (
     ModelSpec,
     integrate_state,
@@ -264,8 +266,9 @@ def sweep_outcome(model, U, xi, grid):
 
 class TestFloatSweep:
     """A one-member sweep of a model that sets ``float_step`` steps in Python
-    floats; ``replace(model, float_step=None)`` reaches the array stepper.
-    The two must agree in bytes (np.array_equal would let -0.0 pass for +0.0)."""
+    floats, with or without a member axis; ``replace(model,
+    float_step=None)`` reaches the array stepper.  The two must agree in
+    bytes (np.array_equal would let -0.0 pass for +0.0)."""
 
     def test_float_step_equals_rk4_step_node_by_node(self):
         model = lorenz63_model(sigma=7.5, r=31.0, b=2.5)
@@ -300,6 +303,14 @@ class TestFloatSweep:
         kept = grid.n_nodes if node < 0 else node
         assert floats[:kept].tobytes() == arrays_[:kept].tobytes()
         assert sweep_outcome(model, U, xi, grid) == sweep_outcome(array_model, U, xi, grid)
+        # A one-member stack, from a shared or its own initial state.
+        for start in (xi, xi[None]):
+            with mock.patch.object(dynamics, "_float_sweep", wraps=dynamics._float_sweep) as spy:
+                stacked, stacked_node = rk4_sweep(model, U[None], start, grid)
+            assert spy.call_count == 1
+            assert stacked.shape == (1,) + floats.shape
+            assert stacked.tobytes() == floats.tobytes()
+            assert stacked_node.tolist() == [array_node]
 
     def test_nonfinite_control_blows_up_at_the_same_node(self):
         # A SampledPath rejects such a control, so only rk4_sweep sees one.

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from roughassim import adjoint, optimizer, shooting
+from roughassim import adjoint, dynamics, optimizer, shooting
 from roughassim.adjoint import (
     costate_sweep,
     duality_check,
@@ -374,17 +374,31 @@ def test_costate_stays_zero_under_an_overflowing_product():
     assert np.array_equal(solve_costate(problem, x, u).values, np.zeros((grid.n_nodes, 1)))
 
 
-def test_single_start_runs_without_member_axis(monkeypatch):
-    # One start never reaches the batched sweeps.
-    def forbidden(*args):
-        raise AssertionError("a batched sweep ran for one member")
-
-    monkeypatch.setattr(optimizer, "rk4_sweep", forbidden)
-    monkeypatch.setattr(optimizer, "costate_sweep", forbidden)
+def test_single_start_is_a_one_member_batch():
+    # One start's forward and costate solves are batches of one member.
     grid = TimeGrid(1.0, 64)
-    result = minimize(scalar_lq(grid), np.array([1.0]), SampledPath.zeros(grid, 1),
-                      OptimizerConfig(grad_tol=1e-3))
+    with mock.patch.object(optimizer, "rk4_sweep", wraps=rk4_sweep) as forward, \
+            mock.patch.object(optimizer, "costate_sweep", wraps=costate_sweep) as backward:
+        result = minimize(scalar_lq(grid), np.array([1.0]), SampledPath.zeros(grid, 1),
+                          OptimizerConfig(grad_tol=1e-3))
     assert result.status == "converged"
+    for spy in (forward, backward):
+        assert spy.call_count >= 1
+        assert all(call.args[1].shape[:-2] == (1,) for call in spy.call_args_list)
+    # A Lorenz'63 start steps its forward sweeps in floats, bit for bit the arrays.
+    problem, xi, _ = make_lorenz_twin(n_steps=128, T=0.5)
+    config = OptimizerConfig(grad_tol=1e-2, max_iters=20)
+    u0 = SampledPath.zeros(problem.eta.grid, 3)
+    with mock.patch.object(dynamics, "_float_sweep", wraps=dynamics._float_sweep) as spy:
+        floats = minimize(problem, xi, u0, config)
+    assert spy.call_count >= 1
+    array_problem = replace(problem, model=replace(problem.model, float_step=None))
+    arrays_ = minimize(array_problem, xi, u0, config)
+    for path in ("x", "u", "lam"):
+        ours, theirs = getattr(floats.triple, path), getattr(arrays_.triple, path)
+        assert ours.values.tobytes() == theirs.values.tobytes()
+    assert floats.cost_trace == arrays_.cost_trace
+    assert floats.status == arrays_.status
 
 
 def hamiltonian_reference(problem, xi, lambda0):
