@@ -44,6 +44,12 @@ COSTATE_BLOCK_BYTES = 1 << 24
 #: against the scan's O(n^3).
 COSTATE_SCAN_MAX_DIM = 10
 
+# The Heun loop's blocks hold this many bytes of Jacobians per member, so a
+# block's Jacobians are still in cache when its steps read them.  The loop's
+# bytes do not depend on its blocks; the scan's do, so it keeps
+# COSTATE_BLOCK_BYTES.
+_LOOP_BLOCK_BYTES = 1 << 18
+
 
 def costate_sweep(problem: AssimilationProblem, xv, uv):
     """Backward Heun recursion for the costate with lambda(T) = 0, on arrays.
@@ -83,7 +89,7 @@ def costate_sweep(problem: AssimilationProblem, xv, uv):
     lam = np.zeros(xv.shape[:-1] + (n,))
     out = np.moveaxis(lam, -2, 0)
     scan = n <= COSTATE_SCAN_MAX_DIM
-    block = max(1, COSTATE_BLOCK_BYTES // (8 * n * n))
+    block = max(1, (COSTATE_BLOCK_BYTES if scan else _LOOP_BLOCK_BYTES) // (8 * n * n))
     with np.errstate(over="ignore", invalid="ignore"):
         for hi in range(grid.n_steps, 0, -block):
             lo = max(hi - block, 0)
@@ -193,10 +199,15 @@ def control_gradient(
     """
     grid = require_same_grid(x, u, lam)
     problem.check_paths(state=x.values, control=u.values, costate=lam.values)
-    t = grid.times
-    cost, model = problem.cost, problem.model
-    grad = cost.D3phi(t, x.values, u.values) + np.vecmat(lam.values, model.G)
-    return SampledPath(grid, grad)
+    return SampledPath(grid, _control_gradients(problem, grid, x.values, u.values, lam.values))
+
+
+def _control_gradients(problem: AssimilationProblem, grid, xv, uv, lamv):
+    """:func:`control_gradient` of stacked, unchecked arrays on ``grid``, xv
+    and lamv (..., n_nodes, n) and uv (..., n_nodes, m); each member's
+    gradient equals its own call bit for bit."""
+    t = np.broadcast_to(grid.times, xv.shape[:-1])
+    return problem.cost.D3phi(t, xv, uv) + np.vecmat(lamv, problem.model.G)
 
 
 def pointwise_hamiltonian_minimizer(problem: AssimilationProblem, t, x, lam):

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .dynamics import ModelSpec, check_paths
+from .dynamics import ModelSpec, check_paths, first_nonfinite
 from .errors import BlowUpError, InvalidSpecError
 from .grid import SampledPath, _count, _positive_count, frozen_matrix, require_same_grid
 
@@ -201,8 +201,9 @@ def build_onsager_machlup(base: QuadraticCostSpec, model: ModelSpec) -> CostSpec
     return replace(me, phi=phi)
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
+def _trapezoid(values: np.ndarray, dt: float):
+    """Trapezoid sums along the last axis."""
+    return dt * (np.sum(values, axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
 def check_observation(cost: CostSpec, eta: SampledPath, x0) -> None:
@@ -235,16 +236,33 @@ def eval_cost(cost: CostSpec, x: SampledPath, u: SampledPath, eta: SampledPath) 
         n = np.shape(quad.h_jac(grid.times[0], x.values[0]))[-1]
         check_paths(n, quad.control_dim, state=x.values, control=u.values)
     check_observation(cost, eta, x.values[0])
+    J, bad = _eval_costs(cost, x.values, u.values, eta)
+    if bad >= 0:
+        raise _cost_blowup(bad)
+    return float(J)
+
+
+def _cost_blowup(node) -> BlowUpError:
+    """The error of a running cost first non-finite at ``node``."""
+    node = int(node)
+    return BlowUpError(node, f"non-finite running cost at node {node}")
+
+
+def _eval_costs(cost: CostSpec, xv, uv, eta: SampledPath):
+    """:func:`eval_cost` of stacked, unchecked paths on eta's grid, xv
+    (..., n_nodes, n) and uv (..., n_nodes, m): per member, the cost and
+    the first node whose running cost is non-finite, or -1, where the cost
+    means nothing.  Each member's cost equals its own call bit for bit.
+    """
+    grid = eta.grid
+    times = np.broadcast_to(grid.times, xv.shape[:-1])
     # A finite but huge state may overflow phi, a blow-up, and finite terms
     # their sums, a non-finite cost; neither is a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        phis = cost.phi(grid.times, x.values, u.values)
-        psis = cost.psi(grid.times[:-1], x.values[:-1])
-        deta = eta.increments()
-        bad = np.flatnonzero(~np.isfinite(phis))
-        if bad.size:
-            raise BlowUpError(int(bad[0]), f"non-finite running cost at node {bad[0]}")
-        return _trapezoid(phis, grid.dt) + float(np.sum(psis * deta))
+        phis = cost.phi(times, xv, uv)
+        psis = cost.psi(times[..., :-1], xv[..., :-1, :])
+        young = np.sum(psis * eta.increments(), axis=(-2, -1))
+        return _trapezoid(phis, grid.dt) + young, first_nonfinite(phis[..., None])
 
 
 def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledPath) -> float:
@@ -272,4 +290,4 @@ def eval_cost_by_parts(problem: AssimilationProblem, x: SampledPath, u: SampledP
         if not np.all(np.isfinite(tilde)):
             raise BlowUpError(int(np.flatnonzero(~np.isfinite(tilde))[0]))
         ends = np.vecdot(cost.psi(times[[0, -1]], xv[[0, -1]]), etav[[0, -1]])
-        return _trapezoid(tilde, grid.dt) + float(ends[1] - ends[0])
+        return float(_trapezoid(tilde, grid.dt)) + float(ends[1] - ends[0])

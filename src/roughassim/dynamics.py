@@ -68,7 +68,10 @@ class ModelSpec:
 
     def rk4_step(self, t, x, u, dt):
         """One classical RK4 step from (t, x) with the control frozen at u."""
-        gu = np.matvec(self.G, u)  # the control term of all four stages
+        return self._rk4_step(t, x, np.matvec(self.G, u), dt)
+
+    def _rk4_step(self, t, x, gu, dt):
+        """:meth:`rk4_step` given G u, the control term of all four stages."""
         k1 = self.f(t, x) + gu
         k2 = self.f(t + 0.5 * dt, x + 0.5 * dt * k1) + gu
         k3 = self.f(t + 0.5 * dt, x + 0.5 * dt * k2) + gu
@@ -145,9 +148,14 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0) -> ModelSpec:
     ip1, im1, im2 = (idx + 1) % n, (idx - 1) % n, (idx - 2) % n
 
     def f(t, x):
-        # w[..., k] = x[..., k - 2]: one copy, then three slices, not three gathers.
-        w = np.concatenate((x[..., -2:], x, x[..., :1]), axis=-1)
-        return (w[..., 3:] - w[..., :-3]) * w[..., 1:-2] - x + forcing
+        # (x[i+1] - x[i-2]) x[i-1] - x + F, each operation in place on the
+        # first gather's fresh buffer.
+        out = x.take(ip1, axis=-1)
+        out -= x.take(im2, axis=-1)
+        out *= x.take(im1, axis=-1)
+        out -= x
+        out += forcing
+        return out
 
     def D2f(t, x):
         # The written entries of -eye(n) hold -0.0, and -0.0 + v is v.
@@ -252,13 +260,14 @@ def rk4_sweep(model: ModelSpec, uv: np.ndarray, xi, grid: TimeGrid):
     dt = grid.dt
     times = grid.times
     out = np.empty(uv.shape[:-1] + (model.state_dim,))
-    # Node-major views: node i of every member is row i.
-    us, xs = np.moveaxis(uv, -2, 0), np.moveaxis(out, -2, 0)
-    xs[0] = xi
-    x = xs[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        # G u at every node in one stacked call; node-major views: node i
+        # of every member is row i.
+        gus, xs = np.moveaxis(np.matvec(model.G, uv), -2, 0), np.moveaxis(out, -2, 0)
+        xs[0] = xi
+        x = xs[0]
         for i in range(grid.n_steps):
-            x = model.rk4_step(times[i], x, us[i], dt)
+            x = model._rk4_step(times[i], x, gus[i], dt)
             xs[i + 1] = x
     return out, first_nonfinite(out)
 

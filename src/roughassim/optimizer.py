@@ -6,8 +6,9 @@ iterates, which keeps the method cheap while coping with the moderate
 ill-conditioning of long-window assimilation.  Stationarity is certified
 twice: projected-gradient norm below tolerance and a small
 maximum-principle residual.  Several starts run in lockstep: each round,
-their forward solves share one RK4 sweep and their costate solves one
-costate sweep, along a leading member axis.  A start is an initial state
+their forward solves share one RK4 sweep and one cost evaluation, and
+their costate solves one costate sweep and one control-gradient call,
+along a leading member axis.  A start is an initial state
 and a control, so the starts need not share their initial state.
 """
 
@@ -18,13 +19,8 @@ from typing import List
 
 import numpy as np
 
-from .adjoint import (
-    OptimalTriple,
-    control_gradient,
-    costate_sweep,
-    max_principle_residual,
-)
-from .cost import eval_cost
+from .adjoint import OptimalTriple, _control_gradients, costate_sweep, max_principle_residual
+from .cost import _cost_blowup, _eval_costs
 from .dynamics import initial_state, rk4_sweep
 from .dynamics import integrate_state  # unused here; perfbench traces optimizer.integrate_state
 from .errors import BlowUpError, InvalidSpecError, RoughAssimError
@@ -82,17 +78,17 @@ def _projected_gradient(
     """The projected-gradient loop of one start (xi, u0), as a generator.
 
     It yields each solve it needs, ``(FORWARD, (xi, u))`` or
-    ``(COSTATE, (x, u))``, and is sent the solved path, or has the solve's
+    ``(COSTATE, (x, u))``, and is sent the solved path with the cost of
+    (x, u) or the control gradient, or has the solve's
     :class:`BlowUpError` thrown in at the yield; it returns the
     :class:`AssimilationResult`.
     """
-    cost, eta, control_set = problem.cost, problem.eta, problem.control_set
+    eta, control_set = problem.eta, problem.control_set
     grid: TimeGrid = require_same_grid(u0, eta)
     xi = initial_state(problem.model, xi)
     dt = grid.dt
     u = SampledPath(grid, control_set.project_values(u0.values))
-    x = yield FORWARD, (xi, u)
-    J = eval_cost(cost, x, u, eta)
+    x, J = yield FORWARD, (xi, u)
     cost_trace = [J]
     grad_norm_trace: List[float] = []
     status = "max_iters"
@@ -100,8 +96,7 @@ def _projected_gradient(
     prev_u = prev_G = None
 
     for _ in range(config.max_iters):
-        lam = yield COSTATE, (x, u)
-        G = control_gradient(problem, x, u, lam)
+        lam, G = yield COSTATE, (x, u)
         pg = u.values - control_set.project_values(u.values - G.values)
         pg_norm = float(np.max(np.abs(pg)))
         grad_norm_trace.append(pg_norm)
@@ -123,8 +118,7 @@ def _projected_gradient(
             trial_vals = control_set.project_values(u.values - alpha * G.values)
             u_trial = SampledPath(grid, trial_vals)
             try:
-                x_trial = yield FORWARD, (xi, u_trial)
-                J_trial = eval_cost(cost, x_trial, u_trial, eta)
+                x_trial, J_trial = yield FORWARD, (xi, u_trial)
             except BlowUpError:
                 alpha *= ARMIJO_SHRINK
                 continue
@@ -140,7 +134,7 @@ def _projected_gradient(
         cost_trace.append(J)
 
     if status == "max_iters":  # the last step moved (x, u) on from lam
-        lam = yield COSTATE, (x, u)
+        lam, _ = yield COSTATE, (x, u)
     triple = OptimalTriple(x=x, u=u, lam=lam)
     mp_res = max_principle_residual(triple, problem)
     return AssimilationResult(
@@ -153,22 +147,38 @@ def _projected_gradient(
 
 
 def _solve(kind, requests, problem: AssimilationProblem):
-    """One round's solves of one kind: per request, its path or its BlowUpError.
+    """One round's solves of one kind: per request, its answer or its BlowUpError.
 
     A request is a pair, ``(xi, u)`` forward and ``(x, u)`` for the costate.
     The requests run as one member batch, each member from its own first
     entry; a single request is a batch of one member, whose forward sweep
-    steps in floats when the model sets ``float_step``.
+    steps in floats when the model sets ``float_step``.  A forward answer
+    is the path x and the cost of (x, u), a costate answer the path lambda
+    and the control gradient, each member's from one stacked call.  A
+    member whose sweep or running cost turns non-finite is answered with
+    its own :class:`BlowUpError`.
     """
-    model, grid = problem.model, problem.eta.grid
+    model, eta = problem.model, problem.eta
+    grid = eta.grid
     firsts, us = zip(*requests)
     uv = np.stack([u.values for u in us])
     if kind == FORWARD:
         values, blown = rk4_sweep(model, uv, np.stack(firsts), grid)
-    else:
-        values, blown = costate_sweep(problem, np.stack([x.values for x in firsts]), uv)
+        costs, bad = _eval_costs(problem.cost, values, uv, eta)
+        return [
+            BlowUpError(int(node)) if node >= 0
+            else _cost_blowup(at) if at >= 0
+            else (SampledPath(grid, v), float(J))
+            for v, node, J, at in zip(values, blown, costs, bad)
+        ]
+    xv = np.stack([x.values for x in firsts])
+    values, blown = costate_sweep(problem, xv, uv)
+    ok = blown < 0  # a blown costate has no gradient
+    some = slice(None) if np.all(ok) else ok
+    grads = iter(_control_gradients(problem, grid, xv[some], uv[some], values[some]))
     return [
-        BlowUpError(int(node)) if node >= 0 else SampledPath(grid, v)
+        (SampledPath(grid, v), SampledPath(grid, next(grads))) if node < 0
+        else BlowUpError(int(node))
         for v, node in zip(values, blown)
     ]
 

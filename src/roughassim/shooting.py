@@ -138,6 +138,11 @@ def _damped_newton(grid, xi, firsts, steps: int):
     column differences, and -1 at each unknown's own defect entry.  Returns
     the accepted point's optimal triple, so a converged solve is not
     integrated again.
+
+    A point below ``NEWTON_TOL`` takes one more full step if that lowers
+    its residual, unless the residual is already at the rounding floor:
+    sqrt(steps) eps times the norm of the point's starts, what a segment
+    end's per-step roundings leave of an exact root.
     """
     n, K, last = xi.shape[0], len(firsts), grid.n_steps
     size = (2 * K - 1) * n
@@ -179,6 +184,7 @@ def _damped_newton(grid, xi, firsts, steps: int):
         )
         return OptimalTriple(x=x, u=u, lam=lam)
 
+    floor = np.sqrt(steps) * np.finfo(float).eps
     guess = np.zeros((K, 2 * n))
     guess[:, :n] = xi
     z = guess.ravel()[n:]
@@ -191,8 +197,11 @@ def _damped_newton(grid, xi, firsts, steps: int):
         res = _norm(F)
         best = min(best, res)
         # A segment defect moves the value at first order, so a point below
-        # the tolerance takes one more full step if that lowers the residual.
+        # the tolerance takes one more full step if that lowers the
+        # residual; one at the rounding floor stops.
         final = res < NEWTON_TOL
+        if final and res <= floor * _norm(np.concatenate((xi, z))):
+            return triple(sweep)
         try:
             if column_error is not None:
                 raise column_error

@@ -87,6 +87,20 @@ def costate_reference(problem, x, u):
     return lam
 
 
+def eval_cost_one_path(cost, xv, uv, eta) -> float:
+    """The index of one path's arrays, xv (n_nodes, n) and uv (n_nodes, m),
+    with each sum taken over the path's whole array.
+
+    Reference for ``cost._eval_costs``, whose sums along a member axis must
+    give each member these bytes.
+    """
+    grid = eta.grid
+    phis = cost.phi(grid.times, xv, uv)
+    psis = cost.psi(grid.times[:-1], xv[:-1])
+    trapezoid = grid.dt * (np.sum(phis) - 0.5 * (phis[0] + phis[-1]))
+    return float(trapezoid) + float(np.sum(psis * eta.increments()))
+
+
 def _midpoint_sum(z: np.ndarray, dw: np.ndarray) -> float:
     """sum of midpoint-tagged pairings <z, dw> over steps."""
     mids = 0.5 * (z[:-1] + z[1:])

@@ -117,9 +117,57 @@ class TestLorenz96:
         assert lorenz96_model(n=np.int64(8)).state_dim == 8
 
 
+# Lorenz'96 states that stress the gathers and in-place updates: signed
+# zeros, ordinary values, and magnitudes whose products overflow.
+L96_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0),
+                        st.floats(min_value=1e150, max_value=1e300).flatmap(
+                            lambda v: st.sampled_from([v, -v])))
+
+
+@st.composite
+def lorenz96_member_views(draw):
+    """n, and node i of a (B, n_nodes, n) member stack as ``rk4_sweep`` steps
+    it: a (B, n) view whose members lie n_nodes * n floats apart."""
+    n = draw(st.integers(4, 41))
+    B, nodes = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    stack = draw(arrays(float, (B, nodes, n), elements=L96_ENTRIES))
+    return n, np.moveaxis(stack, -2, 0)[draw(st.integers(0, nodes - 1))]
+
+
 class TestArrayStep:
-    """The array stepper forms G u once per step, and Lorenz'96 reads its
-    neighbours by slices; both must keep the bytes of the plain forms."""
+    """The array stepper forms G u once per sweep, and Lorenz'96 gathers its
+    neighbours with ``take`` into one buffer it updates in place; both must
+    keep the bytes of the plain forms."""
+
+    @given(lorenz96_member_views())
+    @settings(deadline=None, derandomize=True)
+    def test_lorenz96_drift_equals_gathered_form(self, case):
+        n, x = case
+        before = x.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = lorenz96_model(n).f(0.0, x)
+            ref = lorenz96_gathered(n).f(0.0, x)
+        assert drift.tobytes() == ref.tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("members", [(), (4,)])
+    def test_sweep_on_a_nonsquare_control_matrix_equals_four_drift_steps(self, members):
+        # n = 3 states, m = 2 controls: G u is formed for every node before
+        # the steps, and a -0.0 control must give the per-step bytes.
+        rng = np.random.default_rng(12)
+        model = linear_model(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)))
+        grid = TimeGrid(0.8, 40)
+        U = rng.normal(size=members + (grid.n_nodes, 2))
+        U[rng.random(U.shape) < 0.3] = -0.0
+        xi = rng.normal(size=members + (3,))
+        states, blown = rk4_sweep(model, U, xi, grid)
+        x, us = xi, np.moveaxis(U, -2, 0)
+        ref = [x]
+        for i in range(grid.n_steps):
+            x = four_drift_step(model, grid.times[i], x, us[i], grid.dt)
+            ref.append(x)
+        assert np.all(blown == -1)
+        assert states.tobytes() == np.stack(ref, axis=-2).tobytes()
 
     @pytest.mark.parametrize("members", [(), (5,)])
     def test_rk4_step_equals_four_drift_form(self, members):

@@ -24,9 +24,12 @@ from roughassim.adjoint import (
     pointwise_hamiltonian_minimizer,
     solve_costate,
 )
+from roughassim.adjoint import _control_gradients, control_gradient
 from roughassim.cost import (
     QuadraticCostSpec,
+    _eval_costs,
     build_minimum_energy,
+    build_onsager_machlup,
     coordinate_observation,
     eval_cost,
 )
@@ -57,7 +60,7 @@ from roughassim.shooting import (
 )
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
-from oracles import costate_reference, duality_reference
+from oracles import costate_reference, duality_reference, eval_cost_one_path
 
 L63_ME = {
     "model": {"name": "lorenz63"},
@@ -219,6 +222,7 @@ def test_costate_sweep_equals_the_per_step_loop(monkeypatch, block_bytes):
     # One block, one node per block, and 37-node blocks that do not divide
     # the grid: the scan to rounding, the step loop bit for bit.
     monkeypatch.setattr(adjoint, "COSTATE_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(adjoint, "_LOOP_BLOCK_BYTES", block_bytes)
     problem, xi, truth = make_lorenz_twin(n_steps=200)
     grid = problem.eta.grid
     u = SampledPath(grid, np.random.default_rng(1).normal(size=(grid.n_nodes, 3)))
@@ -264,10 +268,12 @@ class TestCostateScan:
         problem, X, U, crossover, block = case
         n = problem.model.state_dim
         block_bytes = adjoint.COSTATE_BLOCK_BYTES if block is None else 8 * n * n * block
+        loop_bytes = adjoint._LOOP_BLOCK_BYTES if block is None else block_bytes
         scan = n <= crossover
         event("scan" if scan else "loop")
         with mock.patch.object(adjoint, "COSTATE_SCAN_MAX_DIM", crossover), \
-                mock.patch.object(adjoint, "COSTATE_BLOCK_BYTES", block_bytes):
+                mock.patch.object(adjoint, "COSTATE_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(adjoint, "_LOOP_BLOCK_BYTES", loop_bytes):
             lam, blown = costate_sweep(problem, X, U)
             grid = problem.eta.grid
             for b in range(len(X)):
@@ -324,6 +330,110 @@ class TestDualityScan:
                 event("M = 0")
                 rounding = 8 * grid.n_steps * np.finfo(float).eps * scale
                 assert max(resids[k], ref) <= rounding
+
+
+@st.composite
+def stacked_cost_cases(draw):
+    """A minimum-energy or Onsager-Machlup problem on Lorenz'63, Lorenz'96
+    or a linear model with a random G (m = 2 controls on 3 states, or
+    3), and B = 1 to 4 members' states, controls and costates; signed zeros
+    among them, and possibly one member so huge that its running cost
+    overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lorenz63", "lorenz96-4", "lorenz96-9", "linear-2", "linear-3"]))
+    if kind.startswith("linear"):
+        model = linear_model(rng.normal(size=(3, 3)), rng.normal(size=(3, int(kind[-1]))))
+    else:
+        model = lorenz63_model() if kind == "lorenz63" else lorenz96_model(int(kind[-1]))
+    n, m = model.state_dim, model.control_dim
+    grid = TimeGrid(draw(st.floats(0.01, 1.0)), draw(st.integers(1, 200)))
+    observed = range(0, n, 2)
+    h, h_jac = coordinate_observation(observed, n)
+    d = len(observed)
+    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.diag(1.0 + rng.random(d)), S=np.eye(m))
+    if m == n and draw(st.booleans()):
+        cost = build_onsager_machlup(quad, model)
+    else:
+        cost = build_minimum_energy(quad)
+    eta = SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, d)), axis=0))
+    problem = AssimilationProblem(model, cost, eta)
+    B = draw(st.integers(1, 4))
+    X, U, L = (5.0 * rng.normal(size=(B, grid.n_nodes, k)) for k in (n, m, n))
+    for values in (X, U, L):
+        values[rng.random(values.shape) < 0.1] = -0.0
+    if draw(st.booleans()):
+        X[draw(st.integers(0, B - 1)), draw(st.integers(0, grid.n_steps)):] *= 1e200
+    return problem, X, U, L
+
+
+class TestStackedCosts:
+    """The stacked cost and control-gradient kernels the optimizer answers a
+    round with: each member's row is its own one-path call, bit for bit,
+    and its cost the whole-array sums of :func:`oracles.eval_cost_one_path`."""
+
+    @given(stacked_cost_cases())
+    @settings(deadline=None, derandomize=True)
+    def test_members_equal_their_one_path_calls(self, case):
+        problem, X, U, L = case
+        grid = problem.eta.grid
+        costs, bad = _eval_costs(problem.cost, X, U, problem.eta)
+        grads = _control_gradients(problem, grid, X, U, L)
+        for b in range(len(X)):
+            x, u, lam = (SampledPath(grid, v[b]) for v in (X, U, L))
+            alone = control_gradient(problem, x, u, lam).values
+            assert grads[b].tobytes() == alone.tobytes()
+            try:
+                J = eval_cost(problem.cost, x, u, problem.eta)
+            except BlowUpError as err:
+                event("running cost overflows")
+                assert bad[b] == err.node_index >= 0
+            else:
+                assert bad[b] == -1
+                ref = eval_cost_one_path(problem.cost, X[b], U[b], problem.eta)
+                assert costs[b].tobytes() == np.float64(J).tobytes() == np.float64(ref).tobytes()
+
+    def test_a_blown_cost_is_answered_alone(self):
+        # xdot = 700 x: from x = 1 the RK4 states stay finite to the last
+        # node, but x^2 / 2 overflows from some node on; from x = 0 and
+        # x = 1e-200 the cost is finite.
+        problem = scalar_lq(TimeGrid(1.0, 64), a=700.0)
+        grid = problem.eta.grid
+        u0 = SampledPath.zeros(grid, 1)
+        starts = [np.array([0.0]), np.array([1.0]), np.array([1e-200])]
+        answers = optimizer._solve(optimizer.FORWARD, [(xi, u0) for xi in starts], problem)
+        for xi, answer in zip(starts, answers):
+            x = integrate_state(problem.model, u0, xi, grid)
+            try:
+                J = eval_cost(problem.cost, x, u0, problem.eta)
+            except BlowUpError as err:
+                assert isinstance(answer, BlowUpError)
+                assert answer.node_index == err.node_index > 0
+                assert str(answer) == str(err)
+            else:
+                path, cost = answer
+                assert path.values.tobytes() == x.values.tobytes()
+                assert cost == J
+        assert isinstance(answers[1], BlowUpError)
+
+
+def test_costate_loop_blocks_keep_the_bytes(monkeypatch):
+    # Lorenz'96 n = 40 steps the Heun loop in blocks that keep a member's
+    # Jacobians in cache; four members give the same bytes as in one block.
+    model = lorenz96_model(40)
+    grid = TimeGrid(0.5, 256)
+    rng = np.random.default_rng(6)
+    h, h_jac = coordinate_observation(range(0, 40, 2), 40)
+    quad = QuadraticCostSpec(h=h, h_jac=h_jac, R=np.eye(20), S=np.eye(40))
+    eta = SampledPath(grid, np.cumsum(rng.normal(size=(grid.n_nodes, 20)), axis=0))
+    problem = AssimilationProblem(model, build_onsager_machlup(quad, model), eta)
+    X = 8.0 + 3.0 * rng.normal(size=(4, grid.n_nodes, 40))
+    U = rng.uniform(-1.0, 1.0, size=(4, grid.n_nodes, 40))
+    assert adjoint._LOOP_BLOCK_BYTES // (8 * 40 * 40) < grid.n_steps // 4
+    blocked, blown = costate_sweep(problem, X, U)
+    monkeypatch.setattr(adjoint, "_LOOP_BLOCK_BYTES", adjoint.COSTATE_BLOCK_BYTES)
+    whole, whole_blown = costate_sweep(problem, X, U)
+    assert np.all(blown == -1) and np.all(whole_blown == -1)
+    assert blocked.tobytes() == whole.tobytes()
 
 
 def test_costate_sweep_members_equal_one_member_sweeps():
