@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from roughassim import adjoint, dynamics, optimizer, shooting
 from roughassim.adjoint import (
+    _control_gradients,
+    control_gradient,
     costate_sweep,
     duality_check,
     duality_sweep,
     pointwise_hamiltonian_minimizer,
     solve_costate,
 )
-from roughassim.adjoint import _control_gradients, control_gradient
 from roughassim.cost import (
     QuadraticCostSpec,
     _eval_costs,
