@@ -3,7 +3,9 @@
 Each suite returns a list of check records {name, value, tolerance,
 passed}; a check passes when its measured value stays within tolerance.
 Values are worst cases over seeded random ensembles, so a green report
-certifies every trial.
+certifies every trial.  Each trial family is drawn once as a (B, n, d)
+stack that the stacked kernels read; a path is built only for a public
+door under test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .adjoint import (
     pointwise_hamiltonian_minimizer,
     solve_costate,
 )
-from .cost import QuadraticCostSpec, build_minimum_energy, coordinate_observation, eval_cost
+from .cost import QuadraticCostSpec, _cost_blowup, _eval_costs, build_minimum_energy
+from .cost import coordinate_observation
 from .dynamics import integrate_state, linear_model, rk4_sweep
 from .errors import BlowUpError, InvalidSpecError
 from .experiments import build_cost, load_config, simulate_truth
@@ -26,11 +29,12 @@ from .grid import SampledPath, TimeGrid, _seed
 from .problem import AssimilationProblem
 from .roughpath import (
     _p_variations,
+    _walks,
+    _widths,
     _young_loeve_sides,
-    oscillation,
+    _young_sum,
     p_variation,  # unused here; perfbench traces it as checks.p_variation
     p_variation_bruteforce,
-    sample_wiener,
     wiener_rng,
     young_integral,
 )
@@ -50,27 +54,16 @@ def _record(name, value, tolerance, larger_is_fail=True):
     }
 
 
-def _random_walk(grid, dim, seed, stream):
-    rng = wiener_rng(seed, stream)
-    steps = rng.normal(size=(grid.n_steps, dim))
-    vals = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
-    return SampledPath(grid, vals)
-
-
-def _pvars(paths, p) -> list:
-    """p-variations of equal-length paths of one dimension, one stack."""
-    return _p_variations(np.stack([path.values for path in paths]), p).tolist()
-
-
-def _smooth_random(grid, dim, seed, stream, n_modes=4):
-    """Random trigonometric polynomial sampled on the grid (piecewise linear)."""
-    rng = wiener_rng(seed, stream)
+def _smooth_randoms(grid, dim, keys, n_modes=4):
+    """Random trigonometric polynomials sampled on the grid (piecewise
+    linear), one per (seed, stream) key: a stack (B, n_nodes, dim)."""
     t = grid.times / grid.T
-    vals = np.zeros((grid.n_nodes, dim))
+    coeffs = np.stack([wiener_rng(*key).normal(size=(2 * n_modes, dim)) for key in keys])
+    vals = np.zeros((len(coeffs), grid.n_nodes, dim))
     for k in range(1, n_modes + 1):
-        vals += rng.normal(size=dim) * np.sin(2 * np.pi * k * t)[:, None]
-        vals += rng.normal(size=dim) * np.cos(2 * np.pi * k * t)[:, None]
-    return SampledPath(grid, vals)
+        vals += coeffs[:, None, 2 * k - 2] * np.sin(2 * np.pi * k * t)[:, None]
+        vals += coeffs[:, None, 2 * k - 1] * np.cos(2 * np.pi * k * t)[:, None]
+    return vals
 
 
 def suite_roughpath(seed: int = 0) -> list:
@@ -78,38 +71,37 @@ def suite_roughpath(seed: int = 0) -> list:
     # Dynamic program vs exhaustive enumeration on short paths.
     # Trial k has dimension 1 or 3 as k is even or odd and p = 1 + (k % 5) / 2,
     # so the trials k = r (mod 10) share both: one stack.
-    worst = 0.0
+    worst, g = 0.0, TimeGrid(1.0, 10)
     for r in range(10):
         dim, p = 1 if r % 2 == 0 else 3, 1.0 + (r % 5) * 0.5
-        paths = [_random_walk(TimeGrid(1.0, 10), dim, seed, 100 + k) for k in range(r, 50, 10)]
-        for path, dp in zip(paths, _pvars(paths, p)):
-            worst = max(worst, abs(dp - p_variation_bruteforce(path, p)))
+        walks = _walks(g, dim, seed, range(100 + r, 150, 10), 1.0)
+        for walk, dp in zip(walks, _p_variations(walks, p).tolist()):
+            worst = max(worst, abs(dp - p_variation_bruteforce(SampledPath(g, walk), p)))
     checks.append(_record("pvariation_dp_vs_bruteforce", worst, 1e-12))
 
     # Variation inequalities on random walks.
     grid, trials = TimeGrid(1.0, 64), range(100)
-    ys = [_random_walk(grid, 2, seed, 300 + trial) for trial in trials]
-    xs = [_random_walk(grid, 2, seed, 500 + trial) for trial in trials]
-    xys = [SampledPath(grid, x.values * y.values) for x, y in zip(xs, ys)]
-    scalars = [_random_walk(grid, 1, seed, 700 + trial) for trial in trials]
+    ys, xs = (_walks(grid, 2, seed, range(first, first + 100), 1.0) for first in (300, 500))
+    scalars = _walks(grid, 1, seed, range(700, 800), 1.0)
     p, q, kappa = 2.5, 1.5, 0.5
-    psis = [SampledPath(grid, np.abs(s.values) ** kappa) for s in scalars]
-    vps, vqs, vxs, vxys = _pvars(ys, p), _pvars(ys, q), _pvars(xs, p), _pvars(xys, p)
-    v_kappa, v_psi = _pvars(scalars, kappa * p), _pvars(psis, p)
-    v_ac = [_pvars(scalars[r::4], 1.0 + r * 0.7) for r in range(4)]
+    vps, vqs = _p_variations(ys, p).tolist(), _p_variations(ys, q).tolist()
+    vxs, vxys = _p_variations(xs, p).tolist(), _p_variations(xs * ys, p).tolist()
+    v_kappa = _p_variations(scalars, kappa * p).tolist()
+    v_psi = _p_variations(np.abs(scalars) ** kappa, p).tolist()
+    v_ac = [_p_variations(scalars[r::4], 1.0 + r * 0.7).tolist() for r in range(4)]
+    osc = _widths(ys).tolist()
+    ysup, xsup = (np.max(np.linalg.norm(v, axis=-1), axis=-1).tolist() for v in (ys, xs))
+    total_vars = np.sum(np.abs(np.diff(scalars[..., 0], axis=-1)), axis=-1).tolist()
     mono = interp = prod = chain = ac = 0.0
     for trial in trials:
-        y, x, vp, vq = ys[trial], xs[trial], vps[trial], vqs[trial]
+        vp, vq = vps[trial], vqs[trial]
         mono = max(mono, vp - vq)
-        interp = max(interp, vp - vq ** (q / p) * oscillation(y) ** (1 - q / p))
-        bound = vxs[trial] * np.max(np.linalg.norm(y.values, axis=1)) + vp * np.max(
-            np.linalg.norm(x.values, axis=1)
-        )
+        interp = max(interp, vp - vq ** (q / p) * osc[trial] ** (1 - q / p))
+        bound = vxs[trial] * ysup[trial] + vp * xsup[trial]
         prod = max(prod, vxys[trial] - bound)
         chain_bound = v_kappa[trial] ** kappa + grid.T**kappa
         chain = max(chain, v_psi[trial] - chain_bound)
-        total_var = float(np.sum(np.abs(np.diff(scalars[trial].values, axis=0))))
-        ac = max(ac, v_ac[trial % 4][trial // 4] - total_var)
+        ac = max(ac, v_ac[trial % 4][trial // 4] - total_vars[trial])
     checks.append(_record("variation_monotonicity", mono, 1e-12))
     checks.append(_record("variation_interpolation", interp, 1e-12))
     checks.append(_record("variation_product_rule", prod, 1e-12))
@@ -117,12 +109,12 @@ def suite_roughpath(seed: int = 0) -> list:
     checks.append(_record("variation_ac_bound", ac, 1e-12))
 
     # Young-Loeve bound on piecewise-linear pairs.
-    g, trials = TimeGrid(1.0, 32), range(100)
-    xs = [_smooth_random(g, 1, seed, 900 + trial) for trial in trials]
-    ys = [_smooth_random(g, 1, seed, 1100 + trial) for trial in trials]
+    g = TimeGrid(1.0, 32)
+    xs, ys = (_smooth_randoms(g, 1, [(seed, k + t) for t in range(100)]) for k in (900, 1100))
     worst_excess = 0.0
-    for x, y, vx, vy in zip(xs, ys, _pvars(xs, 1.5), _pvars(ys, 1.5)):
-        res = _young_loeve_sides(x, y, vx, vy, 1.0 / 1.5 + 1.0 / 1.5)
+    vxs, vys = _p_variations(xs, 1.5).tolist(), _p_variations(ys, 1.5).tolist()
+    for x, y, vx, vy in zip(xs, ys, vxs, vys):
+        res = _young_loeve_sides(_young_sum(x, y), x, y, vx, vy, 1.0 / 1.5 + 1.0 / 1.5)
         worst_excess = max(worst_excess, res["lhs"] - res["rhs"])
     checks.append(_record("young_loeve_bound", worst_excess, 1e-12))
 
@@ -139,20 +131,19 @@ def suite_roughpath(seed: int = 0) -> list:
 
     # Tag independence under refinement against Wiener integrators.
     min_ratio = np.inf
-    for s in range(20):
-        fine = sample_wiener(TimeGrid(1.0, 2048), 1, seed, stream=1300 + s)
-        coarse = fine.restrict(2)
-        gaps = []
-        for w in (coarse, fine):
-            x = SampledPath(w.grid, np.sin(w.times))
-            gaps.append(abs(young_integral(x, w, "left") - young_integral(x, w, "midpoint")))
+    fine, coarse = TimeGrid(1.0, 2048), TimeGrid(1.0, 1024)
+    sines = [np.sin(g.times)[:, None] for g in (coarse, fine)]
+    for w in _walks(fine, 1, seed, range(1300, 1320), np.sqrt(fine.dt)):
+        gaps = [abs(_young_sum(x, wv, "left") - _young_sum(x, wv, "midpoint"))
+                for x, wv in zip(sines, (w[::2], w))]
         min_ratio = min(min_ratio, gaps[0] / gaps[1])
     checks.append(_record("young_tag_refinement_ratio", min_ratio, 1.3, larger_is_fail=False))
 
     # Wiener grid-variation dichotomy: stable at p=2.5, unbounded at p=1.5.
-    fines = [sample_wiener(TimeGrid(1.0, 4096), 1, seed, stream=1500 + s) for s in range(20)]
-    v4096, v128 = _pvars(fines, 1.5), _pvars([w.restrict(32) for w in fines], 1.5)
-    v2048, v1024 = (_pvars([w.restrict(k) for w in fines], 2.5) for k in (2, 4))
+    g = TimeGrid(1.0, 4096)
+    fines = _walks(g, 1, seed, range(1500, 1520), np.sqrt(g.dt))
+    v4096, v128 = (_p_variations(fines[:, ::k], 1.5).tolist() for k in (1, 32))
+    v2048, v1024 = (_p_variations(fines[:, ::k], 2.5).tolist() for k in (2, 4))
     lo_15 = min(a / b for a, b in zip(v4096, v128))
     lo_25 = min(a / b for a, b in zip(v2048, v1024))
     hi_25 = max(a / b for a, b in zip(v2048, v1024))
@@ -219,11 +210,11 @@ def suite_adjoint(seed: int = 0) -> list:
     )
 
     # Costate grid q-variation stabilizes under refinement for q = 2.5.
-    costates = []
+    lams = []
     for s in range(3):
         problemf, _, truthf = _lorenz_setup((seed + s) % 2**64, n_steps=2048, T=1.0)
-        costates.append(solve_costate(problemf, truthf, SampledPath.zeros(problemf.eta.grid, 3)))
-    fine, coarse = _pvars(costates, 2.5), _pvars([lam.restrict(2) for lam in costates], 2.5)
+        lams.append(solve_costate(problemf, truthf, SampledPath.zeros(problemf.eta.grid, 3)).values)
+    fine, coarse = (_p_variations(np.stack(lams)[:, ::k], 2.5).tolist() for k in (1, 2))
     ratios = [a / b for a, b in zip(fine, coarse)]
     checks.append(_record("costate_qvar_ratio_high", max(ratios), 1.25))
     checks.append(_record("costate_qvar_ratio_low", min(ratios), 0.8, larger_is_fail=False))
@@ -236,8 +227,7 @@ def suite_duality(seed: int = 0) -> list:
     resids = {}
     for n in (512, 1024):
         g = TimeGrid(1.0, n)
-        a = np.stack([_smooth_random(g, 2, d, 31).values for d in draws])
-        b = np.stack([_smooth_random(g, 2, d, 37).values for d in draws])
+        a, b = (_smooth_randoms(g, 2, [(d, stream) for d in draws]) for stream in (31, 37))
         M, ends = [], []
         for d in draws:
             rng = wiener_rng(d, 41)
@@ -258,21 +248,20 @@ def _central_differences(problem, u, xi, nodes, h) -> np.ndarray:
     """d(cost)/d u[node, component] by central differences of forward + cost.
 
     Returns one row per node.  The two perturbed forward solves of every
-    entry run as one member batch; each cost is evaluated on its own.
+    entry run as one member batch, and their costs are one stacked
+    evaluation; the first entry whose sweep or cost blows up raises.
     """
-    grid = u.grid
     m = u.values.shape[1]
     probes = np.repeat(u.values[None], 2 * m * len(nodes), axis=0)
     entries = [(node, comp) for node in nodes for comp in range(m)]
     for k, (node, comp) in enumerate(entries):
         probes[2 * k, node, comp] += h
         probes[2 * k + 1, node, comp] += -h
-    states, blown = rk4_sweep(problem.model, probes, xi, grid)
-    costs = np.empty(len(probes))
-    for k, (up, x) in enumerate(zip(probes, states)):
-        if blown[k] >= 0:
-            raise BlowUpError(int(blown[k]))
-        costs[k] = eval_cost(problem.cost, SampledPath(grid, x), SampledPath(grid, up), problem.eta)
+    states, blown = rk4_sweep(problem.model, probes, xi, u.grid)
+    costs, bad = _eval_costs(problem.cost, states, probes, problem.eta)
+    for node, at in zip(blown, bad):  # the first entry to blow up raises
+        if node >= 0 or at >= 0:
+            raise BlowUpError(int(node)) if node >= 0 else _cost_blowup(at)
     return ((costs[0::2] - costs[1::2]) / (2.0 * h)).reshape(len(nodes), m)
 
 
@@ -288,8 +277,7 @@ def suite_gradient(seed: int = 0) -> list:
     G = control_gradient(problem, x, u, lam)
     worst = 0.0
     nodes = rng.choice(np.arange(1, grid.n_steps), size=20, replace=False)
-    fds = _central_differences(problem, u, xi, nodes, 1e-5)
-    for node, fd in zip(nodes, fds):
+    for node, fd in zip(nodes, _central_differences(problem, u, xi, nodes, 1e-5)):
         pred = grid.dt * G.values[node]
         rel = np.linalg.norm(fd - pred) / max(np.linalg.norm(fd), np.linalg.norm(pred), 1e-12)
         worst = max(worst, rel)

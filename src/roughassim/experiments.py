@@ -123,7 +123,7 @@ def load_config(source: dict | str | os.PathLike) -> ExperimentConfig:
     else:
         try:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:  # not UTF-8, not JSON, or a NUL in the path
             raise InvalidSpecError(f"unreadable experiment config: {err}") from err
     try:
         _section(raw, "config")
@@ -221,7 +221,9 @@ def check_outdir(outdir, artifacts=()) -> Path:
     """Reject, creating nothing, an output directory ``make_outdir`` could
     not make: a path naming a non-directory, or one whose nearest existing
     ancestor is not a directory; and reject an ``artifacts`` name in it that
-    is a directory."""
+    is a directory; anything but a path is an invalid input too."""
+    if not isinstance(outdir, (str, os.PathLike)):
+        raise InvalidSpecError(f"an output directory is named by a path, got {outdir!r}")
     outdir = Path(outdir)
     try:
         existing = next(p for p in (outdir, *outdir.parents) if p.exists())
@@ -243,7 +245,7 @@ def make_outdir(outdir, artifacts=()) -> Path:
     outdir = check_outdir(outdir, artifacts)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         raise InvalidSpecError(f"cannot use {str(outdir)!r} as output directory: {err}") from err
     return outdir
 
@@ -318,14 +320,15 @@ def cmd_assimilate(
 ) -> dict:
     """Run the assimilation and write estimate/control/costate CSVs + result.json.
 
-    The truth path (``truth_file``, else a truth.csv beside ``eta_file``)
-    is read and checked, if there is one, before the solve.
+    The truth path, ``truth_file`` or, if None, a truth.csv beside
+    ``eta_file`` if there is one, is read and checked before the solve.
     """
     eta = read_observation(config, eta_file)
-    truth_candidate = Path(truth_file) if truth_file else Path(eta_file).parent / "truth.csv"
-    truth = None
-    if truth_candidate.exists():
-        truth = _read_checked_path(config, truth_candidate, "truth", config.model.state_dim)
+    sibling = Path(eta_file).parent / "truth.csv"
+    if truth_file is None and sibling.exists():
+        truth_file = sibling
+    n = config.model.state_dim
+    truth = None if truth_file is None else _read_checked_path(config, truth_file, "truth", n)
     outdir = make_outdir(outdir, ("estimate.csv", "control.csv", "costate.csv", "result.json"))
     t0 = time.perf_counter()
     result = run_assimilation(config, eta)

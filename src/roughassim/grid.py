@@ -235,7 +235,7 @@ def write_path_csv(path: SampledPath, filename: str | os.PathLike) -> None:
     try:
         with open(filename, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the name
         raise InvalidSpecError(f"cannot write path file: {err}") from err
 
 

@@ -8,8 +8,10 @@ twice: projected-gradient norm below tolerance and a small
 maximum-principle residual.  Several starts run in lockstep: each round,
 their forward solves share one RK4 sweep and one cost evaluation, and
 their costate solves one costate sweep and one control-gradient call,
-along a leading member axis.  A start is an initial state
-and a control, so the starts need not share their initial state.
+along a leading member axis.  A start is an initial state and a control,
+so the starts need not share their initial state.  The rounds exchange the
+sweeps' arrays; only each start's final :class:`OptimalTriple` is built
+from paths.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class AssimilationResult:
         return len(self.grad_norm_trace)
 
 
-def _l2sq(values: np.ndarray, dt: float) -> float:
-    return float(dt * np.sum(values**2))
-
-
 FORWARD, COSTATE = "forward", "costate"
 
 
@@ -77,8 +75,8 @@ def _projected_gradient(
 ):
     """The projected-gradient loop of one start (xi, u0), as a generator.
 
-    It yields each solve it needs, ``(FORWARD, (xi, u))`` or
-    ``(COSTATE, (x, u))``, and is sent the solved path with the cost of
+    It yields each solve it needs on arrays, ``(FORWARD, (xi, u))`` or
+    ``(COSTATE, (x, u))``, and is sent the solved array with the cost of
     (x, u) or the control gradient, or has the solve's
     :class:`BlowUpError` thrown in at the yield; it returns the
     :class:`AssimilationResult`.
@@ -87,7 +85,7 @@ def _projected_gradient(
     grid: TimeGrid = require_same_grid(u0, eta)
     xi = initial_state(problem.model, xi)
     dt = grid.dt
-    u = SampledPath(grid, control_set.project_values(u0.values))
+    u = control_set.project_values(u0.values)
     x, J = yield FORWARD, (xi, u)
     cost_trace = [J]
     grad_norm_trace: List[float] = []
@@ -97,7 +95,7 @@ def _projected_gradient(
 
     for _ in range(config.max_iters):
         lam, G = yield COSTATE, (x, u)
-        pg = u.values - control_set.project_values(u.values - G.values)
+        pg = u - control_set.project_values(u - G)
         pg_norm = float(np.max(np.abs(pg)))
         grad_norm_trace.append(pg_norm)
         if pg_norm < config.grad_tol:
@@ -105,24 +103,22 @@ def _projected_gradient(
             break
 
         if prev_G is not None:
-            du = u.values - prev_u
-            dg = G.values - prev_G
+            du, dg = u - prev_u, G - prev_G
             denom = np.sum(du * dg)
             if denom > 0:
                 bb = np.sum(du * du) / denom  # spectral (BB1) step estimate
                 alpha = float(np.clip(bb, MIN_STEP, 1e6))
-        prev_u, prev_G = u.values, G.values
+        prev_u, prev_G = u, G
 
         accepted = False
         while alpha >= MIN_STEP:
-            trial_vals = control_set.project_values(u.values - alpha * G.values)
-            u_trial = SampledPath(grid, trial_vals)
+            u_trial = control_set.project_values(u - alpha * G)
             try:
                 x_trial, J_trial = yield FORWARD, (xi, u_trial)
             except BlowUpError:
                 alpha *= ARMIJO_SHRINK
                 continue
-            decrease = ARMIJO_C / alpha * _l2sq(trial_vals - u.values, dt)
+            decrease = ARMIJO_C / alpha * float(dt * np.sum((u_trial - u) ** 2))
             if J_trial <= J - decrease and np.isfinite(J_trial):
                 u, x, J = u_trial, x_trial, J_trial
                 accepted = True
@@ -135,7 +131,7 @@ def _projected_gradient(
 
     if status == "max_iters":  # the last step moved (x, u) on from lam
         lam, _ = yield COSTATE, (x, u)
-    triple = OptimalTriple(x=x, u=u, lam=lam)
+    triple = OptimalTriple(*(SampledPath(grid, v) for v in (x, u, lam)))
     mp_res = max_principle_residual(triple, problem)
     return AssimilationResult(
         triple=triple,
@@ -149,36 +145,32 @@ def _projected_gradient(
 def _solve(kind, requests, problem: AssimilationProblem):
     """One round's solves of one kind: per request, its answer or its BlowUpError.
 
-    A request is a pair, ``(xi, u)`` forward and ``(x, u)`` for the costate.
-    The requests run as one member batch, each member from its own first
-    entry; a single request is a batch of one member, whose forward sweep
-    steps in floats when the model sets ``float_step``.  A forward answer
-    is the path x and the cost of (x, u), a costate answer the path lambda
+    A request is a pair of arrays, ``(xi, u)`` forward and ``(x, u)`` for
+    the costate.  The requests run as one member batch, each member from
+    its own first entry; a single request is a batch of one member, whose
+    forward sweep steps in floats when the model sets ``float_step``.  A
+    forward answer is x and the cost of (x, u), a costate answer lambda
     and the control gradient, each member's from one stacked call.  A
     member whose sweep or running cost turns non-finite is answered with
     its own :class:`BlowUpError`.
     """
-    model, eta = problem.model, problem.eta
-    grid = eta.grid
-    firsts, us = zip(*requests)
-    uv = np.stack([u.values for u in us])
+    eta = problem.eta
+    firsts, uv = (np.stack(parts) for parts in zip(*requests))
     if kind == FORWARD:
-        values, blown = rk4_sweep(model, uv, np.stack(firsts), grid)
+        values, blown = rk4_sweep(problem.model, uv, firsts, eta.grid)
         costs, bad = _eval_costs(problem.cost, values, uv, eta)
         return [
             BlowUpError(int(node)) if node >= 0
             else _cost_blowup(at) if at >= 0
-            else (SampledPath(grid, v), float(J))
+            else (v, float(J))
             for v, node, J, at in zip(values, blown, costs, bad)
         ]
-    xv = np.stack([x.values for x in firsts])
-    values, blown = costate_sweep(problem, xv, uv)
+    values, blown = costate_sweep(problem, firsts, uv)
     ok = blown < 0  # a blown costate has no gradient
     some = slice(None) if np.all(ok) else ok
-    grads = iter(_control_gradients(problem, grid, xv[some], uv[some], values[some]))
+    grads = iter(_control_gradients(problem, eta.grid, firsts[some], uv[some], values[some]))
     return [
-        (SampledPath(grid, v), SampledPath(grid, next(grads))) if node < 0
-        else BlowUpError(int(node))
+        (v, next(grads)) if node < 0 else BlowUpError(int(node))
         for v, node in zip(values, blown)
     ]
 

@@ -19,17 +19,16 @@ import numpy as np
 from .cost import CostSpec, check_observation
 from .dynamics import ModelSpec, check_paths
 from .errors import InvalidSpecError
-from .grid import SampledPath, _number, _positive_number, frozen_array
+from .grid import SampledPath, _positive_number, frozen_array
 
 
 @dataclass(frozen=True)
 class ControlSetSpec:
     """Closed convex control set: all of E, a box, or a ball about the origin.
 
-    A box needs ``lo`` and ``hi``, a ball a ``radius``.  Each bound given
-    is checked to be finite and kept as a read-only float copy, and a
-    radius given to be a number, whichever of them the kind reads; a bound
-    or radius of None is one not given.
+    A box takes exactly ``lo`` and ``hi``, finite and kept as read-only float
+    copies, a ball exactly a positive ``radius`` and all of E no field; any
+    other field given (not None) raises :class:`InvalidSpecError` naming it.
     """
 
     kind: str = "all_space"
@@ -38,24 +37,24 @@ class ControlSetSpec:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in ("all_space", "box", "ball")):
+        fields = {"all_space": (), "box": ("lo", "hi"), "ball": ("radius",)}
+        if not (isinstance(self.kind, str) and self.kind in fields):
             raise InvalidSpecError(f"unknown control set kind {self.kind!r}")
-        for label in ("lo", "hi"):
-            value = getattr(self, label)
-            if value is not None or self.kind == "box":
-                value = frozen_array(value, label)
+        for label in ("lo", "hi", "radius"):
+            if getattr(self, label) is not None and label not in fields[self.kind]:
+                raise InvalidSpecError(f"control set kind {self.kind!r} takes no {label}")
+        if self.kind == "ball":
+            object.__setattr__(self, "radius", _positive_number(self.radius, "radius"))
+        elif self.kind == "box":
+            for label in ("lo", "hi"):
+                value = frozen_array(getattr(self, label), label)
                 if not np.all(np.isfinite(value)):
                     raise InvalidSpecError(f"the control set's {label} must be finite")
                 object.__setattr__(self, label, value)
-        if self.radius is not None or self.kind == "ball":
-            rule = _positive_number if self.kind == "ball" else _number
-            object.__setattr__(self, "radius", rule(self.radius, "radius"))
-        lo, hi = self.lo, self.hi
-        # Bounds of one shape, or one of them a single number.
-        if self.kind == "box" and not (
-            (lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)
-        ):
-            raise InvalidSpecError("box bounds need lo <= hi componentwise")
+            lo, hi = self.lo, self.hi
+            # Bounds of one shape, or one of them a single number.
+            if not ((lo.shape == hi.shape or 1 in (lo.size, hi.size)) and np.all(lo <= hi)):
+                raise InvalidSpecError("box bounds need lo <= hi componentwise")
 
     def check(self, m: int) -> None:
         """Reject box bounds that do not broadcast to m controls."""

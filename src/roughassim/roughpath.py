@@ -316,10 +316,14 @@ def young_integral(x: SampledPath, y: SampledPath, tag: str = "left") -> float:
         raise InvalidSpecError(
             f"a {x.dim}-component integrand cannot act on {y.dim} components"
         )
-    xv = x.values
+    return _young_sum(x.values, y.values, tag)
+
+
+def _young_sum(xv: np.ndarray, yv: np.ndarray, tag: str = "left") -> float:
+    """:func:`young_integral` of unchecked value arrays, (n, d) each."""
     with np.errstate(over="ignore", invalid="ignore"):
         xt = xv[:-1] if tag == "left" else 0.5 * (xv[:-1] + xv[1:])
-        return float(np.einsum("nd,nd->n", xt, y.increments()).sum())
+        return float(np.einsum("nd,nd->n", xt, np.diff(yv, axis=0)).sum())
 
 
 def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dict:
@@ -333,15 +337,15 @@ def young_bound_check(x: SampledPath, y: SampledPath, p: float, q: float) -> dic
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise InvalidSpecError(f"need 1/p + 1/q > 1, got theta={theta}")
-    return _young_loeve_sides(x, y, p_variation(x, p), p_variation(y, q), theta)
+    var_x, var_y = p_variation(x, p), p_variation(y, q)
+    return _young_loeve_sides(young_integral(x, y), x.values, y.values, var_x, var_y, theta)
 
 
-def _young_loeve_sides(x: SampledPath, y: SampledPath, var_x, var_y, theta: float) -> dict:
-    """Both sides of the Young-Loeve bound from Var_p(x) and Var_q(y), theta
-    = 1/p + 1/q > 1: the one place its constant (1 - 2^(1-theta))^-1 lives."""
-    integral = young_integral(x, y, tag="left")
-    dy = y.values[-1] - y.values[0]
-    lhs = abs(integral - float(x.values[0] @ dy))
+def _young_loeve_sides(integral: float, xv, yv, var_x, var_y, theta: float) -> dict:
+    """Both sides of the Young-Loeve bound from int x dy, x's and y's values,
+    Var_p(x), Var_q(y) and theta = 1/p + 1/q > 1: the one place its constant
+    (1 - 2^(1-theta))^-1 lives."""
+    lhs = abs(integral - float(xv[0] @ (yv[-1] - yv[0])))
     return {"lhs": lhs, "rhs": float(var_x * var_y / (1.0 - 2.0 ** (1.0 - theta)))}
 
 
@@ -361,10 +365,17 @@ def wiener_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def sample_wiener(grid: TimeGrid, dim: int, seed: int, stream: int = 0) -> SampledPath:
     """Standard Wiener sample on the grid: W(0)=0, Gaussian increments of variance dt."""
     dim = _positive_count(dim, "dim")
-    rng = wiener_rng(seed, stream)
-    dW = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim))
-    values = np.vstack([np.zeros((1, dim)), np.cumsum(dW, axis=0)])
-    return SampledPath(grid, values)
+    return SampledPath(grid, _walks(grid, dim, seed, [stream], np.sqrt(grid.dt))[0])
+
+
+def _walks(grid: TimeGrid, dim: int, seed: int, streams, scale) -> np.ndarray:
+    """Random walks from 0 with N(0, scale^2) steps, one per stream of
+    ``seed``: a stack (B, n_nodes, dim), :func:`sample_wiener`'s at sqrt(dt)."""
+    out = np.zeros((len(streams), grid.n_nodes, dim))
+    for walk, stream in zip(out, streams):
+        steps = wiener_rng(seed, stream).normal(0.0, scale, size=(grid.n_steps, dim))
+        np.cumsum(steps, axis=0, out=walk[1:])
+    return out
 
 
 def build_observation(zeta: SampledPath, noise_scale: float, seed: int) -> SampledPath:

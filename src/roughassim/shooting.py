@@ -24,7 +24,7 @@ from math import isqrt
 import numpy as np
 
 from .adjoint import OptimalTriple
-from .cost import eval_cost
+from .cost import _cost_blowup, _eval_costs
 from .dynamics import first_nonfinite, initial_state
 from .errors import BlowUpError, InvalidSpecError, NoConvergenceError
 from .grid import SampledPath, _positive_number, frozen_array
@@ -293,18 +293,20 @@ def value_probe(
     Runs 2n+1 fresh solves, at xi and xi +/- h e_i, as one lockstep batch:
     one :func:`shoot_batch`, or with ``solver="gradient"`` one
     :func:`minimize_batch` from the zero control, each start with its own
-    initial state.  Each value is the index of its solve's triple.  Returns
-    the componentwise central difference, lambda(0) from the solve at xi,
-    and the maximum absolute gap.  Gap smallness is consistency evidence
-    for the sensitivity identity, never an assertion of uniqueness.  A
-    solve that raises stops the batch and its error is raised, the first
-    point's when several raise; failing that, a gradient solve that did not
-    converge raises :class:`NoConvergenceError`, again the first point's.
+    initial state.  Each value is the index of its solve's triple, all from
+    one stacked cost evaluation.  Returns the componentwise central
+    difference, lambda(0) from the solve at xi, and the maximum absolute
+    gap.  Gap smallness is consistency evidence for the sensitivity
+    identity, never an assertion of uniqueness.  A solve that raises stops
+    the batch and its error is raised, the first point's when several
+    raise; failing that, a gradient solve that did not converge raises
+    :class:`NoConvergenceError`, then a cost that blows up its
+    :class:`BlowUpError`, each the first point's.
     """
     h = _positive_number(h, "h")
     if not (isinstance(solver, str) and solver in ("gradient", "shoot")):
         raise InvalidSpecError(f"unknown solver {solver!r}")
-    model, cost, eta = problem.model, problem.cost, problem.eta
+    model = problem.model
     xi = initial_state(model, xi)
     n = model.state_dim
     points = [xi]
@@ -315,17 +317,19 @@ def value_probe(
     if solver == "shoot":
         triples = shoot_batch(problem, points)
     else:
-        u0 = SampledPath.zeros(eta.grid, model.control_dim)
+        u0 = SampledPath.zeros(problem.eta.grid, model.control_dim)
         results = minimize_batch(problem, [(z, u0) for z in points], opt_config)
         for result in results:
             if result.status != "converged":
                 message = f"gradient solve did not converge: {result.status}"
                 raise NoConvergenceError(result.grad_norm_trace[-1], message)
         triples = [result.triple for result in results]
-    values = [eval_cost(cost, t.x, t.u, eta) for t in triples]
+    xs = np.stack([t.x.values for t in triples])
+    us = np.stack([t.u.values for t in triples])
+    costs, bad = _eval_costs(problem.cost, xs, us, problem.eta)
+    if np.any(bad >= 0):  # the first point's blow-up
+        raise _cost_blowup(bad[bad >= 0][0])
     lam0 = triples[0].lam.values[0]
-    dv = np.empty(n)
-    for i in range(n):
-        dv[i] = (values[1 + 2 * i] - values[2 + 2 * i]) / (2.0 * h)
+    dv = (costs[1::2] - costs[2::2]) / (2.0 * h)
     gap = float(np.max(np.abs(dv - lam0)))
-    return {"dV_fd": dv, "lambda0": lam0.copy(), "max_abs_gap": gap, "value": values[0]}
+    return {"dV_fd": dv, "lambda0": lam0.copy(), "max_abs_gap": gap, "value": float(costs[0])}

@@ -18,6 +18,7 @@ from roughassim.cost import eval_cost
 from roughassim.dynamics import ModelSpec, integrate_state
 from roughassim.errors import BlowUpError
 from roughassim.grid import SampledPath, require_same_grid
+from roughassim.roughpath import wiener_rng
 
 
 def riccati_lq(a: float, q: float, r: float, T: float, n_steps: int) -> np.ndarray:
@@ -235,6 +236,29 @@ def trapezoid_integral(f, T: float, n: int) -> float:
     t = np.linspace(0.0, T, n + 1)
     y = np.array([f(ti) for ti in t])
     return float(np.trapezoid(y, t))
+
+
+def random_walk(grid, dim, seed, stream, scale=1.0):
+    """A random walk from 0 with N(0, scale^2) steps from stream ``stream``
+    of ``seed``, one path drawn on its own: the per-trial oracle of the
+    diagnostic suites' stacked draws (scale sqrt(dt) for a Wiener path)."""
+    rng = wiener_rng(seed, stream)
+    steps = rng.normal(0.0, scale, size=(grid.n_steps, dim))
+    vals = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    return SampledPath(grid, vals)
+
+
+def smooth_random(grid, dim, seed, stream, n_modes=4):
+    """Random trigonometric polynomial sampled on the grid (piecewise linear),
+    its coefficients drawn one mode at a time: the per-trial oracle of the
+    diagnostic suites' stacked draws."""
+    rng = wiener_rng(seed, stream)
+    t = grid.times / grid.T
+    vals = np.zeros((grid.n_nodes, dim))
+    for k in range(1, n_modes + 1):
+        vals += rng.normal(size=dim) * np.sin(2 * np.pi * k * t)[:, None]
+        vals += rng.normal(size=dim) * np.cos(2 * np.pi * k * t)[:, None]
+    return SampledPath(grid, vals)
 
 
 def young_sum_reference(x_vals, y_vals, tag: str) -> float:

@@ -47,7 +47,7 @@ from roughassim import (
     young_integral,
 )
 from roughassim.errors import InvalidSpecError, RoughAssimError
-from roughassim.experiments import load_config
+from roughassim.experiments import cmd_assimilate, cmd_simulate, load_config
 
 from conftest import scalar_lq
 
@@ -71,6 +71,7 @@ LQ_CONFIG = {
     "truth": {"initial_state": [1.0]},
     "observation": {"h_indices": [0]},
 }
+LQ_EXPERIMENT = load_config(LQ_CONFIG)
 #: The path files the file doors read and write, relative to the test's
 #: working directory.
 CSV_IN, CSV_OUT = "in.csv", "out.csv"
@@ -83,6 +84,10 @@ DOORS = [
     Door("read_path_csv", read_path_csv, dict(filename=CSV_IN), ("filename",)),
     Door("write_path_csv", write_path_csv, dict(path=PATH, filename=CSV_OUT), ("filename",)),
     Door("load_config", load_config, dict(source=LQ_CONFIG), ("source",)),
+    Door("cmd_simulate", cmd_simulate, dict(config=LQ_EXPERIMENT, outdir="sim"), ("outdir",)),
+    Door("cmd_assimilate", cmd_assimilate,
+         dict(config=LQ_EXPERIMENT, eta_file=CSV_IN, outdir="run", truth_file=CSV_IN),
+         ("eta_file", "outdir", "truth_file")),
     Door("ControlSetSpec-box", ControlSetSpec, dict(kind="box", lo=-1.0, hi=1.0),
          ("kind", "lo", "hi", "radius")),
     Door("ControlSetSpec-ball", ControlSetSpec, dict(kind="ball", radius=1.0), ("radius",)),
@@ -162,6 +167,7 @@ MALFORMED = {
     "0": 0,
     "2.5": 2.5,
     "str": "3",
+    "nul": "a\x00b",
     "ragged": [[1.0], [1.0, 2.0]],
     "rank-4": np.ones((2, 2, 2, 2)),
     "object": object(),

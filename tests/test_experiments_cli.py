@@ -11,6 +11,7 @@ from roughassim.cli import main
 from roughassim.dynamics import lorenz63_drift
 from roughassim.errors import InvalidSpecError
 from roughassim.experiments import (
+    cmd_assimilate,
     config_hash,
     load_config,
     rmse_between,
@@ -283,6 +284,16 @@ class TestCliAssimilate:
         for name in ("estimate.csv", "control.csv", "costate.csv"):
             assert (out / name).exists()
 
+    def test_a_named_truth_file_must_exist(self, sim_dir, tmp_path):
+        # Only the implicit truth.csv beside the eta file is optional: a named
+        # one that is missing is refused before anything is written.
+        tmp, cfgfile = sim_dir
+        config = load_config(cfgfile)
+        with pytest.raises(InvalidSpecError, match="unreadable path file"):
+            cmd_assimilate(config, tmp / "sim" / "eta.csv", tmp_path / "out",
+                           truth_file=tmp_path / "missing.csv")
+        assert not (tmp_path / "out").exists()
+
     def test_om_cost_recorded_alongside_me(self, sim_dir):
         tmp, _ = sim_dir
         cfg = lorenz_config(cost={"kind": "onsager_machlup", "S": 50.0})
@@ -437,6 +448,11 @@ class TestCliErrors:
             "truth": {"initial_state": [1.0, 1.0]}, "assimilation": {"initial_state": [1.0, 1.0]},
             "cost": {"kind": "onsager_machlup"}}, None, [], 3,
                      id="simulate-om-cost-the-model-cannot-carry"),
+        pytest.param("simulate", {"control_set": {"kind": "all_space", "lo": -1, "hi": 1}}, None,
+                     [], 3, id="simulate-all-space-with-bounds"),
+        pytest.param("assimilate", {"control_set": {"kind": "box", "lo": -1, "hi": 1,
+                                                    "radius": 2}}, "as_is", [], 3,
+                     id="assimilate-box-with-radius"),
         pytest.param("simulate", {}, None, ["-o", "{blocked:truth.csv}"], 3,
                      id="simulate-truth-csv-is-a-directory"),
         pytest.param("simulate", {}, None, ["-o", "{blocked:manifest.json}"], 3,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from roughassim import adjoint, dynamics, optimizer, shooting
+from roughassim import adjoint, checks, dynamics, optimizer, shooting
 from roughassim.adjoint import (
     _control_gradients,
     control_gradient,
@@ -61,7 +61,12 @@ from roughassim.shooting import (
 )
 
 from conftest import make_lorenz_twin, scalar_lq, zero_eta
-from oracles import costate_reference, duality_reference, eval_cost_one_path
+from oracles import (
+    cost_central_difference,
+    costate_reference,
+    duality_reference,
+    eval_cost_one_path,
+)
 
 L63_ME = {
     "model": {"name": "lorenz63"},
@@ -401,7 +406,8 @@ class TestStackedCosts:
         grid = problem.eta.grid
         u0 = SampledPath.zeros(grid, 1)
         starts = [np.array([0.0]), np.array([1.0]), np.array([1e-200])]
-        answers = optimizer._solve(optimizer.FORWARD, [(xi, u0) for xi in starts], problem)
+        requests = [(xi, u0.values) for xi in starts]
+        answers = optimizer._solve(optimizer.FORWARD, requests, problem)
         for xi, answer in zip(starts, answers):
             x = integrate_state(problem.model, u0, xi, grid)
             try:
@@ -411,8 +417,8 @@ class TestStackedCosts:
                 assert answer.node_index == err.node_index > 0
                 assert str(answer) == str(err)
             else:
-                path, cost = answer
-                assert path.values.tobytes() == x.values.tobytes()
+                states, cost = answer
+                assert states.tobytes() == x.values.tobytes()
                 assert cost == J
         assert isinstance(answers[1], BlowUpError)
 
@@ -702,3 +708,72 @@ def test_duality_sweep_members_equal_duality_check():
     for k in range(5):
         paths = (SampledPath(grid, v) for v in (a[k], b[k]))
         assert resids[k] == duality_check(M[k], *paths, zeta0[k], lambdaT[k])
+
+
+@pytest.fixture
+def paths_built(monkeypatch):
+    """A one-item list counting the SampledPaths built from now on."""
+    count = [0]
+    init = SampledPath.__init__
+
+    def counted(self, grid, values):
+        count[0] += 1
+        init(self, grid, values)
+
+    monkeypatch.setattr(SampledPath, "__init__", counted)
+    return count
+
+
+class TestPathsStayArrays:
+    """Behind the public doors the solvers exchange arrays: a path is built
+    only where a door returns one or a door under test takes one."""
+
+    def test_a_batch_builds_only_its_results_paths(self, paths_built):
+        config = load_config(L96_OM_BOX)
+        _, eta = simulate_truth(config)
+        problem = AssimilationProblem(config.model, build_cost(config), eta, config.control_set)
+        starts = [(config.assim_initial_state, u0) for u0 in _multistart_initials(config)]
+        paths_built[0] = 0
+        results = minimize_batch(problem, starts, config.optimizer)
+        assert len(results) == 4 and min(r.iterations for r in results) > 1
+        assert paths_built[0] == 3 * 4  # each start's triple
+
+    @pytest.mark.parametrize("solver", ["shoot", "gradient"])
+    def test_a_value_probe_builds_only_its_solvers_triples(self, paths_built, solver):
+        problem = scalar_lq(TimeGrid(1.0, 256))
+        paths_built[0] = 0
+        value_probe(problem, np.array([0.8]), h=1e-4, solver=solver,
+                    opt_config=OptimizerConfig(grad_tol=1e-3))
+        # Three solves, at xi and xi +/- h; the gradient solves also take the
+        # zero control that minimize_batch, a public door, takes as a path.
+        assert paths_built[0] == 3 * 3 + (solver == "gradient")
+
+    def test_the_fd_check_builds_no_path(self, paths_built):
+        problem = scalar_lq(TimeGrid(1.0, 64))
+        u = SampledPath.zeros(problem.eta.grid, 1)
+        paths_built[0] = 0
+        checks._central_differences(problem, u, np.array([0.5]), [3, 20], 1e-5)
+        assert paths_built[0] == 0
+
+    def test_the_suites_wrap_only_what_a_door_under_test_takes(self, paths_built):
+        assert checks.suite_duality(0) and paths_built[0] == 0
+        checks.suite_roughpath(0)
+        # 50 short walks for p_variation_bruteforce, 4 integrands for
+        # young_integral.
+        assert paths_built[0] == 50 + 4
+
+    @pytest.mark.parametrize("nodes", [[40, 10], [10, 40]])
+    def test_the_fd_check_raises_the_first_entrys_blow_up(self, nodes):
+        # xdot = 700 x + u from 0: a probe of 1e200 at node 40 overflows the
+        # running cost there while the states stay finite; one at node 10
+        # has 54 steps left for the states to overflow.  The entry listed
+        # first raises, whichever kind of blow-up it meets.
+        problem = scalar_lq(TimeGrid(1.0, 64), a=700.0)
+        u, xi = SampledPath.zeros(problem.eta.grid, 1), np.zeros(1)
+        with pytest.raises(BlowUpError) as serial:
+            for node in nodes:
+                cost_central_difference(problem, u, xi, node, 0, 1e200)
+        with pytest.raises(BlowUpError) as batch:
+            checks._central_differences(problem, u, xi, nodes, 1e200)
+        assert (batch.value.node_index, str(batch.value)) == (
+            serial.value.node_index, str(serial.value))

@@ -62,12 +62,21 @@ class TestControlSetSpec:
         pytest.param(dict(kind="all_space", lo="-1"), id="all_space-lo-string"),
         pytest.param(dict(kind="box", lo=-1.0, hi=1.0, radius=True), id="box-radius-bool"),
         pytest.param(dict(kind="ball", radius=1.0, hi=[True]), id="ball-hi-bool"),
+        pytest.param(dict(kind="all_space", lo=5.0, hi=-5.0), id="all_space-bounds"),
+        pytest.param(dict(kind="all_space", radius=1.0), id="all_space-radius"),
+        pytest.param(dict(kind="box", lo=-1.0, hi=1.0, radius=-3), id="box-radius"),
+        pytest.param(dict(kind="ball", radius=1.0, lo=-1.0), id="ball-lo"),
     ])
     def test_every_field_given_is_checked(self, fields):
-        # Bounds are finite; a field the kind does not read is checked as if
-        # it did, as the config parser has always done.
+        # Bounds are finite, and a field the kind does not read is refused,
+        # valid or not: a box takes exactly lo and hi, a ball exactly radius,
+        # and all of E no field.
         with pytest.raises(InvalidSpecError):
             ControlSetSpec(**fields)
+
+    def test_a_field_the_kind_does_not_read_is_named(self):
+        with pytest.raises(InvalidSpecError, match="'all_space' takes no lo"):
+            ControlSetSpec(kind="all_space", lo=-1.0, hi=1.0)
 
     def test_ball_without_center_is_the_origin_ball(self):
         vals = np.random.default_rng(1).normal(size=(50, 3)) * 2

@@ -11,10 +11,11 @@ from oracles import (
     pvar_bruteforce_loop,
     pvar_exhaustive,
     pvar_full_dp,
+    random_walk,
     young_sum_reference,
 )
 from roughassim.errors import InvalidSpecError
-from roughassim import checks, roughpath
+from roughassim import roughpath
 from roughassim.grid import SampledPath, TimeGrid
 from roughassim.roughpath import (
     _suffix_records,
@@ -441,7 +442,7 @@ class TestStackedMembers:
         fines = [sample_wiener(TimeGrid(1.0, 4096), 1, 42, stream=1500 + s) for s in range(20)]
         stacked = roughpath._p_variations(np.stack([w.values for w in fines]), 1.5)
         assert stacked.tolist() == [p_variation(w, 1.5) for w in fines]
-        walks = [checks._random_walk(TimeGrid(1.0, 64), 2, 42, 300 + t) for t in range(100)]
+        walks = [random_walk(TimeGrid(1.0, 64), 2, 42, 300 + t) for t in range(100)]
         stacked = roughpath._p_variations(np.stack([w.values for w in walks]), 2.5)
         assert stacked.tolist() == [p_variation(w, 2.5) for w in walks]
 
